@@ -21,37 +21,7 @@
 //! participation size is an explicit parameter defaulting to
 //! `max(8, ⌈log₂(n)^1.5⌉)`.
 //!
-//! ## Hot-path structure
-//!
-//! The same discrete-event reductions as the single-leader engine (see
-//! `leader::engine`):
-//!
-//! * **Clock superposition** — one scalar tick chain for the whole
-//!   population instead of a queued tick event per node.
-//! * **Absorbed-cluster gating** — non-participating clusters and
-//!   terminal consensus leaders provably never transition again, so
-//!   member signals towards them stop being scheduled.
-//! * **Displaced-Poisson 0-signals** — on the failure-free path with
-//!   exponential travel latency, each cluster's member 0-signal *arrival*
-//!   stream is an inhomogeneous Poisson process (coloring + displacement
-//!   theorems: a tick belongs to cluster `c` with probability
-//!   `size_c / n`, so the per-cluster send streams are independent
-//!   Poisson processes with the cluster sizes as rates). All counting
-//!   windows — pause, accept, two-choices, sleep — are pure counts
-//!   against thresholds, so the engine jumps straight to each crossing
-//!   with one `Gamma(κ, 1)` draw per window (see [`crate::signalflow`])
-//!   instead of scheduling ~`n` member-signal events per time step.
-//!   Scenario runs and non-exponential latencies keep the per-signal
-//!   path, whose loss/crash modulation is per-event.
-//! * **Tick thinning** — on the same failure-free path, a tick landing on
-//!   a *locked* node does nothing at all (its 0-signal is already counted
-//!   by the jump chains), so the engine simulates only the unlocked
-//!   sub-stream: by Poisson splitting, ticks of the `u` unlocked nodes
-//!   form a rate-`u` Poisson process whose marks are uniform over the
-//!   unlocked set, redrawable (memorylessness) whenever `u` changes. The
-//!   suppressed locked-node stream affects nothing but the `ticks`
-//!   telemetry, whose count over the run is Poisson with mean
-//!   `∫ (n − u(t)) dt` — accrued piecewise and drawn once at the end.
+//! Hot-path structure: see `crate::kernel`, which runs these handlers.
 
 use crate::cluster::leader::{
     ClusterLeaderParams, ClusterLeaderState, ClusterPhase, ClusterTransition,
@@ -59,17 +29,14 @@ use crate::cluster::leader::{
 use crate::cluster::node::{
     decide_member, finished_exchange, FinishedExchange, MemberDecision, MemberSample, MemberView,
 };
-use crate::genstate::GenerationTable;
+use crate::kernel::{run_param_setters, Handlers, Kernel, RunParams};
 use crate::opinion::InitialAssignment;
-use crate::outcome::{ConvergenceTracker, GenerationBirth, RecordLevel, RunOutcome};
-use crate::signalflow::SignalFlow;
-use crate::sync::{generations_needed, GENERATION_CAP};
-use plurality_dist::rng::{derive_seed, Xoshiro256PlusPlus};
-use plurality_dist::{sample_poisson, unit_exp, ChannelPattern, Latency, WaitingTime};
-use plurality_obs::{EngineProfile, TraceEvent, TraceKind, Tracer};
-use plurality_scenario::{Effect, Environment, Scenario};
-use plurality_sim::{EventLog, EventQueue, PoissonClock};
-use plurality_topology::{PeerSampler, Topology, TOPOLOGY_STREAM};
+use crate::outcome::{RecordLevel, RunOutcome};
+use plurality_dist::{ChannelPattern, Latency};
+use plurality_obs::{EngineProfile, TraceEvent};
+use plurality_scenario::Scenario;
+use plurality_sim::EventLog;
+use plurality_topology::Topology;
 use rand::Rng;
 
 /// Sentinel for "not in any cluster".
@@ -95,24 +62,12 @@ const UNCLUSTERED: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
-    assignment: InitialAssignment,
-    latency: Latency,
-    epsilon: f64,
-    seed: u64,
-    record: RecordLevel,
-    max_time: Option<f64>,
-    steps_per_unit: Option<f64>,
+    run: RunParams,
     participation_size: Option<u64>,
     leader_probability: Option<f64>,
     pause_units: f64,
     accept_units: f64,
-    two_choices_units: f64,
     sleep_units: f64,
-    generation_cap: Option<u32>,
-    alpha_hint: Option<f64>,
-    topology: Topology,
-    scenario: Scenario,
-    trace: bool,
 }
 
 impl ClusterConfig {
@@ -123,35 +78,16 @@ impl ClusterConfig {
     /// seed 0.
     pub fn new(assignment: InitialAssignment) -> Self {
         Self {
-            assignment,
-            latency: Latency::exponential(1.0).expect("rate 1 valid"),
-            epsilon: 0.05,
-            seed: 0,
-            record: RecordLevel::Generations,
-            max_time: None,
-            steps_per_unit: None,
+            run: RunParams::new(assignment),
             participation_size: None,
             leader_probability: None,
             pause_units: 1.0,
             accept_units: 8.0,
-            two_choices_units: 2.0,
             sleep_units: 2.0,
-            generation_cap: None,
-            alpha_hint: None,
-            topology: Topology::Complete,
-            scenario: Scenario::new(),
-            trace: false,
         }
     }
 
-    /// Enables structured run tracing (default off). The tracer consumes
-    /// no process RNG and reads no clock: a traced run produces the
-    /// byte-identical [`ClusterResult::outcome`] of an untraced one,
-    /// plus the event log in [`ClusterResult::trace`].
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
+    run_param_setters!();
 
     /// Attaches a time-scripted environment (default: the empty
     /// scenario, the paper's failure-free static model). Event times are
@@ -167,7 +103,7 @@ impl ClusterConfig {
     /// byte-identical process RNG stream as before the subsystem
     /// existed.
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = scenario;
+        self.run.scenario = scenario;
         self
     }
 
@@ -180,60 +116,7 @@ impl ClusterConfig {
     /// graph families are rebuilt per run from `derive_seed(seed,
     /// TOPOLOGY_STREAM)`.
     pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
-    /// Sets the channel-establishment latency law (default `Exp(1)`).
-    pub fn with_latency(mut self, latency: Latency) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Sets ε for ε-convergence reporting (default 0.05).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon ∉ [0, 1]`.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!((0.0..=1.0).contains(&epsilon), "epsilon must lie in [0, 1]");
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the RNG seed (default 0).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the telemetry level (default [`RecordLevel::Generations`]).
-    pub fn with_record(mut self, record: RecordLevel) -> Self {
-        self.record = record;
-        self
-    }
-
-    /// Caps the simulated time in steps (default: derived bound).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_time` is not positive.
-    pub fn with_max_time(mut self, max_time: f64) -> Self {
-        assert!(max_time > 0.0, "max_time must be positive");
-        self.max_time = Some(max_time);
-        self
-    }
-
-    /// Overrides the time-unit length `C1` in steps (default: Monte-Carlo
-    /// estimate for the configured latency and the multi-leader channel
-    /// pattern).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c1` is not positive.
-    pub fn with_steps_per_unit(mut self, c1: f64) -> Self {
-        assert!(c1 > 0.0, "steps_per_unit must be positive");
-        self.steps_per_unit = Some(c1);
+        self.run.topology = topology;
         self
     }
 
@@ -276,30 +159,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the two-choices window per generation, in time units
-    /// (default 2).
-    pub fn with_two_choices_units(mut self, units: f64) -> Self {
-        assert!(units > 0.0, "two_choices_units must be positive");
-        self.two_choices_units = units;
-        self
-    }
-
     /// Sets the sleeping window per generation, in time units (default 2).
     pub fn with_sleep_units(mut self, units: f64) -> Self {
         assert!(units > 0.0, "sleep_units must be positive");
         self.sleep_units = units;
-        self
-    }
-
-    /// Overrides the generation cap `⌈log log_α n⌉`.
-    pub fn with_generation_cap(mut self, cap: u32) -> Self {
-        self.generation_cap = Some(cap);
-        self
-    }
-
-    /// Overrides the bias `α₀` used for the generation cap.
-    pub fn with_alpha_hint(mut self, alpha: f64) -> Self {
-        self.alpha_hint = Some(alpha);
         self
     }
 
@@ -418,90 +281,45 @@ struct Cluster {
     window_count: u64,
     window_threshold: u64,
     state: Option<ClusterLeaderState>,
-    switch_time: Option<f64>,
 }
 
+impl Cluster {
+    /// A freshly elected leader's cluster: just the leader, filling.
+    fn new() -> Self {
+        Self {
+            size: 1,
+            mode: ClusterMode::Filling,
+            window_count: 0,
+            window_threshold: 0,
+            state: None,
+        }
+    }
+}
+
+/// Member signals in flight to a cluster leader.
 #[derive(Debug, Clone, Copy)]
-enum Event {
-    OpDone {
-        v: u32,
-        s1: u32,
-        s2: u32,
-        s3: u32,
-        /// The initiator's slot epoch at scheduling time; a join-churn
-        /// event bumps the slot's epoch, voiding in-flight interactions
-        /// of the node the joiner replaced.
-        epoch: u32,
-    },
-    MemberZero {
-        cluster: u32,
-    },
-    MemberPromoted {
-        cluster: u32,
-        gen: u32,
-    },
+enum Signal {
+    MemberZero { cluster: u32 },
+    MemberPromoted { cluster: u32, gen: u32 },
 }
 
+type K = Kernel<Signal, 3>;
+
+/// The multi-leader protocol state the kernel calls back into.
 struct Engine<'cfg> {
     cfg: &'cfg ClusterConfig,
-    rng: Xoshiro256PlusPlus,
     n: usize,
     c1: f64,
     cap: u32,
     participation_size: u64,
-    cols: Vec<u32>,
-    gens: Vec<u32>,
-    locked: Vec<bool>,
-    /// Slot epochs: bumped by join churn to void the replaced node's
-    /// in-flight interaction (stays all-zero without a scenario).
-    op_epoch: Vec<u32>,
     finished: Vec<bool>,
     stored_gen: Vec<u32>,
     stored_phase: Vec<u8>,
     cluster_of: Vec<u32>,
     clusters: Vec<Cluster>,
-    sampler: PeerSampler,
-    env: Option<Environment>,
-    table: GenerationTable,
-    tracker: ConvergenceTracker,
-    births: Vec<GenerationBirth>,
     phase_log: EventLog<PhaseLogEntry>,
-    queue: EventQueue<Event>,
-    waiting: WaitingTime,
-    clock: PoissonClock,
-    /// The single pending tick of the superposed population clock
-    /// (rate `n`); the ticking node is sampled uniformly at fire time,
-    /// which is equivalent in law to `n` independent clocks. Lives as a
-    /// scalar compared against the queue head instead of cycling through
-    /// the queue — ticks are the majority event type.
-    next_tick: f64,
-    /// Per-cluster displaced-Poisson 0-signal jump chains (module docs);
-    /// `None` on the per-event path (scenario or non-exponential latency).
-    zero_flows: Option<Vec<SignalFlow>>,
-    /// Minimum of the flows' solved crossing times, and its owner —
-    /// rescanned (O(#clusters)) whenever any flow changes.
-    zero_cross: f64,
-    zero_cross_cluster: u32,
-    /// Tick thinning (active iff `zero_flows` is, i.e. on the
-    /// failure-free exponential path; see the module docs): the ids of
-    /// the currently unlocked nodes, in swap-remove order. `next_tick`
-    /// then runs at rate `unlocked.len()` and fires on a uniform element
-    /// of this list.
-    unlocked: Vec<u32>,
-    /// `unlocked_pos[v]` = index of `v` in `unlocked`; `u32::MAX` while
-    /// `v` is locked.
-    unlocked_pos: Vec<u32>,
-    /// Accumulated intensity `∫ (n − u(t)) dt` of the suppressed
-    /// locked-node tick stream, converted into a tick count by one
-    /// Poisson draw at run end.
-    tick_exposure: f64,
-    /// Time up to which `tick_exposure` has been accrued.
-    exposure_from: f64,
-    ticks: u64,
     first_switch: Option<f64>,
     last_switch: Option<f64>,
-    tracer: Tracer,
-    window_crossings: u64,
 }
 
 /// Trace label for a cluster phase (the consensus lattice's axis).
@@ -514,46 +332,8 @@ fn phase_name(phase: ClusterPhase) -> &'static str {
 }
 
 fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
-    let mut rng = Xoshiro256PlusPlus::from_u64(cfg.seed);
-    let opinions = cfg.assignment.materialize(&mut rng);
-    let n = opinions.len();
-    assert!(n >= 8, "multi-leader run needs at least 8 nodes");
-    let k = cfg.assignment.k() as usize;
-
-    // Built from a private RNG stream; complete-graph runs consume no
-    // topology randomness and keep the historical process stream intact.
-    let sampler = cfg
-        .topology
-        .build(n, derive_seed(cfg.seed, TOPOLOGY_STREAM))
-        .expect("topology must be buildable for this population size");
-
-    // `None` for the empty scenario: the zero-cost fast path, one branch
-    // per event, process RNG stream untouched.
-    let env: Option<Environment> = cfg.scenario.for_run(n, cfg.assignment.k(), cfg.seed);
-
-    let cols: Vec<u32> = opinions.iter().map(|o| o.index()).collect();
-    let gens: Vec<u32> = vec![0; n];
-    let table = GenerationTable::from_states(&gens, &cols, k);
-    let initial_counts = table.global_counts();
-    let initial_winner = initial_counts.winner().expect("non-empty population");
-    let initial_bias = initial_counts.bias().unwrap_or(f64::INFINITY);
-
-    let waiting = WaitingTime::new(cfg.latency, ChannelPattern::MultiLeader);
-    // Memoized per (latency, pattern): repetitions share one Monte-Carlo
-    // estimate instead of re-running 20k composite draws each.
-    let c1 = cfg
-        .steps_per_unit
-        .unwrap_or_else(|| waiting.time_unit_cached(20_000));
-
-    let alpha = cfg.alpha_hint.unwrap_or(if initial_bias.is_finite() {
-        initial_bias.max(1.0)
-    } else {
-        2.0
-    });
-    let cap = cfg
-        .generation_cap
-        .unwrap_or_else(|| generations_needed(n as u64, alpha, GENERATION_CAP));
-
+    let mut k: K = Kernel::new(&cfg.run, ChannelPattern::MultiLeader, "multi-leader", 8);
+    let (n, c1, cap) = (k.n, k.c1, k.cap);
     let participation_size = cfg
         .participation_size
         .unwrap_or_else(|| ((n as f64).log2().powf(1.5).ceil() as u64).max(8))
@@ -566,201 +346,60 @@ fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
     let mut cluster_of = vec![UNCLUSTERED; n];
     let mut clusters: Vec<Cluster> = Vec::new();
     for slot in cluster_of.iter_mut() {
-        if rng.gen::<f64>() < p_lead {
+        if k.rng.gen::<f64>() < p_lead {
             *slot = clusters.len() as u32;
-            clusters.push(Cluster {
-                size: 1,
-                mode: ClusterMode::Filling,
-                window_count: 0,
-                window_threshold: 0,
-                state: None,
-                switch_time: None,
-            });
+            clusters.push(Cluster::new());
         }
     }
     while clusters.len() < 2 {
-        let v = rng.gen_range(0..n);
+        let v = k.rng.gen_range(0..n);
         if cluster_of[v] == UNCLUSTERED {
             cluster_of[v] = clusters.len() as u32;
-            clusters.push(Cluster {
-                size: 1,
-                mode: ClusterMode::Filling,
-                window_count: 0,
-                window_threshold: 0,
-                state: None,
-                switch_time: None,
-            });
+            clusters.push(Cluster::new());
         }
     }
 
-    let max_time = cfg.max_time.unwrap_or_else(|| {
+    k.max_time = cfg.run.max_time.unwrap_or_else(|| {
         let nf = n as f64;
+        let colors = f64::from(cfg.run.assignment.k());
         let clustering = c1 * (cfg.pause_units + cfg.accept_units + 8.0);
         let per_gen =
-            2.0 * (k as f64 + 2.0).log2() + cfg.two_choices_units + cfg.sleep_units + 12.0;
+            2.0 * (colors + 2.0).log2() + cfg.run.two_choices_units + cfg.sleep_units + 12.0;
         let derived = clustering + c1 * (cap as f64 + 2.0) * per_gen + 12.0 * nf.ln() + 200.0;
         // Scripted events must actually fire: stretch the default cap
         // past the scenario horizon plus a recovery tail.
-        derived.max(cfg.scenario.horizon() + 12.0 * nf.ln() + 200.0)
+        derived.max(cfg.run.scenario.horizon() + 12.0 * nf.ln() + 200.0)
     });
 
-    let mut tracker = ConvergenceTracker::new(n as u64, initial_winner, cfg.epsilon);
-    tracker.observe(
-        0.0,
-        table.color_support(initial_winner),
-        table.max_color_support(),
-    );
-
-    // Superposed population clock (rate n) as a scalar chain; queue
-    // capacity covers open interactions plus in-flight member signals
-    // (≈ n·E[T1]) without rehashing.
-    let clock = PoissonClock::new(n as f64).expect("positive rate");
-    let mut queue: EventQueue<Event> = EventQueue::with_capacity(3 * n);
-    queue.set_trace(cfg.trace);
-    let next_tick = clock.next_tick(0.0, &mut rng);
-
-    // Displaced-Poisson 0-signal streams, one per cluster (module docs):
-    // available when no scenario modulates individual signals and the
-    // travel law is exponential. All clusters start in `Filling`, whose
-    // arrivals are unobservable — the flows start disarmed, charging
-    // intensity from each cluster's initial (leader-only) membership.
-    let mut zero_flows = match (&env, cfg.latency) {
-        (None, Latency::Exponential { rate }) => Some(vec![SignalFlow::new(rate); clusters.len()]),
-        _ => None,
-    };
-    if let Some(flows) = zero_flows.as_mut() {
-        for (flow, cluster) in flows.iter_mut().zip(&clusters) {
-            flow.set_rate(0.0, cluster.size as f64);
-        }
+    // One unit-rate pool for the whole population. The per-cluster jump
+    // chains start disarmed — every cluster starts `Filling`, whose
+    // arrivals are unobservable — charging intensity from each cluster's
+    // initial (leader-only) membership.
+    k.add_pool(1.0, 0..n);
+    k.start_ticks();
+    let sizes: Vec<f64> = clusters.iter().map(|c| c.size as f64).collect();
+    k.enable_flows(&sizes);
+    if k.flows.is_some() {
+        k.enable_thinning();
     }
-    // Tick thinning rides on the same gate as the jump chains: it needs
-    // locked-node ticks to be fully inert, which holds exactly when no
-    // scenario modulates ticks and 0-signals are flow-counted.
-    let (unlocked, unlocked_pos) = if zero_flows.is_some() {
-        ((0..n as u32).collect(), (0..n as u32).collect())
-    } else {
-        (Vec::new(), Vec::new())
-    };
 
     let mut engine = Engine {
         cfg,
-        rng,
         n,
         c1,
         cap,
         participation_size,
-        cols,
-        gens,
-        locked: vec![false; n],
-        op_epoch: vec![0; n],
         finished: vec![false; n],
         stored_gen: vec![0; n],
         stored_phase: vec![0; n],
         cluster_of,
         clusters,
-        sampler,
-        env,
-        table,
-        tracker,
-        births: Vec::new(),
         phase_log: EventLog::new(),
-        queue,
-        waiting,
-        clock,
-        next_tick,
-        zero_flows,
-        zero_cross: f64::INFINITY,
-        zero_cross_cluster: u32::MAX,
-        unlocked,
-        unlocked_pos,
-        tick_exposure: 0.0,
-        exposure_from: 0.0,
-        ticks: 0,
         first_switch: None,
         last_switch: None,
-        tracer: Tracer::new(cfg.trace),
-        window_crossings: 0,
     };
-
-    let mut end_time = 0.0f64;
-    if !engine.table.is_monochromatic() {
-        loop {
-            // The tick chain and the jump chains' next threshold crossing
-            // compete for the next scheduled instant; queued events win
-            // exact time ties against both (a probability-zero event).
-            let forced = engine.next_tick.min(engine.zero_cross);
-            let popped = engine.queue.pop_before(forced.min(max_time));
-            let now = match popped {
-                Some((t, _)) => t,
-                None => {
-                    if forced > max_time {
-                        end_time = max_time;
-                        break;
-                    }
-                    engine.queue.advance_to(forced);
-                    forced
-                }
-            };
-            end_time = now;
-            if engine.env.is_some() && engine.apply_effects(now) {
-                break;
-            }
-            let done = match popped {
-                None if engine.zero_cross <= engine.next_tick => {
-                    engine.on_zero_window(now, engine.zero_cross_cluster);
-                    false
-                }
-                None => engine.on_tick(now),
-                Some((
-                    _,
-                    Event::OpDone {
-                        v,
-                        s1,
-                        s2,
-                        s3,
-                        epoch,
-                    },
-                )) => engine.on_op_done(now, v, s1, s2, s3, epoch),
-                Some((_, Event::MemberZero { cluster })) => engine.on_member_zero(now, cluster),
-                Some((_, Event::MemberPromoted { cluster, gen })) => {
-                    engine.on_member_promoted(now, cluster, gen)
-                }
-            };
-            if done {
-                break;
-            }
-        }
-    }
-    let mut thinned_ticks = 0u64;
-    if engine.zero_flows.is_some() {
-        // Settle the suppressed locked-node tick stream: its count over
-        // the run is Poisson with the accrued intensity (module docs).
-        engine.accrue_exposure(end_time);
-        if engine.tick_exposure > 0.0 {
-            thinned_ticks = sample_poisson(engine.tick_exposure, &mut engine.rng);
-            engine.ticks += thinned_ticks;
-        }
-    }
-
-    // Queue resizes recorded while tracing become trace events; the
-    // final sort in `Tracer::finish` interleaves them on the time axis.
-    let resize_log = engine.queue.take_resize_log();
-    engine
-        .tracer
-        .extend(resize_log.into_iter().map(|r| TraceEvent {
-            time: r.at,
-            kind: TraceKind::QueueResize {
-                buckets: r.buckets,
-                width: r.width,
-            },
-        }));
-    let qprof = engine.queue.profile();
-    let profile = EngineProfile {
-        events_popped: qprof.pops,
-        signals_thinned: thinned_ticks,
-        queue_resizes: qprof.resizes,
-        window_crossings: engine.window_crossings,
-    };
+    k.run(&mut engine);
+    let done = k.finish();
 
     let participating: Vec<&Cluster> = engine
         .clusters
@@ -774,20 +413,8 @@ fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
         .filter(|&&c| c != UNCLUSTERED)
         .count();
     let finished_count = engine.finished.iter().filter(|&&f| f).count();
-
-    let outcome = RunOutcome {
-        n: n as u64,
-        k: k as u32,
-        initial_winner,
-        initial_bias,
-        final_counts: engine.table.global_counts(),
-        epsilon_time: engine.tracker.epsilon_time(),
-        consensus_time: engine.tracker.consensus_time(),
-        duration: end_time,
-        generations: engine.births,
-    };
     ClusterResult {
-        outcome,
+        outcome: done.outcome,
         steps_per_unit: c1,
         cluster_count: engine.clusters.len(),
         participating_clusters: participating.len(),
@@ -796,10 +423,188 @@ fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
         first_switch_time: engine.first_switch,
         last_switch_time: engine.last_switch,
         phase_log: engine.phase_log,
-        ticks: engine.ticks,
+        ticks: done.ticks,
         finished_fraction: finished_count as f64 / n as f64,
-        trace: engine.tracer.finish(),
-        profile,
+        trace: done.trace,
+        profile: done.profile,
+    }
+}
+
+impl Handlers<3> for Engine<'_> {
+    type Signal = Signal;
+    const OBSERVE_EACH_MOVE: bool = true;
+
+    fn send_zero(&mut self, k: &mut K, now: f64, v: u32) {
+        // Line 1 of Algorithm 4: the 0-signal to the own leader, subject
+        // to one travel latency. Also drives the clustering counters.
+        let c = self.cluster_of[v as usize];
+        if c != UNCLUSTERED && !self.cluster_absorbed(c) {
+            k.send(now, Signal::MemberZero { cluster: c });
+        }
+    }
+
+    fn on_op(&mut self, k: &mut K, now: f64, v: u32, [s1, s2, s3]: [u32; 3]) -> bool {
+        let vi = v as usize;
+        k.unlock(now, vi);
+
+        // Lines 5–7 of Algorithm 4: finished-flag exchange (push + pull),
+        // resolved by the shared rule in `cluster::node` — the same
+        // function the plurality-check model checker drives.
+        let line = [s1, s2, s3];
+        let line_finished = line.map(|s| self.finished[s as usize]);
+        match finished_exchange(self.finished[vi], &line_finished) {
+            FinishedExchange::Push => {
+                let col = k.cols[vi];
+                for s in line {
+                    // Live re-check: a repeated sample is flagged once.
+                    let si = s as usize;
+                    if !self.finished[si] {
+                        self.finished[si] = true;
+                        if k.adopt(now, si, k.gens[si], col) {
+                            return true;
+                        }
+                    }
+                }
+                return false;
+            }
+            FinishedExchange::Pull { from } => {
+                self.finished[vi] = true;
+                let col = k.cols[line[from] as usize];
+                return k.adopt(now, vi, k.gens[vi], col);
+            }
+            FinishedExchange::None => {}
+        }
+
+        // Unclustered nodes attempt to join a sampled node's cluster.
+        if self.cluster_of[vi] == UNCLUSTERED {
+            for s in line {
+                let c = self.cluster_of[s as usize];
+                if c == UNCLUSTERED {
+                    continue;
+                }
+                let ci = c as usize;
+                match self.clusters[ci].mode {
+                    ClusterMode::Filling => {
+                        self.cluster_of[vi] = c;
+                        self.clusters[ci].size += 1;
+                        if self.clusters[ci].size >= self.participation_size {
+                            self.clusters[ci].mode = ClusterMode::Pausing;
+                            self.clusters[ci].window_count = 0;
+                            self.clusters[ci].window_threshold =
+                                (self.clusters[ci].size as f64 * self.c1 * self.cfg.pause_units)
+                                    .ceil() as u64;
+                            // The pause window opens now: arm it afresh.
+                            self.rearm_flow(k, now, c);
+                        } else {
+                            self.flow_set_rate(k, now, c);
+                        }
+                        break;
+                    }
+                    ClusterMode::Accepting => {
+                        self.cluster_of[vi] = c;
+                        self.clusters[ci].size += 1;
+                        // Mid-window membership change: rate only, the
+                        // accept window keeps its accrued count.
+                        self.flow_set_rate(k, now, c);
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+            return false;
+        }
+
+        let own = self.cluster_of[vi];
+        let sampled_cluster = self.cluster_of[s3 as usize];
+
+        // Consensus-switch broadcast and leader lattice sync happen whenever
+        // two leaders are on the line (own + the sampled node's).
+        if sampled_cluster != UNCLUSTERED {
+            self.spread_switch(k, now, own, sampled_cluster);
+            self.sync_leaders(k, now, own, sampled_cluster);
+        }
+
+        if self.clusters[own as usize].mode != ClusterMode::Consensus {
+            return false;
+        }
+        // Line 8: a non-active sampled cluster ends the interaction.
+        if sampled_cluster == UNCLUSTERED
+            || self.clusters[sampled_cluster as usize].mode != ClusterMode::Consensus
+        {
+            return false;
+        }
+
+        let (l_gen, l_phase) = self.lattice(sampled_cluster);
+        // Lines 9–19 are the shared member decision rule in `cluster::node`
+        // — the same function the plurality-check model checker drives.
+        let view = MemberView {
+            gen: k.gens[vi],
+            col: k.cols[vi],
+            stored_gen: self.stored_gen[vi],
+            stored_phase: self.stored_phase[vi],
+        };
+        let sample = |s: u32| MemberSample {
+            gen: k.gens[s as usize],
+            col: k.cols[s as usize],
+        };
+        match decide_member(view, sample(s1), sample(s2), l_gen, l_phase, self.cap) {
+            MemberDecision::Promote {
+                gen,
+                col,
+                increased,
+                finished,
+            } => {
+                if k.adopt(now, vi, gen, col) {
+                    return true;
+                }
+                // Lines 12/16: notify the own leader (travel latency);
+                // skipped when the leader is provably past reacting.
+                if increased && !self.cluster_absorbed(own) {
+                    k.send(now, Signal::MemberPromoted { cluster: own, gen });
+                }
+                // Line 20: reaching the final generation finishes the node.
+                if finished {
+                    self.finished[vi] = true;
+                }
+            }
+            MemberDecision::Refresh { gen, phase } => {
+                // Lines 17–19: relay the observed leader state to the own
+                // leader (already covered by sync_leaders above) and refresh
+                // the stored copy.
+                self.stored_gen[vi] = gen;
+                self.stored_phase[vi] = phase;
+            }
+        }
+        false
+    }
+
+    fn on_signal(&mut self, k: &mut K, now: f64, signal: Signal) {
+        match signal {
+            Signal::MemberZero { cluster } => self.member_zeros(k, now, cluster, 1),
+            Signal::MemberPromoted { cluster, gen } => {
+                self.on_member_promoted(k, now, cluster, gen)
+            }
+        }
+    }
+
+    /// A solved 0-signal threshold crossing of cluster `c`: batches in the
+    /// whole window's worth of arrivals at the crossing time, then re-arms
+    /// for whatever window the cluster's counters are in afterwards.
+    fn on_crossing(&mut self, k: &mut K, now: f64, c: u32) {
+        let gap = self
+            .window_gap(c)
+            .expect("armed window in a counting phase");
+        self.member_zeros(k, now, c, gap);
+        self.rearm_flow(k, now, c);
+    }
+
+    fn on_join(&mut self, v: usize) {
+        // Fresh node in a reused slot: protocol flags cleared, cluster
+        // membership (a slot property) kept so cluster sizes stay
+        // consistent.
+        self.finished[v] = false;
+        self.stored_gen[v] = 0;
+        self.stored_phase[v] = 0;
     }
 }
 
@@ -822,155 +627,23 @@ impl Engine<'_> {
         }
     }
 
-    /// Applies every scenario effect due at `now`. Returns true if an
-    /// effect made the population monochromatic (run finished).
-    fn apply_effects(&mut self, now: f64) -> bool {
-        // Taken out and restored so effect application can borrow the
-        // rest of the engine mutably (`adopt` touches table + tracker).
-        let Some(mut env) = self.env.take() else {
-            return false;
-        };
-        let mut mono = false;
-        for effect in env.poll(now) {
-            match effect {
-                Effect::Joined(joins) => {
-                    self.tracer.emit(
-                        now,
-                        TraceKind::ScenarioEffect {
-                            name: "joined",
-                            count: joins.len() as u64,
-                        },
-                    );
-                    for (v, c) in joins {
-                        let vi = v as usize;
-                        // Fresh node in a reused slot: protocol flags
-                        // cleared, cluster membership (a slot property)
-                        // kept so cluster sizes stay consistent. The
-                        // epoch bump voids any interaction the replaced
-                        // node still had in flight; the slot unlocks so
-                        // the fresh node starts unentangled.
-                        self.finished[vi] = false;
-                        self.stored_gen[vi] = 0;
-                        self.stored_phase[vi] = 0;
-                        self.op_epoch[vi] = self.op_epoch[vi].wrapping_add(1);
-                        self.locked[vi] = false;
-                        mono |= self.adopt(now, vi, 0, c);
-                    }
-                }
-                Effect::Corrupt { budget, mode } => {
-                    let k = self.table.k() as u32;
-                    let targets = env.corruption_targets(budget, mode, &self.cols, k);
-                    self.tracer.emit(
-                        now,
-                        TraceKind::ScenarioEffect {
-                            name: "corrupt",
-                            count: targets.len() as u64,
-                        },
-                    );
-                    for (v, c) in targets {
-                        let vi = v as usize;
-                        mono |= self.adopt(now, vi, self.gens[vi], c);
-                    }
-                }
-                Effect::Rewired(s) => {
-                    self.tracer.emit(
-                        now,
-                        TraceKind::ScenarioEffect {
-                            name: "rewired",
-                            count: 1,
-                        },
-                    );
-                    self.sampler = s;
-                }
-                _ => {}
-            }
-        }
-        self.env = Some(env);
-        mono
+    /// The public `(generation, phase)` of consensus cluster `c`'s leader.
+    fn lattice(&self, c: u32) -> (u32, ClusterPhase) {
+        let s = self.clusters[c as usize]
+            .state
+            .as_ref()
+            .expect("consensus cluster has a state");
+        (s.generation(), s.phase())
     }
 
-    /// Handles a tick of the superposed population clock. Returns true
-    /// when the run is finished.
-    fn on_tick(&mut self, now: f64) -> bool {
-        if self.zero_flows.is_some() {
-            // Thinned fast path (module docs): only unlocked-node ticks
-            // are simulated, so this tick starts an interaction with
-            // certainty. The 0-signal stream is already carried by the
-            // jump chains, env is `None` (gate), so nothing else a locked
-            // tick would do remains — locked ticks are settled in bulk by
-            // one Poisson(exposure) draw at run end.
-            self.ticks += 1;
-            self.accrue_exposure(now);
-            let j = self.rng.gen_range(0..self.unlocked.len());
-            let v = self.unlocked[j];
-            let vi = v as usize;
-            self.lock_node(j);
-            self.redraw_tick(now);
-            let s1 = self.sampler.sample(v, &mut self.rng);
-            let s2 = self.sampler.sample(v, &mut self.rng);
-            let s3 = self.sampler.sample(v, &mut self.rng);
-            let phase = self.waiting.sample_channel_phase(&mut self.rng);
-            let epoch = self.op_epoch[vi];
-            self.queue.schedule(
-                now + phase,
-                Event::OpDone {
-                    v,
-                    s1,
-                    s2,
-                    s3,
-                    epoch,
-                },
-            );
-            return false;
-        }
-        self.ticks += 1;
-        // The next tick is redrawn *first*, preserving the RNG draw order
-        // of the queued-tick implementation this replaced.
-        self.next_tick = self.clock.next_tick(now, &mut self.rng);
-        let vi = self.rng.gen_range(0..self.n);
-        let v = vi as u32;
-        // A crashed node's tick is inert (Poisson thinning): no member
-        // signal, no interaction.
-        let crashed = self.env.as_ref().is_some_and(|e| e.is_crashed(v));
-        let scale = self.env.as_ref().map_or(1.0, |e| e.latency_scale());
-        // Line 1 of Algorithm 4: the 0-signal to the own leader, subject
-        // to one travel latency. Also drives the clustering counters. On
-        // the jump-chain fast path the whole per-cluster stream is
-        // counted by `zero_flows` instead of per-event scheduling.
-        if self.zero_flows.is_none() {
-            let c = self.cluster_of[vi];
-            if c != UNCLUSTERED
-                && !crashed
-                && !self.cluster_absorbed(c)
-                && !self.env.as_mut().is_some_and(|e| e.message_lost())
-            {
-                let travel = self.cfg.latency.sample(&mut self.rng) * scale;
-                self.queue
-                    .schedule(now + travel, Event::MemberZero { cluster: c });
-            }
-        }
-        if !crashed && !self.locked[vi] {
-            self.locked[vi] = true;
-            let s1 = self.sampler.sample(v, &mut self.rng);
-            let s2 = self.sampler.sample(v, &mut self.rng);
-            let s3 = self.sampler.sample(v, &mut self.rng);
-            let phase = self.waiting.sample_channel_phase(&mut self.rng) * scale;
-            let epoch = self.op_epoch[vi];
-            self.queue.schedule(
-                now + phase,
-                Event::OpDone {
-                    v,
-                    s1,
-                    s2,
-                    s3,
-                    epoch,
-                },
-            );
-        }
-        false
-    }
-
-    fn log_transition(&mut self, now: f64, cluster: u32, t: ClusterTransition, organic: bool) {
+    fn log_transition(
+        &mut self,
+        k: &mut K,
+        now: f64,
+        cluster: u32,
+        t: ClusterTransition,
+        organic: bool,
+    ) {
         let (generation, phase) = match t {
             ClusterTransition::Slept { generation } => (generation, ClusterPhase::Sleeping),
             ClusterTransition::PropagationEnabled { generation } => {
@@ -981,74 +654,48 @@ impl Engine<'_> {
             }
             ClusterTransition::Synchronized { generation, phase } => (generation, phase),
         };
-        self.tracer.emit(
-            now,
-            TraceKind::Phase {
-                name: phase_name(phase),
-                generation,
-                scope: cluster,
-            },
-        );
-        if matches!(
-            t,
-            ClusterTransition::PropagationEnabled { .. }
-                | ClusterTransition::Synchronized {
-                    phase: ClusterPhase::Propagation,
-                    ..
-                }
-        ) {
+        if phase == ClusterPhase::Propagation {
             // Lemma 22 analogue: measure the generation's bias when its
-            // propagation window first opens anywhere. Births are recorded
-            // in strictly increasing generation order → binary search.
-            if let Ok(i) = self
-                .births
-                .binary_search_by_key(&generation, |b| b.generation)
-            {
-                if !self.births[i].bias.is_finite() {
-                    self.births[i].bias = self.table.bias_in(generation).unwrap_or(f64::INFINITY);
-                }
-            }
+            // propagation window first opens anywhere.
+            k.measure_bias(generation);
         }
         // A generation can mature without its propagation window opening
         // (small k: two-choices alone reaches the gen-size threshold);
         // measure its bias when the next generation is first allowed.
         if generation >= 2 && phase == ClusterPhase::TwoChoices {
-            if let Ok(i) = self
-                .births
-                .binary_search_by_key(&(generation - 1), |b| b.generation)
-            {
-                if !self.births[i].bias.is_finite() {
-                    self.births[i].bias =
-                        self.table.bias_in(generation - 1).unwrap_or(f64::INFINITY);
-                }
-            }
+            k.measure_bias(generation - 1);
         }
-        if !matches!(self.cfg.record, RecordLevel::Outcome) {
-            self.phase_log.record(
-                now,
-                PhaseLogEntry {
-                    cluster,
-                    generation,
-                    phase,
-                    organic,
-                },
-            );
-        }
+        self.record_phase(k, now, cluster, generation, phase, organic);
     }
 
-    /// Handles a member 0-signal arriving at a cluster leader (the
-    /// per-event path).
-    fn on_member_zero(&mut self, now: f64, c: u32) -> bool {
-        self.member_zeros(now, c, 1);
-        false
+    /// Traces and logs cluster `c` entering `phase` of `generation`.
+    fn record_phase(
+        &mut self,
+        k: &mut K,
+        now: f64,
+        cluster: u32,
+        generation: u32,
+        phase: ClusterPhase,
+        organic: bool,
+    ) {
+        k.trace_phase(now, phase_name(phase), generation, cluster);
+        if !matches!(self.cfg.run.record, RecordLevel::Outcome) {
+            let entry = PhaseLogEntry {
+                cluster,
+                generation,
+                phase,
+                organic,
+            };
+            self.phase_log.record(now, entry);
+        }
     }
 
     /// Counts `count` member 0-signals arriving at cluster `c`'s leader
-    /// at one instant. The per-event path passes 1; the jump-chain fast
+    /// at one instant. The per-signal path passes 1; the jump-chain fast
     /// path passes a whole window's remaining gap, landing exactly on the
     /// threshold (every counter here is a pure count-to-threshold, so
     /// batching is equivalent to iterating).
-    fn member_zeros(&mut self, now: f64, c: u32, count: u64) {
+    fn member_zeros(&mut self, k: &mut K, now: f64, c: u32, count: u64) {
         let ci = c as usize;
         match self.clusters[ci].mode {
             ClusterMode::Filling | ClusterMode::NonParticipating => {}
@@ -1065,7 +712,7 @@ impl Engine<'_> {
             ClusterMode::Accepting => {
                 self.clusters[ci].window_count += count;
                 if self.clusters[ci].window_count >= self.clusters[ci].window_threshold {
-                    self.switch_to_consensus(now, c);
+                    self.switch_to_consensus(k, now, c);
                 }
             }
             ClusterMode::Consensus => {
@@ -1075,47 +722,15 @@ impl Engine<'_> {
                     .expect("consensus cluster has a state")
                     .on_zero_batch(count);
                 if let Some(t) = transition {
-                    self.log_transition(now, c, t, true);
+                    self.log_transition(k, now, c, t, true);
                 }
             }
         }
     }
 
-    /// Handles a solved 0-signal threshold crossing of cluster `c` on the
-    /// jump-chain fast path: batches in the whole window's worth of
-    /// arrivals at the crossing time, then re-arms for whatever window
-    /// the cluster's counters are in afterwards.
-    fn on_zero_window(&mut self, now: f64, c: u32) {
-        self.window_crossings += 1;
-        self.tracer
-            .emit(now, TraceKind::WindowCrossing { scope: c });
-        let gap = {
-            let cluster = &self.clusters[c as usize];
-            match cluster.mode {
-                ClusterMode::Pausing | ClusterMode::Accepting => {
-                    cluster.window_threshold - cluster.window_count
-                }
-                ClusterMode::Consensus => {
-                    let s = cluster
-                        .state
-                        .as_ref()
-                        .expect("consensus cluster has a state");
-                    match s.phase() {
-                        ClusterPhase::TwoChoices => s.params().sleep_threshold - s.tick_count(),
-                        ClusterPhase::Sleeping => s.params().prop_threshold - s.tick_count(),
-                        ClusterPhase::Propagation => unreachable!("armed window in propagation"),
-                    }
-                }
-                _ => unreachable!("armed window in an inert mode"),
-            }
-        };
-        self.member_zeros(now, c, gap);
-        self.rearm_flow(now, c);
-    }
-
     /// Effective 0-signal send rate of cluster `c` on the jump-chain fast
     /// path: every member ticks at unit rate and sends unless the cluster
-    /// is absorbed — the same gate the per-event path applies at send
+    /// is absorbed — the same gate the per-signal path applies at send
     /// time (no crashes or loss bursts exist on this path).
     fn flow_rate(&self, c: u32) -> f64 {
         if self.cluster_absorbed(c) {
@@ -1125,16 +740,33 @@ impl Engine<'_> {
         }
     }
 
+    /// Arrivals left until the counting window cluster `c` sits in
+    /// crosses; `None` when no window is open.
+    fn window_gap(&self, c: u32) -> Option<u64> {
+        let cluster = &self.clusters[c as usize];
+        match cluster.mode {
+            ClusterMode::Filling | ClusterMode::NonParticipating => None,
+            ClusterMode::Pausing | ClusterMode::Accepting => {
+                Some(cluster.window_threshold - cluster.window_count)
+            }
+            ClusterMode::Consensus => {
+                let s = cluster
+                    .state
+                    .as_ref()
+                    .expect("consensus cluster has a state");
+                match s.phase() {
+                    ClusterPhase::TwoChoices => Some(s.params().sleep_threshold - s.tick_count()),
+                    ClusterPhase::Sleeping => Some(s.params().prop_threshold - s.tick_count()),
+                    ClusterPhase::Propagation => None,
+                }
+            }
+        }
+    }
+
     /// Refreshes cluster `c`'s jump-chain send rate after a membership or
     /// absorption change, preserving any armed window's accrued progress.
-    fn flow_set_rate(&mut self, now: f64, c: u32) {
-        if self.zero_flows.is_none() {
-            return;
-        }
-        let rate = self.flow_rate(c);
-        let flows = self.zero_flows.as_mut().expect("checked above");
-        flows[c as usize].set_rate(now, rate);
-        self.rescan_zero();
+    fn flow_set_rate(&mut self, k: &mut K, now: f64, c: u32) {
+        k.set_flow_rate(now, c, self.flow_rate(c));
     }
 
     /// Re-arms cluster `c`'s jump chain for the counting window its
@@ -1142,112 +774,18 @@ impl Engine<'_> {
     /// the window just crossed or the counters were reset/jumped (see
     /// `signalflow`); must NOT be used for rate-only changes, which
     /// [`Self::flow_set_rate`] handles without discarding progress.
-    fn rearm_flow(&mut self, now: f64, c: u32) {
-        if self.zero_flows.is_none() {
+    fn rearm_flow(&mut self, k: &mut K, now: f64, c: u32) {
+        if k.flows.is_none() {
             return;
         }
-        let rate = self.flow_rate(c);
-        let gap = {
-            let cluster = &self.clusters[c as usize];
-            match cluster.mode {
-                ClusterMode::Filling | ClusterMode::NonParticipating => None,
-                ClusterMode::Pausing | ClusterMode::Accepting => {
-                    Some(cluster.window_threshold - cluster.window_count)
-                }
-                ClusterMode::Consensus => {
-                    let s = cluster
-                        .state
-                        .as_ref()
-                        .expect("consensus cluster has a state");
-                    match s.phase() {
-                        ClusterPhase::TwoChoices => {
-                            Some(s.params().sleep_threshold - s.tick_count())
-                        }
-                        ClusterPhase::Sleeping => Some(s.params().prop_threshold - s.tick_count()),
-                        ClusterPhase::Propagation => None,
-                    }
-                }
-            }
-        };
-        let flows = self.zero_flows.as_mut().expect("checked above");
-        let flow = &mut flows[c as usize];
-        flow.set_rate(now, rate);
-        match gap {
-            Some(g) => {
-                debug_assert!(g > 0, "crossings are handled before re-arming");
-                flow.arm(now, g, &mut self.rng);
-            }
-            None => flow.disarm(now),
-        }
-        self.rescan_zero();
-    }
-
-    /// Recomputes the minimum solved crossing over all jump chains (ties
-    /// break towards the lowest cluster id, deterministically).
-    fn rescan_zero(&mut self) {
-        let Some(flows) = self.zero_flows.as_ref() else {
-            return;
-        };
-        let mut best = f64::INFINITY;
-        let mut owner = u32::MAX;
-        for (i, f) in flows.iter().enumerate() {
-            if f.pred() < best {
-                best = f.pred();
-                owner = i as u32;
-            }
-        }
-        self.zero_cross = best;
-        self.zero_cross_cluster = owner;
-    }
-
-    /// Accrues the suppressed locked-node tick intensity up to `now`
-    /// (thinned fast path only). Per-node rate is 1, so the intensity is
-    /// simply `locked_count * dt`.
-    fn accrue_exposure(&mut self, now: f64) {
-        let locked = self.n - self.unlocked.len();
-        self.tick_exposure += locked as f64 * (now - self.exposure_from);
-        self.exposure_from = now;
-    }
-
-    /// Redraws the next unlocked-set tick after a membership change. The
-    /// unlocked sub-stream is Poisson with rate `unlocked.len()`, and by
-    /// memorylessness a fresh draw after any change of rate is exact.
-    fn redraw_tick(&mut self, now: f64) {
-        let u = self.unlocked.len();
-        self.next_tick = if u == 0 {
-            f64::INFINITY
-        } else {
-            now + unit_exp(&mut self.rng) / u as f64
-        };
-    }
-
-    /// Locks the node at position `j` of the unlocked list (swap-remove).
-    fn lock_node(&mut self, j: usize) {
-        let v = self.unlocked[j];
-        self.locked[v as usize] = true;
-        let last = self.unlocked.len() - 1;
-        let moved = self.unlocked[last];
-        self.unlocked[j] = moved;
-        self.unlocked_pos[moved as usize] = j as u32;
-        self.unlocked.pop();
-        self.unlocked_pos[v as usize] = u32::MAX;
-    }
-
-    /// Unlocks node `v`, settling exposure and rescheduling the thinned
-    /// tick stream at its new rate.
-    fn unlock_node(&mut self, now: f64, v: usize) {
-        self.accrue_exposure(now);
-        self.locked[v] = false;
-        self.unlocked_pos[v] = self.unlocked.len() as u32;
-        self.unlocked.push(v as u32);
-        self.redraw_tick(now);
+        k.set_flow(now, c, self.flow_rate(c), self.window_gap(c));
     }
 
     /// Handles a member promotion signal arriving at a cluster leader.
-    fn on_member_promoted(&mut self, now: f64, c: u32, gen: u32) -> bool {
+    fn on_member_promoted(&mut self, k: &mut K, now: f64, c: u32, gen: u32) {
         let ci = c as usize;
         if self.clusters[ci].mode != ClusterMode::Consensus {
-            return false;
+            return;
         }
         let state = self.clusters[ci]
             .state
@@ -1257,19 +795,18 @@ impl Engine<'_> {
         // `gen`; such signals are stale and ignored by on_promoted anyway.
         if gen <= state.generation() {
             if let Some(t) = state.on_promoted(gen) {
-                self.log_transition(now, c, t, true);
+                self.log_transition(k, now, c, t, true);
                 // A birth reset the tick counter: arm the new
                 // generation's two-choices window.
-                self.rearm_flow(now, c);
+                self.rearm_flow(k, now, c);
             }
         }
-        false
     }
 
     fn consensus_params(&self, card: u64) -> ClusterLeaderParams {
         let nf = self.n as f64;
-        let sleep = (card as f64 * self.c1 * self.cfg.two_choices_units).ceil() as u64;
-        let prop = (card as f64 * self.c1 * (self.cfg.two_choices_units + self.cfg.sleep_units))
+        let sleep = (card as f64 * self.c1 * self.cfg.run.two_choices_units).ceil() as u64;
+        let prop = (card as f64 * self.c1 * (self.cfg.run.two_choices_units + self.cfg.sleep_units))
             .ceil() as u64;
         let gen_size =
             ((card as f64 * (0.5 + 1.0 / nf.log2().sqrt())).ceil() as u64).clamp(1, card);
@@ -1281,7 +818,7 @@ impl Engine<'_> {
         }
     }
 
-    fn switch_to_consensus(&mut self, now: f64, c: u32) {
+    fn switch_to_consensus(&mut self, k: &mut K, now: f64, c: u32) {
         let ci = c as usize;
         if matches!(
             self.clusters[ci].mode,
@@ -1292,63 +829,44 @@ impl Engine<'_> {
         if self.clusters[ci].size < self.participation_size {
             self.clusters[ci].mode = ClusterMode::NonParticipating;
             // Absorbed: members stop sending, nothing counts any more.
-            self.rearm_flow(now, c);
+            self.rearm_flow(k, now, c);
             return;
         }
         let params = self.consensus_params(self.clusters[ci].size);
         self.clusters[ci].state = Some(ClusterLeaderState::new(params));
         self.clusters[ci].mode = ClusterMode::Consensus;
-        self.clusters[ci].switch_time = Some(now);
         if self.first_switch.is_none() {
             self.first_switch = Some(now);
         }
         self.last_switch = Some(now);
         // The cluster enters consensus in generation 1's two-choices
         // phase; organic log_transition calls cover later phases.
-        self.tracer.emit(
-            now,
-            TraceKind::Phase {
-                name: "two-choices",
-                generation: 1,
-                scope: c,
-            },
-        );
-        if !matches!(self.cfg.record, RecordLevel::Outcome) {
-            self.phase_log.record(
-                now,
-                PhaseLogEntry {
-                    cluster: c,
-                    generation: 1,
-                    phase: ClusterPhase::TwoChoices,
-                    organic: true,
-                },
-            );
-        }
+        self.record_phase(k, now, c, 1, ClusterPhase::TwoChoices, true);
         // The fresh consensus state starts its first two-choices window
         // now; any abandoned pause/accept window progress is discarded
         // with it (the counter reset makes the fresh arm exact).
-        self.rearm_flow(now, c);
+        self.rearm_flow(k, now, c);
     }
 
     /// Spreads the consensus switch between two clusters that met in an
     /// interaction (Section 4.2 broadcast of the "switch" message).
-    fn spread_switch(&mut self, now: f64, a: u32, b: u32) {
+    fn spread_switch(&mut self, k: &mut K, now: f64, a: u32, b: u32) {
         if a == b {
             return;
         }
         let a_cons = self.clusters[a as usize].mode == ClusterMode::Consensus;
         let b_cons = self.clusters[b as usize].mode == ClusterMode::Consensus;
         if a_cons && !b_cons {
-            self.switch_to_consensus(now, b);
+            self.switch_to_consensus(k, now, b);
         } else if b_cons && !a_cons {
-            self.switch_to_consensus(now, a);
+            self.switch_to_consensus(k, now, a);
         }
     }
 
     /// Merges the `(generation, phase)` lattice states of two consensus
     /// leaders that met in an interaction (Section 4.2 / Algorithm 5
     /// line 1).
-    fn sync_leaders(&mut self, now: f64, a: u32, b: u32) {
+    fn sync_leaders(&mut self, k: &mut K, now: f64, a: u32, b: u32) {
         if a == b {
             return;
         }
@@ -1358,24 +876,17 @@ impl Engine<'_> {
         {
             return;
         }
-        let a_pub = {
-            let s = self.clusters[ai].state.as_ref().expect("state");
-            (s.generation(), s.phase())
-        };
-        let b_pub = {
-            let s = self.clusters[bi].state.as_ref().expect("state");
-            (s.generation(), s.phase())
-        };
+        let (a_pub, b_pub) = (self.lattice(a), self.lattice(b));
         if let Some(t) = self.clusters[ai]
             .state
             .as_mut()
             .expect("state")
             .merge_from(b_pub.0, b_pub.1)
         {
-            self.log_transition(now, a, t, false);
+            self.log_transition(k, now, a, t, false);
             // The merge jumped the tick counter: re-arm for the adopted
             // window (and drop the rate to zero if now terminal).
-            self.rearm_flow(now, a);
+            self.rearm_flow(k, now, a);
         }
         if let Some(t) = self.clusters[bi]
             .state
@@ -1383,227 +894,9 @@ impl Engine<'_> {
             .expect("state")
             .merge_from(a_pub.0, a_pub.1)
         {
-            self.log_transition(now, b, t, false);
-            self.rearm_flow(now, b);
+            self.log_transition(k, now, b, t, false);
+            self.rearm_flow(k, now, b);
         }
-    }
-
-    /// Adopts `(gen, col)` for node `v`, maintaining the table, telemetry,
-    /// and convergence tracking. Returns true if the population became
-    /// monochromatic.
-    fn adopt(&mut self, now: f64, v: usize, gen: u32, col: u32) -> bool {
-        let (old_gen, old_col) = (self.gens[v], self.cols[v]);
-        if (gen, col) == (old_gen, old_col) {
-            return false;
-        }
-        let is_birth = gen > self.table.max_generation();
-        if is_birth {
-            self.tracer.emit(now, TraceKind::Birth { generation: gen });
-        }
-        if is_birth && !matches!(self.cfg.record, RecordLevel::Outcome) {
-            let parent_bias = self.table.bias_in(gen - 1).unwrap_or(f64::INFINITY);
-            let parent_collision = self.table.collision_in(gen - 1);
-            self.births.push(GenerationBirth {
-                generation: gen,
-                time: now,
-                bias: f64::INFINITY, // measured when propagation opens
-                parent_bias,
-                initial_fraction: 0.0, // filled after the transfer below
-                parent_collision,
-            });
-        }
-        self.table.transfer(old_gen, old_col, gen, col);
-        self.gens[v] = gen;
-        self.cols[v] = col;
-        if is_birth && !matches!(self.cfg.record, RecordLevel::Outcome) {
-            if let Some(b) = self.births.last_mut() {
-                b.initial_fraction = self.table.fraction_in(gen);
-            }
-        }
-        self.tracker.observe(
-            now,
-            self.table.color_support(self.tracker.initial_winner()),
-            self.table.max_color_support(),
-        );
-        self.table.is_monochromatic()
-    }
-
-    /// Handles channel completion for node `v` with samples `s1, s2, s3`.
-    /// Returns true when the run is finished.
-    fn on_op_done(&mut self, now: f64, v: u32, s1: u32, s2: u32, s3: u32, epoch: u32) -> bool {
-        let vi = v as usize;
-        if epoch != self.op_epoch[vi] {
-            // The initiating node was replaced by join churn while this
-            // interaction was in flight; the fresh node in the slot must
-            // not inherit it (its lock was already released at join
-            // time).
-            return false;
-        }
-        if self.zero_flows.is_some() {
-            self.unlock_node(now, vi);
-        } else {
-            self.locked[vi] = false;
-        }
-        if let Some(env) = self.env.as_mut() {
-            // The interaction aborts if anyone on the line is crashed at
-            // completion time, or if any of the three peer channels falls
-            // inside a loss burst.
-            if env.is_crashed(v)
-                || env.is_crashed(s1)
-                || env.is_crashed(s2)
-                || env.is_crashed(s3)
-                || env.message_lost()
-                || env.message_lost()
-                || env.message_lost()
-            {
-                return false;
-            }
-        }
-
-        // Lines 5–7 of Algorithm 4: finished-flag exchange (push + pull),
-        // resolved by the shared rule in `cluster::node` — the same
-        // function the plurality-check model checker drives.
-        let line = [s1, s2, s3];
-        let line_finished = line.map(|s| self.finished[s as usize]);
-        match finished_exchange(self.finished[vi], &line_finished) {
-            FinishedExchange::Push => {
-                let col = self.cols[vi];
-                for s in line {
-                    // Live re-check: a repeated sample is flagged once.
-                    let si = s as usize;
-                    if !self.finished[si] {
-                        self.finished[si] = true;
-                        if self.adopt(now, si, self.gens[si], col) {
-                            return true;
-                        }
-                    }
-                }
-                return false;
-            }
-            FinishedExchange::Pull { from } => {
-                self.finished[vi] = true;
-                let col = self.cols[line[from] as usize];
-                return self.adopt(now, vi, self.gens[vi], col);
-            }
-            FinishedExchange::None => {}
-        }
-
-        // Unclustered nodes attempt to join a sampled node's cluster.
-        if self.cluster_of[vi] == UNCLUSTERED {
-            for s in [s1, s2, s3] {
-                let c = self.cluster_of[s as usize];
-                if c == UNCLUSTERED {
-                    continue;
-                }
-                let ci = c as usize;
-                match self.clusters[ci].mode {
-                    ClusterMode::Filling => {
-                        self.cluster_of[vi] = c;
-                        self.clusters[ci].size += 1;
-                        if self.clusters[ci].size >= self.participation_size {
-                            self.clusters[ci].mode = ClusterMode::Pausing;
-                            self.clusters[ci].window_count = 0;
-                            self.clusters[ci].window_threshold =
-                                (self.clusters[ci].size as f64 * self.c1 * self.cfg.pause_units)
-                                    .ceil() as u64;
-                            // The pause window opens now: arm it afresh.
-                            self.rearm_flow(now, c);
-                        } else {
-                            self.flow_set_rate(now, c);
-                        }
-                        break;
-                    }
-                    ClusterMode::Accepting => {
-                        self.cluster_of[vi] = c;
-                        self.clusters[ci].size += 1;
-                        // Mid-window membership change: rate only, the
-                        // accept window keeps its accrued count.
-                        self.flow_set_rate(now, c);
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            return false;
-        }
-
-        let own = self.cluster_of[vi];
-        let sampled_cluster = self.cluster_of[s3 as usize];
-
-        // Consensus-switch broadcast and leader lattice sync happen whenever
-        // two leaders are on the line (own + the sampled node's).
-        if sampled_cluster != UNCLUSTERED {
-            self.spread_switch(now, own, sampled_cluster);
-            self.sync_leaders(now, own, sampled_cluster);
-        }
-
-        if self.clusters[own as usize].mode != ClusterMode::Consensus {
-            return false;
-        }
-        // Line 8: a non-active sampled cluster ends the interaction.
-        if sampled_cluster == UNCLUSTERED
-            || self.clusters[sampled_cluster as usize].mode != ClusterMode::Consensus
-        {
-            return false;
-        }
-
-        let l_state = {
-            let s = self.clusters[sampled_cluster as usize]
-                .state
-                .as_ref()
-                .expect("state");
-            (s.generation(), s.phase())
-        };
-        let (l_gen, l_phase) = l_state;
-        // Lines 9–19 are the shared member decision rule in `cluster::node`
-        // — the same function the plurality-check model checker drives.
-        let view = MemberView {
-            gen: self.gens[vi],
-            col: self.cols[vi],
-            stored_gen: self.stored_gen[vi],
-            stored_phase: self.stored_phase[vi],
-        };
-        let sample = |s: u32| MemberSample {
-            gen: self.gens[s as usize],
-            col: self.cols[s as usize],
-        };
-        match decide_member(view, sample(s1), sample(s2), l_gen, l_phase, self.cap) {
-            MemberDecision::Promote {
-                gen,
-                col,
-                increased,
-                finished,
-            } => {
-                let done = self.adopt(now, vi, gen, col);
-                if done {
-                    return true;
-                }
-                if increased
-                    && !self.cluster_absorbed(own)
-                    && !self.env.as_mut().is_some_and(|e| e.message_lost())
-                {
-                    // Lines 12/16: notify the own leader (travel latency);
-                    // skipped when the leader is provably past reacting or
-                    // the signal falls inside a loss burst.
-                    let scale = self.env.as_ref().map_or(1.0, |e| e.latency_scale());
-                    let travel = self.cfg.latency.sample(&mut self.rng) * scale;
-                    self.queue
-                        .schedule(now + travel, Event::MemberPromoted { cluster: own, gen });
-                }
-                // Line 20: reaching the final generation finishes the node.
-                if finished {
-                    self.finished[vi] = true;
-                }
-            }
-            MemberDecision::Refresh { gen, phase } => {
-                // Lines 17–19: relay the observed leader state to the own
-                // leader (already covered by sync_leaders above) and refresh
-                // the stored copy.
-                self.stored_gen[vi] = gen;
-                self.stored_phase[vi] = phase;
-            }
-        }
-        false
     }
 }
 

@@ -9,58 +9,23 @@
 //! decision rule of [`crate::leader::decide`], possibly promotes itself, and
 //! notifies the leader with a gen-signal (again subject to travel latency).
 //!
-//! ## Hot-path structure
-//!
-//! Three standard discrete-event reductions keep the event queue small:
-//!
-//! * **Clock superposition** — the union of the population's independent
-//!   Poisson clocks is itself a Poisson process whose rate is the sum of
-//!   the per-node rates, with each event belonging to node `v` with
-//!   probability `rate_v / Σ rate`. The engine therefore keeps *one*
-//!   pending tick event per rate pool (unit-rate nodes, stragglers) and
-//!   samples the ticking node uniformly inside the pool at pop time,
-//!   instead of keeping `n` tick events in the heap.
-//! * **Terminal-leader gating** — once the leader reaches the generation
-//!   cap with propagation open it can provably never transition again
-//!   ([`LeaderState::is_terminal`]), so the long full-consensus tail stops
-//!   scheduling 0-/gen-signal events whose arrival would be unobservable.
-//! * **Displaced-Poisson 0-signals** — on the failure-free path with
-//!   exponential travel latency, the 0-signal *arrival* stream at the
-//!   leader is itself an inhomogeneous Poisson process (displacement
-//!   theorem), and the leader only counts arrivals against its window
-//!   threshold. The engine jumps straight to each threshold-crossing
-//!   time with one `Gamma(κ, 1)` draw per window (see
-//!   [`crate::signalflow`]) instead of scheduling ~`n` signal events per
-//!   time step. Scenario runs and non-exponential latencies keep the
-//!   per-signal path, whose loss/crash modulation is per-event.
-//! * **Tick thinning** — on the jump-chain fast path (no scenario, no
-//!   stragglers) a tick on a *locked* node does nothing at all: the
-//!   0-signal stream is carried by `zero_flow` and the interaction gate
-//!   fails. The engine therefore simulates only the unlocked sub-stream:
-//!   by Poisson splitting, ticks of the `u` unlocked nodes form a Poisson
-//!   process of rate `u` with uniform marks over the unlocked set,
-//!   redrawable (memorylessness) whenever `u` changes. The suppressed
-//!   locked-node ticks only feed the `ticks` telemetry counter, whose
-//!   total is `Poisson(∫ locked(t) dt)` — accrued piecewise and drawn
-//!   once at run end, exact in distribution.
+//! Hot-path structure: see `crate::kernel`, which runs these handlers.
 
-use crate::genstate::GenerationTable;
+use crate::kernel::{run_param_setters, Handlers, Kernel, RunParams};
 use crate::leader::node::{apply, decide, NodeDecision, NodeState, SampleView};
 use crate::leader::state::{LeaderParams, LeaderState, LeaderTransition, Signal};
 use crate::opinion::InitialAssignment;
-use crate::outcome::{ConvergenceTracker, GenerationBirth, RecordLevel, RunOutcome};
-use crate::signalflow::SignalFlow;
-use crate::sync::{generations_needed, GENERATION_CAP};
+use crate::outcome::{RecordLevel, RunOutcome};
 use plurality_dist::rng::{derive_seed, Xoshiro256PlusPlus};
-use plurality_dist::{sample_poisson, unit_exp, ChannelPattern, Latency, WaitingTime};
-use plurality_obs::{EngineProfile, TraceEvent, TraceKind, Tracer};
-use plurality_scenario::{Effect, Environment, Scenario};
-use plurality_sim::{EventQueue, PoissonClock, Series};
-use plurality_topology::{Topology, TOPOLOGY_STREAM};
+use plurality_dist::{ChannelPattern, Latency};
+use plurality_obs::{EngineProfile, TraceEvent};
+use plurality_scenario::Scenario;
+use plurality_sim::Series;
+use plurality_topology::Topology;
 use rand::Rng;
 
 /// Seed-stream tag for the straggler-identity permutation used on
-/// sparse topologies (private, like [`TOPOLOGY_STREAM`], so it never
+/// sparse topologies (private, like `TOPOLOGY_STREAM`, so it never
 /// perturbs the process stream).
 const STRAGGLER_STREAM: u64 = 0x5752_A661;
 
@@ -85,23 +50,11 @@ const STRAGGLER_STREAM: u64 = 0x5752_A661;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaderConfig {
-    assignment: InitialAssignment,
-    latency: Latency,
-    epsilon: f64,
-    seed: u64,
-    record: RecordLevel,
-    max_time: Option<f64>,
-    steps_per_unit: Option<f64>,
-    two_choices_units: f64,
-    generation_cap: Option<u32>,
-    alpha_hint: Option<f64>,
+    run: RunParams,
     gen_size_fraction: f64,
     signal_loss: f64,
     straggler_fraction: f64,
     straggler_rate: f64,
-    topology: Topology,
-    scenario: Scenario,
-    trace: bool,
 }
 
 impl LeaderConfig {
@@ -110,34 +63,15 @@ impl LeaderConfig {
     /// threshold `n/2`, seed 0.
     pub fn new(assignment: InitialAssignment) -> Self {
         Self {
-            assignment,
-            latency: Latency::exponential(1.0).expect("rate 1 valid"),
-            epsilon: 0.05,
-            seed: 0,
-            record: RecordLevel::Generations,
-            max_time: None,
-            steps_per_unit: None,
-            two_choices_units: 2.0,
-            generation_cap: None,
-            alpha_hint: None,
+            run: RunParams::new(assignment),
             gen_size_fraction: 0.5,
             signal_loss: 0.0,
             straggler_fraction: 0.0,
             straggler_rate: 1.0,
-            topology: Topology::Complete,
-            scenario: Scenario::new(),
-            trace: false,
         }
     }
 
-    /// Enables structured run tracing (default off). The tracer consumes
-    /// no process RNG and reads no clock: a traced run produces the
-    /// byte-identical [`LeaderResult::outcome`] of an untraced one, plus
-    /// the event log in [`LeaderResult::trace`].
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
+    run_param_setters!();
 
     /// Attaches a time-scripted environment (default: the empty
     /// scenario, the paper's failure-free static model). Event times are
@@ -152,7 +86,7 @@ impl LeaderConfig {
     /// so the empty scenario consumes the byte-identical process RNG
     /// stream as before the subsystem existed.
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = scenario;
+        self.run.scenario = scenario;
         self
     }
 
@@ -165,7 +99,7 @@ impl LeaderConfig {
     /// families are rebuilt per run from `derive_seed(seed,
     /// TOPOLOGY_STREAM)`.
     pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
+        self.run.topology = topology;
         self
     }
 
@@ -212,82 +146,6 @@ impl LeaderConfig {
         );
         self.straggler_fraction = fraction;
         self.straggler_rate = rate;
-        self
-    }
-
-    /// Sets the channel-establishment latency law (default `Exp(1)`).
-    pub fn with_latency(mut self, latency: Latency) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Sets ε for ε-convergence reporting (default 0.05).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon ∉ [0, 1]`.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!((0.0..=1.0).contains(&epsilon), "epsilon must lie in [0, 1]");
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the RNG seed (default 0).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the telemetry level (default [`RecordLevel::Generations`]).
-    pub fn with_record(mut self, record: RecordLevel) -> Self {
-        self.record = record;
-        self
-    }
-
-    /// Caps the simulated time in time *steps* (default: derived bound).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_time` is not positive.
-    pub fn with_max_time(mut self, max_time: f64) -> Self {
-        assert!(max_time > 0.0, "max_time must be positive");
-        self.max_time = Some(max_time);
-        self
-    }
-
-    /// Overrides the time-unit length `C1` in steps (default: Monte-Carlo
-    /// estimate of `F⁻¹(0.9)` for the configured latency).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c1` is not positive.
-    pub fn with_steps_per_unit(mut self, c1: f64) -> Self {
-        assert!(c1 > 0.0, "steps_per_unit must be positive");
-        self.steps_per_unit = Some(c1);
-        self
-    }
-
-    /// Sets the length of the two-choices window in time units (the paper's
-    /// constant 2 in `C3 = C1(2 + log n/√n)`, Proposition 16).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `units` is not positive.
-    pub fn with_two_choices_units(mut self, units: f64) -> Self {
-        assert!(units > 0.0, "two_choices_units must be positive");
-        self.two_choices_units = units;
-        self
-    }
-
-    /// Overrides the generation cap `⌈log log_α n⌉`.
-    pub fn with_generation_cap(mut self, cap: u32) -> Self {
-        self.generation_cap = Some(cap);
-        self
-    }
-
-    /// Overrides the bias `α₀` used for the generation cap.
-    pub fn with_alpha_hint(mut self, alpha: f64) -> Self {
-        self.alpha_hint = Some(alpha);
         self
     }
 
@@ -364,699 +222,272 @@ pub struct LeaderResult {
     pub profile: EngineProfile,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    OpComplete {
-        v: u32,
-        a: u32,
-        b: u32,
-        /// The initiator's slot epoch at scheduling time; a join-churn
-        /// event bumps the slot's epoch, voiding in-flight interactions
-        /// of the node the joiner replaced.
-        epoch: u32,
-    },
-    LeaderSignal(Signal),
+/// The single-leader protocol state the kernel calls back into.
+struct Leader<'cfg> {
+    cfg: &'cfg LeaderConfig,
+    leader: LeaderState,
+    /// Per-node stored leader state; starts stale (leader starts at gen 1).
+    seen_gen: Vec<u32>,
+    seen_prop: Vec<bool>,
+    zero_signal_threshold: u64,
+    /// Effective 0-signal send rate of the jump chain: the ticking mass,
+    /// thinned by persistent signal loss.
+    send_rate: f64,
+    phases: Vec<GenerationPhase>,
+    two_choices_promotions: u64,
+    propagation_promotions: u64,
+    winner_series: Option<Series>,
+    next_sample: f64,
 }
 
 fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
-    let mut rng = Xoshiro256PlusPlus::from_u64(cfg.seed);
-    let opinions = cfg.assignment.materialize(&mut rng);
-    let n = opinions.len();
-    assert!(n >= 2, "single-leader run needs at least 2 nodes");
-    let k = cfg.assignment.k() as usize;
-
-    // Built from a private RNG stream; complete-graph runs consume no
-    // topology randomness and keep the historical process stream intact.
-    let mut sampler = cfg
-        .topology
-        .build(n, derive_seed(cfg.seed, TOPOLOGY_STREAM))
-        .expect("topology must be buildable for this population size");
-
-    // `None` for the empty scenario: the zero-cost fast path, one branch
-    // per event, process RNG stream untouched.
-    let mut env: Option<Environment> = cfg.scenario.for_run(n, cfg.assignment.k(), cfg.seed);
-
-    let mut cols: Vec<u32> = opinions.iter().map(|o| o.index()).collect();
-    let mut gens: Vec<u32> = vec![0; n];
-    let mut locked: Vec<bool> = vec![false; n];
-    // Slot epochs: bumped by join churn to void the replaced node's
-    // in-flight interaction (stays all-zero without a scenario).
-    let mut op_epoch: Vec<u32> = vec![0; n];
-    // Stored leader state; starts stale (leader starts at gen 1).
-    let mut seen_gen: Vec<u32> = vec![0; n];
-    let mut seen_prop: Vec<bool> = vec![false; n];
-
-    let mut table = GenerationTable::from_states(&gens, &cols, k);
-    let initial_counts = table.global_counts();
-    let initial_winner = initial_counts.winner().expect("non-empty population");
-    let initial_bias = initial_counts.bias().unwrap_or(f64::INFINITY);
-
-    let waiting = WaitingTime::new(cfg.latency, ChannelPattern::SingleLeader);
-    // Memoized per (latency, pattern): repetitions share one Monte-Carlo
-    // estimate instead of re-running 20k composite draws each.
-    let c1 = cfg
-        .steps_per_unit
-        .unwrap_or_else(|| waiting.time_unit_cached(20_000));
-
-    let alpha = cfg.alpha_hint.unwrap_or(if initial_bias.is_finite() {
-        initial_bias.max(1.0)
-    } else {
-        2.0
-    });
-    let cap = cfg
-        .generation_cap
-        .unwrap_or_else(|| generations_needed(n as u64, alpha, GENERATION_CAP));
-
+    let mut k: Kernel<Signal, 2> =
+        Kernel::new(&cfg.run, ChannelPattern::SingleLeader, "single-leader", 2);
+    let (n, c1, cap) = (k.n, k.c1, k.cap);
     let nf = n as f64;
     let zero_signal_threshold =
-        (nf * c1 * (cfg.two_choices_units + nf.ln() / nf.sqrt())).ceil() as u64;
+        (nf * c1 * (cfg.run.two_choices_units + nf.ln() / nf.sqrt())).ceil() as u64;
     let gen_size_threshold = (nf * cfg.gen_size_fraction).ceil() as u64;
-    let mut leader = LeaderState::new(LeaderParams {
-        zero_signal_threshold,
-        gen_size_threshold,
-        generation_cap: cap,
-    });
-
-    let max_time = cfg.max_time.unwrap_or_else(|| {
-        let units = (cap as f64 + 2.0) * (2.0 * (k as f64 + 2.0).log2() + 12.0);
+    k.max_time = cfg.run.max_time.unwrap_or_else(|| {
+        let colors = f64::from(cfg.run.assignment.k());
+        let units = (cap as f64 + 2.0) * (2.0 * (colors + 2.0).log2() + 12.0);
         let derived = c1 * units + 10.0 * nf.ln() + 100.0;
         // Scripted events must actually fire: stretch the default cap
         // past the scenario horizon plus a recovery tail.
-        derived.max(cfg.scenario.horizon() + 10.0 * nf.ln() + 100.0)
+        derived.max(cfg.run.scenario.horizon() + 10.0 * nf.ln() + 100.0)
     });
-
-    let mut tracker = ConvergenceTracker::new(n as u64, initial_winner, cfg.epsilon);
-    tracker.observe(
-        0.0,
-        table.color_support(initial_winner),
-        table.max_color_support(),
-    );
-
-    let mut tracer = Tracer::new(cfg.trace);
-    let mut phases = Vec::with_capacity(cap as usize + 1);
-    phases.push(GenerationPhase {
-        generation: 1,
-        allowed_at: 0.0,
-        first_promotion_at: None,
-        propagation_at: None,
-    });
-    tracer.emit(
-        0.0,
-        TraceKind::Phase {
-            name: "generation-allowed",
-            generation: 1,
-            scope: 0,
-        },
-    );
-    let mut births: Vec<GenerationBirth> = Vec::with_capacity(cap as usize + 1);
-    let mut winner_series = matches!(cfg.record, RecordLevel::Full).then(|| {
+    k.trace_phase(0.0, "generation-allowed", 1, 0);
+    let winner_series = matches!(cfg.run.record, RecordLevel::Full).then(|| {
         let mut s = Series::new("winner_fraction");
-        s.push(0.0, initial_counts.fraction(initial_winner));
+        s.push(0.0, k.table.global_counts().fraction(k.initial_winner));
         s
     });
-    let mut next_sample = 1.0f64;
 
-    // Superposed clocks: one pending tick event per rate pool instead of
-    // one per node. Pool *slots* `0..straggler_count` form the straggler
-    // pool (rate `straggler_rate` each), the rest tick at unit rate.
+    // Two rate pools: slots `0..straggler_count` tick at `straggler_rate`,
+    // the rest at unit rate.
     let straggler_count = (cfg.straggler_fraction * nf).round() as usize;
     let fast_count = n - straggler_count;
+    if fast_count > 0 {
+        k.add_pool(1.0, straggler_count..n);
+    }
+    if straggler_count > 0 {
+        k.add_pool(cfg.straggler_rate, 0..straggler_count);
+    }
     // On the complete graph node ids are exchangeable (`materialize`
     // shuffles opinions), so slot = node id and stragglers are a uniform
-    // subset — the historical behavior, preserved bitwise. On a sparse
-    // topology ids carry graph structure (preferential-attachment hubs
-    // sit at low ids, ring/torus ids are geometric), so the slots are
-    // mapped through a seeded permutation to keep "a random fraction of
-    // nodes is slow" true rather than silently slowing the hubs or one
-    // contiguous patch. The permutation draws from a private stream, so
-    // the process stream is untouched.
-    let straggler_ids: Option<Vec<u32>> =
-        (straggler_count > 0 && !sampler.is_complete()).then(|| {
-            let mut ids: Vec<u32> = (0..n as u32).collect();
-            let mut srng = Xoshiro256PlusPlus::from_u64(derive_seed(cfg.seed, STRAGGLER_STREAM));
-            for i in (1..n).rev() {
-                let j = srng.gen_range(0..=i);
-                ids.swap(i, j);
-            }
-            ids
-        });
-    // Pending events at any time: ≤ n open interactions plus in-flight
-    // 0-/gen-signals (≈ n·E[T1] for unit-rate ticking) — `3n` covers the
-    // steady state without rehashing.
-    let mut queue: EventQueue<Event> = EventQueue::with_capacity(3 * n);
-    queue.set_trace(cfg.trace);
-    let fast_clock = PoissonClock::new((fast_count as f64).max(1.0)).expect("positive rate");
-    let straggler_clock =
-        PoissonClock::new((straggler_count as f64 * cfg.straggler_rate).max(cfg.straggler_rate))
-            .expect("validated rate");
-    // Each rate pool has exactly one pending tick at any time, so the two
-    // chains live as plain scalars compared against the queue head instead
-    // of cycling through the queue — ticks are the majority event type,
-    // and this removes their entire push/pop traffic. A monochromatic
-    // start schedules nothing: both chains stay at infinity, the queue
-    // stays empty, and the event loop below never runs.
-    let mut fast_tick = f64::INFINITY;
-    let mut straggler_tick = f64::INFINITY;
-    if !table.is_monochromatic() {
-        if fast_count > 0 {
-            fast_tick = fast_clock.next_tick(0.0, &mut rng);
+    // subset. On a sparse topology ids carry graph structure
+    // (preferential-attachment hubs sit at low ids, ring/torus ids are
+    // geometric), so the slots are mapped through a seeded permutation to
+    // keep "a random fraction of nodes is slow" true rather than silently
+    // slowing the hubs or one contiguous patch. The permutation draws from
+    // a private stream, so the process stream is untouched.
+    if straggler_count > 0 && !k.sampler.is_complete() {
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        let mut srng = Xoshiro256PlusPlus::from_u64(derive_seed(cfg.run.seed, STRAGGLER_STREAM));
+        for i in (1..n).rev() {
+            let j = srng.gen_range(0..=i);
+            ids.swap(i, j);
         }
-        if straggler_count > 0 {
-            straggler_tick = straggler_clock.next_tick(0.0, &mut rng);
-        }
+        k.slot_ids = Some(ids);
     }
-    // Displaced-Poisson 0-signal stream (module docs of `signalflow`):
-    // available when no scenario modulates individual signals and the
-    // travel law is exponential. Persistent signal loss is independent
-    // thinning, folded into the effective send rate.
-    let mut zero_flow = match (&env, cfg.latency) {
-        (None, Latency::Exponential { rate }) => Some(SignalFlow::new(rate)),
-        _ => None,
-    };
-    if let Some(flow) = zero_flow.as_mut() {
-        if fast_tick.is_finite() || straggler_tick.is_finite() {
-            let send_rate = (fast_count as f64 + straggler_count as f64 * cfg.straggler_rate)
-                * (1.0 - cfg.signal_loss);
-            flow.set_rate(0.0, send_rate);
-            if send_rate > 0.0 {
-                flow.arm(0.0, zero_signal_threshold, &mut rng);
-            }
-        }
+    k.start_ticks();
+    // Persistent signal loss is independent thinning, folded into the
+    // jump chain's effective send rate.
+    let send_rate =
+        (fast_count as f64 + straggler_count as f64 * cfg.straggler_rate) * (1.0 - cfg.signal_loss);
+    k.enable_flows(&[send_rate]);
+    if send_rate > 0.0 {
+        k.set_flow(0.0, 0, send_rate, Some(zero_signal_threshold));
+    }
+    if k.flows.is_some() && straggler_count == 0 {
+        k.enable_thinning();
     }
 
-    // Tick thinning (module docs): with the jump chain active and a
-    // homogeneous clock pool, a locked node's tick is a no-op, so only
-    // the unlocked sub-stream is simulated. `unlocked` lists the
-    // currently unlocked nodes in swap-remove order; `unlocked_pos[v]`
-    // is `v`'s index there (`u32::MAX` while locked). `fast_tick` then
-    // runs at rate `unlocked.len()` instead of `n`.
-    let thinned = zero_flow.is_some() && straggler_count == 0;
-    let (mut unlocked, mut unlocked_pos): (Vec<u32>, Vec<u32>) = if thinned {
-        ((0..n as u32).collect(), (0..n as u32).collect())
-    } else {
-        (Vec::new(), Vec::new())
+    let mut leader = Leader {
+        cfg,
+        leader: LeaderState::new(LeaderParams {
+            zero_signal_threshold,
+            gen_size_threshold,
+            generation_cap: cap,
+        }),
+        seen_gen: vec![0; n],
+        seen_prop: vec![false; n],
+        zero_signal_threshold,
+        send_rate,
+        phases: vec![GenerationPhase {
+            generation: 1,
+            allowed_at: 0.0,
+            first_promotion_at: None,
+            propagation_at: None,
+        }],
+        two_choices_promotions: 0,
+        propagation_promotions: 0,
+        winner_series,
+        next_sample: 1.0,
     };
-    // Accrued intensity of the suppressed locked-node tick stream, and
-    // the time up to which it has been accrued.
-    let mut tick_exposure = 0.0f64;
-    let mut exposure_from = 0.0f64;
+    k.run(&mut leader);
 
-    let mut ticks = 0u64;
-    let mut good_ticks = 0u64;
-    let mut two_choices_promotions = 0u64;
-    let mut propagation_promotions = 0u64;
-    let mut window_crossings = 0u64;
-    let mut thinned_ticks = 0u64;
-    let mut end_time = 0.0f64;
-
-    loop {
-        // Next chain tick; the fast pool wins exact ties (probability
-        // zero: the chains are independent continuous clocks).
-        let (tick_time, tick_straggler) = if fast_tick <= straggler_tick {
-            (fast_tick, false)
-        } else {
-            (straggler_tick, true)
-        };
-        // The jump chain's next 0-signal threshold crossing competes with
-        // the tick chains for the next scheduled instant.
-        let zero_cross = zero_flow.as_ref().map_or(f64::INFINITY, SignalFlow::pred);
-        let forced = tick_time.min(zero_cross);
-        // Queued events win exact time ties against chain ticks — a
-        // probability-zero event, since tick times stay continuous even
-        // under deterministic latencies.
-        let popped = queue.pop_before(forced.min(max_time));
-        let now = match popped {
-            Some((t, _)) => t,
-            None => {
-                if forced > max_time {
-                    // Timed out — unless nothing was ever pending (a
-                    // monochromatic start), where `end_time` stays 0.
-                    if forced.is_finite() {
-                        end_time = max_time;
-                    }
-                    break;
-                }
-                queue.advance_to(forced);
-                forced
-            }
-        };
-        end_time = now;
-        if let Some(env) = env.as_mut() {
-            let effects = env.poll(now);
-            if !effects.is_empty() {
-                for effect in effects {
-                    match effect {
-                        Effect::Joined(joins) => {
-                            tracer.emit(
-                                now,
-                                TraceKind::ScenarioEffect {
-                                    name: "joined",
-                                    count: joins.len() as u64,
-                                },
-                            );
-                            for (v, c) in joins {
-                                let vi = v as usize;
-                                seen_gen[vi] = 0;
-                                seen_prop[vi] = false;
-                                // Void any interaction the replaced node
-                                // still had in flight and free the slot:
-                                // the fresh node starts unentangled.
-                                op_epoch[vi] = op_epoch[vi].wrapping_add(1);
-                                locked[vi] = false;
-                                if (gens[vi], cols[vi]) != (0, c) {
-                                    table.transfer(gens[vi], cols[vi], 0, c);
-                                    gens[vi] = 0;
-                                    cols[vi] = c;
-                                }
-                            }
-                        }
-                        Effect::Corrupt { budget, mode } => {
-                            let targets = env.corruption_targets(budget, mode, &cols, k as u32);
-                            tracer.emit(
-                                now,
-                                TraceKind::ScenarioEffect {
-                                    name: "corrupt",
-                                    count: targets.len() as u64,
-                                },
-                            );
-                            for (v, c) in targets {
-                                let vi = v as usize;
-                                if cols[vi] != c {
-                                    table.transfer(gens[vi], cols[vi], gens[vi], c);
-                                    cols[vi] = c;
-                                }
-                            }
-                        }
-                        Effect::Rewired(s) => {
-                            tracer.emit(
-                                now,
-                                TraceKind::ScenarioEffect {
-                                    name: "rewired",
-                                    count: 1,
-                                },
-                            );
-                            sampler = s;
-                        }
-                        _ => {}
-                    }
-                }
-                tracker.observe(
-                    now,
-                    table.color_support(initial_winner),
-                    table.max_color_support(),
-                );
-                if table.is_monochromatic() {
-                    break;
-                }
-            }
-        }
-        if let Some(series) = winner_series.as_mut() {
-            if now >= next_sample {
-                series.push(now, table.color_support(initial_winner) as f64 / nf);
-                next_sample = now.floor() + 1.0;
-            }
-        }
-        match popped {
-            None if zero_cross <= tick_time => {
-                // The armed 0-signal window crossed its threshold: batch
-                // in the whole window's count at the solved crossing
-                // time. The next window arms at the next generation
-                // birth (a queued gen-signal below).
-                let flow = zero_flow.as_mut().expect("crossing implies a flow");
-                flow.disarm(now);
-                window_crossings += 1;
-                tracer.emit(now, TraceKind::WindowCrossing { scope: 0 });
-                let gap = zero_signal_threshold - leader.zero_count();
-                if let Some(LeaderTransition::PropagationEnabled { generation }) =
-                    leader.on_zero_batch(gap)
-                {
-                    tracer.emit(
-                        now,
-                        TraceKind::Phase {
-                            name: "propagation-enabled",
-                            generation,
-                            scope: 0,
-                        },
-                    );
-                    if let Some(p) = phases.get_mut(generation as usize - 1) {
-                        debug_assert_eq!(p.generation, generation);
-                        p.propagation_at.get_or_insert(now);
-                    }
-                    // Lemma 22: measure the generation's bias when its
-                    // propagation phase opens.
-                    if let Ok(i) = births.binary_search_by_key(&generation, |b| b.generation) {
-                        births[i].bias = table.bias_in(generation).unwrap_or(f64::INFINITY);
-                    }
-                }
-            }
-            None if thinned => {
-                // Thinned fast path (module docs): only unlocked-node
-                // ticks are simulated, so this tick opens an interaction
-                // with certainty — the 0-signal stream is carried by
-                // `zero_flow`, env is `None`, and the suppressed
-                // locked-node ticks are settled in bulk by one
-                // Poisson(exposure) draw after the loop.
-                ticks += 1;
-                good_ticks += 1;
-                tick_exposure += (n - unlocked.len()) as f64 * (now - exposure_from);
-                exposure_from = now;
-                let j = rng.gen_range(0..unlocked.len());
-                let v = unlocked[j];
-                let vi = v as usize;
-                locked[vi] = true;
-                let last = unlocked.len() - 1;
-                let moved = unlocked[last];
-                unlocked[j] = moved;
-                unlocked_pos[moved as usize] = j as u32;
-                unlocked.pop();
-                unlocked_pos[vi] = u32::MAX;
-                fast_tick = if unlocked.is_empty() {
-                    f64::INFINITY
-                } else {
-                    now + unit_exp(&mut rng) / unlocked.len() as f64
-                };
-                let a = sampler.sample(v, &mut rng);
-                let b = sampler.sample(v, &mut rng);
-                let phase = waiting.sample_channel_phase(&mut rng);
-                let epoch = op_epoch[vi];
-                queue.schedule(now + phase, Event::OpComplete { v, a, b, epoch });
-            }
-            None => {
-                // A chain tick. The pool's next tick is redrawn *first*,
-                // preserving the RNG draw order of the queued-tick
-                // implementation this replaced.
-                ticks += 1;
-                let (lo, size) = if tick_straggler {
-                    straggler_tick = straggler_clock.next_tick(now, &mut rng);
-                    (0, straggler_count)
-                } else {
-                    fast_tick = fast_clock.next_tick(now, &mut rng);
-                    (straggler_count, fast_count)
-                };
-                let slot = lo + rng.gen_range(0..size);
-                let vi = match &straggler_ids {
-                    Some(ids) => ids[slot] as usize,
-                    None => slot,
-                };
-                let v = vi as u32;
-                // A crashed node's tick is inert (Poisson thinning): no
-                // 0-signal, no interaction.
-                let crashed = env.as_ref().is_some_and(|e| e.is_crashed(v));
-                let scale = env.as_ref().map_or(1.0, |e| e.latency_scale());
-                // Line 1: the 0-signal travels one latency, without locking.
-                // On the jump-chain fast path the whole stream is counted
-                // by `zero_flow` instead of per-event scheduling. Skipped
-                // outright once the leader is terminal (the arrival would
-                // be unobservable); injected failure — the persistent
-                // `signal_loss` knob or an active scenario burst — may
-                // also lose the signal in transit.
-                if zero_flow.is_none()
-                    && !crashed
-                    && !leader.is_terminal()
-                    && (cfg.signal_loss == 0.0 || rng.gen::<f64>() >= cfg.signal_loss)
-                    && !env.as_mut().is_some_and(|e| e.message_lost())
-                {
-                    let travel = cfg.latency.sample(&mut rng) * scale;
-                    queue.schedule(now + travel, Event::LeaderSignal(Signal::Zero));
-                }
-                if !crashed && !locked[vi] {
-                    good_ticks += 1;
-                    locked[vi] = true;
-                    let a = sampler.sample(v, &mut rng);
-                    let b = sampler.sample(v, &mut rng);
-                    let phase = waiting.sample_channel_phase(&mut rng) * scale;
-                    let epoch = op_epoch[vi];
-                    queue.schedule(now + phase, Event::OpComplete { v, a, b, epoch });
-                }
-            }
-            Some((_, Event::OpComplete { v, a, b, epoch })) => {
-                let vi = v as usize;
-                if epoch != op_epoch[vi] {
-                    // The initiating node was replaced by join churn
-                    // while this interaction was in flight; the fresh
-                    // node in the slot must not inherit it (its lock was
-                    // already released at join time).
-                    continue;
-                }
-                if let Some(env) = env.as_mut() {
-                    // The interaction aborts if anyone on the line is
-                    // crashed at completion time, or if either peer
-                    // channel falls inside a loss burst.
-                    if env.is_crashed(v)
-                        || env.is_crashed(a)
-                        || env.is_crashed(b)
-                        || env.message_lost()
-                        || env.message_lost()
-                    {
-                        locked[vi] = false;
-                        continue;
-                    }
-                }
-                // The node's slot and the decision/apply pair are the shared
-                // transition function (`leader::node`): the plurality-check
-                // model checker drives the identical functions, so the
-                // checked state machine cannot drift from this engine.
-                let mut slot = NodeState {
-                    gen: gens[vi],
-                    col: cols[vi],
-                    seen_gen: seen_gen[vi],
-                    seen_prop: seen_prop[vi],
-                };
-                let s1 = SampleView {
-                    gen: gens[a as usize],
-                    col: cols[a as usize],
-                };
-                let s2 = SampleView {
-                    gen: gens[b as usize],
-                    col: cols[b as usize],
-                };
-                let decision = decide(
-                    slot.view(),
-                    s1,
-                    s2,
-                    leader.generation(),
-                    leader.propagation(),
-                );
-                let signal = apply(
-                    &mut slot,
-                    decision,
-                    leader.generation(),
-                    leader.propagation(),
-                );
-                match decision {
-                    NodeDecision::Refresh => {
-                        seen_gen[vi] = slot.seen_gen;
-                        seen_prop[vi] = slot.seen_prop;
-                    }
-                    NodeDecision::Adopt {
-                        gen,
-                        col,
-                        via_two_choices,
-                    } => {
-                        let (old_gen, old_col) = (gens[vi], cols[vi]);
-                        let is_birth = gen > table.max_generation();
-                        let parent_bias = if is_birth {
-                            table.bias_in(gen - 1).unwrap_or(f64::INFINITY)
-                        } else {
-                            0.0
-                        };
-                        let parent_collision = if is_birth {
-                            table.collision_in(gen - 1)
-                        } else {
-                            0.0
-                        };
-                        if (gen, col) != (old_gen, old_col) {
-                            table.transfer(old_gen, old_col, gen, col);
-                            gens[vi] = slot.gen;
-                            cols[vi] = slot.col;
-                        }
-                        if via_two_choices {
-                            two_choices_promotions += 1;
-                        } else {
-                            propagation_promotions += 1;
-                        }
-                        if is_birth && !matches!(cfg.record, RecordLevel::Outcome) {
-                            births.push(GenerationBirth {
-                                generation: gen,
-                                time: now,
-                                // Filled in when propagation opens (Lemma 22
-                                // measures α at t_i + t′); meanwhile: current.
-                                bias: f64::INFINITY,
-                                parent_bias,
-                                initial_fraction: table.fraction_in(gen),
-                                parent_collision,
-                            });
-                        }
-                        if is_birth {
-                            tracer.emit(now, TraceKind::Birth { generation: gen });
-                            // Generations are allowed in order, so phase g
-                            // sits at index g − 1.
-                            if let Some(p) = phases.get_mut(gen as usize - 1) {
-                                debug_assert_eq!(p.generation, gen);
-                                p.first_promotion_at.get_or_insert(now);
-                            }
-                        }
-                        if let Some(sig) = signal {
-                            // `apply` says the adoption increased the node's
-                            // generation, so a gen-signal departs — unless the
-                            // leader is provably past reacting, or loss (the
-                            // persistent knob or a scenario burst) eats it.
-                            if !leader.is_terminal()
-                                && (cfg.signal_loss == 0.0 || rng.gen::<f64>() >= cfg.signal_loss)
-                                && !env.as_mut().is_some_and(|e| e.message_lost())
-                            {
-                                let scale = env.as_ref().map_or(1.0, |e| e.latency_scale());
-                                let travel = cfg.latency.sample(&mut rng) * scale;
-                                queue.schedule(now + travel, Event::LeaderSignal(sig));
-                            }
-                        }
-                        tracker.observe(
-                            now,
-                            table.color_support(initial_winner),
-                            table.max_color_support(),
-                        );
-                        if table.is_monochromatic() {
-                            locked[vi] = false;
-                            break;
-                        }
-                    }
-                    NodeDecision::Nothing => {}
-                }
-                if thinned {
-                    // Re-admit `v` to the thinned tick stream: settle
-                    // the suppressed-stream exposure, then redraw the
-                    // next tick at the new rate (memorylessness).
-                    tick_exposure += (n - unlocked.len()) as f64 * (now - exposure_from);
-                    exposure_from = now;
-                    locked[vi] = false;
-                    unlocked_pos[vi] = unlocked.len() as u32;
-                    unlocked.push(v);
-                    fast_tick = now + unit_exp(&mut rng) / unlocked.len() as f64;
-                } else {
-                    locked[vi] = false;
-                }
-            }
-            Some((_, Event::LeaderSignal(signal))) => {
-                if let Some(transition) = leader.on_signal(signal) {
-                    match transition {
-                        LeaderTransition::PropagationEnabled { generation } => {
-                            tracer.emit(
-                                now,
-                                TraceKind::Phase {
-                                    name: "propagation-enabled",
-                                    generation,
-                                    scope: 0,
-                                },
-                            );
-                            if let Some(p) = phases.get_mut(generation as usize - 1) {
-                                debug_assert_eq!(p.generation, generation);
-                                p.propagation_at.get_or_insert(now);
-                            }
-                            // Lemma 22: measure the new generation's bias at
-                            // the start of its propagation phase. Births are
-                            // recorded in strictly increasing generation
-                            // order, so binary search applies.
-                            if let Ok(i) =
-                                births.binary_search_by_key(&generation, |b| b.generation)
-                            {
-                                births[i].bias = table.bias_in(generation).unwrap_or(f64::INFINITY);
-                            }
-                        }
-                        LeaderTransition::GenerationAllowed { generation } => {
-                            tracer.emit(
-                                now,
-                                TraceKind::Phase {
-                                    name: "generation-allowed",
-                                    generation,
-                                    scope: 0,
-                                },
-                            );
-                            phases.push(GenerationPhase {
-                                generation,
-                                allowed_at: now,
-                                first_promotion_at: None,
-                                propagation_at: None,
-                            });
-                            // The birth reset the 0-signal counter: arm
-                            // the new generation's counting window.
-                            if let Some(flow) = zero_flow.as_mut() {
-                                flow.arm(now, zero_signal_threshold, &mut rng);
-                            }
-                            // If generation g−1 matured without its
-                            // propagation window ever opening (possible for
-                            // small k, where two-choices alone reaches the
-                            // n/2 threshold), measure its bias now.
-                            if generation >= 2 {
-                                if let Ok(i) =
-                                    births.binary_search_by_key(&(generation - 1), |b| b.generation)
-                                {
-                                    if !births[i].bias.is_finite() {
-                                        births[i].bias =
-                                            table.bias_in(generation - 1).unwrap_or(f64::INFINITY);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    if thinned {
-        // Settle the suppressed locked-node tick stream: its count over
-        // the run is Poisson with the accrued intensity (module docs).
-        // A monochromatic start leaves the exposure at zero and consumes
-        // no RNG, matching the empty event loop above.
-        tick_exposure += (n - unlocked.len()) as f64 * (end_time - exposure_from);
-        if tick_exposure > 0.0 {
-            thinned_ticks = sample_poisson(tick_exposure, &mut rng);
-            ticks += thinned_ticks;
-        }
-    }
-
-    // Queue resizes recorded while tracing become trace events; the
-    // final sort in `Tracer::finish` interleaves them on the time axis.
-    tracer.extend(queue.take_resize_log().into_iter().map(|r| TraceEvent {
-        time: r.at,
-        kind: TraceKind::QueueResize {
-            buckets: r.buckets,
-            width: r.width,
-        },
-    }));
-    let qprof = queue.profile();
-    let profile = EngineProfile {
-        events_popped: qprof.pops,
-        signals_thinned: thinned_ticks,
-        queue_resizes: qprof.resizes,
-        window_crossings,
-    };
-
-    let outcome = RunOutcome {
-        n: n as u64,
-        k: k as u32,
-        initial_winner,
-        initial_bias,
-        final_counts: table.global_counts(),
-        epsilon_time: tracker.epsilon_time(),
-        consensus_time: tracker.consensus_time(),
-        duration: end_time,
-        generations: births,
-    };
-    let final_node_states = matches!(cfg.record, RecordLevel::Full)
-        .then(|| gens.iter().copied().zip(cols.iter().copied()).collect());
+    let final_node_states = matches!(cfg.run.record, RecordLevel::Full)
+        .then(|| k.gens.iter().copied().zip(k.cols.iter().copied()).collect());
+    let good_ticks = k.interactions;
+    let done = k.finish();
     LeaderResult {
-        outcome,
+        outcome: done.outcome,
         steps_per_unit: c1,
-        phases,
-        ticks,
+        phases: leader.phases,
+        ticks: done.ticks,
         good_ticks,
-        two_choices_promotions,
-        propagation_promotions,
-        winner_fraction: winner_series,
+        two_choices_promotions: leader.two_choices_promotions,
+        propagation_promotions: leader.propagation_promotions,
+        winner_fraction: leader.winner_series,
         final_node_states,
-        trace: tracer.finish(),
-        profile,
+        trace: done.trace,
+        profile: done.profile,
+    }
+}
+
+impl Leader<'_> {
+    /// Whether a signal survives the persistent `signal_loss` knob.
+    fn survives_loss(&self, k: &mut Kernel<Signal, 2>) -> bool {
+        self.cfg.signal_loss == 0.0 || k.rng.gen::<f64>() >= self.cfg.signal_loss
+    }
+
+    fn on_transition(&mut self, k: &mut Kernel<Signal, 2>, now: f64, t: LeaderTransition) {
+        match t {
+            LeaderTransition::PropagationEnabled { generation } => {
+                k.trace_phase(now, "propagation-enabled", generation, 0);
+                if let Some(p) = self.phases.get_mut(generation as usize - 1) {
+                    p.propagation_at.get_or_insert(now);
+                }
+                // Lemma 22: measure the generation's bias when its
+                // propagation phase opens.
+                k.measure_bias(generation);
+            }
+            LeaderTransition::GenerationAllowed { generation } => {
+                k.trace_phase(now, "generation-allowed", generation, 0);
+                self.phases.push(GenerationPhase {
+                    generation,
+                    allowed_at: now,
+                    first_promotion_at: None,
+                    propagation_at: None,
+                });
+                // The birth reset the 0-signal counter: arm the new
+                // generation's counting window.
+                k.set_flow(now, 0, self.send_rate, Some(self.zero_signal_threshold));
+                // If generation g−1 matured without its propagation window
+                // ever opening (possible for small k, where two-choices
+                // alone reaches the n/2 threshold), measure its bias now.
+                if generation >= 2 {
+                    k.measure_bias(generation - 1);
+                }
+            }
+        }
+    }
+}
+
+impl Handlers<2> for Leader<'_> {
+    type Signal = Signal;
+    const OBSERVE_EACH_MOVE: bool = false;
+
+    fn send_zero(&mut self, k: &mut Kernel<Signal, 2>, now: f64, _v: u32) {
+        // Line 1: the 0-signal travels one latency, without locking;
+        // skipped once the leader is terminal (the arrival would be
+        // unobservable), and subject to injected loss.
+        if !self.leader.is_terminal() && self.survives_loss(k) {
+            k.send(now, Signal::Zero);
+        }
+    }
+
+    fn on_op(&mut self, k: &mut Kernel<Signal, 2>, now: f64, v: u32, [a, b]: [u32; 2]) -> bool {
+        let vi = v as usize;
+        // The node's slot and the decision/apply pair are the shared
+        // transition function (`leader::node`): the plurality-check model
+        // checker drives the identical functions, so the checked state
+        // machine cannot drift from this engine.
+        let mut slot = NodeState {
+            gen: k.gens[vi],
+            col: k.cols[vi],
+            seen_gen: self.seen_gen[vi],
+            seen_prop: self.seen_prop[vi],
+        };
+        let sample = |s: u32| SampleView {
+            gen: k.gens[s as usize],
+            col: k.cols[s as usize],
+        };
+        let (gen_now, prop_now) = (self.leader.generation(), self.leader.propagation());
+        let decision = decide(slot.view(), sample(a), sample(b), gen_now, prop_now);
+        let signal = apply(&mut slot, decision, gen_now, prop_now);
+        match decision {
+            NodeDecision::Refresh => {
+                self.seen_gen[vi] = slot.seen_gen;
+                self.seen_prop[vi] = slot.seen_prop;
+            }
+            NodeDecision::Adopt {
+                gen,
+                col,
+                via_two_choices,
+            } => {
+                let is_birth = gen > k.table.max_generation();
+                let mono = k.adopt(now, vi, gen, col);
+                if via_two_choices {
+                    self.two_choices_promotions += 1;
+                } else {
+                    self.propagation_promotions += 1;
+                }
+                if is_birth {
+                    // Generations are allowed in order: phase g sits at g − 1.
+                    if let Some(p) = self.phases.get_mut(gen as usize - 1) {
+                        p.first_promotion_at.get_or_insert(now);
+                    }
+                }
+                // `apply` says the adoption increased the node's generation,
+                // so a gen-signal departs — unless the leader is provably
+                // past reacting, or loss eats it.
+                if let Some(sig) = signal {
+                    if !self.leader.is_terminal() && self.survives_loss(k) {
+                        k.send(now, sig);
+                    }
+                }
+                if mono {
+                    return true;
+                }
+            }
+            NodeDecision::Nothing => {}
+        }
+        k.unlock(now, vi);
+        false
+    }
+
+    fn on_signal(&mut self, k: &mut Kernel<Signal, 2>, now: f64, signal: Signal) {
+        if let Some(t) = self.leader.on_signal(signal) {
+            self.on_transition(k, now, t);
+        }
+    }
+
+    fn on_crossing(&mut self, k: &mut Kernel<Signal, 2>, now: f64, _scope: u32) {
+        // The armed window crossed its threshold: batch in the whole
+        // window's count at the solved crossing time. The next window arms
+        // at the next generation birth.
+        k.set_flow(now, 0, self.send_rate, None);
+        let gap = self.zero_signal_threshold - self.leader.zero_count();
+        if let Some(t) = self.leader.on_zero_batch(gap) {
+            self.on_transition(k, now, t);
+        }
+    }
+
+    fn on_join(&mut self, v: usize) {
+        self.seen_gen[v] = 0;
+        self.seen_prop[v] = false;
+    }
+
+    fn on_step(&mut self, k: &Kernel<Signal, 2>, now: f64) {
+        if let Some(series) = self.winner_series.as_mut() {
+            if now >= self.next_sample {
+                let support = k.table.color_support(k.initial_winner);
+                series.push(now, support as f64 / k.n as f64);
+                self.next_sample = now.floor() + 1.0;
+            }
+        }
     }
 }
 
@@ -1064,6 +495,7 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
 mod tests {
     use super::*;
     use crate::opinion::Opinion;
+    use plurality_obs::TraceKind;
 
     fn quick_config(n: u64, k: u32, alpha: f64, seed: u64) -> LeaderConfig {
         let assignment = InitialAssignment::with_bias(n, k, alpha).unwrap();

@@ -34,6 +34,7 @@
 pub mod analysis;
 pub mod cluster;
 mod genstate;
+mod kernel;
 pub mod leader;
 mod opinion;
 mod outcome;
