@@ -6,14 +6,14 @@ use plurality_core::cluster::ClusterConfig;
 use plurality_core::leader::LeaderConfig;
 use plurality_core::sync::SyncConfig;
 use plurality_core::InitialAssignment;
-use plurality_sim::EventQueue;
+use plurality_sim::CalendarQueue;
 
 fn bench_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
     group.sample_size(20);
     group.bench_function("push_pop_1k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(1024);
+            let mut q = CalendarQueue::with_capacity(1024);
             for i in 0..1000u32 {
                 // Deterministic pseudo-random times.
                 let t = ((i.wrapping_mul(2654435761)) % 10_000) as f64;

@@ -12,13 +12,16 @@
 //!
 //! ```sh
 //! cargo run --release -p plurality-bench --bin perf_snapshot            # write snapshot
-//! cargo run --release -p plurality-bench --bin perf_snapshot -- --check # CI: compare keys
+//! cargo run --release -p plurality-bench --bin perf_snapshot -- --check # CI: compare
 //! ```
 //!
 //! With `--check`, the freshly measured snapshot is *not* written;
-//! instead its keys are compared against the committed baseline, and the
-//! process exits non-zero if the baseline contains a metric the fresh
-//! snapshot no longer produces (a silently dropped benchmark).
+//! instead it is compared against the committed baseline, and the process
+//! exits non-zero if the baseline contains a metric the fresh snapshot no
+//! longer produces (a silently dropped benchmark), or if any `profile/*`
+//! counter differs from its baseline value. Those counters are pure
+//! functions of fixed seeds, so they must match to the digit; timing keys
+//! are machine-dependent and only checked for presence.
 
 use plurality_agg::{LeaderMfConfig, SyncMfConfig};
 use plurality_core::cluster::ClusterConfig;
@@ -27,17 +30,17 @@ use plurality_core::sync::{SyncConfig, UrnConfig};
 use plurality_core::InitialAssignment;
 use plurality_dist::rng::Xoshiro256PlusPlus;
 use plurality_dist::{sample_binomial, ChannelPattern, Exponential, Gamma, Latency, WaitingTime};
-use plurality_sim::{CalendarQueue, EventQueue};
+use plurality_sim::CalendarQueue;
 use plurality_topology::Topology;
 use rand::RngCore;
 use std::path::PathBuf;
 use std::time::Instant;
 
 /// Measurement effort. [`Effort::full`] produces the committed
-/// snapshot; [`Effort::quick`] backs `--check`, which only needs the
-/// metric-*name* list — every batch and repetition shrinks to near-zero
+/// snapshot; [`Effort::quick`] backs `--check`, which needs only the
+/// timing keys' *names* — every batch and repetition shrinks to near-zero
 /// cost while the names keep a single source of truth (the measurement
-/// code itself).
+/// code itself). The `profile/*` counters do not depend on the effort.
 #[derive(Clone, Copy)]
 struct Effort {
     timing_samples: usize,
@@ -135,24 +138,6 @@ fn sampler_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
         "sampler/waiting_time_t3_ns".into(),
         median_ns(eff.batch(50_000), eff.timing_samples, || {
             std::hint::black_box(wt.sample_t3(&mut rng));
-        }),
-    ));
-    // `EventQueue` is the calendar queue by default and the binary heap
-    // under `--features legacy-heap`; the explicit `CalendarQueue` key
-    // keeps the calendar implementation on the trajectory even when the
-    // alias is rebound.
-    metrics.push((
-        "sim/event_queue_push_pop_1k_ns".into(),
-        median_ns(eff.batch(50), eff.timing_samples, || {
-            let mut q = EventQueue::with_capacity(1024);
-            for i in 0..1000u32 {
-                q.schedule(f64::from(i.wrapping_mul(2654435761) % 10_000), i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, v)) = q.pop() {
-                acc += u64::from(v);
-            }
-            std::hint::black_box(acc);
         }),
     ));
     metrics.push((
@@ -368,11 +353,11 @@ fn profile_metrics(metrics: &mut Vec<(String, f64)>) {
     metrics.push(("profile/cache_shard_misses".into(), misses as f64));
 }
 
-/// Extracts the metric keys of the `"results"` object of a snapshot file
-/// (one `"name": value` pair per line, as written by
-/// [`criterion::write_suite_json`]).
-fn baseline_keys(text: &str) -> Vec<String> {
-    let mut keys = Vec::new();
+/// Extracts the `"name": value` pairs of the `"results"` object of a
+/// snapshot file (one pair per line, as written by
+/// [`criterion::write_suite_json`]); a `null` value reads as NaN.
+fn baseline_entries(text: &str) -> Vec<(String, f64)> {
+    let mut entries = Vec::new();
     let mut in_results = false;
     for line in text.lines() {
         let trimmed = line.trim();
@@ -386,13 +371,35 @@ fn baseline_keys(text: &str) -> Vec<String> {
         if trimmed.starts_with('}') {
             break;
         }
-        if let Some(rest) = trimmed.strip_prefix('"') {
-            if let Some(end) = rest.find("\": ") {
-                keys.push(rest[..end].to_string());
-            }
+        if let Some((key, value)) = trimmed.strip_prefix('"').and_then(|r| r.split_once("\": ")) {
+            let value = value.trim_end_matches(',').parse().unwrap_or(f64::NAN);
+            entries.push((key.to_string(), value));
         }
     }
-    keys
+    entries
+}
+
+/// Compares a fresh snapshot with the baseline entries: every baseline
+/// key must still be measured, and every `profile/*` counter on either
+/// side must equal its baseline value exactly. Returns one line per
+/// failure.
+fn check_failures(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (key, base) in baseline {
+        match fresh.iter().find(|(name, _)| name == key) {
+            None => failures.push(format!("{key}: missing from the fresh snapshot")),
+            Some((_, value)) if key.starts_with("profile/") && value != base => {
+                failures.push(format!("{key}: baseline {base} != fresh {value}"));
+            }
+            Some(_) => {}
+        }
+    }
+    for (name, value) in fresh {
+        if name.starts_with("profile/") && !baseline.iter().any(|(key, _)| key == name) {
+            failures.push(format!("{name}: fresh {value} has no baseline value"));
+        }
+    }
+    failures
 }
 
 fn snapshot_dir() -> PathBuf {
@@ -404,7 +411,7 @@ fn snapshot_dir() -> PathBuf {
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let path = snapshot_dir().join("BENCH_perf_snapshot.json");
-    // --check only compares metric names, so measure at token effort.
+    // --check only needs the timing keys' names: measure at token effort.
     let eff = if check {
         Effort::quick()
     } else {
@@ -434,18 +441,17 @@ fn main() {
             eprintln!("cannot read committed baseline {}: {e}", path.display());
             std::process::exit(1);
         });
-        let fresh: Vec<&str> = metrics.iter().map(|(name, _)| name.as_str()).collect();
-        let missing: Vec<String> = baseline_keys(&baseline)
-            .into_iter()
-            .filter(|key| !fresh.contains(&key.as_str()))
-            .collect();
-        if missing.is_empty() {
+        let baseline = baseline_entries(&baseline);
+        let failures = check_failures(&baseline, &metrics);
+        if failures.is_empty() {
             println!(
-                "check ok: all {} baseline metrics present",
-                baseline_keys(&baseline).len()
+                "check ok: all {} baseline metrics present, profile counters exact",
+                baseline.len()
             );
         } else {
-            eprintln!("baseline metrics missing from fresh snapshot: {missing:?}");
+            for failure in &failures {
+                eprintln!("check failed: {failure}");
+            }
             std::process::exit(1);
         }
     } else {

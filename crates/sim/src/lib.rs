@@ -5,7 +5,7 @@
 //!
 //! The asynchronous protocols of the paper (single-leader Algorithm 2/3 and
 //! the clustered multi-leader Algorithm 4/5) are executed against this
-//! engine: an [`EventQueue`] orders ticks, channel completions and signal
+//! engine: a [`CalendarQueue`] orders ticks, channel completions and signal
 //! arrivals on a continuous time axis; [`PoissonClock`] produces the
 //! unit-rate tick processes the model postulates; [`Series`] and
 //! [`EventLog`] capture the observables the experiment harness turns into
@@ -15,16 +15,15 @@
 //! of its `u64` seed (see `plurality_dist::rng`), and the queue breaks
 //! timestamp ties by insertion order.
 //!
-//! [`EventQueue`] is a [`CalendarQueue`] (O(1) amortized bucketed calendar
-//! queue) by default; the `legacy-heap` cargo feature re-points it at the
-//! original binary-heap [`HeapQueue`]. Both implementations are always
-//! compiled and produce bit-identical pop sequences (see the equivalence
-//! property tests in `tests/queue_properties.rs`).
+//! The [`CalendarQueue`] (O(1) amortized bucketed calendar queue) pops in
+//! the bit-identical order of the original binary-heap [`HeapQueue`],
+//! which stays as the reference oracle of the equivalence property tests
+//! in `tests/queue_properties.rs`.
 //!
 //! ## Example
 //!
 //! ```
-//! use plurality_sim::{EventQueue, PoissonClock};
+//! use plurality_sim::{CalendarQueue, PoissonClock};
 //! use plurality_dist::rng::Xoshiro256PlusPlus;
 //!
 //! #[derive(Debug, PartialEq)]
@@ -32,7 +31,7 @@
 //!
 //! let mut rng = Xoshiro256PlusPlus::from_u64(7);
 //! let clock = PoissonClock::unit_rate();
-//! let mut queue = EventQueue::new();
+//! let mut queue = CalendarQueue::new();
 //! queue.schedule(clock.next_tick(0.0, &mut rng), Ev::Tick(0));
 //! let (t, Ev::Tick(node)) = queue.pop().unwrap();
 //! assert_eq!(node, 0);
@@ -48,4 +47,4 @@ pub mod queue;
 
 pub use clock::PoissonClock;
 pub use metrics::{EventLog, Series};
-pub use queue::{CalendarQueue, EventQueue, HeapQueue, QueueProfile, ResizeRecord};
+pub use queue::{CalendarQueue, HeapQueue, QueueProfile, ResizeRecord};

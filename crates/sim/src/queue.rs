@@ -9,15 +9,14 @@
 //!
 //! Two implementations share this contract:
 //!
-//! * [`CalendarQueue`] — a bucketed calendar queue (Brown 1988) tuned for
-//!   the near-homogeneous Poisson event populations the engines generate:
-//!   O(1) amortized push and pop, lazy power-of-two bucket resizing, and
-//!   the exact `(time, seq)` order of the heap (see the determinism
-//!   argument on the type). This is the default [`EventQueue`].
-//! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept behind
-//!   the `legacy-heap` cargo feature (which re-points the [`EventQueue`]
-//!   alias at it) and as the reference oracle for the cross-implementation
-//!   equivalence property tests in `tests/queue_properties.rs`.
+//! * [`CalendarQueue`] — the engines' queue: a bucketed calendar queue
+//!   (Brown 1988) tuned for the near-homogeneous Poisson event populations
+//!   the engines generate: O(1) amortized push and pop, lazy power-of-two
+//!   bucket resizing, and the exact `(time, seq)` order of the heap (see
+//!   the determinism argument on the type).
+//! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept as the
+//!   reference oracle for the cross-implementation equivalence property
+//!   tests in `tests/queue_properties.rs`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -50,20 +49,6 @@ pub struct ResizeRecord {
     /// New bucket width.
     pub width: f64,
 }
-
-/// The event queue used by the engines: [`CalendarQueue`] by default,
-/// [`HeapQueue`] when the `legacy-heap` cargo feature is enabled. Both
-/// types expose the same API and the same `(time, seq)` pop order, so the
-/// alias is a drop-in switch.
-#[cfg(not(feature = "legacy-heap"))]
-pub type EventQueue<E> = CalendarQueue<E>;
-
-/// The event queue used by the engines: [`CalendarQueue`] by default,
-/// [`HeapQueue`] when the `legacy-heap` cargo feature is enabled. Both
-/// types expose the same API and the same `(time, seq)` pop order, so the
-/// alias is a drop-in switch.
-#[cfg(feature = "legacy-heap")]
-pub type EventQueue<E> = HeapQueue<E>;
 
 /// A single scheduled entry of the [`HeapQueue`].
 #[derive(Debug, Clone)]
@@ -101,8 +86,7 @@ impl<E> Ord for QueueEntry<E> {
 
 /// A binary-heap future-event list ordering events by time, breaking ties
 /// by insertion order — the pre-calendar implementation, kept as the
-/// `legacy-heap` feature and as the reference oracle for the equivalence
-/// property tests.
+/// reference oracle for the equivalence property tests.
 ///
 /// # Examples
 ///
@@ -148,15 +132,6 @@ impl<E> HeapQueue<E> {
     /// the heap).
     pub fn profile(&self) -> QueueProfile {
         self.profile
-    }
-
-    /// Opt-in resize tracing: a no-op for the heap (it never resizes),
-    /// kept so the [`EventQueue`] alias exposes one API.
-    pub fn set_trace(&mut self, _enabled: bool) {}
-
-    /// Drains the recorded resize log: always empty for the heap.
-    pub fn take_resize_log(&mut self) -> Vec<ResizeRecord> {
-        Vec::new()
     }
 
     /// The current simulation time: the timestamp of the last popped event

@@ -3,7 +3,7 @@
 //! queue must reproduce the binary heap's pop sequence *bit-identically* —
 //! including `(time, seq)` tie-breaks — on adversarial schedules.
 
-use plurality_sim::{CalendarQueue, EventQueue, HeapQueue};
+use plurality_sim::{CalendarQueue, HeapQueue};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -30,7 +30,7 @@ proptest! {
     fn pops_are_sorted_by_time_then_insertion(
         times in prop::collection::vec(0.0f64..1e6, 1..200),
     ) {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.schedule(t, i);
         }
@@ -57,7 +57,7 @@ proptest! {
     ) {
         // Schedule a chain where each popped event schedules a follow-up
         // strictly later; `now` must never run backwards.
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         for (i, &t) in seeds.iter().enumerate() {
             q.schedule(t, i as u64);
         }
@@ -77,7 +77,7 @@ proptest! {
     fn len_tracks_schedules_and_pops(
         ops in prop::collection::vec(0.0f64..10.0, 0..100),
     ) {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         for (i, &t) in ops.iter().enumerate() {
             q.schedule(t, i);
             prop_assert_eq!(q.len(), i + 1);
@@ -89,7 +89,7 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    // --- Calendar ≡ heap equivalence (the legacy-heap oracle) ---
+    // --- Calendar ≡ heap equivalence (the heap oracle) ---
 
     #[test]
     fn calendar_matches_heap_on_random_schedules(
