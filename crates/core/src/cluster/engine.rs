@@ -308,9 +308,6 @@ type K = Kernel<Signal, 3>;
 /// The multi-leader protocol state the kernel calls back into.
 struct Engine<'cfg> {
     cfg: &'cfg ClusterConfig,
-    n: usize,
-    c1: f64,
-    cap: u32,
     participation_size: u64,
     finished: Vec<bool>,
     stored_gen: Vec<u32>,
@@ -385,9 +382,6 @@ fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
 
     let mut engine = Engine {
         cfg,
-        n,
-        c1,
-        cap,
         participation_size,
         finished: vec![false; n],
         stored_gen: vec![0; n],
@@ -490,9 +484,11 @@ impl Handlers<3> for Engine<'_> {
                         if self.clusters[ci].size >= self.participation_size {
                             self.clusters[ci].mode = ClusterMode::Pausing;
                             self.clusters[ci].window_count = 0;
-                            self.clusters[ci].window_threshold =
-                                (self.clusters[ci].size as f64 * self.c1 * self.cfg.pause_units)
-                                    .ceil() as u64;
+                            self.clusters[ci].window_threshold = (self.clusters[ci].size as f64
+                                * k.c1
+                                * self.cfg.pause_units)
+                                .ceil()
+                                as u64;
                             // The pause window opens now: arm it afresh.
                             self.rearm_flow(k, now, c);
                         } else {
@@ -547,7 +543,7 @@ impl Handlers<3> for Engine<'_> {
             gen: k.gens[s as usize],
             col: k.cols[s as usize],
         };
-        match decide_member(view, sample(s1), sample(s2), l_gen, l_phase, self.cap) {
+        match decide_member(view, sample(s1), sample(s2), l_gen, l_phase, k.cap) {
             MemberDecision::Promote {
                 gen,
                 col,
@@ -706,7 +702,7 @@ impl Engine<'_> {
                     self.clusters[ci].mode = ClusterMode::Accepting;
                     self.clusters[ci].window_count = 0;
                     self.clusters[ci].window_threshold =
-                        (size as f64 * self.c1 * self.cfg.accept_units).ceil() as u64;
+                        (size as f64 * k.c1 * self.cfg.accept_units).ceil() as u64;
                 }
             }
             ClusterMode::Accepting => {
@@ -803,10 +799,10 @@ impl Engine<'_> {
         }
     }
 
-    fn consensus_params(&self, card: u64) -> ClusterLeaderParams {
-        let nf = self.n as f64;
-        let sleep = (card as f64 * self.c1 * self.cfg.run.two_choices_units).ceil() as u64;
-        let prop = (card as f64 * self.c1 * (self.cfg.run.two_choices_units + self.cfg.sleep_units))
+    fn consensus_params(&self, k: &K, card: u64) -> ClusterLeaderParams {
+        let nf = k.n as f64;
+        let sleep = (card as f64 * k.c1 * self.cfg.run.two_choices_units).ceil() as u64;
+        let prop = (card as f64 * k.c1 * (self.cfg.run.two_choices_units + self.cfg.sleep_units))
             .ceil() as u64;
         let gen_size =
             ((card as f64 * (0.5 + 1.0 / nf.log2().sqrt())).ceil() as u64).clamp(1, card);
@@ -814,7 +810,7 @@ impl Engine<'_> {
             sleep_threshold: sleep.max(1),
             prop_threshold: prop.max(sleep.max(1) + 1),
             gen_size_threshold: gen_size,
-            generation_cap: self.cap,
+            generation_cap: k.cap,
         }
     }
 
@@ -832,7 +828,7 @@ impl Engine<'_> {
             self.rearm_flow(k, now, c);
             return;
         }
-        let params = self.consensus_params(self.clusters[ci].size);
+        let params = self.consensus_params(k, self.clusters[ci].size);
         self.clusters[ci].state = Some(ClusterLeaderState::new(params));
         self.clusters[ci].mode = ClusterMode::Consensus;
         if self.first_switch.is_none() {

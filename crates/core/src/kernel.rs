@@ -632,12 +632,12 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
     /// Applies every scenario effect due at `now`. Returns true if the
     /// population became monochromatic.
     fn apply_effects<P: Handlers<M, Signal = S>>(&mut self, p: &mut P, now: f64) -> bool {
-        // Taken out and restored so effects can borrow the kernel mutably.
-        let Some(mut env) = self.env.take() else {
+        let effects = self.env.as_mut().map_or_else(Vec::new, |e| e.poll(now));
+        if effects.is_empty() {
             return false;
-        };
-        let effects = env.poll(now);
-        let any = !effects.is_empty();
+        }
+        // Taken out and restored so effects can borrow the kernel mutably.
+        let mut env = self.env.take().expect("effects come from an environment");
         let mut mono = false;
         for effect in effects {
             let (name, count) = match effect {
@@ -673,7 +673,7 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
                 .emit(now, TraceKind::ScenarioEffect { name, count });
         }
         self.env = Some(env);
-        if any && !P::OBSERVE_EACH_MOVE {
+        if !P::OBSERVE_EACH_MOVE {
             mono = self.observe(now);
         }
         mono

@@ -229,7 +229,6 @@ struct Leader<'cfg> {
     /// Per-node stored leader state; starts stale (leader starts at gen 1).
     seen_gen: Vec<u32>,
     seen_prop: Vec<bool>,
-    zero_signal_threshold: u64,
     /// Effective 0-signal send rate of the jump chain: the ticking mass,
     /// thinned by persistent signal loss.
     send_rate: f64,
@@ -312,7 +311,6 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
         }),
         seen_gen: vec![0; n],
         seen_prop: vec![false; n],
-        zero_signal_threshold,
         send_rate,
         phases: vec![GenerationPhase {
             generation: 1,
@@ -373,7 +371,8 @@ impl Leader<'_> {
                 });
                 // The birth reset the 0-signal counter: arm the new
                 // generation's counting window.
-                k.set_flow(now, 0, self.send_rate, Some(self.zero_signal_threshold));
+                let window = self.leader.params().zero_signal_threshold;
+                k.set_flow(now, 0, self.send_rate, Some(window));
                 // If generation g−1 matured without its propagation window
                 // ever opening (possible for small k, where two-choices
                 // alone reaches the n/2 threshold), measure its bias now.
@@ -469,7 +468,7 @@ impl Handlers<2> for Leader<'_> {
         // window's count at the solved crossing time. The next window arms
         // at the next generation birth.
         k.set_flow(now, 0, self.send_rate, None);
-        let gap = self.zero_signal_threshold - self.leader.zero_count();
+        let gap = self.leader.params().zero_signal_threshold - self.leader.zero_count();
         if let Some(t) = self.leader.on_zero_batch(gap) {
             self.on_transition(k, now, t);
         }
