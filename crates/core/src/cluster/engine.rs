@@ -32,7 +32,7 @@ use crate::cluster::node::{
 use crate::kernel::{run_param_setters, Handlers, Kernel, RunParams};
 use crate::opinion::InitialAssignment;
 use crate::outcome::{RecordLevel, RunOutcome};
-use plurality_dist::{ChannelPattern, Latency};
+use plurality_dist::ChannelPattern;
 use plurality_obs::{EngineProfile, TraceEvent};
 use plurality_scenario::Scenario;
 use plurality_sim::EventLog;

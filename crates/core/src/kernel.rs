@@ -135,9 +135,10 @@ pub(crate) struct RunParams {
 }
 
 impl RunParams {
-    /// Defaults: `Exp(1)` latency, `ε = 0.05`, seed 0, generation
-    /// telemetry, derived time cap, `C1`, cap and bias, a two-choices
-    /// window of 2 time units, the complete graph, no scenario, no trace.
+    /// Defaults: `Exp(1)` latency, `ε = 0.05`, seed 0, generation-level
+    /// telemetry, a two-choices window of 2 time units, the complete
+    /// graph, no scenario, no trace; the time cap, `C1`, the generation
+    /// cap and the bias hint are derived per run.
     pub fn new(assignment: InitialAssignment) -> Self {
         Self {
             assignment,
@@ -171,7 +172,7 @@ macro_rules! run_param_setters {
         }
 
         /// Sets the channel-establishment latency law (default `Exp(1)`).
-        pub fn with_latency(mut self, latency: Latency) -> Self {
+        pub fn with_latency(mut self, latency: ::plurality_dist::Latency) -> Self {
             self.run.latency = latency;
             self
         }
@@ -193,8 +194,9 @@ macro_rules! run_param_setters {
             self
         }
 
-        /// Sets the telemetry level (default [`RecordLevel::Generations`]).
-        pub fn with_record(mut self, record: RecordLevel) -> Self {
+        /// Sets the telemetry level (default
+        /// [`RecordLevel::Generations`](crate::RecordLevel::Generations)).
+        pub fn with_record(mut self, record: $crate::RecordLevel) -> Self {
             self.run.record = record;
             self
         }

@@ -17,7 +17,7 @@ use crate::leader::state::{LeaderParams, LeaderState, LeaderTransition, Signal};
 use crate::opinion::InitialAssignment;
 use crate::outcome::{RecordLevel, RunOutcome};
 use plurality_dist::rng::{derive_seed, Xoshiro256PlusPlus};
-use plurality_dist::{ChannelPattern, Latency};
+use plurality_dist::ChannelPattern;
 use plurality_obs::{EngineProfile, TraceEvent};
 use plurality_scenario::Scenario;
 use plurality_sim::Series;
