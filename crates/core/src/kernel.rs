@@ -528,8 +528,11 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
                 }
             };
             self.end_time = now;
-            if self.env.is_some() && self.apply_effects(p, now) {
-                return;
+            if let Some(env) = self.env.as_mut() {
+                let effects = env.poll(now);
+                if !effects.is_empty() && self.apply_effects(p, now, effects) {
+                    return;
+                }
             }
             p.on_step(self, now);
             let done = match popped {
@@ -631,13 +634,14 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
         p.on_op(self, now, v, peers)
     }
 
-    /// Applies every scenario effect due at `now`. Returns true if the
+    /// Applies the scenario effects due at `now`. Returns true if the
     /// population became monochromatic.
-    fn apply_effects<P: Handlers<M, Signal = S>>(&mut self, p: &mut P, now: f64) -> bool {
-        let effects = self.env.as_mut().map_or_else(Vec::new, |e| e.poll(now));
-        if effects.is_empty() {
-            return false;
-        }
+    fn apply_effects<P: Handlers<M, Signal = S>>(
+        &mut self,
+        p: &mut P,
+        now: f64,
+        effects: Vec<Effect>,
+    ) -> bool {
         // Taken out and restored so effects can borrow the kernel mutably.
         let mut env = self.env.take().expect("effects come from an environment");
         let mut mono = false;
