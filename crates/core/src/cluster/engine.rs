@@ -482,13 +482,7 @@ impl Handlers<3> for Engine<'_> {
                         self.cluster_of[vi] = c;
                         self.clusters[ci].size += 1;
                         if self.clusters[ci].size >= self.participation_size {
-                            self.clusters[ci].mode = ClusterMode::Pausing;
-                            self.clusters[ci].window_count = 0;
-                            self.clusters[ci].window_threshold = (self.clusters[ci].size as f64
-                                * k.c1
-                                * self.cfg.pause_units)
-                                .ceil()
-                                as u64;
+                            self.open_window(k, ci, ClusterMode::Pausing, self.cfg.pause_units);
                             // The pause window opens now: arm it afresh.
                             self.rearm_flow(k, now, c);
                         } else {
@@ -695,19 +689,15 @@ impl Engine<'_> {
         let ci = c as usize;
         match self.clusters[ci].mode {
             ClusterMode::Filling | ClusterMode::NonParticipating => {}
-            ClusterMode::Pausing => {
-                self.clusters[ci].window_count += count;
-                if self.clusters[ci].window_count >= self.clusters[ci].window_threshold {
-                    let size = self.clusters[ci].size;
-                    self.clusters[ci].mode = ClusterMode::Accepting;
-                    self.clusters[ci].window_count = 0;
-                    self.clusters[ci].window_threshold =
-                        (size as f64 * k.c1 * self.cfg.accept_units).ceil() as u64;
+            mode @ (ClusterMode::Pausing | ClusterMode::Accepting) => {
+                let cluster = &mut self.clusters[ci];
+                cluster.window_count += count;
+                if cluster.window_count < cluster.window_threshold {
+                    return;
                 }
-            }
-            ClusterMode::Accepting => {
-                self.clusters[ci].window_count += count;
-                if self.clusters[ci].window_count >= self.clusters[ci].window_threshold {
+                if mode == ClusterMode::Pausing {
+                    self.open_window(k, ci, ClusterMode::Accepting, self.cfg.accept_units);
+                } else {
                     self.switch_to_consensus(k, now, c);
                 }
             }
@@ -722,6 +712,15 @@ impl Engine<'_> {
                 }
             }
         }
+    }
+
+    /// Puts cluster `ci` into the counting `mode`, whose window closes
+    /// after `units` time units' worth of its members' 0-signals.
+    fn open_window(&mut self, k: &K, ci: usize, mode: ClusterMode, units: f64) {
+        let cluster = &mut self.clusters[ci];
+        cluster.mode = mode;
+        cluster.window_count = 0;
+        cluster.window_threshold = (cluster.size as f64 * k.c1 * units).ceil() as u64;
     }
 
     /// Effective 0-signal send rate of cluster `c` on the jump-chain fast
@@ -873,25 +872,14 @@ impl Engine<'_> {
             return;
         }
         let (a_pub, b_pub) = (self.lattice(a), self.lattice(b));
-        if let Some(t) = self.clusters[ai]
-            .state
-            .as_mut()
-            .expect("state")
-            .merge_from(b_pub.0, b_pub.1)
-        {
-            self.log_transition(k, now, a, t, false);
-            // The merge jumped the tick counter: re-arm for the adopted
-            // window (and drop the rate to zero if now terminal).
-            self.rearm_flow(k, now, a);
-        }
-        if let Some(t) = self.clusters[bi]
-            .state
-            .as_mut()
-            .expect("state")
-            .merge_from(a_pub.0, a_pub.1)
-        {
-            self.log_transition(k, now, b, t, false);
-            self.rearm_flow(k, now, b);
+        for (c, (gen, phase)) in [(a, b_pub), (b, a_pub)] {
+            let state = self.clusters[c as usize].state.as_mut().expect("state");
+            if let Some(t) = state.merge_from(gen, phase) {
+                self.log_transition(k, now, c, t, false);
+                // The merge jumped the tick counter: re-arm for the adopted
+                // window (and drop the rate to zero if now terminal).
+                self.rearm_flow(k, now, c);
+            }
         }
     }
 }

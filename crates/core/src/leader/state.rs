@@ -152,38 +152,8 @@ impl LeaderState {
     /// leader).
     pub fn on_signal(&mut self, signal: Signal) -> Option<LeaderTransition> {
         match signal {
-            Signal::Zero => {
-                self.zero_count += 1;
-                if !self.propagation && self.zero_count >= self.params.zero_signal_threshold {
-                    self.propagation = true;
-                    return Some(LeaderTransition::PropagationEnabled {
-                        generation: self.generation,
-                    });
-                }
-                None
-            }
-            Signal::Generation(i) => {
-                assert!(
-                    i <= self.generation,
-                    "gen-signal {i} exceeds allowed generation {}",
-                    self.generation
-                );
-                if i == self.generation {
-                    self.gen_size += 1;
-                    if self.gen_size >= self.params.gen_size_threshold
-                        && self.generation < self.params.generation_cap
-                    {
-                        self.generation += 1;
-                        self.zero_count = 0;
-                        self.gen_size = 0;
-                        self.propagation = false;
-                        return Some(LeaderTransition::GenerationAllowed {
-                            generation: self.generation,
-                        });
-                    }
-                }
-                None
-            }
+            Signal::Zero => self.on_zero_batch(1),
+            Signal::Generation(i) => self.on_generation_batch(i, 1),
         }
     }
 
