@@ -29,9 +29,11 @@
 //!   in small time sub-steps with binomially-sampled pool transitions,
 //!   converging to the per-node law as the sub-step shrinks.
 //!
-//! The synchronous and gossip backends ([`SyncMfConfig`],
-//! [`Majority3MfConfig`], [`UndecidedMfConfig`]) are *exact*: they
-//! sample from the identical process law as their per-node counterparts.
+//! The gossip backends ([`Majority3MfConfig`], [`UndecidedMfConfig`])
+//! are *exact*: they sample from the identical process law as their
+//! per-node counterparts. The synchronous generation protocol needs no
+//! backend here: its exact count-pool law is urn mode,
+//! [`plurality_core::sync::UrnConfig`].
 //! The population and leader backends ([`PopulationMfConfig`],
 //! [`LeaderMfConfig`]) are distributionally faithful discretizations;
 //! the cross-validation suite (`tests/cross_validation.rs`) pins the
@@ -40,7 +42,7 @@
 //! These engines are mean-field by definition: the multinomial split is
 //! exact *because* every node samples every other node uniformly. They
 //! therefore deliberately have no topology or scenario knobs; the
-//! unified facade (`plurality-api`, spec names `sync-mf`, `leader-mf`,
+//! unified facade (`plurality-api`, spec names `leader-mf`,
 //! `population-mf`, `majority3-mf`, `undecided-mf`) enforces that as a
 //! teaching error, exactly like urn mode.
 //!
@@ -59,14 +61,12 @@
 mod gossip;
 mod leader;
 mod population;
-mod sync;
 
 pub use gossip::{
     Majority3MfConfig, Majority3MfResult, UndecidedMfConfig, UndecidedMfResult, UNDECIDED_CELL,
 };
 pub use leader::{LeaderMfConfig, LeaderMfResult};
 pub use population::{PopulationMfConfig, PopulationMfResult};
-pub use sync::{SyncMfConfig, SyncMfResult};
 
 use plurality_dist::InvalidParameterError;
 

@@ -15,9 +15,7 @@
 //! The quick scales run in tier-1; the ≥ 10⁷-node cases are
 //! `#[ignore]`d tier-2.
 
-use plurality_agg::{
-    LeaderMfConfig, Majority3MfConfig, PopulationMfConfig, SyncMfConfig, UndecidedMfConfig,
-};
+use plurality_agg::{LeaderMfConfig, Majority3MfConfig, PopulationMfConfig, UndecidedMfConfig};
 use plurality_baselines::{Dynamics, DynamicsConfig, PopulationConfig, PopulationProtocol};
 use plurality_core::leader::LeaderConfig;
 use plurality_core::sync::{SyncConfig, UrnConfig};
@@ -70,7 +68,7 @@ fn assert_same_marginal(label: &str, a: &[u64], b: &[u64]) {
 }
 
 #[test]
-fn sync_mf_agrees_with_per_node_sync() {
+fn urn_agrees_with_per_node_sync() {
     let (n, k, alpha) = (2_000u64, 3u32, 1.5f64);
     let assignment = InitialAssignment::with_bias(n, k, alpha).unwrap();
     let mut rounds_node = Vec::new();
@@ -81,10 +79,7 @@ fn sync_mf_agrees_with_per_node_sync() {
         let r = SyncConfig::new(assignment.clone()).with_seed(seed).run();
         rounds_node.push(r.rounds as f64);
         win_node.push(winner_index(&r.outcome));
-        let m = SyncMfConfig::new(n, k, alpha)
-            .unwrap()
-            .with_seed(seed)
-            .run();
+        let m = UrnConfig::new(n, k, alpha).unwrap().with_seed(seed).run();
         rounds_mf.push(m.rounds as f64);
         win_mf.push(winner_index(&m.outcome));
     }
@@ -215,33 +210,33 @@ fn leader_mf_agrees_with_per_node_leader() {
 // ---------------------------------------------------------------------
 
 #[test]
-#[ignore = "tier-2: 400 ten-million-node aggregate runs"]
-fn sync_mf_at_ten_million_agrees_with_urn_in_distribution() {
+#[ignore = "tier-2: 400 ten-million-node urn runs"]
+fn urn_at_ten_million_agrees_across_seed_windows() {
     // Disjoint seed windows make this a genuine two-sample comparison
     // (same seeds would reproduce the identical stream bitwise). At
     // alpha = 1 the start is perfectly uniform, so the winner marginal
     // is non-degenerate even at n = 10⁷.
     let (n, k) = (10_000_000u64, 8u32);
-    let mut rounds_mf = Vec::new();
-    let mut rounds_urn = Vec::new();
-    let mut win_mf = Vec::new();
-    let mut win_urn = Vec::new();
+    let mut rounds_a = Vec::new();
+    let mut rounds_b = Vec::new();
+    let mut win_a = Vec::new();
+    let mut win_b = Vec::new();
     for seed in 0..REPS {
-        let m = SyncMfConfig::new(n, k, 1.0).unwrap().with_seed(seed).run();
-        rounds_mf.push(m.rounds as f64);
-        win_mf.push(winner_index(&m.outcome));
-        let u = UrnConfig::new(n, k, 1.0)
+        let a = UrnConfig::new(n, k, 1.0).unwrap().with_seed(seed).run();
+        rounds_a.push(a.rounds as f64);
+        win_a.push(winner_index(&a.outcome));
+        let b = UrnConfig::new(n, k, 1.0)
             .unwrap()
             .with_seed(10_000 + seed)
             .run();
-        rounds_urn.push(u.rounds as f64);
-        win_urn.push(winner_index(&u.outcome));
+        rounds_b.push(b.rounds as f64);
+        win_b.push(winner_index(&b.outcome));
     }
-    assert_same_distribution("sync-mf@1e7 rounds", &rounds_mf, &rounds_urn);
+    assert_same_distribution("urn@1e7 rounds", &rounds_a, &rounds_b);
     assert_same_marginal(
-        "sync-mf@1e7 winner",
-        &tally(&win_mf, k as usize),
-        &tally(&win_urn, k as usize),
+        "urn@1e7 winner",
+        &tally(&win_a, k as usize),
+        &tally(&win_b, k as usize),
     );
 }
 

@@ -1,5 +1,5 @@
 //! The [`Protocol`] trait and its engine implementations — the six
-//! per-node engines plus the five mean-field aggregate (`*-mf`)
+//! per-node engines plus the four mean-field aggregate (`*-mf`)
 //! backends from `plurality-agg`.
 //!
 //! Each implementation is a plain-data handle carrying only the
@@ -12,9 +12,7 @@
 
 use crate::config::RunConfig;
 use crate::report::Report;
-use plurality_agg::{
-    LeaderMfConfig, Majority3MfConfig, PopulationMfConfig, SyncMfConfig, UndecidedMfConfig,
-};
+use plurality_agg::{LeaderMfConfig, Majority3MfConfig, PopulationMfConfig, UndecidedMfConfig};
 use plurality_baselines::{Dynamics, DynamicsConfig, PopulationConfig, PopulationProtocol};
 use plurality_core::cluster::ClusterConfig;
 use plurality_core::leader::LeaderConfig;
@@ -106,6 +104,7 @@ impl Protocol for SyncEngine {
 }
 
 /// The urn-mode (mean-field) synchronous protocol — see [`UrnConfig`].
+/// The registry resolves both `urn` and its alias `sync-mf` to it.
 ///
 /// Urn mode is definitionally mean-field: the exact multinomial
 /// reduction requires every node to sample every other node with equal
@@ -149,21 +148,7 @@ impl Protocol for UrnEngine {
     }
 
     fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
-        cfg.validate()?;
-        if cfg.topology() != Topology::Complete {
-            return Err(InvalidParameterError::new(format!(
-                "urn mode is definitionally mean-field (= complete graph); \
-                 run `sync` with topology {} instead",
-                cfg.topology().spec()
-            )));
-        }
-        if !cfg.scenario().is_empty() {
-            return Err(InvalidParameterError::new(
-                "urn mode tracks anonymous cell counts, so per-node scenario events \
-                 do not apply; run `sync` with the scenario instead",
-            ));
-        }
-        Ok(())
+        check_mean_field("urn", "sync", cfg)
     }
 
     fn run(&self, cfg: &RunConfig) -> Report {
@@ -428,11 +413,11 @@ impl Protocol for PopulationEngine {
     }
 }
 
-/// Shared mean-field exemption for the aggregate (`*-mf`) engines: the
-/// count-pool reductions require every node to sample uniformly from
-/// the whole population, so neither topologies nor per-node scenario
-/// events can apply. `per_node` names the agent-based protocol the
-/// teaching error points at.
+/// Shared mean-field exemption for urn mode and the aggregate (`*-mf`)
+/// engines: the count-pool reductions require every node to sample
+/// uniformly from the whole population, so neither topologies nor
+/// per-node scenario events can apply. `per_node` names the agent-based
+/// protocol the teaching error points at.
 fn check_mean_field(
     name: &str,
     per_node: &str,
@@ -455,45 +440,6 @@ fn check_mean_field(
         )));
     }
     Ok(())
-}
-
-/// The mean-field synchronous generation protocol — see
-/// [`SyncMfConfig`]. Delegates to the exact urn reduction, so it shares
-/// the urn's law (and RNG stream) while scaling to `n ≈ 10⁹`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SyncMfEngine {
-    /// Generation-density threshold `γ` (engine default 1/2).
-    pub gamma: Option<f64>,
-    /// Overrides the `α₀` used for the schedule.
-    pub alpha_hint: Option<f64>,
-}
-
-impl Protocol for SyncMfEngine {
-    fn name(&self) -> &'static str {
-        "sync-mf"
-    }
-
-    fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
-        check_mean_field("sync-mf", "sync", cfg)
-    }
-
-    fn run(&self, cfg: &RunConfig) -> Report {
-        self.check(cfg)
-            .expect("sync-mf run config must pass SyncMfEngine::check");
-        let mut c = SyncMfConfig::from_counts(assignment_counts(cfg.assignment(), cfg.seed()))
-            .with_seed(cfg.seed())
-            .with_epsilon(cfg.epsilon());
-        if let Some(gamma) = self.gamma {
-            c = c.with_gamma(gamma);
-        }
-        if let Some(alpha) = self.alpha_hint {
-            c = c.with_alpha_hint(alpha);
-        }
-        if let Some(max) = cfg.max_duration() {
-            c = c.with_max_rounds(max.ceil() as u64);
-        }
-        c.run().into()
-    }
 }
 
 /// The mean-field single-leader protocol — see [`LeaderMfConfig`]. A
@@ -678,7 +624,6 @@ mod tests {
             Box::new(PopulationEngine::new(
                 PopulationProtocol::ApproximateMajority,
             )),
-            Box::new(SyncMfEngine::default()),
             Box::new(LeaderMfEngine::default()),
             Box::new(Majority3MfEngine),
             Box::new(UndecidedMfEngine),
@@ -764,7 +709,7 @@ mod tests {
     #[test]
     fn mean_field_engines_reject_topology_and_scenario_with_teaching_errors() {
         let engines: Vec<(Box<dyn Protocol>, &str)> = vec![
-            (Box::new(SyncMfEngine::default()), "sync"),
+            (Box::new(UrnEngine::default()), "sync"),
             (Box::new(LeaderMfEngine::default()), "leader"),
             (Box::new(Majority3MfEngine), "3-majority"),
             (Box::new(UndecidedMfEngine), "undecided"),
@@ -790,15 +735,15 @@ mod tests {
 
     #[test]
     fn sync_mf_teaching_error_is_pinned() {
-        let cfg = RunConfig::with_bias(1_000, 2, 2.0)
-            .unwrap()
-            .with_topology(Topology::Ring);
-        let err = SyncMfEngine::default().check(&cfg).unwrap_err();
+        // `sync-mf` is an alias of `urn`, so it teaches urn's error.
+        let err = crate::Registry::standard()
+            .resolve(&crate::RunSpec::parse("sync-mf?n=1000&k=2&topology=ring").unwrap())
+            .unwrap_err();
         assert_eq!(
-            err.to_string(),
-            "invalid distribution parameter: `sync-mf` advances anonymous count \
-             pools and is definitionally mean-field (= complete graph); run the \
-             per-node `sync` with topology ring instead"
+            err.message(),
+            "`urn` advances anonymous count pools and is definitionally \
+             mean-field (= complete graph); run the per-node `sync` with \
+             topology ring instead"
         );
     }
 
@@ -815,14 +760,12 @@ mod tests {
 
     #[test]
     fn sync_mf_facade_matches_urn_outcome() {
-        // sync-mf delegates to the exact urn reduction, so the facade
-        // runs agree bitwise at the same seed.
-        let cfg = RunConfig::with_bias(50_000, 3, 2.0).unwrap().with_seed(7);
-        let urn = UrnEngine::default().run(&cfg);
-        let mf = SyncMfEngine::default().run(&cfg);
-        assert_eq!(mf.outcome, urn.outcome);
-        assert_eq!(mf.rounds(), urn.rounds());
-        assert_eq!(mf.g_star(), urn.g_star());
+        // `sync-mf` names the urn law, so its report is the urn report,
+        // byte for byte on the wire.
+        let mf = crate::run_spec("sync-mf?n=1e6&k=4&alpha=2&seed=1").unwrap();
+        let urn = crate::run_spec("urn?n=1e6&k=4&alpha=2&seed=1").unwrap();
+        assert_eq!(mf.protocol, "urn");
+        assert_eq!(mf.wire_text(), urn.wire_text());
     }
 
     #[test]

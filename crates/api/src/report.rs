@@ -1,9 +1,7 @@
 //! The unified run report: one common [`RunOutcome`] plus a typed
 //! [`Telemetry`] enum preserving every engine-specific field.
 
-use plurality_agg::{
-    LeaderMfResult, Majority3MfResult, PopulationMfResult, SyncMfResult, UndecidedMfResult,
-};
+use plurality_agg::{LeaderMfResult, Majority3MfResult, PopulationMfResult, UndecidedMfResult};
 use plurality_baselines::{Dynamics, DynamicsResult, PopulationProtocol, PopulationResult};
 use plurality_core::cluster::{ClusterResult, PhaseLogEntry};
 use plurality_core::leader::{GenerationPhase, LeaderResult};
@@ -74,12 +72,10 @@ pub enum Telemetry {
     Gossip(GossipTelemetry),
     /// A two-opinion population protocol.
     Population(PopulationTelemetry),
-    /// The mean-field synchronous generation protocol (`sync-mf`).
-    SyncMf(SyncMfTelemetry),
     /// The mean-field single-leader protocol (`leader-mf`).
     LeaderMf(LeaderMfTelemetry),
     /// A mean-field gossip dynamic (`majority3-mf`, `undecided-mf`).
-    GossipMf(GossipMfTelemetry),
+    GossipMf(GossipTelemetry),
     /// The mean-field approximate-majority population protocol
     /// (`population-mf`).
     PopulationMf(PopulationMfTelemetry),
@@ -165,7 +161,9 @@ pub struct ClusterTelemetry {
     pub profile: EngineProfile,
 }
 
-/// Telemetry of a [`DynamicsResult`] beyond the shared outcome.
+/// Telemetry of a [`DynamicsResult`] — or of its mean-field
+/// counterpart, [`Majority3MfResult`] / [`UndecidedMfResult`] — beyond
+/// the shared outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GossipTelemetry {
     /// Which dynamic ran.
@@ -189,17 +187,6 @@ pub struct PopulationTelemetry {
     pub converged: bool,
 }
 
-/// Telemetry of a [`SyncMfResult`] beyond the shared outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SyncMfTelemetry {
-    /// Rounds simulated.
-    pub rounds: u64,
-    /// The `G*` used by the schedule.
-    pub g_star: u32,
-    /// Upper envelope of multinomial pool splits performed.
-    pub pool_splits: u64,
-}
-
 /// Telemetry of a [`LeaderMfResult`] beyond the shared outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaderMfTelemetry {
@@ -211,19 +198,6 @@ pub struct LeaderMfTelemetry {
     pub leader_generation: u32,
     /// Whether the leader ended terminal.
     pub leader_terminal: bool,
-}
-
-/// Telemetry of a mean-field gossip dynamic ([`Majority3MfResult`] or
-/// [`UndecidedMfResult`]) beyond the shared outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GossipMfTelemetry {
-    /// Which dynamic's mean-field law ran.
-    pub dynamics: Dynamics,
-    /// Rounds simulated.
-    pub rounds: u64,
-    /// Peak fraction of undecided nodes (always 0 except for
-    /// [`Dynamics::Undecided`]).
-    pub peak_undecided: f64,
 }
 
 /// Telemetry of a [`PopulationMfResult`] beyond the shared outcome.
@@ -246,20 +220,17 @@ impl Report {
         match &self.telemetry {
             Telemetry::Sync(t) => Some(t.rounds),
             Telemetry::Urn(t) => Some(t.rounds),
-            Telemetry::Gossip(t) => Some(t.rounds),
-            Telemetry::SyncMf(t) => Some(t.rounds),
-            Telemetry::GossipMf(t) => Some(t.rounds),
+            Telemetry::Gossip(t) | Telemetry::GossipMf(t) => Some(t.rounds),
             _ => None,
         }
     }
 
     /// The generation target `G*`, for the schedule-driven engines
-    /// (sync, urn, sync-mf).
+    /// (sync, urn).
     pub fn g_star(&self) -> Option<u32> {
         match &self.telemetry {
             Telemetry::Sync(t) => Some(t.g_star),
             Telemetry::Urn(t) => Some(t.g_star),
-            Telemetry::SyncMf(t) => Some(t.g_star),
             _ => None,
         }
     }
@@ -312,8 +283,7 @@ impl Report {
     /// Peak undecided fraction (gossip dynamics only).
     pub fn peak_undecided(&self) -> Option<f64> {
         match &self.telemetry {
-            Telemetry::Gossip(t) => Some(t.peak_undecided),
-            Telemetry::GossipMf(t) => Some(t.peak_undecided),
+            Telemetry::Gossip(t) | Telemetry::GossipMf(t) => Some(t.peak_undecided),
             _ => None,
         }
     }
@@ -475,27 +445,6 @@ impl From<DynamicsResult> for Report {
     }
 }
 
-impl From<SyncMfResult> for Report {
-    fn from(r: SyncMfResult) -> Self {
-        let SyncMfResult {
-            outcome,
-            rounds,
-            g_star,
-            pool_splits,
-        } = r;
-        Report {
-            protocol: "sync-mf",
-            outcome,
-            telemetry: Telemetry::SyncMf(SyncMfTelemetry {
-                rounds,
-                g_star,
-                pool_splits,
-            }),
-            trace: None,
-        }
-    }
-}
-
 impl From<LeaderMfResult> for Report {
     fn from(r: LeaderMfResult) -> Self {
         let LeaderMfResult {
@@ -525,7 +474,7 @@ impl From<Majority3MfResult> for Report {
         Report {
             protocol: "majority3-mf",
             outcome,
-            telemetry: Telemetry::GossipMf(GossipMfTelemetry {
+            telemetry: Telemetry::GossipMf(GossipTelemetry {
                 dynamics: Dynamics::ThreeMajority,
                 rounds,
                 peak_undecided: 0.0,
@@ -545,7 +494,7 @@ impl From<UndecidedMfResult> for Report {
         Report {
             protocol: "undecided-mf",
             outcome,
-            telemetry: Telemetry::GossipMf(GossipMfTelemetry {
+            telemetry: Telemetry::GossipMf(GossipTelemetry {
                 dynamics: Dynamics::Undecided,
                 rounds,
                 peak_undecided,

@@ -22,7 +22,7 @@
 use crate::config::RunConfig;
 use crate::protocol::{
     ClusterEngine, GossipEngine, LeaderEngine, LeaderMfEngine, Majority3MfEngine, PopulationEngine,
-    PopulationMfEngine, Protocol, SyncEngine, SyncMfEngine, UndecidedMfEngine, UrnEngine,
+    PopulationMfEngine, Protocol, SyncEngine, UndecidedMfEngine, UrnEngine,
 };
 use crate::report::Report;
 use plurality_baselines::{Dynamics, PopulationProtocol};
@@ -277,6 +277,17 @@ impl KeyValues<'_> {
             other => Ok(other),
         }
     }
+
+    /// The generation-density threshold `gamma`, which must lie in the
+    /// open interval (0, 1).
+    fn get_gamma(&self) -> Result<Option<f64>, SpecError> {
+        match self.get_f64("gamma")? {
+            Some(g) if !(g > 0.0 && g < 1.0) => Err(SpecError::new(format!(
+                "parameter `gamma` must lie in (0, 1), got {g}"
+            ))),
+            other => Ok(other),
+        }
+    }
 }
 
 /// One registered protocol: its canonical name, aliases, a one-line
@@ -353,14 +364,6 @@ pub const COMMON_KEYS: [(&str, &str); 9] = [
 ];
 
 fn build_sync(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
-    let gamma = match kv.get_f64("gamma")? {
-        Some(g) if !(g > 0.0 && g < 1.0) => {
-            return Err(SpecError::new(format!(
-                "parameter `gamma` must lie in (0, 1), got {g}"
-            )))
-        }
-        other => other,
-    };
     let mode = match kv.get("mode") {
         None | Some("predefined") => ScheduleMode::Predefined,
         Some("adaptive") => ScheduleMode::Adaptive,
@@ -371,23 +374,15 @@ fn build_sync(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
         }
     };
     Ok(Box::new(SyncEngine {
-        gamma,
+        gamma: kv.get_gamma()?,
         mode,
         ..Default::default()
     }))
 }
 
 fn build_urn(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
-    let gamma = match kv.get_f64("gamma")? {
-        Some(g) if !(g > 0.0 && g < 1.0) => {
-            return Err(SpecError::new(format!(
-                "parameter `gamma` must lie in (0, 1), got {g}"
-            )))
-        }
-        other => other,
-    };
     Ok(Box::new(UrnEngine {
-        gamma,
+        gamma: kv.get_gamma()?,
         ..Default::default()
     }))
 }
@@ -496,21 +491,6 @@ fn build_population(
     }
 }
 
-fn build_sync_mf(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
-    let gamma = match kv.get_f64("gamma")? {
-        Some(g) if !(g > 0.0 && g < 1.0) => {
-            return Err(SpecError::new(format!(
-                "parameter `gamma` must lie in (0, 1), got {g}"
-            )))
-        }
-        other => other,
-    };
-    Ok(Box::new(SyncMfEngine {
-        gamma,
-        ..Default::default()
-    }))
-}
-
 fn build_leader_mf(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
     let dt = match kv.get_f64("dt")? {
         Some(dt) if !(dt > 0.0 && dt <= 1.0) => {
@@ -543,11 +523,12 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// The standard registry covering every engine — fifteen protocol
+    /// The standard registry covering every engine — fourteen protocol
     /// names: the six per-node engines (the four gossip dynamics and
     /// the two population protocols are separate entries of their
-    /// shared engines) plus the five mean-field aggregate (`*-mf`)
-    /// backends from `plurality-agg`.
+    /// shared engines) plus the four mean-field aggregate (`*-mf`)
+    /// backends from `plurality-agg`. `sync-mf` is an alias of `urn`,
+    /// which already is the exact count-pool law of Algorithm 1.
     pub fn standard() -> &'static Registry {
         static REGISTRY: OnceLock<Registry> = OnceLock::new();
         REGISTRY.get_or_init(|| Registry {
@@ -565,7 +546,7 @@ impl Registry {
                 },
                 ProtocolEntry {
                     name: "urn",
-                    aliases: &[],
+                    aliases: &["sync-mf"],
                     summary: "mean-field urn mode of the synchronous protocol (exact, n-independent cost)",
                     keys: &[("gamma", GAMMA_HELP)],
                     default_k: 4,
@@ -644,14 +625,6 @@ impl Registry {
                     keys: &[("a", "initial support of opinion A (default: from n, k=2, alpha)")],
                     default_k: 2,
                     build: build_population(PopulationProtocol::ExactMajority),
-                },
-                ProtocolEntry {
-                    name: "sync-mf",
-                    aliases: &[],
-                    summary: "mean-field aggregate sync engine (exact urn law, n up to ~1e9)",
-                    keys: &[("gamma", GAMMA_HELP)],
-                    default_k: 4,
-                    build: build_sync_mf,
                 },
                 ProtocolEntry {
                     name: "leader-mf",
@@ -995,7 +968,7 @@ mod tests {
     #[test]
     fn scientific_notation_counts_parse_for_every_entry() {
         let report = run_spec("sync-mf?n=1e6&k=8&seed=1").unwrap();
-        assert_eq!(report.protocol, "sync-mf");
+        assert_eq!(report.protocol, "urn");
         assert_eq!(report.outcome.n, 1_000_000);
         assert!(report.outcome.plurality_preserved());
         // The notation is shared with the per-node entries.
@@ -1034,6 +1007,7 @@ mod tests {
     #[test]
     fn mean_field_aliases_resolve() {
         for (alias, canonical) in [
+            ("sync-mf", "urn"),
             ("3-majority-mf", "majority3-mf"),
             ("undecided-state-mf", "undecided-mf"),
             ("approx-majority-mf", "population-mf"),

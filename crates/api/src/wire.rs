@@ -30,9 +30,9 @@
 //! and `protocol`), the shared [`RunOutcome`] fields, and one
 //! telemetry block per engine family whose keys are prefixed with the
 //! [`Telemetry`] variant name (`sync.` / `urn.` / `leader.` /
-//! `cluster.` / `gossip.` / `population.`, plus `sync-mf.` /
-//! `leader-mf.` / `gossip-mf.` / `population-mf.` for the mean-field
-//! aggregate engines). Within a block, key order is fixed; every field
+//! `cluster.` / `gossip.` / `population.`, plus `leader-mf.` /
+//! `gossip-mf.` / `population-mf.` for the mean-field aggregate
+//! engines). Within a block, key order is fixed; every field
 //! of the in-memory report is rendered, so nothing is lost on the wire.
 //!
 //! ## Stability and determinism
@@ -249,12 +249,6 @@ fn telemetry_block(out: &mut String, telemetry: &Telemetry) {
                 if t.converged { "1" } else { "0" },
             );
         }
-        Telemetry::SyncMf(t) => {
-            line(out, "telemetry", "sync-mf");
-            line(out, "sync-mf.rounds", t.rounds.to_string());
-            line(out, "sync-mf.g_star", t.g_star.to_string());
-            line(out, "sync-mf.pool_splits", t.pool_splits.to_string());
-        }
         Telemetry::LeaderMf(t) => {
             line(out, "telemetry", "leader-mf");
             line(out, "leader-mf.sub_steps", t.sub_steps.to_string());
@@ -410,7 +404,7 @@ mod tests {
                 "approx-majority?n=400&alpha=3.0&seed=1",
                 "telemetry=population",
             ),
-            ("sync-mf?n=1e6&k=4&alpha=2.0&seed=1", "telemetry=sync-mf"),
+            ("sync-mf?n=1e6&k=4&alpha=2.0&seed=1", "telemetry=urn"),
             (
                 "leader-mf?n=100000&k=2&alpha=3.0&seed=1",
                 "telemetry=leader-mf",

@@ -42,7 +42,6 @@ fn variant_name(report: &Report) -> &'static str {
         Telemetry::Cluster(_) => "Cluster",
         Telemetry::Gossip(_) => "Gossip",
         Telemetry::Population(_) => "Population",
-        Telemetry::SyncMf(_) => "SyncMf",
         Telemetry::LeaderMf(_) => "LeaderMf",
         Telemetry::GossipMf(_) => "GossipMf",
         Telemetry::PopulationMf(_) => "PopulationMf",
@@ -55,7 +54,7 @@ fn every_accessor_matches_its_documented_variants() {
     // at `record=full` so their winner-fraction series exists — the
     // matrix marks the *capability*; the record-level dependence is
     // checked separately below.
-    let table: [(&str, &str, Row); 10] = [
+    let table: [(&str, &str, Row); 9] = [
         (
             "sync?n=400&k=2&alpha=2&seed=1&record=full",
             "Sync",
@@ -142,21 +141,6 @@ fn every_accessor_matches_its_documented_variants() {
                 phases: false,
                 cluster_count: false,
                 interactions: true,
-                peak_undecided: false,
-                winner_fraction: false,
-            },
-        ),
-        (
-            "sync-mf?n=1e6&k=4&alpha=2&seed=1",
-            "SyncMf",
-            Row {
-                rounds: true,
-                g_star: true,
-                steps_per_unit: false,
-                ticks: false,
-                phases: false,
-                cluster_count: false,
-                interactions: false,
                 peak_undecided: false,
                 winner_fraction: false,
             },

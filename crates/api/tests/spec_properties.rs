@@ -164,8 +164,7 @@ fn rejection_error_messages_are_stable() {
             "paxos",
             "invalid run spec: unknown protocol `paxos` (registered: sync, urn, leader, \
              cluster, pull, two-choices, 3-majority, undecided, approx-majority, \
-             exact-majority, sync-mf, leader-mf, majority3-mf, undecided-mf, \
-             population-mf)",
+             exact-majority, leader-mf, majority3-mf, undecided-mf, population-mf)",
         ),
         (
             "sync?loss=0.2",

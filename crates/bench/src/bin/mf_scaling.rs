@@ -1,14 +1,14 @@
 //! **Experiment E22 — mean-field scaling**: rounds-to-consensus vs `n`
-//! over `n = 10⁴ … 10⁹` on the aggregate backends.
+//! over `n = 10⁴ … 10⁹` on the count-pool engines.
 //!
 //! The per-node engines stop near 10⁶–10⁷ agents; the count-pool
 //! backends have cost independent of `n`, so this sweep runs the same
 //! protocol across six orders of magnitude and fits the growth law
 //! directly:
 //!
-//! * `sync-mf` — the paper's synchronous protocol reduces all `log`
-//!   terms to `log log n` at fixed `k`, so rounds should be *almost
-//!   flat* in `ln n` (slope well below 1 round per e-fold);
+//! * `urn` (alias `sync-mf`) — the paper's synchronous protocol reduces
+//!   all `log` terms to `log log n` at fixed `k`, so rounds should be
+//!   *almost flat* in `ln n` (slope well below 1 round per e-fold);
 //! * `leader-mf` — Theorem 13's `O(log n)` time-unit bound should show
 //!   as a clean *linear* fit of consensus time against `ln n`;
 //! * `majority3-mf` / `undecided-mf` — the classical `Θ(log n)`
@@ -17,8 +17,9 @@
 //! Each cell averages fixed-seed repetitions via the shared
 //! `run_many` seed stream, so the sweep is reproducible bit for bit.
 
-use plurality_agg::{LeaderMfConfig, Majority3MfConfig, SyncMfConfig, UndecidedMfConfig};
+use plurality_agg::{LeaderMfConfig, Majority3MfConfig, UndecidedMfConfig};
 use plurality_bench::{is_full, results_dir, run_many, run_sweep};
+use plurality_core::sync::UrnConfig;
 use plurality_stats::{fit, fmt_f64, Axis, OnlineStats, Table};
 
 const NS: [u64; 6] = [
@@ -76,14 +77,14 @@ fn main() {
     let (k, alpha) = (8u32, 1.5f64);
 
     let sync = sweep(reps, |n, seed| {
-        let r = SyncMfConfig::new(n, k, alpha)
+        let r = UrnConfig::new(n, k, alpha)
             .expect("valid")
             .with_seed(seed)
             .run();
         (r.rounds as f64, r.outcome.plurality_preserved())
     });
     let (t, slope, r2) = report(
-        format!("E22 (a): sync-mf rounds vs n (k = {k}, α₀ = {alpha})").as_str(),
+        format!("E22 (a): urn rounds vs n (k = {k}, α₀ = {alpha})").as_str(),
         "rounds",
         &sync,
         reps,
@@ -95,7 +96,7 @@ fn main() {
     );
     assert!(
         slope.abs() < 1.0,
-        "sync-mf rounds grew {slope:.3} per e-fold of n — faster than log log n allows"
+        "urn rounds grew {slope:.3} per e-fold of n — faster than log log n allows"
     );
     let csv_sync = t;
 

@@ -23,7 +23,7 @@
 //! functions of fixed seeds, so they must match to the digit; timing keys
 //! are machine-dependent and only checked for presence.
 
-use plurality_agg::{LeaderMfConfig, SyncMfConfig};
+use plurality_agg::LeaderMfConfig;
 use plurality_core::cluster::ClusterConfig;
 use plurality_core::leader::LeaderConfig;
 use plurality_core::sync::{SyncConfig, UrnConfig};
@@ -217,22 +217,12 @@ fn engine_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
             std::hint::black_box(r.ticks);
         }),
     ));
+    // Mean-field keys: cost is independent of n, so these hold the
+    // 10⁸-node wall-clock on the trajectory.
     metrics.push((
         "engine/urn_n1e8_k8_ms".into(),
         median_ms(eff.engine_runs, || {
             let r = UrnConfig::new(100_000_000, 8, 1.5)
-                .expect("valid")
-                .with_seed(2)
-                .run();
-            std::hint::black_box(r.rounds);
-        }),
-    ));
-    // Mean-field aggregate keys: cost is rounds × k pools, independent
-    // of n, so these hold the 10⁸-node wall-clock on the trajectory.
-    metrics.push((
-        "engine/sync_mf_n1e8_k8_ms".into(),
-        median_ms(eff.engine_runs, || {
-            let r = SyncMfConfig::new(100_000_000, 8, 1.5)
                 .expect("valid")
                 .with_seed(2)
                 .run();

@@ -8,7 +8,6 @@
 //!   fractions;
 //! * [`fit`] — least-squares fits on log-transformed axes, for checking
 //!   the paper's scaling laws (`log k`, `log log n`, …);
-//! * [`Histogram`] — fixed-bin histograms with ASCII rendering;
 //! * [`Table`] — paper-style ASCII tables with CSV export;
 //! * [`ks_test`] / [`chi_square_homogeneity`] — two-sample
 //!   goodness-of-fit tests, backing the aggregate-vs-per-node
@@ -27,13 +26,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod histogram;
 mod regression;
 mod summary;
 mod table;
 mod twosample;
 
-pub use histogram::Histogram;
 pub use regression::{fit, Axis, LinearFit};
 pub use summary::{success_rate, OnlineStats};
 pub use table::{fmt_f64, Table};

@@ -1,11 +1,11 @@
-//! Mean-field demo: every aggregate backend at n = 10⁹.
+//! Mean-field demo: every count-pool engine at n = 10⁹.
 //!
-//! Per-node engines top out around 10⁶–10⁷ agents; the `-mf` backends
-//! advance whole count pools per step, so their cost scales with
-//! rounds × k, not with n — a billion-node run of each of the five
+//! Per-node engines top out around 10⁶–10⁷ agents; `urn` and the `-mf`
+//! backends advance whole count pools per step, so their cost scales
+//! with rounds × k, not with n — a billion-node run of each of the five
 //! protocols finishes in well under a second. This example drives all
 //! of them through the spec facade, exactly as the CLI would
-//! (`plurality --spec "sync-mf?n=1e9&k=8"`).
+//! (`plurality --spec "urn?n=1e9&k=8"`).
 //!
 //! ```sh
 //! cargo run --release --example billion_nodes
@@ -18,7 +18,7 @@ fn main() {
     println!("mean-field aggregate engines at n = 10⁹\n");
 
     let specs = [
-        format!("sync-mf?n={n}&k=8&alpha=1.5&seed=7"),
+        format!("urn?n={n}&k=8&alpha=1.5&seed=7"),
         format!("leader-mf?n={n}&k=4&alpha=3.0&seed=7"),
         format!("majority3-mf?n={n}&k=8&alpha=1.5&seed=7"),
         format!("undecided-mf?n={n}&k=8&alpha=1.5&seed=7"),

@@ -44,7 +44,6 @@ fn main() {
             Telemetry::Cluster(t) => format!("{} clusters", t.cluster_count),
             Telemetry::Gossip(t) => format!("peak undecided {:.2}", t.peak_undecided),
             Telemetry::Population(t) => format!("{} interactions", t.interactions),
-            Telemetry::SyncMf(t) => format!("G* = {} ({} pool splits)", t.g_star, t.pool_splits),
             Telemetry::LeaderMf(t) => format!("{} tau-leap sub-steps", t.sub_steps),
             Telemetry::GossipMf(t) => format!("{} mean-field rounds", t.rounds),
             Telemetry::PopulationMf(t) => {

@@ -119,7 +119,6 @@ fn print_report(report: &Report) {
         Telemetry::Cluster(_) => "async multi-leader (Algorithms 4+5)".to_string(),
         Telemetry::Gossip(t) => t.dynamics.name().to_string(),
         Telemetry::Population(t) => t.protocol.name().to_string(),
-        Telemetry::SyncMf(_) => "mean-field synchronous (count pools)".to_string(),
         Telemetry::LeaderMf(_) => "mean-field single-leader (tau-leap pools)".to_string(),
         Telemetry::GossipMf(t) => format!("mean-field {}", t.dynamics.name()),
         Telemetry::PopulationMf(_) => "mean-field approximate majority (jump chain)".to_string(),
@@ -138,20 +137,17 @@ fn print_report(report: &Report) {
             t.participating_clusters,
             100.0 * t.participating_fraction
         ),
-        Telemetry::Gossip(t) => println!("rounds:              {}", t.rounds),
+        Telemetry::Gossip(t) | Telemetry::GossipMf(t) => {
+            println!("rounds:              {}", t.rounds)
+        }
         Telemetry::Population(t) => println!(
             "interactions:        {} (converged: {})",
             t.interactions, t.converged
-        ),
-        Telemetry::SyncMf(t) => println!(
-            "rounds:              {} (G* = {}, {} pool splits)",
-            t.rounds, t.g_star, t.pool_splits
         ),
         Telemetry::LeaderMf(t) => println!(
             "time unit:           C1 = {:.3} steps ({} sub-steps processed)",
             t.steps_per_unit, t.sub_steps
         ),
-        Telemetry::GossipMf(t) => println!("rounds:              {}", t.rounds),
         Telemetry::PopulationMf(t) => println!(
             "interactions:        {} ({} effective in {} batches, converged: {})",
             t.interactions, t.effective_interactions, t.batches, t.converged
