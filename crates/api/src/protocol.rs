@@ -67,10 +67,6 @@ pub struct SyncEngine {
     /// How two-choices rounds are chosen (default
     /// [`ScheduleMode::Predefined`]).
     pub mode: ScheduleMode,
-    /// Overrides the `α₀` used to build the predefined schedule.
-    pub alpha_hint: Option<f64>,
-    /// Caps the number of generations.
-    pub max_generations: Option<u32>,
 }
 
 impl Protocol for SyncEngine {
@@ -89,12 +85,6 @@ impl Protocol for SyncEngine {
             .with_mode(self.mode);
         if let Some(gamma) = self.gamma {
             c = c.with_gamma(gamma);
-        }
-        if let Some(alpha) = self.alpha_hint {
-            c = c.with_alpha_hint(alpha);
-        }
-        if let Some(cap) = self.max_generations {
-            c = c.with_max_generations(cap);
         }
         if let Some(max) = cfg.max_duration() {
             c = c.with_max_rounds(max.ceil() as u64);
@@ -115,8 +105,6 @@ impl Protocol for SyncEngine {
 pub struct UrnEngine {
     /// Generation-density threshold `γ` (engine default 1/2).
     pub gamma: Option<f64>,
-    /// Overrides the `α₀` used for the schedule.
-    pub alpha_hint: Option<f64>,
 }
 
 /// The exact per-opinion counts an assignment stands for, computed
@@ -160,9 +148,6 @@ impl Protocol for UrnEngine {
         if let Some(gamma) = self.gamma {
             c = c.with_gamma(gamma);
         }
-        if let Some(alpha) = self.alpha_hint {
-            c = c.with_alpha_hint(alpha);
-        }
         if let Some(max) = cfg.max_duration() {
             c = c.with_max_rounds(max.ceil() as u64);
         }
@@ -179,15 +164,6 @@ pub struct LeaderEngine {
     /// Overrides the time-unit length `C1` in steps (default:
     /// memoized Monte-Carlo estimate).
     pub steps_per_unit: Option<f64>,
-    /// Length of the two-choices window in time units (engine default
-    /// 2).
-    pub two_choices_units: Option<f64>,
-    /// Overrides the generation cap `⌈log log_α n⌉`.
-    pub generation_cap: Option<u32>,
-    /// Overrides the bias `α₀` used for the generation cap.
-    pub alpha_hint: Option<f64>,
-    /// Gen-size threshold as a fraction of `n` (engine default 1/2).
-    pub gen_size_fraction: Option<f64>,
     /// Persistent 0-/gen-signal loss probability (default 0).
     pub signal_loss: f64,
     /// Straggler injection `(fraction, rate)` (default none).
@@ -214,18 +190,6 @@ impl Protocol for LeaderEngine {
         if let Some(c1) = self.steps_per_unit {
             c = c.with_steps_per_unit(c1);
         }
-        if let Some(units) = self.two_choices_units {
-            c = c.with_two_choices_units(units);
-        }
-        if let Some(cap) = self.generation_cap {
-            c = c.with_generation_cap(cap);
-        }
-        if let Some(alpha) = self.alpha_hint {
-            c = c.with_alpha_hint(alpha);
-        }
-        if let Some(fraction) = self.gen_size_fraction {
-            c = c.with_gen_size_fraction(fraction);
-        }
         if let Some((fraction, rate)) = self.stragglers {
             c = c.with_stragglers(fraction, rate);
         }
@@ -248,18 +212,6 @@ pub struct ClusterEngine {
     pub participation_size: Option<u64>,
     /// Probability of a node declaring itself a leader.
     pub leader_probability: Option<f64>,
-    /// Counting pause after a cluster fills, in time units.
-    pub pause_units: Option<f64>,
-    /// Post-pause accepting window, in time units.
-    pub accept_units: Option<f64>,
-    /// Two-choices window per generation, in time units.
-    pub two_choices_units: Option<f64>,
-    /// Sleeping window per generation, in time units.
-    pub sleep_units: Option<f64>,
-    /// Overrides the generation cap `⌈log log_α n⌉`.
-    pub generation_cap: Option<u32>,
-    /// Overrides the bias `α₀` used for the generation cap.
-    pub alpha_hint: Option<f64>,
 }
 
 impl Protocol for ClusterEngine {
@@ -286,24 +238,6 @@ impl Protocol for ClusterEngine {
         }
         if let Some(p) = self.leader_probability {
             c = c.with_leader_probability(p);
-        }
-        if let Some(units) = self.pause_units {
-            c = c.with_pause_units(units);
-        }
-        if let Some(units) = self.accept_units {
-            c = c.with_accept_units(units);
-        }
-        if let Some(units) = self.two_choices_units {
-            c = c.with_two_choices_units(units);
-        }
-        if let Some(units) = self.sleep_units {
-            c = c.with_sleep_units(units);
-        }
-        if let Some(cap) = self.generation_cap {
-            c = c.with_generation_cap(cap);
-        }
-        if let Some(alpha) = self.alpha_hint {
-            c = c.with_alpha_hint(alpha);
         }
         if let Some(max) = cfg.max_duration() {
             c = c.with_max_time(max);
@@ -450,8 +384,6 @@ pub struct LeaderMfEngine {
     /// Tau-leap sub-step length in time units, in `(0, 1]` (engine
     /// default 1/8).
     pub dt: Option<f64>,
-    /// Overrides the bias `α₀` used for the generation cap.
-    pub alpha_hint: Option<f64>,
 }
 
 impl Protocol for LeaderMfEngine {
@@ -479,9 +411,6 @@ impl Protocol for LeaderMfEngine {
             .with_epsilon(cfg.epsilon());
         if let Some(dt) = self.dt {
             c = c.with_dt(dt);
-        }
-        if let Some(alpha) = self.alpha_hint {
-            c = c.with_alpha_hint(alpha);
         }
         if let Some(max) = cfg.max_duration() {
             c = c.with_max_time(max);
@@ -750,10 +679,7 @@ mod tests {
     #[test]
     fn leader_mf_rejects_out_of_range_dt() {
         let cfg = RunConfig::with_bias(1_000, 2, 2.0).unwrap();
-        let engine = LeaderMfEngine {
-            dt: Some(1.5),
-            ..Default::default()
-        };
+        let engine = LeaderMfEngine { dt: Some(1.5) };
         let err = engine.check(&cfg).unwrap_err();
         assert!(err.to_string().contains("(0, 1]"), "{err}");
     }

@@ -376,14 +376,12 @@ fn build_sync(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
     Ok(Box::new(SyncEngine {
         gamma: kv.get_gamma()?,
         mode,
-        ..Default::default()
     }))
 }
 
 fn build_urn(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
     Ok(Box::new(UrnEngine {
         gamma: kv.get_gamma()?,
-        ..Default::default()
     }))
 }
 
@@ -439,7 +437,6 @@ fn build_leader(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
         steps_per_unit: parse_c1(kv)?,
         signal_loss: kv.get_unit_fraction("loss")?.unwrap_or(0.0),
         stragglers,
-        ..Default::default()
     }))
 }
 
@@ -461,7 +458,6 @@ fn build_cluster(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
         steps_per_unit: parse_c1(kv)?,
         participation_size,
         leader_probability,
-        ..Default::default()
     }))
 }
 
@@ -500,10 +496,7 @@ fn build_leader_mf(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
         }
         other => other,
     };
-    Ok(Box::new(LeaderMfEngine {
-        dt,
-        ..Default::default()
-    }))
+    Ok(Box::new(LeaderMfEngine { dt }))
 }
 
 fn build_population_mf(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {

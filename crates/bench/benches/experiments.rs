@@ -2,7 +2,9 @@
 //! Criterion so `cargo bench` regenerates every figure-shaped series.
 //!
 //! Each bench reproduces the *computation* of one experiment at reduced
-//! scale; the experiment binaries in `src/bin/` print the full tables.
+//! scale; the manifests under `experiments/` (run by the `experiments`
+//! binary) and the remaining binaries in `src/bin/` print the full
+//! tables.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use plurality_baselines::{Dynamics, DynamicsConfig};

@@ -2,7 +2,7 @@
 //!
 //! Measures median throughput of the hot samplers, wall-clock of one
 //! smoke-scale run per engine, and the serial-vs-parallel wall-clock of a
-//! smoke-scale `thm13_async_scaling` cell (with a bitwise equality check
+//! smoke-scale Theorem 13 (E8) cell (with a bitwise equality check
 //! of the aggregate results, exercising the parallel determinism
 //! contract end to end). Writes everything as a flat JSON map to
 //! `benchmarks/BENCH_perf_snapshot.json` (directory overridable via
@@ -241,7 +241,7 @@ fn engine_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
     ));
 }
 
-/// One smoke-scale `thm13_async_scaling` cell under an explicit thread
+/// One smoke-scale Theorem 13 (E8) cell under an explicit thread
 /// count, for the serial-vs-parallel comparison.
 fn thm13_smoke(threads: usize, eff: Effort) -> Vec<plurality_core::leader::LeaderResult> {
     let (n, k, reps) = (eff.thm13_n, 4u32, eff.thm13_reps);

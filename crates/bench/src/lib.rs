@@ -1,17 +1,23 @@
 //! # plurality-bench
 //!
-//! Experiment harness for the `plurality` workspace. Each binary in
-//! `src/bin/` regenerates one figure or quantitative claim of the paper
-//! (see DESIGN.md's per-experiment index and EXPERIMENTS.md for recorded
-//! results); the Criterion benches in `benches/` cover engine and sampler
-//! throughput plus smoke-size versions of the main experiments.
+//! Experiment harness for the `plurality` workspace. The `experiments`
+//! binary runs the line-based manifests under `experiments/` (see
+//! [`manifest`]): each one reproduces the tables of one EXPERIMENTS.md
+//! entry and checks its claims with `assert` lines. The other binaries
+//! in `src/bin/` cover what a manifest cannot express (per-generation
+//! dumps of single runs, paired specs, the time-unit estimate, the perf
+//! snapshot and the load generator); the Criterion benches in `benches/`
+//! cover engine and sampler throughput plus smoke-size versions of the
+//! main experiments.
 //!
-//! All binaries accept an optional `full` argument (or the environment
-//! variable `PLURALITY_EFFORT=full`) to run at publication scale; the
-//! default "quick" scale finishes in seconds to a few minutes per binary.
+//! Every experiment accepts an optional `full` argument (or the
+//! environment variable `PLURALITY_EFFORT=full`) to run at publication
+//! scale; the default "quick" scale finishes in seconds to a few minutes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod manifest;
 
 use plurality_dist::rng::derive_seed;
 use std::path::PathBuf;

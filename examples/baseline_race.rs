@@ -49,6 +49,6 @@ fn main() {
         "expected: every short-memory dynamic finishes except pull voting, which needs Ω(n)\n\
          rounds and hits the cap. At this moderate k the simple dynamics are still\n\
          competitive — the generation protocol's advantage grows with k (run the\n\
-         baseline_comparison experiment for the full sweep)."
+         experiments/e12_baselines.manifest for the full sweep)."
     );
 }
