@@ -81,7 +81,6 @@ pub struct LeaderMfConfig {
     seed: u64,
     dt: f64,
     max_time: Option<f64>,
-    alpha_hint: Option<f64>,
 }
 
 impl LeaderMfConfig {
@@ -103,7 +102,6 @@ impl LeaderMfConfig {
             seed: 0,
             dt: 0.125,
             max_time: None,
-            alpha_hint: None,
         }
     }
 
@@ -141,12 +139,6 @@ impl LeaderMfConfig {
     /// failure-free budget).
     pub fn with_max_time(mut self, max_time: f64) -> Self {
         self.max_time = Some(max_time);
-        self
-    }
-
-    /// Overrides the `α₀` used for the generation-cap computation.
-    pub fn with_alpha_hint(mut self, alpha: f64) -> Self {
-        self.alpha_hint = Some(alpha);
         self
     }
 
@@ -196,11 +188,11 @@ fn run_leader_mf(cfg: &LeaderMfConfig) -> LeaderMfResult {
     let initial = OpinionCounts::from_counts(cfg.counts.clone());
     let initial_winner = initial.winner().expect("non-empty population");
     let initial_bias = initial.bias().unwrap_or(f64::INFINITY);
-    let alpha = cfg.alpha_hint.unwrap_or(if initial_bias.is_finite() {
+    let alpha = if initial_bias.is_finite() {
         initial_bias.max(1.0)
     } else {
         2.0
-    });
+    };
     let cap = generations_needed(n, alpha, GENERATION_CAP);
     let two_choices_units = 2.0;
     let zero_signal_threshold = (nf * c1 * (two_choices_units + nf.ln() / nf.sqrt())).ceil() as u64;

@@ -10,9 +10,11 @@ use plurality_topology::Topology;
 /// level, the communication [`Topology`], the scripted [`Scenario`], and
 /// an optional duration cap.
 ///
-/// Everything genuinely protocol-specific (latency laws, γ, thresholds,
-/// failure knobs) lives on the [`crate::Protocol`] implementation
-/// instead, so a `RunConfig` can be handed unchanged to any engine.
+/// Everything genuinely protocol-specific (latency laws, γ, thresholds)
+/// lives on the [`crate::Protocol`] implementation instead, so a
+/// `RunConfig` can be handed unchanged to any engine. Failures all live
+/// in the scenario; the leader-only run-long actions are rejected by
+/// every other protocol's [`crate::Protocol::check`].
 ///
 /// Defaults match every engine builder exactly: `ε = 0.05`, seed 0,
 /// [`RecordLevel::Generations`], complete graph, empty scenario, derived

@@ -66,7 +66,5 @@ pub use report::{
     ClusterTelemetry, GossipTelemetry, LeaderTelemetry, PopulationTelemetry, Report, SyncTelemetry,
     Telemetry, UrnTelemetry,
 };
-pub use spec::{
-    parse_stragglers, run_spec, ProtocolEntry, Registry, Resolved, RunSpec, SpecError, COMMON_KEYS,
-};
+pub use spec::{run_spec, ProtocolEntry, Registry, Resolved, RunSpec, SpecError, COMMON_KEYS};
 pub use wire::{to_wire, WIRE_HEADER};

@@ -20,6 +20,7 @@ use plurality_core::sync::{ScheduleMode, SyncConfig, UrnConfig};
 use plurality_core::{InitialAssignment, OpinionCounts};
 use plurality_dist::rng::Xoshiro256PlusPlus;
 use plurality_dist::{InvalidParameterError, Latency};
+use plurality_scenario::Action;
 use plurality_topology::Topology;
 
 /// One protocol, runnable from the shared [`RunConfig`].
@@ -35,16 +36,51 @@ pub trait Protocol: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Checks that `cfg` is compatible with this protocol. The default
-    /// validates the common axes ([`RunConfig::validate`]); protocols
-    /// with extra constraints (urn's mean-field exemption, the binary
-    /// population protocols) layer theirs on top.
+    /// validates the common axes ([`RunConfig::validate`]) and rejects
+    /// the run-long scenario actions `signal-loss` and `stragglers`,
+    /// which only [`LeaderEngine`] reads; protocols with extra
+    /// constraints (urn's mean-field exemption, the binary population
+    /// protocols) layer theirs on top via [`Protocol::check_extra`].
     ///
     /// # Errors
     ///
     /// Returns [`InvalidParameterError`] describing the first violated
     /// constraint.
     fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
-        cfg.validate()
+        cfg.validate()?;
+        if let Some(action) = cfg
+            .scenario()
+            .events()
+            .iter()
+            .map(|e| e.action)
+            .find(|a| a.is_run_long())
+        {
+            let alternative = match action {
+                Action::SignalLoss { p } => format!(
+                    "; for message loss on `{}` script a burst instead, e.g. \
+                     `burst-loss:{p}@0..1000000`",
+                    self.name()
+                ),
+                _ => String::new(),
+            };
+            return Err(InvalidParameterError::new(format!(
+                "scenario action `{}` is leader-only: only the single-leader engine \
+                 reads it, so run `leader`{alternative}",
+                action.keyword()
+            )));
+        }
+        self.check_extra(cfg)
+    }
+
+    /// Protocol-specific constraints on top of [`Protocol::check`]'s
+    /// shared ones (default: none).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InvalidParameterError`] describing the first violated
+    /// constraint.
+    fn check_extra(&self, _cfg: &RunConfig) -> Result<(), InvalidParameterError> {
+        Ok(())
     }
 
     /// Runs the protocol. Consumes the byte-identical RNG stream of the
@@ -135,7 +171,7 @@ impl Protocol for UrnEngine {
         "urn"
     }
 
-    fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
+    fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
         check_mean_field("urn", "sync", cfg)
     }
 
@@ -156,7 +192,9 @@ impl Protocol for UrnEngine {
 }
 
 /// The asynchronous single-leader protocol (Algorithms 2 + 3) — see
-/// [`LeaderConfig`].
+/// [`LeaderConfig`]. Its failure injection is the scenario's, including
+/// the run-long `signal-loss` and `stragglers` actions that only this
+/// protocol accepts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LeaderEngine {
     /// Channel-establishment latency law (engine default `Exp(1)`).
@@ -164,15 +202,16 @@ pub struct LeaderEngine {
     /// Overrides the time-unit length `C1` in steps (default:
     /// memoized Monte-Carlo estimate).
     pub steps_per_unit: Option<f64>,
-    /// Persistent 0-/gen-signal loss probability (default 0).
-    pub signal_loss: f64,
-    /// Straggler injection `(fraction, rate)` (default none).
-    pub stragglers: Option<(f64, f64)>,
 }
 
 impl Protocol for LeaderEngine {
     fn name(&self) -> &'static str {
         "leader"
+    }
+
+    /// Accepts every valid config, run-long scenario actions included.
+    fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
+        cfg.validate()
     }
 
     fn run(&self, cfg: &RunConfig) -> Report {
@@ -182,16 +221,12 @@ impl Protocol for LeaderEngine {
             .with_record(cfg.record())
             .with_topology(cfg.topology())
             .with_scenario(cfg.scenario().clone())
-            .with_trace(cfg.trace())
-            .with_signal_loss(self.signal_loss);
+            .with_trace(cfg.trace());
         if let Some(latency) = self.latency {
             c = c.with_latency(latency);
         }
         if let Some(c1) = self.steps_per_unit {
             c = c.with_steps_per_unit(c1);
-        }
-        if let Some((fraction, rate)) = self.stragglers {
-            c = c.with_stragglers(fraction, rate);
         }
         if let Some(max) = cfg.max_duration() {
             c = c.with_max_time(max);
@@ -312,8 +347,7 @@ impl Protocol for PopulationEngine {
         crate::report::population_protocol_name(self.protocol)
     }
 
-    fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
-        cfg.validate()?;
+    fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
         if self.initial_a.is_none() && cfg.k() != 2 {
             return Err(InvalidParameterError::new(format!(
                 "population protocols are binary: k must be 2, got {} \
@@ -357,7 +391,6 @@ fn check_mean_field(
     per_node: &str,
     cfg: &RunConfig,
 ) -> Result<(), InvalidParameterError> {
-    cfg.validate()?;
     if cfg.topology() != Topology::Complete {
         return Err(InvalidParameterError::new(format!(
             "`{name}` advances anonymous count pools and is definitionally \
@@ -391,7 +424,7 @@ impl Protocol for LeaderMfEngine {
         "leader-mf"
     }
 
-    fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
+    fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
         check_mean_field("leader-mf", "leader", cfg)?;
         if let Some(dt) = self.dt {
             if !(dt > 0.0 && dt <= 1.0) {
@@ -429,7 +462,7 @@ impl Protocol for Majority3MfEngine {
         "majority3-mf"
     }
 
-    fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
+    fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
         check_mean_field("majority3-mf", "3-majority", cfg)
     }
 
@@ -457,7 +490,7 @@ impl Protocol for UndecidedMfEngine {
         "undecided-mf"
     }
 
-    fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
+    fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
         check_mean_field("undecided-mf", "undecided", cfg)
     }
 
@@ -495,7 +528,7 @@ impl Protocol for PopulationMfEngine {
         "population-mf"
     }
 
-    fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
+    fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
         check_mean_field("population-mf", "approx-majority", cfg)?;
         if self.initial_a.is_none() && cfg.k() != 2 {
             return Err(InvalidParameterError::new(format!(

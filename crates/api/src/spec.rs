@@ -269,15 +269,6 @@ impl KeyValues<'_> {
         self.parse(key, "a number")
     }
 
-    fn get_unit_fraction(&self, key: &str) -> Result<Option<f64>, SpecError> {
-        match self.get_f64(key)? {
-            Some(x) if !(0.0..=1.0).contains(&x) => Err(SpecError::new(format!(
-                "parameter `{key}` must lie in [0, 1], got {x}"
-            ))),
-            other => Ok(other),
-        }
-    }
-
     /// The generation-density threshold `gamma`, which must lie in the
     /// open interval (0, 1).
     fn get_gamma(&self) -> Result<Option<f64>, SpecError> {
@@ -385,33 +376,6 @@ fn build_urn(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
     }))
 }
 
-/// Parses a straggler spec `FRAC[:RATE]` (rate defaults to 0.1), with
-/// the range checks the engine would otherwise enforce by panicking.
-pub fn parse_stragglers(spec: &str) -> Result<(f64, f64), SpecError> {
-    let num = |what: &str, s: &str| -> Result<f64, SpecError> {
-        s.parse()
-            .map_err(|_| SpecError::new(format!("{what}: `{s}` is not a number")))
-    };
-    let (fraction, rate) = match spec.split_once(':') {
-        None => (num("straggler fraction", spec)?, 0.1),
-        Some((frac, rate)) => (
-            num("straggler fraction", frac)?,
-            num("straggler rate", rate)?,
-        ),
-    };
-    if !(0.0..=1.0).contains(&fraction) {
-        return Err(SpecError::new(format!(
-            "straggler fraction must lie in [0, 1], got {fraction}"
-        )));
-    }
-    if !(rate > 0.0 && rate.is_finite()) {
-        return Err(SpecError::new(format!(
-            "straggler rate must be positive and finite, got {rate}"
-        )));
-    }
-    Ok((fraction, rate))
-}
-
 fn parse_latency_param(kv: &KeyValues) -> Result<Option<Latency>, SpecError> {
     match kv.get("latency") {
         None => Ok(None),
@@ -431,12 +395,9 @@ fn parse_c1(kv: &KeyValues) -> Result<Option<f64>, SpecError> {
 }
 
 fn build_leader(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
-    let stragglers = kv.get("stragglers").map(parse_stragglers).transpose()?;
     Ok(Box::new(LeaderEngine {
         latency: parse_latency_param(kv)?,
         steps_per_unit: parse_c1(kv)?,
-        signal_loss: kv.get_unit_fraction("loss")?.unwrap_or(0.0),
-        stragglers,
     }))
 }
 
@@ -549,12 +510,7 @@ impl Registry {
                     name: "leader",
                     aliases: &[],
                     summary: "asynchronous single-leader protocol (Algorithms 2+3, Theorem 13)",
-                    keys: &[
-                        ("latency", LATENCY_HELP),
-                        ("c1", C1_HELP),
-                        ("loss", "persistent 0-/gen-signal loss probability in [0, 1]"),
-                        ("stragglers", "straggler injection FRAC[:RATE] (rate default 0.1)"),
-                    ],
+                    keys: &[("latency", LATENCY_HELP), ("c1", C1_HELP)],
                     default_k: 4,
                     build: build_leader,
                 },
@@ -891,12 +847,23 @@ mod tests {
             .unwrap_err();
         assert!(err.message().contains("`gamma`"), "{err}");
         assert!(err.message().contains("leader-specific"), "{err}");
-        assert!(err.message().contains("stragglers"), "{err}");
+        assert!(err.message().contains("c1"), "{err}");
     }
 
     #[test]
     fn leader_only_keys_are_rejected_elsewhere() {
-        for spec in ["sync?loss=0.2", "3-majority?stragglers=0.2"] {
+        for spec in [
+            "sync?scenario=signal-loss:0.2",
+            "3-majority?scenario=crash:0.1@5;stragglers:0.2",
+        ] {
+            let err = Registry::standard()
+                .resolve(&RunSpec::parse(spec).unwrap())
+                .unwrap_err();
+            assert!(err.message().contains("leader-only"), "{err}");
+            assert!(err.message().contains("run `leader`"), "{err}");
+        }
+        // The old leader keys are gone, with no alias.
+        for spec in ["leader?loss=0.2", "leader?stragglers=0.2"] {
             let err = Registry::standard()
                 .resolve(&RunSpec::parse(spec).unwrap())
                 .unwrap_err();
@@ -911,7 +878,7 @@ mod tests {
             ("sync?gamma=1.5", "`gamma`"),
             ("sync?mode=psychic", "`mode`"),
             ("leader?latency=cauchy:1", "`latency`"),
-            ("leader?loss=1.5", "`loss`"),
+            ("leader?scenario=signal-loss:1.5", "`scenario`"),
             ("sync?record=everything", "`record`"),
             ("sync?topology=hypercube", "`topology`"),
             ("sync?epsilon=2", "`epsilon`"),

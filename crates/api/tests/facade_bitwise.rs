@@ -104,22 +104,22 @@ fn facade_run_is_bitwise_identical_to_direct_builder_leader() {
 
 #[test]
 fn facade_run_is_bitwise_identical_to_direct_builder_leader_with_failure_knobs() {
-    // The protocol-specific knobs (signal loss, stragglers) reach the
-    // engine through the same setters.
-    let a = assignment(800, 2, 3.0);
-    let direct = LeaderConfig::new(a.clone())
+    // The leader's failure knobs are run-long scenario actions: the spec
+    // carries them inside `scenario=` and the engine reads them from
+    // the scenario it is handed.
+    let direct = LeaderConfig::new(assignment(800, 2, 3.0))
         .with_seed(33)
         .with_steps_per_unit(9.3)
-        .with_signal_loss(0.2)
-        .with_stragglers(0.2, 0.1)
+        .with_scenario(
+            Scenario::new()
+                .with_signal_loss(0.2)
+                .with_stragglers(0.2, 0.1),
+        )
         .run();
-    let facade = LeaderEngine {
-        steps_per_unit: Some(9.3),
-        signal_loss: 0.2,
-        stragglers: Some((0.2, 0.1)),
-        ..Default::default()
-    }
-    .run(&RunConfig::new(a).with_seed(33));
+    let facade = plurality_api::run_spec(
+        "leader?n=800&k=2&alpha=3.0&seed=33&c1=9.3&scenario=signal-loss:0.2;stragglers:0.2:0.1",
+    )
+    .unwrap();
     assert_eq!(Report::from(direct), facade);
 }
 
@@ -240,9 +240,11 @@ fn spec_driven_runs_match_direct_builders_end_to_end() {
     let direct = LeaderConfig::new(assignment(700, 2, 3.0))
         .with_seed(4)
         .with_steps_per_unit(9.3)
-        .with_signal_loss(0.1)
+        .with_scenario(Scenario::new().with_signal_loss(0.1))
         .run();
-    let facade =
-        plurality_api::run_spec("leader?n=700&k=2&alpha=3.0&seed=4&c1=9.3&loss=0.1").unwrap();
+    let facade = plurality_api::run_spec(
+        "leader?n=700&k=2&alpha=3.0&seed=4&c1=9.3&scenario=signal-loss:0.1",
+    )
+    .unwrap();
     assert_eq!(Report::from(direct), facade);
 }

@@ -113,7 +113,8 @@ proptest! {
         for spec in [
             format!("sync?epsilon={frac}"),
             format!("sync?gamma={frac}"),
-            format!("leader?loss={frac}"),
+            format!("leader?scenario=signal-loss:{frac}"),
+            format!("leader?scenario=stragglers:{frac}"),
             format!("cluster?leader-prob={frac}"),
         ] {
             let parsed = RunSpec::parse(&spec).unwrap();
@@ -159,7 +160,7 @@ proptest! {
 /// deliberate.
 #[test]
 fn rejection_error_messages_are_stable() {
-    let cases: [(&str, &str); 5] = [
+    let cases: [(&str, &str); 6] = [
         (
             "paxos",
             "invalid run spec: unknown protocol `paxos` (registered: sync, urn, leader, \
@@ -170,6 +171,12 @@ fn rejection_error_messages_are_stable() {
             "sync?loss=0.2",
             "invalid run spec: `loss` is not a parameter of `sync` (common: n, k, alpha, \
              epsilon, seed, record, topology, scenario, max; sync-specific: gamma, mode)",
+        ),
+        (
+            "sync?scenario=signal-loss:0.2",
+            "invalid run spec: scenario action `signal-loss` is leader-only: only the \
+             single-leader engine reads it, so run `leader`; for message loss on `sync` \
+             script a burst instead, e.g. `burst-loss:0.2@0..1000000`",
         ),
         (
             "pull?gamma=0.4",
@@ -218,11 +225,34 @@ fn syntax_rejections_are_stable() {
 
 #[test]
 fn kitchen_sink_spec_parses_and_resolves() {
-    let raw = "leader?n=4096&k=8&topology=er:0.01&scenario=crash:0.2@5&latency=erlang:3:1.5\
-               &loss=0.1&stragglers=0.2:0.5&c1=9.3&seed=7&record=full&max=500";
+    let raw = "leader?n=4096&k=8&topology=er:0.01&scenario=crash:0.2@5;signal-loss:0.1;\
+               stragglers:0.2:0.5&latency=erlang:3:1.5&c1=9.3&seed=7&record=full&max=500";
     let spec = RunSpec::parse(raw).unwrap();
     assert_eq!(spec.to_string(), raw);
     let resolved = Registry::standard().resolve(&spec).unwrap();
     assert_eq!(resolved.protocol.name(), "leader");
     assert_eq!(resolved.config.n(), 4096);
+}
+
+#[test]
+fn run_long_scenario_actions_are_leader_only() {
+    // Every protocol but `leader` turns them into one teaching error at
+    // resolve time, never a panic and never a silent ignore.
+    for entry in Registry::standard().entries() {
+        for action in ["signal-loss:0.1", "stragglers:0.2"] {
+            let spec =
+                RunSpec::parse(&format!("{}?n=1000&k=2&scenario={action}", entry.name())).unwrap();
+            let resolved = Registry::standard().resolve(&spec);
+            if entry.name() == "leader" {
+                assert!(resolved.is_ok(), "leader rejected `{action}`");
+                continue;
+            }
+            let err = resolved.err().unwrap_or_else(|| panic!("{spec} resolved"));
+            assert!(err.message().contains("leader-only"), "{spec}: {err}");
+            assert!(err.message().contains("run `leader`"), "{spec}: {err}");
+            if action.starts_with("signal-loss") {
+                assert!(err.message().contains("burst-loss"), "{spec}: {err}");
+            }
+        }
+    }
 }

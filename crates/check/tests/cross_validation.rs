@@ -57,8 +57,8 @@ fn reachable_profiles() -> (usize, HashSet<Vec<(u32, u32)>>) {
 fn engine_runs_land_inside_the_checker_state_space() {
     // The engine instance mirrors the checker's standard n = 4 one:
     // α₀ = 3 over k = 2 gives the same 3-vs-1 initial split as the
-    // checker's majority construction, `gen_size_fraction` 0.5 gives the
-    // same generation-size threshold (⌈n/2⌉ = 2), and the generation cap
+    // checker's majority construction, the engine's fixed gen-size
+    // fraction 1/2 gives the same threshold (⌈n/2⌉ = 2), and the generation cap
     // is pinned to the checker's 2. The zero-signal threshold need not
     // match: the checker's scheduler may delay 0-signal deliveries
     // arbitrarily, so every engine phase sequence has a checker schedule.

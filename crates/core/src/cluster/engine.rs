@@ -29,7 +29,7 @@ use crate::cluster::leader::{
 use crate::cluster::node::{
     decide_member, finished_exchange, FinishedExchange, MemberDecision, MemberSample, MemberView,
 };
-use crate::kernel::{run_param_setters, Handlers, Kernel, RunParams};
+use crate::kernel::{run_param_setters, Handlers, Kernel, RunParams, TWO_CHOICES_UNITS};
 use crate::opinion::InitialAssignment;
 use crate::outcome::{RecordLevel, RunOutcome};
 use plurality_dist::ChannelPattern;
@@ -41,6 +41,14 @@ use rand::Rng;
 
 /// Sentinel for "not in any cluster".
 const UNCLUSTERED: u32 = u32::MAX;
+
+/// The counting pause after a cluster fills, in time units.
+const PAUSE_UNITS: f64 = 1.0;
+/// The post-pause accepting window, in time units: long enough for
+/// near-total coverage (the paper's windows scale with `log log n`).
+const ACCEPT_UNITS: f64 = 8.0;
+/// The sleeping window per generation, in time units.
+const SLEEP_UNITS: f64 = 2.0;
 
 /// Configuration for a multi-leader run. Construct with
 /// [`ClusterConfig::new`] and chain the `with_*` setters — or run
@@ -65,25 +73,17 @@ pub struct ClusterConfig {
     run: RunParams,
     participation_size: Option<u64>,
     leader_probability: Option<f64>,
-    pause_units: f64,
-    accept_units: f64,
-    sleep_units: f64,
 }
 
 impl ClusterConfig {
     /// Creates a configuration with defaults: exponential latency rate 1,
-    /// `ε = 0.05`, pause window of 1 unit, accept window of 8 units (long
-    /// enough for near-total coverage — the paper's windows scale with
-    /// `log log n`), two-choices window 2 units, sleep window 2 units,
-    /// seed 0.
+    /// `ε = 0.05`, seed 0. The pause (1 unit), accept (8 units),
+    /// two-choices (2 units) and sleep (2 units) windows are fixed.
     pub fn new(assignment: InitialAssignment) -> Self {
         Self {
             run: RunParams::new(assignment),
             participation_size: None,
             leader_probability: None,
-            pause_units: 1.0,
-            accept_units: 8.0,
-            sleep_units: 2.0,
         }
     }
 
@@ -101,7 +101,8 @@ impl ClusterConfig {
     /// not a node, and is unaffected by crashes. Scenario randomness
     /// lives on a private stream, so the empty scenario consumes the
     /// byte-identical process RNG stream as before the subsystem
-    /// existed.
+    /// existed. The run-long `signal-loss` and `stragglers` actions are
+    /// single-leader only and not read here.
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
         self.run.scenario = scenario;
         self
@@ -141,28 +142,6 @@ impl ClusterConfig {
     pub fn with_leader_probability(mut self, p: f64) -> Self {
         assert!(p > 0.0 && p <= 1.0, "leader_probability must lie in (0, 1]");
         self.leader_probability = Some(p);
-        self
-    }
-
-    /// Sets the counting pause after a cluster fills, in time units
-    /// (default 1).
-    pub fn with_pause_units(mut self, units: f64) -> Self {
-        assert!(units > 0.0, "pause_units must be positive");
-        self.pause_units = units;
-        self
-    }
-
-    /// Sets the post-pause accepting window, in time units (default 8).
-    pub fn with_accept_units(mut self, units: f64) -> Self {
-        assert!(units > 0.0, "accept_units must be positive");
-        self.accept_units = units;
-        self
-    }
-
-    /// Sets the sleeping window per generation, in time units (default 2).
-    pub fn with_sleep_units(mut self, units: f64) -> Self {
-        assert!(units > 0.0, "sleep_units must be positive");
-        self.sleep_units = units;
         self
     }
 
@@ -359,9 +338,8 @@ fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
     k.max_time = cfg.run.max_time.unwrap_or_else(|| {
         let nf = n as f64;
         let colors = f64::from(cfg.run.assignment.k());
-        let clustering = c1 * (cfg.pause_units + cfg.accept_units + 8.0);
-        let per_gen =
-            2.0 * (colors + 2.0).log2() + cfg.run.two_choices_units + cfg.sleep_units + 12.0;
+        let clustering = c1 * (PAUSE_UNITS + ACCEPT_UNITS + 8.0);
+        let per_gen = 2.0 * (colors + 2.0).log2() + TWO_CHOICES_UNITS + SLEEP_UNITS + 12.0;
         let derived = clustering + c1 * (cap as f64 + 2.0) * per_gen + 12.0 * nf.ln() + 200.0;
         // Scripted events must actually fire: stretch the default cap
         // past the scenario horizon plus a recovery tail.
@@ -482,7 +460,7 @@ impl Handlers<3> for Engine<'_> {
                         self.cluster_of[vi] = c;
                         self.clusters[ci].size += 1;
                         if self.clusters[ci].size >= self.participation_size {
-                            self.open_window(k, ci, ClusterMode::Pausing, self.cfg.pause_units);
+                            self.open_window(k, ci, ClusterMode::Pausing, PAUSE_UNITS);
                             // The pause window opens now: arm it afresh.
                             self.rearm_flow(k, now, c);
                         } else {
@@ -696,7 +674,7 @@ impl Engine<'_> {
                     return;
                 }
                 if mode == ClusterMode::Pausing {
-                    self.open_window(k, ci, ClusterMode::Accepting, self.cfg.accept_units);
+                    self.open_window(k, ci, ClusterMode::Accepting, ACCEPT_UNITS);
                 } else {
                     self.switch_to_consensus(k, now, c);
                 }
@@ -800,9 +778,8 @@ impl Engine<'_> {
 
     fn consensus_params(&self, k: &K, card: u64) -> ClusterLeaderParams {
         let nf = k.n as f64;
-        let sleep = (card as f64 * k.c1 * self.cfg.run.two_choices_units).ceil() as u64;
-        let prop = (card as f64 * k.c1 * (self.cfg.run.two_choices_units + self.cfg.sleep_units))
-            .ceil() as u64;
+        let sleep = (card as f64 * k.c1 * TWO_CHOICES_UNITS).ceil() as u64;
+        let prop = (card as f64 * k.c1 * (TWO_CHOICES_UNITS + SLEEP_UNITS)).ceil() as u64;
         let gen_size =
             ((card as f64 * (0.5 + 1.0 / nf.log2().sqrt())).ceil() as u64).clamp(1, card);
         ClusterLeaderParams {

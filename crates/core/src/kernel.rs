@@ -116,6 +116,10 @@ pub(crate) trait Handlers<const M: usize>: Sized {
     fn on_step(&mut self, _k: &Kernel<Self::Signal, M>, _now: f64) {}
 }
 
+/// Length of the two-choices window per generation, in time units: the
+/// paper's constant 2 in `C3 = C1(2 + log n/√n)` (Proposition 16).
+pub(crate) const TWO_CHOICES_UNITS: f64 = 2.0;
+
 /// The run parameters both engines' configs embed as their `run` field.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RunParams {
@@ -126,9 +130,7 @@ pub(crate) struct RunParams {
     pub record: RecordLevel,
     pub max_time: Option<f64>,
     pub steps_per_unit: Option<f64>,
-    pub two_choices_units: f64,
     pub generation_cap: Option<u32>,
-    pub alpha_hint: Option<f64>,
     pub topology: Topology,
     pub scenario: Scenario,
     pub trace: bool,
@@ -136,9 +138,8 @@ pub(crate) struct RunParams {
 
 impl RunParams {
     /// Defaults: `Exp(1)` latency, `ε = 0.05`, seed 0, generation-level
-    /// telemetry, a two-choices window of 2 time units, the complete
-    /// graph, no scenario, no trace; the time cap, `C1`, the generation
-    /// cap and the bias hint are derived per run.
+    /// telemetry, the complete graph, no scenario, no trace; the time
+    /// cap, `C1` and the generation cap are derived per run.
     pub fn new(assignment: InitialAssignment) -> Self {
         Self {
             assignment,
@@ -148,9 +149,7 @@ impl RunParams {
             record: RecordLevel::Generations,
             max_time: None,
             steps_per_unit: None,
-            two_choices_units: 2.0,
             generation_cap: None,
-            alpha_hint: None,
             topology: Topology::Complete,
             scenario: Scenario::new(),
             trace: false,
@@ -225,28 +224,9 @@ macro_rules! run_param_setters {
             self
         }
 
-        /// Sets the length of the two-choices window per generation, in
-        /// time units (default 2: the paper's constant 2 in
-        /// `C3 = C1(2 + log n/√n)`, Proposition 16).
-        ///
-        /// # Panics
-        ///
-        /// Panics if `units` is not positive.
-        pub fn with_two_choices_units(mut self, units: f64) -> Self {
-            assert!(units > 0.0, "two_choices_units must be positive");
-            self.run.two_choices_units = units;
-            self
-        }
-
         /// Overrides the generation cap `⌈log log_α n⌉`.
         pub fn with_generation_cap(mut self, cap: u32) -> Self {
             self.run.generation_cap = Some(cap);
-            self
-        }
-
-        /// Overrides the bias `α₀` used for the generation cap.
-        pub fn with_alpha_hint(mut self, alpha: f64) -> Self {
-            self.run.alpha_hint = Some(alpha);
             self
         }
     };
@@ -358,11 +338,11 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
         let c1 = s
             .steps_per_unit
             .unwrap_or_else(|| waiting.time_unit_cached(20_000));
-        let alpha = s.alpha_hint.unwrap_or(if initial_bias.is_finite() {
+        let alpha = if initial_bias.is_finite() {
             initial_bias.max(1.0)
         } else {
             2.0
-        });
+        };
         let cap = s
             .generation_cap
             .unwrap_or_else(|| generations_needed(n as u64, alpha, GENERATION_CAP));

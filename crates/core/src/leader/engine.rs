@@ -11,7 +11,7 @@
 //!
 //! Hot-path structure: see `crate::kernel`, which runs these handlers.
 
-use crate::kernel::{run_param_setters, Handlers, Kernel, RunParams};
+use crate::kernel::{run_param_setters, Handlers, Kernel, RunParams, TWO_CHOICES_UNITS};
 use crate::leader::node::{apply, decide, NodeDecision, NodeState, SampleView};
 use crate::leader::state::{LeaderParams, LeaderState, LeaderTransition, Signal};
 use crate::opinion::InitialAssignment;
@@ -28,6 +28,10 @@ use rand::Rng;
 /// sparse topologies (private, like `TOPOLOGY_STREAM`, so it never
 /// perturbs the process stream).
 const STRAGGLER_STREAM: u64 = 0x5752_A661;
+
+/// The gen-size threshold as a fraction of `n`: the leader allows the
+/// next generation once `n/2` nodes reported the current one.
+const GEN_SIZE_FRACTION: f64 = 0.5;
 
 /// Configuration for a single-leader asynchronous run. Construct with
 /// [`LeaderConfig::new`] and chain the `with_*` setters — or run
@@ -51,10 +55,6 @@ const STRAGGLER_STREAM: u64 = 0x5752_A661;
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaderConfig {
     run: RunParams,
-    gen_size_fraction: f64,
-    signal_loss: f64,
-    straggler_fraction: f64,
-    straggler_rate: f64,
 }
 
 impl LeaderConfig {
@@ -64,10 +64,6 @@ impl LeaderConfig {
     pub fn new(assignment: InitialAssignment) -> Self {
         Self {
             run: RunParams::new(assignment),
-            gen_size_fraction: 0.5,
-            signal_loss: 0.0,
-            straggler_fraction: 0.0,
-            straggler_rate: 1.0,
         }
     }
 
@@ -79,12 +75,29 @@ impl LeaderConfig {
     /// no 0-signal, no interaction — and interactions whose initiator or
     /// sampled peers are crashed at channel completion abort.
     /// `burst-loss` drops each 0-/gen-signal and each peer channel
-    /// independently (composing with
-    /// [`LeaderConfig::with_signal_loss`]); `latency:` shifts multiply
-    /// every drawn travel and channel latency; `rewire:` swaps the peer
-    /// sampler mid-run. Scenario randomness lives on a private stream,
-    /// so the empty scenario consumes the byte-identical process RNG
-    /// stream as before the subsystem existed.
+    /// independently (composing with `signal-loss`); `latency:` shifts
+    /// multiply every drawn travel and channel latency; `rewire:` swaps
+    /// the peer sampler mid-run. Scenario randomness lives on a private
+    /// stream, so the empty scenario consumes the byte-identical process
+    /// RNG stream as before the subsystem existed.
+    ///
+    /// Two run-long actions hold from the start and are read only by
+    /// this engine:
+    /// * `signal-loss:P` drops each 0-/gen-signal towards the leader
+    ///   independently with probability `P` (a coin on the process
+    ///   stream). The protocol tolerates moderate loss — the `n/2`
+    ///   gen-size threshold still fires as long as more than half the
+    ///   promotion signals get through — and stalls gracefully beyond
+    ///   that.
+    /// * `stragglers:F:RATE` makes a fraction `F` of the nodes tick at
+    ///   `RATE` instead of 1, probing how much clock heterogeneity the
+    ///   protocol absorbs. The straggler set is a uniformly random
+    ///   subset of the nodes: on a sparse topology the identities come
+    ///   from a private seeded permutation, so graph structure (hubs,
+    ///   lattice patches) does not leak into which nodes are slow.
+    ///
+    /// A scenario holding only run-long actions keeps the failure-free
+    /// fast path (no environment is instantiated).
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
         self.run.scenario = scenario;
         self
@@ -100,66 +113,6 @@ impl LeaderConfig {
     /// TOPOLOGY_STREAM)`.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.run.topology = topology;
-        self
-    }
-
-    /// Failure injection: drops each 0-/gen-signal towards the leader
-    /// independently with probability `loss` (default 0). The protocol
-    /// tolerates moderate loss — the `n/2` gen-size threshold still fires
-    /// as long as more than half the promotion signals get through — and
-    /// stalls gracefully beyond that.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss ∉ [0, 1]`.
-    pub fn with_signal_loss(mut self, loss: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&loss),
-            "signal_loss must lie in [0, 1]"
-        );
-        self.signal_loss = loss;
-        self
-    }
-
-    /// Failure injection: makes a `fraction` of the nodes tick at `rate`
-    /// instead of rate 1 (default: none). Models stragglers with slow
-    /// clocks; the model's whp. statements assume unit rate, so this knob
-    /// probes how much heterogeneity the protocol absorbs.
-    ///
-    /// Composes with [`LeaderConfig::with_topology`]: the straggler set
-    /// is a uniformly random subset of the nodes in either case (on a
-    /// sparse graph the identities are drawn from a private seeded
-    /// permutation, so graph structure — hubs, lattice patches — does
-    /// not leak into which nodes are slow).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction ∉ [0, 1]` or `rate` is not positive and finite.
-    pub fn with_stragglers(mut self, fraction: f64, rate: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "straggler_fraction must lie in [0, 1]"
-        );
-        assert!(
-            rate > 0.0 && rate.is_finite(),
-            "straggler_rate must be positive and finite"
-        );
-        self.straggler_fraction = fraction;
-        self.straggler_rate = rate;
-        self
-    }
-
-    /// Sets the gen-size threshold as a fraction of `n` (default 1/2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction ∉ (0, 1]`.
-    pub fn with_gen_size_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "gen_size_fraction must lie in (0, 1]"
-        );
-        self.gen_size_fraction = fraction;
         self
     }
 
@@ -223,12 +176,13 @@ pub struct LeaderResult {
 }
 
 /// The single-leader protocol state the kernel calls back into.
-struct Leader<'cfg> {
-    cfg: &'cfg LeaderConfig,
+struct Leader {
     leader: LeaderState,
     /// Per-node stored leader state; starts stale (leader starts at gen 1).
     seen_gen: Vec<u32>,
     seen_prop: Vec<bool>,
+    /// The scenario's run-long `signal-loss` probability.
+    signal_loss: f64,
     /// Effective 0-signal send rate of the jump chain: the ticking mass,
     /// thinned by persistent signal loss.
     send_rate: f64,
@@ -244,9 +198,8 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
         Kernel::new(&cfg.run, ChannelPattern::SingleLeader, "single-leader", 2);
     let (n, c1, cap) = (k.n, k.c1, k.cap);
     let nf = n as f64;
-    let zero_signal_threshold =
-        (nf * c1 * (cfg.run.two_choices_units + nf.ln() / nf.sqrt())).ceil() as u64;
-    let gen_size_threshold = (nf * cfg.gen_size_fraction).ceil() as u64;
+    let zero_signal_threshold = (nf * c1 * (TWO_CHOICES_UNITS + nf.ln() / nf.sqrt())).ceil() as u64;
+    let gen_size_threshold = (nf * GEN_SIZE_FRACTION).ceil() as u64;
     k.max_time = cfg.run.max_time.unwrap_or_else(|| {
         let colors = f64::from(cfg.run.assignment.k());
         let units = (cap as f64 + 2.0) * (2.0 * (colors + 2.0).log2() + 12.0);
@@ -264,13 +217,14 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
 
     // Two rate pools: slots `0..straggler_count` tick at `straggler_rate`,
     // the rest at unit rate.
-    let straggler_count = (cfg.straggler_fraction * nf).round() as usize;
+    let (straggler_fraction, straggler_rate) = cfg.run.scenario.stragglers().unwrap_or((0.0, 1.0));
+    let straggler_count = (straggler_fraction * nf).round() as usize;
     let fast_count = n - straggler_count;
     if fast_count > 0 {
         k.add_pool(1.0, straggler_count..n);
     }
     if straggler_count > 0 {
-        k.add_pool(cfg.straggler_rate, 0..straggler_count);
+        k.add_pool(straggler_rate, 0..straggler_count);
     }
     // On the complete graph node ids are exchangeable (`materialize`
     // shuffles opinions), so slot = node id and stragglers are a uniform
@@ -292,8 +246,9 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
     k.start_ticks();
     // Persistent signal loss is independent thinning, folded into the
     // jump chain's effective send rate.
+    let signal_loss = cfg.run.scenario.signal_loss();
     let send_rate =
-        (fast_count as f64 + straggler_count as f64 * cfg.straggler_rate) * (1.0 - cfg.signal_loss);
+        (fast_count as f64 + straggler_count as f64 * straggler_rate) * (1.0 - signal_loss);
     k.enable_flows(&[send_rate]);
     if send_rate > 0.0 {
         k.set_flow(0.0, 0, send_rate, Some(zero_signal_threshold));
@@ -303,7 +258,6 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
     }
 
     let mut leader = Leader {
-        cfg,
         leader: LeaderState::new(LeaderParams {
             zero_signal_threshold,
             gen_size_threshold,
@@ -311,6 +265,7 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
         }),
         seen_gen: vec![0; n],
         seen_prop: vec![false; n],
+        signal_loss,
         send_rate,
         phases: vec![GenerationPhase {
             generation: 1,
@@ -344,10 +299,10 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
     }
 }
 
-impl Leader<'_> {
-    /// Whether a signal survives the persistent `signal_loss` knob.
+impl Leader {
+    /// Whether a signal survives the scenario's run-long `signal-loss`.
     fn survives_loss(&self, k: &mut Kernel<Signal, 2>) -> bool {
-        self.cfg.signal_loss == 0.0 || k.rng.gen::<f64>() >= self.cfg.signal_loss
+        self.signal_loss == 0.0 || k.rng.gen::<f64>() >= self.signal_loss
     }
 
     fn on_transition(&mut self, k: &mut Kernel<Signal, 2>, now: f64, t: LeaderTransition) {
@@ -384,7 +339,7 @@ impl Leader<'_> {
     }
 }
 
-impl Handlers<2> for Leader<'_> {
+impl Handlers<2> for Leader {
     type Signal = Signal;
     const OBSERVE_EACH_MOVE: bool = false;
 
@@ -612,7 +567,9 @@ mod tests {
     fn tolerates_moderate_signal_loss() {
         // 30% loss: the gen-size threshold n/2 still fires (≈ 0.7·n
         // promotion signals arrive per generation).
-        let result = quick_config(1_500, 2, 3.0, 31).with_signal_loss(0.3).run();
+        let result = quick_config(1_500, 2, 3.0, 31)
+            .with_scenario(Scenario::new().with_signal_loss(0.3))
+            .run();
         assert!(result.outcome.consensus_time.is_some(), "did not converge");
         assert!(result.outcome.plurality_preserved());
     }
@@ -622,7 +579,7 @@ mod tests {
         // 90% loss: only ≈ 0.1·n gen-signals arrive, below the n/2
         // threshold — the leader can never allow generation 2.
         let result = quick_config(800, 2, 3.0, 32)
-            .with_signal_loss(0.9)
+            .with_scenario(Scenario::new().with_signal_loss(0.9))
             .with_max_time(120.0)
             .run();
         assert!(result.phases.len() <= 1, "generation advanced despite loss");
@@ -633,7 +590,7 @@ mod tests {
         // 20% of nodes tick at a tenth of the rate: slower but safe.
         let fast = quick_config(1_500, 2, 3.0, 33).run();
         let slow = quick_config(1_500, 2, 3.0, 33)
-            .with_stragglers(0.2, 0.1)
+            .with_scenario(Scenario::new().with_stragglers(0.2, 0.1))
             .run();
         assert!(slow.outcome.plurality_preserved());
         let (f, s) = (
@@ -682,7 +639,7 @@ mod tests {
         let mk = || {
             quick_config(1_000, 2, 3.0, 44)
                 .with_topology(Topology::PreferentialAttachment { m: 4 })
-                .with_stragglers(0.2, 0.2)
+                .with_scenario(Scenario::new().with_stragglers(0.2, 0.2))
                 .run()
         };
         let r = mk();

@@ -57,7 +57,6 @@ pub struct SyncConfig {
     record: RecordLevel,
     max_rounds: Option<u64>,
     alpha_hint: Option<f64>,
-    max_generations: Option<u32>,
     topology: Topology,
     scenario: Scenario,
     trace: bool,
@@ -76,7 +75,6 @@ impl SyncConfig {
             record: RecordLevel::Generations,
             max_rounds: None,
             alpha_hint: None,
-            max_generations: None,
             topology: Topology::Complete,
             scenario: Scenario::new(),
             trace: false,
@@ -202,13 +200,6 @@ impl SyncConfig {
         self
     }
 
-    /// Caps the number of generations (default
-    /// [`GENERATION_CAP`]).
-    pub fn with_max_generations(mut self, cap: u32) -> Self {
-        self.max_generations = Some(cap);
-        self
-    }
-
     /// Runs the synchronous protocol.
     ///
     /// # Panics
@@ -303,8 +294,7 @@ fn run_sync(cfg: &SyncConfig) -> SyncResult {
     } else {
         2.0
     });
-    let cap = cfg.max_generations.unwrap_or(GENERATION_CAP);
-    let g_star = generations_needed(n as u64, alpha_for_schedule, cap);
+    let g_star = generations_needed(n as u64, alpha_for_schedule, GENERATION_CAP);
     let schedule = match cfg.mode {
         ScheduleMode::Predefined => Some(Schedule::predefined(
             n as u64,

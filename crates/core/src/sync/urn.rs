@@ -50,7 +50,6 @@ pub struct UrnConfig {
     epsilon: f64,
     seed: u64,
     max_rounds: Option<u64>,
-    alpha_hint: Option<f64>,
 }
 
 impl UrnConfig {
@@ -92,7 +91,6 @@ impl UrnConfig {
             epsilon: 0.05,
             seed: 0,
             max_rounds: None,
-            alpha_hint: None,
         }
     }
 
@@ -127,12 +125,6 @@ impl UrnConfig {
     /// Caps the number of rounds.
     pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
         self.max_rounds = Some(max_rounds);
-        self
-    }
-
-    /// Overrides the `α₀` used for the schedule.
-    pub fn with_alpha_hint(mut self, alpha: f64) -> Self {
-        self.alpha_hint = Some(alpha);
         self
     }
 
@@ -174,11 +166,11 @@ fn run_urn(cfg: &UrnConfig) -> UrnResult {
     let initial_winner = initial_counts.winner().expect("non-empty population");
     let initial_bias = initial_counts.bias().unwrap_or(f64::INFINITY);
 
-    let alpha = cfg.alpha_hint.unwrap_or(if initial_bias.is_finite() {
+    let alpha = if initial_bias.is_finite() {
         initial_bias.max(1.0)
     } else {
         2.0
-    });
+    };
     let g_star = generations_needed(n, alpha, GENERATION_CAP);
     let schedule = Schedule::predefined(n, k as u32, alpha, cfg.gamma);
     let max_rounds = cfg

@@ -76,18 +76,20 @@ fn leader_default_complete_exponential() {
 
 #[test]
 fn leader_stragglers() {
-    check_leader(leader(1_000, 2).with_stragglers(0.2, 0.1), "ticks=148753 popped=30995 thinned=0 resizes=5 crossings=5 duration=0x4066c27848c8b1f4 counts=[1000, 0] hash=0x6a259715c037627e");
+    let cfg = leader(1_000, 2).with_scenario(Scenario::parse("stragglers:0.2:0.1").unwrap());
+    check_leader(cfg, "ticks=148753 popped=30995 thinned=0 resizes=5 crossings=5 duration=0x4066c27848c8b1f4 counts=[1000, 0] hash=0x6a259715c037627e");
 }
 
 #[test]
 fn leader_stragglers_sparse() {
     let cfg = leader(1_000, 5).with_topology(Topology::PreferentialAttachment { m: 4 });
-    check_leader(cfg.with_stragglers(0.2, 0.2), "ticks=1018200 popped=196600 thinned=0 resizes=5 crossings=1 duration=0x4092eab5d0660663 counts=[996, 4] hash=0x78b392ab1554369f");
+    check_leader(cfg.with_scenario(Scenario::parse("stragglers:0.2:0.2").unwrap()), "ticks=1018200 popped=196600 thinned=0 resizes=5 crossings=1 duration=0x4092eab5d0660663 counts=[996, 4] hash=0x78b392ab1554369f");
 }
 
 #[test]
 fn leader_signal_loss() {
-    check_leader(leader(1_000, 3).with_signal_loss(0.3), "ticks=125896 popped=23719 thinned=103532 resizes=5 crossings=3 duration=0x405f9525c85c9cef counts=[1000, 0] hash=0xb227b1136c4c7373");
+    let cfg = leader(1_000, 3).with_scenario(Scenario::parse("signal-loss:0.3").unwrap());
+    check_leader(cfg, "ticks=125896 popped=23719 thinned=103532 resizes=5 crossings=3 duration=0x405f9525c85c9cef counts=[1000, 0] hash=0xb227b1136c4c7373");
 }
 
 #[test]

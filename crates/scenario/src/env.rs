@@ -143,6 +143,8 @@ impl Environment {
                     }
                 }
                 Action::Rewire { topology } => timeline.push((event.at, Change::Rewire(topology))),
+                // Run-long actions are engine parameters, never polled.
+                Action::SignalLoss { .. } | Action::Stragglers { .. } => {}
             }
         }
         // Stable sort: simultaneous events fire in script order.

@@ -18,9 +18,11 @@
 //! * [`Scenario`] — the declarative script: a list of typed
 //!   [`ScenarioEvent`]s (crash, recover, join churn, budgeted
 //!   adversarial corruption, message-loss bursts, latency regime
-//!   shifts, topology rewiring), built either through the fluent
-//!   builder API or parsed from the compact scenario DSL
-//!   (see [`Scenario::parse`] for the grammar);
+//!   shifts, topology rewiring), plus two *run-long* actions that hold
+//!   for the whole run and are read only by the single-leader engine
+//!   (persistent `signal-loss`, `stragglers` with slow clocks), built
+//!   either through the fluent builder API or parsed from the compact
+//!   scenario DSL (see [`Scenario::parse`] for the grammar);
 //! * [`Environment`] — the runtime an engine polls: it owns a private
 //!   RNG stream (derived via [`SCENARIO_STREAM`], so the engine's
 //!   process stream is never perturbed), tracks which nodes are
@@ -29,9 +31,10 @@
 //!   event;
 //! * the engine hooks — every engine config in the workspace carries a
 //!   `with_scenario` setter and calls [`Scenario::for_run`] at run
-//!   start. An empty scenario returns `None` and the engine takes its
-//!   historical zero-cost path, consuming the **byte-identical RNG
-//!   stream** it consumed before this crate existed.
+//!   start. An empty scenario — or one holding only run-long actions —
+//!   returns `None` and the engine takes its historical zero-cost path,
+//!   consuming the **byte-identical RNG stream** it consumed before
+//!   this crate existed.
 //!
 //! ## Quick start
 //!

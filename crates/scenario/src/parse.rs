@@ -6,6 +6,7 @@
 //! scenario   := ""                     (the empty scenario)
 //!             | event (";" event)*
 //! event      := action "@" time-spec
+//!             | run-long               (no time: holds for the whole run)
 //! time-spec  := TIME                   (instantaneous)
 //!             | TIME ".." TIME         (window [from, until))
 //! action     := "crash:"     FRACTION
@@ -15,13 +16,17 @@
 //!             | "burst-loss:" PROB                (window required)
 //!             | "latency:"   FACTOR               (window optional)
 //!             | "rewire:"    TOPOLOGY-SPEC
+//! run-long   := "signal-loss:" PROB               (at most once)
+//!             | "stragglers:" FRACTION [":" RATE] (at most once)
 //! ```
 //!
-//! `FRACTION` and `PROB` are floats in `[0, 1]`; `FACTOR` is a positive
-//! finite float; `TIME` is a finite float ≥ 0 in the engine's native
-//! clock; `TOPOLOGY-SPEC` is the topology grammar of
-//! [`Topology::parse_spec`] (`complete | ring | torus | er:P |
-//! regular:D | pa:M`). `corrupt` defaults to the oblivious adversary.
+//! `FRACTION` and `PROB` are floats in `[0, 1]`; `FACTOR` and `RATE`
+//! are positive finite floats (`RATE` defaults to 0.1); `TIME` is a
+//! finite float ≥ 0 in the engine's native clock; `TOPOLOGY-SPEC` is
+//! the topology grammar of [`Topology::parse_spec`] (`complete | ring |
+//! torus | er:P | regular:D | pa:M`). `corrupt` defaults to the
+//! oblivious adversary. The run-long actions are read only by the
+//! single-leader engine.
 //!
 //! Examples:
 //!
@@ -29,9 +34,10 @@
 //! crash:0.2@5
 //! crash:0.2@5;burst-loss:0.5@8..12;rewire:er:0.01@20
 //! corrupt:0.1:adaptive@5;join:0.1@9;latency:4@10..20
+//! signal-loss:0.3;stragglers:0.2:0.1
 //! ```
 
-use crate::script::{Action, AdversaryMode, Scenario, ScenarioEvent};
+use crate::script::{Action, AdversaryMode, Scenario, ScenarioEvent, WindowRule};
 use plurality_topology::Topology;
 use std::fmt;
 
@@ -66,18 +72,40 @@ fn parse_number(idx: usize, what: &str, s: &str) -> Result<f64, ScenarioParseErr
 }
 
 fn parse_event(idx: usize, raw: &str) -> Result<ScenarioEvent, ScenarioParseError> {
-    let (action_str, time_str) = raw
-        .split_once('@')
-        .ok_or_else(|| ScenarioParseError::new(idx, format!("`{raw}` has no `@TIME` part")))?;
-
-    let (at, until) = match time_str.split_once("..") {
-        Some((from, until)) => (
-            parse_number(idx, "window start", from)?,
-            Some(parse_number(idx, "window end", until)?),
-        ),
-        None => (parse_number(idx, "event time", time_str)?, None),
+    let (action_str, time_str) = match raw.split_once('@') {
+        Some((action, time)) => (action, Some(time)),
+        None => (raw, None),
     };
+    let action = parse_action(idx, action_str)?;
+    let (at, until) = match (action.window_rule(), time_str) {
+        (WindowRule::RunLong, Some(_)) => {
+            return Err(ScenarioParseError::new(
+                idx,
+                format!(
+                    "`{}` holds for the whole run and takes no `@TIME` (write `{action}`)",
+                    action.keyword()
+                ),
+            ))
+        }
+        (WindowRule::RunLong, None) => (0.0, None),
+        (_, None) => {
+            return Err(ScenarioParseError::new(
+                idx,
+                format!("`{raw}` has no `@TIME` part"),
+            ))
+        }
+        (_, Some(time)) => match time.split_once("..") {
+            Some((from, until)) => (
+                parse_number(idx, "window start", from)?,
+                Some(parse_number(idx, "window end", until)?),
+            ),
+            None => (parse_number(idx, "event time", time)?, None),
+        },
+    };
+    Ok(ScenarioEvent { at, until, action })
+}
 
+fn parse_action(idx: usize, action_str: &str) -> Result<Action, ScenarioParseError> {
     let (keyword, payload) = action_str
         .split_once(':')
         .ok_or_else(|| ScenarioParseError::new(idx, format!("`{action_str}` has no parameter")))?;
@@ -118,22 +146,30 @@ fn parse_event(idx: usize, raw: &str) -> Result<ScenarioEvent, ScenarioParseErro
             topology: Topology::parse_spec(payload)
                 .map_err(|e| ScenarioParseError::new(idx, e.message().to_string()))?,
         },
+        "signal-loss" => Action::SignalLoss {
+            p: parse_number(idx, "signal-loss probability", payload)?,
+        },
+        "stragglers" => {
+            let (frac_str, rate) = match payload.split_once(':') {
+                None => (payload, 0.1),
+                Some((f, r)) => (f, parse_number(idx, "straggler rate", r)?),
+            };
+            Action::Stragglers {
+                fraction: parse_number(idx, "straggler fraction", frac_str)?,
+                rate,
+            }
+        }
         other => {
             return Err(ScenarioParseError::new(
                 idx,
                 format!(
                     "unknown action `{other}` (expected crash, recover, join, corrupt, \
-                     burst-loss, latency, or rewire)"
+                     burst-loss, latency, rewire, signal-loss, or stragglers)"
                 ),
             ))
         }
     };
-
-    let event = ScenarioEvent { at, until, action };
-    event
-        .check()
-        .map_err(|e| ScenarioParseError::new(idx, e.message().to_string()))?;
-    Ok(event)
+    Ok(action)
 }
 
 /// Parses a full scenario spec (the body of [`Scenario::parse`]).
@@ -152,22 +188,9 @@ pub(crate) fn parse(spec: &str) -> Result<Scenario, ScenarioParseError> {
                 "empty event (stray `;`?)".to_string(),
             ));
         }
-        let event = parse_event(idx, raw)?;
-        // The builder re-checks; structurally impossible to fail here.
-        scenario = match event.action {
-            Action::Crash { fraction } => scenario.crash(fraction, event.at),
-            Action::Recover { fraction } => scenario.recover(fraction, event.at),
-            Action::Join { fraction } => scenario.join(fraction, event.at),
-            Action::Corrupt { fraction, mode } => scenario.corrupt(fraction, mode, event.at),
-            Action::BurstLoss { p } => {
-                scenario.burst_loss(p, event.at, event.until.expect("checked"))
-            }
-            Action::LatencyScale { factor } => match event.until {
-                Some(until) => scenario.latency_scale_during(factor, event.at, until),
-                None => scenario.latency_scale(factor, event.at),
-            },
-            Action::Rewire { topology } => scenario.rewire(topology, event.at),
-        };
+        scenario = scenario
+            .try_push(parse_event(idx, raw)?)
+            .map_err(|e| ScenarioParseError::new(idx, e.message().to_string()))?;
     }
     Ok(scenario)
 }
@@ -226,22 +249,28 @@ mod tests {
     #[test]
     fn rejects_malformed_events() {
         for bad in [
-            "crash:0.2",             // no time
-            "crash@5",               // no parameter
-            "crash:1.5@5",           // fraction out of range
-            "crash:0.2@-1",          // negative time
-            "crash:0.2@nan",         // non-finite time
-            "crash:0.2@5..4",        // inverted window
-            "crash:0.2@5..9",        // window on instantaneous action
-            "burst-loss:0.5@8",      // missing required window
-            "burst-loss:2@8..12",    // probability out of range
-            "latency:0@5",           // non-positive factor
-            "latency:inf@5",         // non-finite factor
-            "corrupt:0.1:evil@5",    // unknown adversary mode
-            "rewire:hypercube@5",    // unknown topology
-            "rewire:er:x@5",         // bad topology parameter
-            "crash:0.2@5;;join:1@9", // stray semicolon
-            "@5",                    // empty action
+            "crash:0.2",                                   // no time
+            "crash@5",                                     // no parameter
+            "crash:1.5@5",                                 // fraction out of range
+            "crash:0.2@-1",                                // negative time
+            "crash:0.2@nan",                               // non-finite time
+            "crash:0.2@5..4",                              // inverted window
+            "crash:0.2@5..9",                              // window on instantaneous action
+            "burst-loss:0.5@8",                            // missing required window
+            "burst-loss:2@8..12",                          // probability out of range
+            "latency:0@5",                                 // non-positive factor
+            "latency:inf@5",                               // non-finite factor
+            "corrupt:0.1:evil@5",                          // unknown adversary mode
+            "rewire:hypercube@5",                          // unknown topology
+            "rewire:er:x@5",                               // bad topology parameter
+            "crash:0.2@5;;join:1@9",                       // stray semicolon
+            "@5",                                          // empty action
+            "signal-loss:0.3@5",                           // run-long action with a time
+            "stragglers:0.2@0",                            // run-long action with a time
+            "signal-loss:1.5",                             // probability out of range
+            "stragglers:0.2:0",                            // non-positive straggler rate
+            "stragglers:2",                                // straggler fraction out of range
+            "signal-loss:0.1;crash:0.2@5;signal-loss:0.2", // duplicated run-long action
         ] {
             assert!(Scenario::parse(bad).is_err(), "accepted `{bad}`");
         }

@@ -102,6 +102,23 @@ pub enum Action {
         /// The topology family to rewire onto.
         topology: Topology,
     },
+    /// Persistent signal loss, held for the whole run: the single-leader
+    /// engine drops each 0-signal and each gen-signal towards the leader
+    /// independently with probability `p`. Peer channels are untouched
+    /// (script `burst-loss` for loss on every message).
+    SignalLoss {
+        /// The per-signal drop probability, in `[0, 1]`.
+        p: f64,
+    },
+    /// Straggler clocks, held for the whole run: in the single-leader
+    /// engine a uniformly random `fraction` of the nodes tick at `rate`
+    /// instead of rate 1.
+    Stragglers {
+        /// Fraction of the nodes that straggle, in `[0, 1]`.
+        fraction: f64,
+        /// Their Poisson clock rate, positive and finite.
+        rate: f64,
+    },
 }
 
 /// Whether an action accepts the `@from..until` window form.
@@ -113,6 +130,9 @@ pub(crate) enum WindowRule {
     Optional,
     /// The action is instantaneous (`crash`, `corrupt`, `rewire`, …).
     Forbidden,
+    /// The action holds for the whole run and takes no time at all
+    /// (`signal-loss`, `stragglers`).
+    RunLong,
 }
 
 impl Action {
@@ -126,6 +146,8 @@ impl Action {
             Self::BurstLoss { .. } => "burst-loss",
             Self::LatencyScale { .. } => "latency",
             Self::Rewire { .. } => "rewire",
+            Self::SignalLoss { .. } => "signal-loss",
+            Self::Stragglers { .. } => "stragglers",
         }
     }
 
@@ -133,8 +155,17 @@ impl Action {
         match self {
             Self::BurstLoss { .. } => WindowRule::Required,
             Self::LatencyScale { .. } => WindowRule::Optional,
+            Self::SignalLoss { .. } | Self::Stragglers { .. } => WindowRule::RunLong,
             _ => WindowRule::Forbidden,
         }
+    }
+
+    /// Whether the action holds for the whole run (`signal-loss`,
+    /// `stragglers`) rather than firing on the clock. Run-long actions
+    /// take no `@TIME`, are never polled, and only the single-leader
+    /// engine reads them.
+    pub fn is_run_long(&self) -> bool {
+        self.window_rule() == WindowRule::RunLong
     }
 
     /// Checks the action's own parameter constraints (`n`-independent).
@@ -148,21 +179,25 @@ impl Action {
                 )))
             }
         };
+        let positive_finite = |what: &str, x: f64| {
+            if x > 0.0 && x.is_finite() {
+                Ok(())
+            } else {
+                Err(InvalidParameterError::new(format!(
+                    "{what} must be positive and finite, got {x}"
+                )))
+            }
+        };
         match *self {
             Self::Crash { fraction } => frac_in_unit("crash fraction", fraction),
             Self::Recover { fraction } => frac_in_unit("recover fraction", fraction),
             Self::Join { fraction } => frac_in_unit("join fraction", fraction),
             Self::Corrupt { fraction, .. } => frac_in_unit("corruption budget", fraction),
             Self::BurstLoss { p } => frac_in_unit("burst-loss probability", p),
-            Self::LatencyScale { factor } => {
-                if factor > 0.0 && factor.is_finite() {
-                    Ok(())
-                } else {
-                    Err(InvalidParameterError::new(format!(
-                        "latency factor must be positive and finite, got {factor}"
-                    )))
-                }
-            }
+            Self::SignalLoss { p } => frac_in_unit("signal-loss probability", p),
+            Self::Stragglers { fraction, rate } => frac_in_unit("straggler fraction", fraction)
+                .and(positive_finite("straggler rate", rate)),
+            Self::LatencyScale { factor } => positive_finite("latency factor", factor),
             // n-dependent constraints are checked by `Scenario::validate`.
             Self::Rewire { .. } => Ok(()),
         }
@@ -181,6 +216,8 @@ impl fmt::Display for Action {
             Self::BurstLoss { p } => write!(f, "burst-loss:{p}"),
             Self::LatencyScale { factor } => write!(f, "latency:{factor}"),
             Self::Rewire { topology } => write!(f, "rewire:{}", topology.spec()),
+            Self::SignalLoss { p } => write!(f, "signal-loss:{p}"),
+            Self::Stragglers { fraction, rate } => write!(f, "stragglers:{fraction}:{rate}"),
         }
     }
 }
@@ -190,7 +227,8 @@ impl fmt::Display for Action {
 pub struct ScenarioEvent {
     /// When the event fires, in the engine's native clock (rounds for
     /// the synchronous engines, time steps for the event-driven ones,
-    /// parallel time for population protocols).
+    /// parallel time for population protocols); `0.0` for run-long
+    /// actions.
     pub at: f64,
     /// For windowed actions: when the effect reverts. `None` for
     /// instantaneous actions and open-ended latency shifts.
@@ -237,6 +275,9 @@ impl ScenarioEvent {
 
 impl fmt::Display for ScenarioEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.action.is_run_long() {
+            return write!(f, "{}", self.action);
+        }
         write!(f, "{}@{}", self.action, self.at)?;
         if let Some(until) = self.until {
             write!(f, "..{until}")?;
@@ -278,24 +319,30 @@ impl Scenario {
     ///
     /// ```text
     /// scenario   := "" | event (";" event)*
-    /// event      := action "@" time-spec
+    /// event      := action "@" time-spec | run-long
     /// time-spec  := TIME | TIME ".." TIME          (window [from, until))
     /// action     := "crash:" F | "recover:" F | "join:" F
     ///             | "corrupt:" F [":oblivious" | ":adaptive"]
     ///             | "burst-loss:" P                (window required)
     ///             | "latency:" FACTOR              (window optional)
     ///             | "rewire:" TOPOLOGY-SPEC        (see Topology::parse_spec)
+    /// run-long   := "signal-loss:" P               (no time, at most once)
+    ///             | "stragglers:" F [":" RATE]     (no time, at most once)
     /// ```
     ///
     /// Fractions/probabilities lie in `[0, 1]`, times are finite floats
-    /// ≥ 0 in the engine's native clock, and `corrupt` defaults to the
-    /// oblivious adversary. Examples:
+    /// ≥ 0 in the engine's native clock, `corrupt` defaults to the
+    /// oblivious adversary, and the straggler `RATE` (positive, finite)
+    /// defaults to 0.1. Run-long actions hold for the whole run; only
+    /// the single-leader engine reads them. Examples:
     ///
     /// ```
     /// use plurality_scenario::Scenario;
     /// assert!(Scenario::parse("crash:0.2@5").is_ok());
     /// assert!(Scenario::parse("corrupt:0.1:adaptive@5;join:0.1@9").is_ok());
     /// assert!(Scenario::parse("burst-loss:0.5@8").is_err()); // needs a window
+    /// assert!(Scenario::parse("signal-loss:0.3;stragglers:0.2").is_ok());
+    /// assert!(Scenario::parse("signal-loss:0.3@5").is_err()); // run-long
     /// assert!(Scenario::parse("").unwrap().is_empty());
     /// ```
     ///
@@ -307,12 +354,30 @@ impl Scenario {
         parse::parse(spec)
     }
 
-    fn push(mut self, event: ScenarioEvent) -> Self {
-        event
-            .check()
-            .expect("scenario builder arguments must be valid");
+    /// Appends a checked event; a run-long action may appear only once.
+    pub(crate) fn try_push(mut self, event: ScenarioEvent) -> Result<Self, InvalidParameterError> {
+        event.check()?;
+        let keyword = event.action.keyword();
+        if event.action.is_run_long() && self.events.iter().any(|e| e.action.keyword() == keyword) {
+            return Err(InvalidParameterError::new(format!(
+                "`{keyword}` holds for the whole run and may appear only once"
+            )));
+        }
         self.events.push(event);
-        self
+        Ok(self)
+    }
+
+    fn push(self, event: ScenarioEvent) -> Self {
+        self.try_push(event)
+            .expect("scenario builder arguments must be valid")
+    }
+
+    fn run_long(self, action: Action) -> Self {
+        self.push(ScenarioEvent {
+            at: 0.0,
+            until: None,
+            action,
+        })
     }
 
     /// Crashes a `fraction` of the population at time `at`.
@@ -395,8 +460,48 @@ impl Scenario {
         })
     }
 
-    /// Whether the scenario contains no events (the engines' zero-cost
-    /// fast path).
+    /// Drops each single-leader 0-/gen-signal with probability `p` for
+    /// the whole run (DSL `signal-loss:P`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p ∉ [0, 1]` or the scenario already has a
+    /// `signal-loss`.
+    pub fn with_signal_loss(self, p: f64) -> Self {
+        self.run_long(Action::SignalLoss { p })
+    }
+
+    /// Makes a `fraction` of the single leader's nodes tick at `rate`
+    /// for the whole run (DSL `stragglers:FRAC:RATE`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fraction ∉ [0, 1]`, `rate` is not positive and finite,
+    /// or the scenario already has `stragglers`.
+    pub fn with_stragglers(self, fraction: f64, rate: f64) -> Self {
+        self.run_long(Action::Stragglers { fraction, rate })
+    }
+
+    /// The run-long `signal-loss` probability; `0.0` without one.
+    pub fn signal_loss(&self) -> f64 {
+        self.events
+            .iter()
+            .find_map(|e| match e.action {
+                Action::SignalLoss { p } => Some(p),
+                _ => None,
+            })
+            .unwrap_or(0.0)
+    }
+
+    /// The run-long `stragglers` as `(fraction, rate)`, if any.
+    pub fn stragglers(&self) -> Option<(f64, f64)> {
+        self.events.iter().find_map(|e| match e.action {
+            Action::Stragglers { fraction, rate } => Some((fraction, rate)),
+            _ => None,
+        })
+    }
+
+    /// Whether the scenario contains no events, run-long ones included.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
@@ -468,8 +573,9 @@ impl Scenario {
         Environment::new(self, n, k, seed)
     }
 
-    /// The engine entry point: `None` for the empty scenario (the
-    /// historical code path, byte-identical RNG stream), otherwise the
+    /// The engine entry point: `None` when nothing happens on the clock
+    /// — the empty scenario, or one holding only run-long actions (the
+    /// historical code path, byte-identical RNG stream) — otherwise the
     /// runtime environment seeded from the run seed via the private
     /// [`SCENARIO_STREAM`].
     ///
@@ -478,7 +584,7 @@ impl Scenario {
     /// Panics if the scenario is invalid for this population size (the
     /// engines surface this exactly like an unbuildable topology).
     pub fn for_run(&self, n: usize, k: u32, run_seed: u64) -> Option<Environment> {
-        if self.is_empty() {
+        if self.events.iter().all(|e| e.action.is_run_long()) {
             return None;
         }
         Some(
@@ -516,11 +622,38 @@ mod tests {
             .burst_loss(0.5, 8.0, 12.0)
             .latency_scale(2.0, 20.0)
             .latency_scale_during(4.0, 25.0, 30.0)
-            .rewire(Topology::Regular { d: 8 }, 40.0);
+            .rewire(Topology::Regular { d: 8 }, 40.0)
+            .with_signal_loss(0.3)
+            .with_stragglers(0.2, 0.5);
         let rendered = s.to_string();
+        assert!(
+            rendered.ends_with(";signal-loss:0.3;stragglers:0.2:0.5"),
+            "{rendered}"
+        );
         assert_eq!(Scenario::parse(&rendered).unwrap(), s);
-        assert_eq!(s.len(), 8);
+        assert_eq!(s.len(), 10);
         assert_eq!(s.last_time(), 40.0);
+        assert_eq!(s.signal_loss(), 0.3);
+        assert_eq!(s.stragglers(), Some((0.2, 0.5)));
+    }
+
+    #[test]
+    fn run_long_only_scenarios_keep_the_fast_path() {
+        let s = Scenario::new()
+            .with_signal_loss(0.3)
+            .with_stragglers(0.2, 0.1);
+        assert!(!s.is_empty());
+        assert_eq!(s.horizon(), 0.0);
+        assert!(s.for_run(100, 2, 0).is_none());
+        assert!(s.clone().crash(0.1, 5.0).for_run(100, 2, 0).is_some());
+        assert_eq!(Scenario::new().signal_loss(), 0.0);
+        assert_eq!(Scenario::new().stragglers(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "valid")]
+    fn builder_rejects_a_second_run_long_action() {
+        let _ = Scenario::new().with_signal_loss(0.1).with_signal_loss(0.2);
     }
 
     #[test]

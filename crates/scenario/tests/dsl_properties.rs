@@ -8,14 +8,19 @@ use plurality_topology::Topology;
 use proptest::prelude::*;
 
 /// Builds one scenario from drawn raw material: `picks` selects the
-/// action variant per event, the float vectors supply parameters.
+/// action variant per event, the float vectors supply parameters. Each
+/// run-long action is added at most once, at the position of its first
+/// pick.
 fn build_scenario(picks: &[usize], fracs: &[f64], times: &[f64], spans: &[f64]) -> Scenario {
     let mut s = Scenario::new();
     for (i, &pick) in picks.iter().enumerate() {
         let frac = fracs[i % fracs.len()];
         let at = times[i % times.len()];
         let span = spans[i % spans.len()];
-        s = match pick % 9 {
+        s = match pick % 11 {
+            9 if s.signal_loss() == 0.0 && frac > 0.0 => s.with_signal_loss(frac),
+            10 if s.stragglers().is_none() => s.with_stragglers(frac, span),
+            9 | 10 => s,
             0 => s.crash(frac, at),
             1 => s.recover(frac, at),
             2 => s.join(frac, at),
@@ -121,11 +126,13 @@ proptest! {
 #[test]
 fn parse_accepts_a_kitchen_sink_example() {
     let s = Scenario::parse(
-        "crash:0.2@5;burst-loss:0.5@8..12;rewire:er:0.01@20;\
-         corrupt:0.05:adaptive@22;join:0.2@25;latency:3@30..40;recover:1@50",
+        "crash:0.2@5;burst-loss:0.5@8..12;rewire:er:0.01@20;signal-loss:0.3;\
+         corrupt:0.05:adaptive@22;join:0.2@25;latency:3@30..40;recover:1@50;stragglers:0.2",
     )
     .unwrap();
-    assert_eq!(s.len(), 7);
+    assert_eq!(s.len(), 9);
+    assert_eq!(s.signal_loss(), 0.3);
+    assert_eq!(s.stragglers(), Some((0.2, 0.1)));
     assert_eq!(s.last_time(), 50.0);
     assert_eq!(Scenario::parse(&s.to_string()).unwrap(), s);
 }

@@ -9,7 +9,7 @@
 //! plurality run --protocol 3-majority --n 30000 --k 16 --alpha 2.0
 //! plurality run --protocol sync --topology regular:8
 //! plurality run --protocol sync --scenario "crash:0.2@5;burst-loss:0.5@8..12;rewire:er:0.01@20"
-//! plurality run --protocol leader --loss 0.3 --stragglers 0.2:0.1
+//! plurality run --protocol leader --scenario "signal-loss:0.3;stragglers:0.2:0.1"
 //! plurality time-unit --latency exp:0.1 --pattern single
 //! ```
 //!
@@ -20,9 +20,7 @@
 //! dev-tools); every parameter has a default, so
 //! `plurality run --protocol sync` already works.
 
-use plurality::api::{
-    parse_stragglers, Registry, Report, Resolved, RunSpec, SpecError, Telemetry, COMMON_KEYS,
-};
+use plurality::api::{Registry, Report, Resolved, RunSpec, SpecError, Telemetry, COMMON_KEYS};
 use plurality::check::{
     check_cluster, check_leader, CheckReport, CheckTopology, ClusterCheckConfig, LeaderCheckConfig,
     Limits, SearchOrder, VerdictSummary,
@@ -275,54 +273,21 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
         return cmd_spec(raw, trace_out);
     }
     let protocol = args.get_str("protocol", "sync");
-    // Reject unknown protocols before any flag-compatibility diagnosis,
-    // so a typo'd protocol never gets flag advice addressed to it.
+    // Reject unknown protocols before any flag is looked at, so a typo'd
+    // protocol never gets key advice addressed to it.
     let Some(entry) = Registry::standard().find(&protocol) else {
         return Err(format!(
             "unknown protocol `{protocol}` (expected {})",
             Registry::standard().names().join(", ")
         ));
     };
-    // Engine-API failure knobs of the single-leader engine; every other
-    // protocol expresses failures through `--scenario` instead. Ranges
-    // are checked here so the advice cites the flag, not a spec key.
-    let mut drop_zero_loss = false;
-    if let Some(raw) = args.options.get("loss") {
-        let loss: f64 = raw
-            .parse()
-            .map_err(|_| format!("--loss: `{raw}` is not a number"))?;
-        if !(0.0..=1.0).contains(&loss) {
-            return Err(format!("--loss must lie in [0, 1], got {loss}"));
-        }
-        if entry.name() != "leader" {
-            if loss != 0.0 {
-                return Err(format!(
-                    "--loss is leader-only (persistent 0-/gen-signal loss); for `{protocol}` \
-                     script a burst instead: --scenario \"burst-loss:{loss}@0..1000000\""
-                ));
-            }
-            // An explicit zero is a no-op everywhere; don't forward it.
-            drop_zero_loss = true;
-        }
-    }
-    if let Some(raw) = args.options.get("stragglers") {
-        parse_stragglers(raw).map_err(|e| e.message().to_string())?;
-        if entry.name() != "leader" {
-            return Err(
-                "--stragglers is leader-only (heterogeneous Poisson clock rates)".to_string(),
-            );
-        }
-    }
-    // Every remaining flag is a run-spec parameter — one grammar, one
+    // Every other flag is a run-spec parameter — one grammar, one
     // validator, one set of teaching errors shared with `--spec`.
     let mut spec = RunSpec::new(entry.name());
     let mut keys: Vec<&String> = args.options.keys().collect();
     keys.sort(); // deterministic parameter order in errors and Display
     for key in keys {
-        if key == "protocol"
-            || RUN_OUTPUT_FLAGS.contains(&key.as_str())
-            || (key == "loss" && drop_zero_loss)
-        {
+        if key == "protocol" || RUN_OUTPUT_FLAGS.contains(&key.as_str()) {
             continue;
         }
         let value = &args.options[key];
@@ -550,14 +515,15 @@ the RNG stream is byte-identical with the knob on or off.
 `run` flags and `--spec` parameters are the same grammar. Common keys:
   n, k, alpha, epsilon, seed, record, topology, scenario, max
 protocol-specific keys (see --list): gamma, mode (sync/urn);
-  latency, c1, loss, stragglers (leader); latency, c1, participation,
-  leader-prob (cluster); a (population protocols)
+  latency, c1 (leader); latency, c1, participation, leader-prob (cluster);
+  a (population protocols)
 
 latency SPEC:  exp:RATE | erlang:SHAPE:RATE | weibull:SHAPE:MEAN | uniform:LO:HI | det:VALUE
 topology SPEC: complete | ring | torus | er:P | regular:D | pa:M
 scenario SPEC: ACTION@TIME[..UNTIL] joined by ';' — e.g. \"crash:0.2@5;burst-loss:0.5@8..12\"
                actions: crash:F | recover:F | join:F | corrupt:F[:oblivious|:adaptive]
-                        | burst-loss:P (window req.) | latency:FACTOR | rewire:TOPOLOGY";
+                        | burst-loss:P (window req.) | latency:FACTOR | rewire:TOPOLOGY
+               run-long, no @TIME, leader only: signal-loss:P | stragglers:F[:RATE]";
 
 /// Gives the boolean `--trace` flag an implicit value so it fits the
 /// parser's strict `--key value` grammar.
@@ -614,6 +580,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plurality::scenario::Scenario;
     use plurality::topology::Topology;
 
     fn raw(parts: &[&str]) -> Vec<String> {
@@ -715,10 +682,11 @@ mod tests {
 
     #[test]
     fn straggler_specs_share_the_facade_grammar() {
-        assert_eq!(parse_stragglers("0.2").unwrap(), (0.2, 0.1));
-        assert_eq!(parse_stragglers("0.2:0.5").unwrap(), (0.2, 0.5));
-        assert!(parse_stragglers("x").is_err());
-        assert!(parse_stragglers("0.2:y").is_err());
+        let stragglers = |spec: &str| Scenario::parse(spec).map(|s| s.stragglers());
+        assert_eq!(stragglers("stragglers:0.2"), Ok(Some((0.2, 0.1))));
+        assert_eq!(stragglers("stragglers:0.2:0.5"), Ok(Some((0.2, 0.5))));
+        assert!(stragglers("stragglers:x").is_err());
+        assert!(stragglers("stragglers:0.2:y").is_err());
     }
 
     #[test]

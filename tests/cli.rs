@@ -171,10 +171,8 @@ fn run_leader_with_loss_and_stragglers() {
         "3.0",
         "--seed",
         "3",
-        "--loss",
-        "0.2",
-        "--stragglers",
-        "0.1:0.5",
+        "--scenario",
+        "signal-loss:0.2;stragglers:0.1:0.5",
     ]);
     assert!(
         out.status.success(),
@@ -186,45 +184,89 @@ fn run_leader_with_loss_and_stragglers() {
 
 #[test]
 fn loss_and_stragglers_are_rejected_for_non_leader_protocols() {
-    let out = plurality(&["run", "--protocol", "sync", "--loss", "0.2"]);
+    let out = plurality(&["run", "--protocol", "sync", "--scenario", "signal-loss:0.2"]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("leader-only"), "stderr: {stderr}");
-    // The error teaches the scenario equivalent.
+    // The error teaches the all-protocol equivalent.
     assert!(stderr.contains("burst-loss"), "stderr: {stderr}");
 
-    let out = plurality(&["run", "--protocol", "cluster", "--stragglers", "0.2"]);
+    let out = plurality(&[
+        "run",
+        "--protocol",
+        "cluster",
+        "--scenario",
+        "stragglers:0.2",
+    ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("leader-only"));
+
+    // The old leader-only flags are gone.
+    let out = plurality(&["run", "--protocol", "leader", "--loss", "0.2"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`loss` is not a parameter"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
 fn out_of_range_loss_and_stragglers_are_cli_errors_not_panics() {
-    let out = plurality(&["run", "--protocol", "leader", "--loss", "1.5"]);
+    let out = plurality(&[
+        "run",
+        "--protocol",
+        "leader",
+        "--scenario",
+        "signal-loss:1.5",
+    ]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("--loss must lie in [0, 1]"),
+        stderr.contains("signal-loss probability must lie in [0, 1]"),
         "stderr: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 
-    let out = plurality(&["run", "--protocol", "leader", "--stragglers", "1.5"]);
+    let out = plurality(&[
+        "run",
+        "--protocol",
+        "leader",
+        "--scenario",
+        "stragglers:1.5",
+    ]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("straggler fraction"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 
-    let out = plurality(&["run", "--protocol", "leader", "--stragglers", "0.2:0"]);
+    let out = plurality(&[
+        "run",
+        "--protocol",
+        "leader",
+        "--scenario",
+        "stragglers:0.2:0",
+    ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("straggler rate"));
+
+    let out = plurality(&[
+        "run",
+        "--protocol",
+        "leader",
+        "--scenario",
+        "signal-loss:0.2@5",
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("takes no `@TIME`"), "stderr: {stderr}");
 }
 
 #[test]
 fn unknown_protocol_wins_over_flag_compatibility_advice() {
     // A typo'd protocol must get the unknown-protocol error, not advice
-    // about which flags the (nonexistent) protocol supports.
-    let out = plurality(&["run", "--protocol", "sink", "--loss", "0.2"]);
+    // about which scenario actions the (nonexistent) protocol supports.
+    let out = plurality(&["run", "--protocol", "sink", "--scenario", "signal-loss:0.2"]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown protocol"), "stderr: {stderr}");
