@@ -29,11 +29,13 @@ use plurality_core::leader::LeaderConfig;
 use plurality_core::sync::{SyncConfig, UrnConfig};
 use plurality_core::InitialAssignment;
 use plurality_dist::rng::Xoshiro256PlusPlus;
-use plurality_dist::{sample_binomial, ChannelPattern, Exponential, Gamma, Latency, WaitingTime};
+use plurality_dist::{
+    sample_binomial, sample_poisson, AliasTable, ChannelPattern, Exponential, Gamma, Latency,
+    WaitingTime, Weibull,
+};
 use plurality_sim::CalendarQueue;
 use plurality_topology::Topology;
 use rand::RngCore;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Measurement effort. [`Effort::full`] produces the committed
@@ -124,10 +126,31 @@ fn sampler_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
             std::hint::black_box(gamma.sample(&mut rng));
         }),
     ));
+    let weibull = Weibull::new(1.5, 1.0).expect("valid params");
+    metrics.push((
+        "sampler/weibull_ns".into(),
+        median_ns(eff.batch(50_000), eff.timing_samples, || {
+            std::hint::black_box(weibull.sample(&mut rng));
+        }),
+    ));
     metrics.push((
         "sampler/binomial_n1e6_ns".into(),
         median_ns(eff.batch(20_000), eff.timing_samples, || {
             std::hint::black_box(sample_binomial(1_000_000, 0.3, &mut rng));
+        }),
+    ));
+    metrics.push((
+        "sampler/poisson_1000_ns".into(),
+        median_ns(eff.batch(50_000), eff.timing_samples, || {
+            std::hint::black_box(sample_poisson(1000.0, &mut rng));
+        }),
+    ));
+    let weights: Vec<f64> = (1..=64).map(|i| 1.0 / f64::from(i)).collect();
+    let alias = AliasTable::new(&weights).expect("valid weights");
+    metrics.push((
+        "sampler/alias_table_k64_ns".into(),
+        median_ns(eff.batch(100_000), eff.timing_samples, || {
+            std::hint::black_box(alias.sample(&mut rng));
         }),
     ));
     let wt = WaitingTime::new(
@@ -343,32 +366,6 @@ fn profile_metrics(metrics: &mut Vec<(String, f64)>) {
     metrics.push(("profile/cache_shard_misses".into(), misses as f64));
 }
 
-/// Extracts the `"name": value` pairs of the `"results"` object of a
-/// snapshot file (one pair per line, as written by
-/// [`criterion::write_suite_json`]); a `null` value reads as NaN.
-fn baseline_entries(text: &str) -> Vec<(String, f64)> {
-    let mut entries = Vec::new();
-    let mut in_results = false;
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if trimmed.starts_with("\"results\"") {
-            in_results = true;
-            continue;
-        }
-        if !in_results {
-            continue;
-        }
-        if trimmed.starts_with('}') {
-            break;
-        }
-        if let Some((key, value)) = trimmed.strip_prefix('"').and_then(|r| r.split_once("\": ")) {
-            let value = value.trim_end_matches(',').parse().unwrap_or(f64::NAN);
-            entries.push((key.to_string(), value));
-        }
-    }
-    entries
-}
-
 /// Compares a fresh snapshot with the baseline entries: every baseline
 /// key must still be measured, and every `profile/*` counter on either
 /// side must equal its baseline value exactly. Returns one line per
@@ -392,15 +389,9 @@ fn check_failures(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> Vec<St
     failures
 }
 
-fn snapshot_dir() -> PathBuf {
-    std::env::var(criterion::BENCH_JSON_ENV)
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("benchmarks"))
-}
-
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
-    let path = snapshot_dir().join("BENCH_perf_snapshot.json");
+    let path = plurality_bench::snapshot_dir().join("BENCH_perf_snapshot.json");
     // --check only needs the timing keys' names: measure at token effort.
     let eff = if check {
         Effort::quick()
@@ -431,7 +422,7 @@ fn main() {
             eprintln!("cannot read committed baseline {}: {e}", path.display());
             std::process::exit(1);
         });
-        let baseline = baseline_entries(&baseline);
+        let baseline = plurality_bench::baseline_entries(&baseline);
         let failures = check_failures(&baseline, &metrics);
         if failures.is_empty() {
             println!(
@@ -445,7 +436,7 @@ fn main() {
             std::process::exit(1);
         }
     } else {
-        criterion::write_suite_json(
+        plurality_bench::write_suite_json(
             &path,
             "perf_snapshot",
             "ns per op (…_ns), wall-clock ms (…_ms), ratios otherwise",

@@ -39,7 +39,6 @@
 use plurality_obs::{validate_exposition, Histogram};
 use plurality_serve::{run_target, HttpClient};
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -278,12 +277,6 @@ fn scrape_metrics_midload(addr: SocketAddr) -> Result<(), String> {
     Ok(())
 }
 
-fn snapshot_dir() -> PathBuf {
-    std::env::var(criterion::BENCH_JSON_ENV)
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("benchmarks"))
-}
-
 fn main() {
     let config = parse_args();
     println!(
@@ -351,8 +344,8 @@ fn main() {
         ("serve/status_5xx".into(), sum(|t| t.status_5xx) as f64),
         ("serve/status_other".into(), sum(|t| t.status_other) as f64),
     ];
-    let path = snapshot_dir().join("BENCH_serve.json");
-    criterion::write_suite_json(
+    let path = plurality_bench::snapshot_dir().join("BENCH_serve.json");
+    plurality_bench::write_suite_json(
         &path,
         "serve_load",
         "latency ms (…_ms), throughput specs/sec, counts and ratios otherwise",

@@ -6,9 +6,9 @@
 //! entry and checks its claims with `assert` lines. The other binaries
 //! in `src/bin/` cover what a manifest cannot express (per-generation
 //! dumps of single runs, paired specs, the time-unit estimate, the perf
-//! snapshot and the load generator); the Criterion benches in `benches/`
-//! cover engine and sampler throughput plus smoke-size versions of the
-//! main experiments.
+//! snapshot and the load generator). The last two record their numbers
+//! as `benchmarks/BENCH_<suite>.json` snapshots, whose format
+//! [`write_suite_json`] and [`baseline_entries`] own.
 //!
 //! Every experiment accepts an optional `full` argument (or the
 //! environment variable `PLURALITY_EFFORT=full`) to run at publication
@@ -20,7 +20,7 @@
 pub mod manifest;
 
 use plurality_dist::rng::derive_seed;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Whether the current invocation asked for the full-scale experiment
 /// (argument `full` or `PLURALITY_EFFORT=full`).
@@ -152,6 +152,87 @@ pub fn theorem_bias(n: u64, k: u32) -> f64 {
     1.0 + bound.max(10.0 / nf.sqrt())
 }
 
+/// Environment variable naming the directory the `BENCH_<suite>.json`
+/// snapshots are written to and read from (default `benchmarks/`).
+pub const BENCH_JSON_ENV: &str = "PLURALITY_BENCH_JSON";
+
+/// The snapshot directory: `PLURALITY_BENCH_JSON`, else `benchmarks/`.
+pub fn snapshot_dir() -> PathBuf {
+    std::env::var(BENCH_JSON_ENV)
+        .map(PathBuf::from)
+        .unwrap_or_else(|_| PathBuf::from("benchmarks"))
+}
+
+/// Writes a `BENCH_<suite>.json` snapshot: a `suite`/`unit` header plus
+/// a flat `"results"` map with one `"name": value` pair per line, in
+/// the order given. Values are written with two decimals; NaN and ±∞
+/// are not JSON tokens, so they are written as `null`.
+pub fn write_suite_json(
+    path: &Path,
+    suite: &str,
+    unit: &str,
+    results: &[(String, f64)],
+) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    let mut out = String::from("{\n");
+    out.push_str(&format!("  \"suite\": \"{}\",\n", escape_json(suite)));
+    out.push_str(&format!("  \"unit\": \"{}\",\n", escape_json(unit)));
+    out.push_str("  \"results\": {\n");
+    for (i, (name, value)) in results.iter().enumerate() {
+        let comma = if i + 1 < results.len() { "," } else { "" };
+        let rendered = if value.is_finite() {
+            format!("{value:.2}")
+        } else {
+            "null".to_string()
+        };
+        out.push_str(&format!(
+            "    \"{}\": {rendered}{comma}\n",
+            escape_json(name)
+        ));
+    }
+    out.push_str("  }\n}\n");
+    std::fs::write(path, out)
+}
+
+fn escape_json(s: &str) -> String {
+    s.chars()
+        .flat_map(|c| match c {
+            '"' => vec!['\\', '"'],
+            '\\' => vec!['\\', '\\'],
+            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
+            c => vec![c],
+        })
+        .collect()
+}
+
+/// Reads back the `"name": value` pairs of the `"results"` object of a
+/// snapshot written by [`write_suite_json`], in file order; a `null`
+/// value reads as NaN. Names are returned as written (still escaped).
+pub fn baseline_entries(text: &str) -> Vec<(String, f64)> {
+    let mut entries = Vec::new();
+    let mut in_results = false;
+    for line in text.lines() {
+        let trimmed = line.trim();
+        if trimmed.starts_with("\"results\"") {
+            in_results = true;
+            continue;
+        }
+        if !in_results {
+            continue;
+        }
+        if trimmed.starts_with('}') {
+            break;
+        }
+        if let Some((key, value)) = trimmed.strip_prefix('"').and_then(|r| r.split_once("\": ")) {
+            let value = value.trim_end_matches(',').parse().unwrap_or(f64::NAN);
+            entries.push((key.to_string(), value));
+        }
+    }
+    entries
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,6 +271,63 @@ mod tests {
         let cells = [3.0f64, 1.0, 2.0];
         let out = run_sweep(&cells, |x| x * 10.0);
         assert_eq!(out, vec![30.0, 10.0, 20.0]);
+    }
+
+    #[test]
+    fn snapshot_round_trips_in_order_with_escapes_and_nulls() {
+        let dir = std::env::temp_dir().join(format!("plurality-snapshot-{}", std::process::id()));
+        let path = dir.join("BENCH_demo.json");
+        let rows = vec![
+            ("group/plain".to_string(), 123.456),
+            ("group/quo\"te".to_string(), 7.0),
+            ("group/broken".to_string(), f64::NAN),
+            ("group/last".to_string(), 0.004),
+        ];
+        write_suite_json(&path, "demo", "ns", &rows).expect("write snapshot");
+        let text = std::fs::read_to_string(&path).expect("read back");
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(text.starts_with("{\n  \"suite\": \"demo\",\n  \"unit\": \"ns\",\n"));
+        assert!(text.contains("    \"group/plain\": 123.46,\n"));
+        assert!(text.contains("    \"group/broken\": null,\n"));
+        assert!(text.ends_with("    \"group/last\": 0.00\n  }\n}\n"));
+        assert!(!text.contains("NaN"), "NaN must never reach the file");
+
+        let read = baseline_entries(&text);
+        let names: Vec<&str> = read.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "group/plain",
+                "group/quo\\\"te",
+                "group/broken",
+                "group/last"
+            ]
+        );
+        assert_eq!(read[0].1, 123.46);
+        assert_eq!(read[1].1, 7.0);
+        assert!(read[2].1.is_nan());
+        assert_eq!(read[3].1, 0.0);
+    }
+
+    #[test]
+    fn committed_snapshots_rewrite_byte_identically() {
+        let dir = std::env::temp_dir().join(format!("plurality-rewrite-{}", std::process::id()));
+        for name in ["BENCH_perf_snapshot.json", "BENCH_serve.json"] {
+            let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks");
+            let text = std::fs::read_to_string(committed.join(name)).expect("committed snapshot");
+            let header = |key: &str| {
+                let line = text.lines().find_map(|l| l.trim().strip_prefix(key));
+                line.and_then(|rest| rest.strip_suffix("\","))
+                    .expect("header line")
+                    .to_string()
+            };
+            let (suite, unit) = (header("\"suite\": \""), header("\"unit\": \""));
+            let path = dir.join(name);
+            write_suite_json(&path, &suite, &unit, &baseline_entries(&text)).expect("write");
+            let rewritten = std::fs::read_to_string(&path).expect("read back");
+            assert_eq!(rewritten, text, "{name} changed on rewrite");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! vary NAME V1 V2 …        one table axis
 //! cell NAME=VALUE …        one explicit cell; adjacent cell lines form one axis
 //! column METRIC AGG        an output column (METRIC from METRICS)
-//! fit PARAM AXIS METRIC    least squares of METRIC's mean against PARAM
+//! fit PARAM AXIS METRIC    least squares of METRIC's mean against PARAM (one per table)
 //! assert SUBJECT OP VALUE  a verdict line; a failing assert fails the run
 //! csv FILE                 CSV name under the results directory
 //! quick LINE | full LINE   LINE applies at that effort only
@@ -483,12 +483,12 @@ fn parse_table(lines: &[Line]) -> Result<TableSpec, String> {
             ["column", m, a] => columns.push(column(line, m, a)?),
             ["fit", param, axis, m] => {
                 let axis = find(line, "fit axis", AXES, axis)?.1;
-                fit = Some((
-                    line,
-                    param.to_string(),
-                    axis,
-                    find(line, "metric", METRICS, m)?,
-                ));
+                let metric = find(line, "metric", METRICS, m)?;
+                if let Some((first, ..)) = fit.replace((line, param.to_string(), axis, metric)) {
+                    return Err(format!(
+                        "line {line}: the table already has a `fit` line (line {first})"
+                    ));
+                }
             }
             ["assert", rest @ ..] => assert_lines.push((line, rest)),
             ["csv", name] => csv = Some(name.to_string()),

@@ -43,6 +43,11 @@ fn parser_errors_name_their_line() {
             "line 2: ",
             "mean-field",
         ),
+        (
+            format!("{SMOKE}fit n log rounds\nfit n loglog rounds\n"),
+            "line 12: ",
+            "already has a `fit` line (line 11)",
+        ),
     ];
     for (text, line, detail) in cases {
         let Err(e) = Manifest::parse(&text, false) else {

@@ -81,7 +81,7 @@ impl RunOutcome {
     }
 
     /// Whether the run converged fully *and* on the initial plurality
-    /// opinion — the paper's success criterion.
+    /// opinion — the paper's success condition.
     pub fn plurality_preserved(&self) -> bool {
         self.consensus_time.is_some() && self.winner() == Some(self.initial_winner)
     }

@@ -275,9 +275,9 @@ fn unknown_protocol_wins_over_flag_compatibility_advice() {
 
 #[test]
 fn spec_runs_accept_every_registered_protocol() {
-    // The acceptance criterion: `plurality --spec <s>` works for every
-    // protocol `--list` shows. Event-driven engines get an explicit C1
-    // so the smoke stays fast.
+    // `plurality --spec <s>` must work for every protocol `--list`
+    // shows. Event-driven engines get an explicit C1 so the smoke stays
+    // fast.
     for (protocol, extra) in [
         ("sync", ""),
         ("urn", ""),
