@@ -158,3 +158,10 @@ fn cluster_scenario() {
 fn cluster_full_record() {
     check_cluster(cluster(800, 5).with_record(RecordLevel::Full), "ticks=218348 popped=37958 thinned=182924 resizes=5 crossings=17 duration=0x40710599e9e83e62 counts=[800, 0] hash=0xe2d066e179ea4328");
 }
+
+#[test]
+fn cluster_scenario_sparse() {
+    let cfg = cluster(1_000, 6).with_topology(Topology::PreferentialAttachment { m: 4 });
+    let scenario = Scenario::parse("burst-loss:0.3@10..40;crash:0.1@20;recover:1@60").unwrap();
+    check_cluster(cfg.with_scenario(scenario), "ticks=316339 popped=268247 thinned=0 resizes=8 crossings=0 duration=0x4073ccb72b77c256 counts=[1000, 0] hash=0xc01317a0f8f51bd4");
+}
