@@ -13,8 +13,9 @@ use plurality_topology::Topology;
 /// Everything genuinely protocol-specific (latency laws, γ, thresholds)
 /// lives on the [`crate::Protocol`] implementation instead, so a
 /// `RunConfig` can be handed unchanged to any engine. Failures all live
-/// in the scenario; the leader-only run-long actions are rejected by
-/// every other protocol's [`crate::Protocol::check`].
+/// in the scenario; the run-long actions, which only the asynchronous
+/// engines read, are rejected by every other protocol's
+/// [`crate::Protocol::check`].
 ///
 /// Defaults match every engine builder exactly: `ε = 0.05`, seed 0,
 /// [`RecordLevel::Generations`], complete graph, empty scenario, derived

@@ -38,7 +38,8 @@ pub trait Protocol: Send + Sync {
     /// Checks that `cfg` is compatible with this protocol. The default
     /// validates the common axes ([`RunConfig::validate`]) and rejects
     /// the run-long scenario actions `signal-loss` and `stragglers`,
-    /// which only [`LeaderEngine`] reads; protocols with extra
+    /// which only the asynchronous engines ([`LeaderEngine`],
+    /// [`ClusterEngine`]) read; protocols with extra
     /// constraints (urn's mean-field exemption, the binary population
     /// protocols) layer theirs on top via [`Protocol::check_extra`].
     ///
@@ -64,8 +65,8 @@ pub trait Protocol: Send + Sync {
                 _ => String::new(),
             };
             return Err(InvalidParameterError::new(format!(
-                "scenario action `{}` is leader-only: only the single-leader engine \
-                 reads it, so run `leader`{alternative}",
+                "scenario action `{}` is read only by the asynchronous engines, \
+                 so run `leader` or `cluster`{alternative}",
                 action.keyword()
             )));
         }
@@ -193,8 +194,7 @@ impl Protocol for UrnEngine {
 
 /// The asynchronous single-leader protocol (Algorithms 2 + 3) — see
 /// [`LeaderConfig`]. Its failure injection is the scenario's, including
-/// the run-long `signal-loss` and `stragglers` actions that only this
-/// protocol accepts.
+/// the run-long `signal-loss` and `stragglers` actions.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LeaderEngine {
     /// Channel-establishment latency law (engine default `Exp(1)`).
@@ -236,7 +236,8 @@ impl Protocol for LeaderEngine {
 }
 
 /// The decentralized multi-leader protocol (Algorithms 4 + 5) — see
-/// [`ClusterConfig`].
+/// [`ClusterConfig`]. Its failure injection is the scenario's, including
+/// the run-long `signal-loss` and `stragglers` actions.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClusterEngine {
     /// Channel-establishment latency law (engine default `Exp(1)`).
@@ -252,6 +253,11 @@ pub struct ClusterEngine {
 impl Protocol for ClusterEngine {
     fn name(&self) -> &'static str {
         "cluster"
+    }
+
+    /// Accepts every valid config, run-long scenario actions included.
+    fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
+        cfg.validate()
     }
 
     fn run(&self, cfg: &RunConfig) -> Report {

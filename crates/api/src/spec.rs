@@ -859,8 +859,7 @@ mod tests {
             let err = Registry::standard()
                 .resolve(&RunSpec::parse(spec).unwrap())
                 .unwrap_err();
-            assert!(err.message().contains("leader-only"), "{err}");
-            assert!(err.message().contains("run `leader`"), "{err}");
+            assert!(err.message().contains("run `leader` or `cluster`"), "{err}");
         }
         // The old leader keys are gone, with no alias.
         for spec in ["leader?loss=0.2", "leader?stragglers=0.2"] {

@@ -125,7 +125,10 @@ fn facade_run_is_bitwise_identical_to_direct_builder_leader_with_failure_knobs()
 
 #[test]
 fn facade_run_is_bitwise_identical_to_direct_builder_cluster() {
-    for scenario in [Scenario::new(), event_scenario()] {
+    let run_long = Scenario::new()
+        .with_signal_loss(0.1)
+        .with_stragglers(0.2, 0.1);
+    for scenario in [Scenario::new(), event_scenario(), run_long] {
         let a = assignment(1_000, 2, 3.0);
         let direct = ClusterConfig::new(a.clone())
             .with_seed(71)

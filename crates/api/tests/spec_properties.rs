@@ -174,9 +174,9 @@ fn rejection_error_messages_are_stable() {
         ),
         (
             "sync?scenario=signal-loss:0.2",
-            "invalid run spec: scenario action `signal-loss` is leader-only: only the \
-             single-leader engine reads it, so run `leader`; for message loss on `sync` \
-             script a burst instead, e.g. `burst-loss:0.2@0..1000000`",
+            "invalid run spec: scenario action `signal-loss` is read only by the \
+             asynchronous engines, so run `leader` or `cluster`; for message loss on \
+             `sync` script a burst instead, e.g. `burst-loss:0.2@0..1000000`",
         ),
         (
             "pull?gamma=0.4",
@@ -235,21 +235,24 @@ fn kitchen_sink_spec_parses_and_resolves() {
 }
 
 #[test]
-fn run_long_scenario_actions_are_leader_only() {
-    // Every protocol but `leader` turns them into one teaching error at
-    // resolve time, never a panic and never a silent ignore.
+fn run_long_scenario_actions_are_async_only() {
+    // The two asynchronous engines run them; every other protocol turns
+    // them into one teaching error at resolve time, never a panic and
+    // never a silent ignore.
     for entry in Registry::standard().entries() {
         for action in ["signal-loss:0.1", "stragglers:0.2"] {
             let spec =
                 RunSpec::parse(&format!("{}?n=1000&k=2&scenario={action}", entry.name())).unwrap();
             let resolved = Registry::standard().resolve(&spec);
-            if entry.name() == "leader" {
-                assert!(resolved.is_ok(), "leader rejected `{action}`");
+            if matches!(entry.name(), "leader" | "cluster") {
+                assert!(resolved.is_ok(), "{} rejected `{action}`", entry.name());
                 continue;
             }
             let err = resolved.err().unwrap_or_else(|| panic!("{spec} resolved"));
-            assert!(err.message().contains("leader-only"), "{spec}: {err}");
-            assert!(err.message().contains("run `leader`"), "{spec}: {err}");
+            assert!(
+                err.message().contains("run `leader` or `cluster`"),
+                "{spec}: {err}"
+            );
             if action.starts_with("signal-loss") {
                 assert!(err.message().contains("burst-loss"), "{spec}: {err}");
             }

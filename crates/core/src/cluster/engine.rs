@@ -98,11 +98,12 @@ impl ClusterConfig {
     /// `burst-loss` drops member signals and peer channels; `latency:`
     /// shifts scale every drawn latency; `rewire:` swaps the peer
     /// sampler. Cluster-leader counter state is engine-side bookkeeping,
-    /// not a node, and is unaffected by crashes. Scenario randomness
+    /// not a node, and is unaffected by crashes. The run-long
+    /// `signal-loss` and `stragglers` actions hold from the start (see
+    /// [`Action`](plurality_scenario::Action)). Scenario randomness
     /// lives on a private stream, so the empty scenario consumes the
     /// byte-identical process RNG stream as before the subsystem
-    /// existed. The run-long `signal-loss` and `stragglers` actions are
-    /// single-leader only and not read here.
+    /// existed.
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
         self.run.scenario = scenario;
         self
@@ -255,6 +256,8 @@ enum ClusterMode {
 #[derive(Debug, Clone)]
 struct Cluster {
     size: u64,
+    /// The members' summed tick rate.
+    mass: f64,
     mode: ClusterMode,
     /// 0-signal counter for the Pausing/Accepting windows.
     window_count: u64,
@@ -263,10 +266,11 @@ struct Cluster {
 }
 
 impl Cluster {
-    /// A freshly elected leader's cluster: just the leader, filling.
-    fn new() -> Self {
+    /// A fresh leader's cluster: just the leader, ticking at `rate`.
+    fn new(rate: f64) -> Self {
         Self {
             size: 1,
+            mass: rate,
             mode: ClusterMode::Filling,
             window_count: 0,
             window_threshold: 0,
@@ -321,17 +325,17 @@ fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
     // Leader election: every node flips a coin; force at least two leaders.
     let mut cluster_of = vec![UNCLUSTERED; n];
     let mut clusters: Vec<Cluster> = Vec::new();
-    for slot in cluster_of.iter_mut() {
+    for (v, slot) in cluster_of.iter_mut().enumerate() {
         if k.rng.gen::<f64>() < p_lead {
             *slot = clusters.len() as u32;
-            clusters.push(Cluster::new());
+            clusters.push(Cluster::new(k.tick_rate(v)));
         }
     }
     while clusters.len() < 2 {
         let v = k.rng.gen_range(0..n);
         if cluster_of[v] == UNCLUSTERED {
             cluster_of[v] = clusters.len() as u32;
-            clusters.push(Cluster::new());
+            clusters.push(Cluster::new(k.tick_rate(v)));
         }
     }
 
@@ -346,17 +350,11 @@ fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
         derived.max(cfg.run.scenario.horizon() + 12.0 * nf.ln() + 200.0)
     });
 
-    // One unit-rate pool for the whole population. The per-cluster jump
-    // chains start disarmed — every cluster starts `Filling`, whose
-    // arrivals are unobservable — charging intensity from each cluster's
-    // initial (leader-only) membership.
-    k.add_pool(1.0, 0..n);
-    k.start_ticks();
-    let sizes: Vec<f64> = clusters.iter().map(|c| c.size as f64).collect();
-    k.enable_flows(&sizes);
-    if k.flows.is_some() {
-        k.enable_thinning();
-    }
+    // The per-cluster jump chains start disarmed — every cluster starts
+    // `Filling`, whose arrivals are unobservable — charging intensity
+    // from each cluster's initial (leader-only) membership.
+    let rates: Vec<f64> = clusters.iter().map(|c| k.send_rate(c.mass)).collect();
+    k.start(&rates);
 
     let mut engine = Engine {
         cfg,
@@ -457,8 +455,7 @@ impl Handlers<3> for Engine<'_> {
                 let ci = c as usize;
                 match self.clusters[ci].mode {
                     ClusterMode::Filling => {
-                        self.cluster_of[vi] = c;
-                        self.clusters[ci].size += 1;
+                        self.join(k, vi, c);
                         if self.clusters[ci].size >= self.participation_size {
                             self.open_window(k, ci, ClusterMode::Pausing, PAUSE_UNITS);
                             // The pause window opens now: arm it afresh.
@@ -469,8 +466,7 @@ impl Handlers<3> for Engine<'_> {
                         break;
                     }
                     ClusterMode::Accepting => {
-                        self.cluster_of[vi] = c;
-                        self.clusters[ci].size += 1;
+                        self.join(k, vi, c);
                         // Mid-window membership change: rate only, the
                         // accept window keeps its accrued count.
                         self.flow_set_rate(k, now, c);
@@ -701,15 +697,23 @@ impl Engine<'_> {
         cluster.window_threshold = (cluster.size as f64 * k.c1 * units).ceil() as u64;
     }
 
+    /// Node `v` joins cluster `c`.
+    fn join(&mut self, k: &K, v: usize, c: u32) {
+        self.cluster_of[v] = c;
+        let cluster = &mut self.clusters[c as usize];
+        cluster.size += 1;
+        cluster.mass += k.tick_rate(v);
+    }
+
     /// Effective 0-signal send rate of cluster `c` on the jump-chain fast
-    /// path: every member ticks at unit rate and sends unless the cluster
-    /// is absorbed — the same gate the per-signal path applies at send
-    /// time (no crashes or loss bursts exist on this path).
-    fn flow_rate(&self, c: u32) -> f64 {
+    /// path: its members' tick rates thinned by the run-long loss, or 0
+    /// once absorbed — the per-signal path's gates at send time (no
+    /// crashes or loss bursts exist on this path).
+    fn flow_rate(&self, k: &K, c: u32) -> f64 {
         if self.cluster_absorbed(c) {
             0.0
         } else {
-            self.clusters[c as usize].size as f64
+            k.send_rate(self.clusters[c as usize].mass)
         }
     }
 
@@ -739,7 +743,7 @@ impl Engine<'_> {
     /// Refreshes cluster `c`'s jump-chain send rate after a membership or
     /// absorption change, preserving any armed window's accrued progress.
     fn flow_set_rate(&mut self, k: &mut K, now: f64, c: u32) {
-        k.set_flow_rate(now, c, self.flow_rate(c));
+        k.set_flow_rate(now, c, self.flow_rate(k, c));
     }
 
     /// Re-arms cluster `c`'s jump chain for the counting window its
@@ -751,7 +755,7 @@ impl Engine<'_> {
         if k.flows.is_none() {
             return;
         }
-        k.set_flow(now, c, self.flow_rate(c), self.window_gap(c));
+        k.set_flow(now, c, self.flow_rate(k, c), self.window_gap(c));
     }
 
     /// Handles a member promotion signal arriving at a cluster leader.
@@ -972,6 +976,74 @@ mod tests {
                 "consensus without any finished nodes"
             );
         }
+    }
+
+    #[test]
+    fn tolerates_moderate_signal_loss() {
+        // 10% loss: ≈ 0.9·card promotion signals reach each leader, above
+        // the gen-size threshold card·(0.5 + 1/√log₂ n) ≈ 0.81·card.
+        let result = quick(1_500, 2, 3.0, 31)
+            .with_scenario(Scenario::new().with_signal_loss(0.1))
+            .run();
+        assert!(result.participating_clusters >= 1);
+        assert!(result.outcome.consensus_time.is_some(), "did not converge");
+        assert!(result.outcome.plurality_preserved());
+    }
+
+    #[test]
+    fn extreme_signal_loss_stalls_generation_progress() {
+        // 90% loss: only ≈ 0.1·card promotion signals arrive, far below
+        // the gen-size threshold — no cluster ever allows generation 2.
+        let result = quick(800, 2, 3.0, 32)
+            .with_scenario(Scenario::new().with_signal_loss(0.9))
+            .with_max_time(4_000.0)
+            .run();
+        assert!(result.participating_clusters >= 1, "no cluster switched");
+        let entries = result.phase_log.entries();
+        assert!(
+            entries.iter().all(|&(_, e)| e.generation == 1),
+            "generation advanced despite loss"
+        );
+    }
+
+    #[test]
+    fn signal_loss_changes_the_run() {
+        let plain = quick(800, 2, 3.0, 34).run();
+        let lossy = quick(800, 2, 3.0, 34)
+            .with_scenario(Scenario::parse("signal-loss:0.9").unwrap())
+            .run();
+        assert_ne!(plain, lossy, "signal loss was ignored");
+    }
+
+    #[test]
+    fn tolerates_straggler_clocks() {
+        // 20% of nodes tick at a tenth of the rate: slower but safe.
+        let fast = quick(1_500, 2, 3.0, 33).run();
+        let slow = quick(1_500, 2, 3.0, 33)
+            .with_scenario(Scenario::new().with_stragglers(0.2, 0.1))
+            .run();
+        assert!(slow.outcome.plurality_preserved());
+        let (f, s) = (
+            fast.outcome.consensus_time.expect("fast converges"),
+            slow.outcome.consensus_time.expect("slow converges"),
+        );
+        assert!(s > f, "stragglers should slow full consensus: {s} ≤ {f}");
+    }
+
+    #[test]
+    fn stragglers_compose_with_sparse_topology() {
+        // Straggler identities on a sparse graph come from a private
+        // seeded permutation: the run must stay deterministic and the
+        // slow nodes must not prevent ε-convergence.
+        let mk = || {
+            quick(1_000, 2, 3.0, 44)
+                .with_topology(Topology::PreferentialAttachment { m: 4 })
+                .with_scenario(Scenario::new().with_stragglers(0.2, 0.2))
+                .run()
+        };
+        let r = mk();
+        assert_eq!(r, mk());
+        assert!(r.outcome.epsilon_time.is_some(), "no ε-convergence");
     }
 
     #[test]

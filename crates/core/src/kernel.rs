@@ -16,8 +16,8 @@
 //! * **Clock superposition** — the union of independent Poisson clocks is
 //!   a Poisson process whose rate is the sum of the per-node rates, each
 //!   event belonging to node `v` with probability `rate_v / Σ rate`. The
-//!   kernel keeps *one* pending tick per rate pool (unit-rate nodes, the
-//!   leader's stragglers) as a scalar compared against the queue head and
+//!   kernel keeps *one* pending tick per rate pool (unit-rate nodes,
+//!   stragglers) as a scalar compared against the queue head and
 //!   samples the ticking node uniformly inside the pool at fire time,
 //!   instead of queueing `n` tick events.
 //! * **Absorbed-leader gating** — a leader that can provably never
@@ -43,11 +43,22 @@
 //!   `Poisson(∫ (n − u(t)) dt)` — accrued piecewise and drawn once at run
 //!   end, exact in distribution.
 //!
+//! ## Run-long failure model
+//!
+//! The scenario's `signal-loss` and `stragglers` actions (semantics in
+//! `plurality_scenario::Action`) are applied here, for both engines.
+//! Loss is one coin at the start of [`Kernel::send`] — drawn on the
+//! process stream only when `p > 0`, before the burst-loss check — and,
+//! on the jump-chain path, Poisson thinning by [`Kernel::send_rate`].
+//! Stragglers are a second rate pool over the slots `0..round(F·n)`,
+//! mapped to nodes through a private-stream permutation off the complete
+//! graph; they turn tick thinning off but keep the jump chains.
+//!
 //! ## RNG draw order
 //!
-//! The kernel exposes building blocks ([`Kernel::new`], the pool and flow
-//! set-up, [`Kernel::run`], [`Kernel::adopt`], [`Kernel::unlock`],
-//! [`Kernel::send`], [`Kernel::finish`]) that each engine calls in its
+//! The kernel exposes building blocks ([`Kernel::new`], [`Kernel::start`],
+//! the flow setters, [`Kernel::run`], [`Kernel::adopt`], [`Kernel::send`],
+//! [`Kernel::unlock`], [`Kernel::finish`]) that each engine calls in its
 //! own historical order, so both keep their byte-identical process RNG
 //! stream: the cluster engine draws its election coins before the first
 //! tick, and a leader interaction unlocks its initiator after the
@@ -66,7 +77,11 @@ use plurality_scenario::{Effect, Environment, Scenario};
 use plurality_sim::{CalendarQueue, PoissonClock};
 use plurality_topology::{PeerSampler, Topology, TOPOLOGY_STREAM};
 use rand::Rng;
-use std::ops::Range;
+
+/// Seed-stream tag for the straggler-identity permutation used on
+/// sparse topologies (private, like `TOPOLOGY_STREAM`, so it never
+/// perturbs the process stream).
+const STRAGGLER_STREAM: u64 = 0x5752_A661;
 
 /// A queued event: the channel completion of an interaction that node
 /// `v` opened to `peers`, or a protocol signal in flight to a leader.
@@ -277,7 +292,11 @@ pub(crate) struct Kernel<S, const M: usize> {
     queue: CalendarQueue<Event<S, M>>,
     pools: Vec<Pool>,
     /// Pool slot → node id (identity when `None`).
-    pub slot_ids: Option<Vec<u32>>,
+    slot_ids: Option<Vec<u32>>,
+    /// Per-node tick rates; empty when every node ticks at rate 1.
+    node_rates: Vec<f64>,
+    /// The run-long `signal-loss` probability.
+    signal_loss: f64,
     /// Per-scope displaced-Poisson 0-signal jump chains; `None` on the
     /// per-signal path (scenario or non-exponential latency).
     pub flows: Option<Vec<SignalFlow>>,
@@ -300,9 +319,9 @@ pub(crate) struct Kernel<S, const M: usize> {
 
 impl<S: Copy, const M: usize> Kernel<S, M> {
     /// Materializes the population and builds topology, scenario
-    /// environment, generation table, `C1`, generation cap, tracker,
-    /// tracer and queue. Draws nothing from the process stream beyond
-    /// `materialize`; `max_time` is left unbounded for the engine to set.
+    /// environment, rate pools, generation table, `C1`, generation cap,
+    /// tracker, tracer and queue. Draws nothing from the process stream
+    /// beyond `materialize`; `max_time` is left for the engine to set.
     ///
     /// # Panics
     ///
@@ -358,6 +377,36 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
         // steady state without rehashing.
         let mut queue = CalendarQueue::with_capacity(3 * n);
         queue.set_trace(s.trace);
+
+        // Slots `0..slow` tick at the straggler rate, the rest at rate 1
+        // (earlier pools win exact tick-time ties).
+        let (fraction, slow_rate) = s.scenario.stragglers().unwrap_or((0.0, 1.0));
+        let slow = (fraction * n as f64).round() as usize;
+        let pools = [(1.0, slow..n), (slow_rate, 0..slow)]
+            .into_iter()
+            .filter(|(_, slots)| !slots.is_empty())
+            .map(|(rate, slots)| Pool {
+                clock: PoissonClock::new(slots.len() as f64 * rate).expect("positive pool rate"),
+                lo: slots.start,
+                size: slots.len(),
+                next: f64::INFINITY,
+            })
+            .collect();
+        // Off the complete graph node ids carry structure (hubs at low
+        // ids, geometric ring/torus ids): permute so stragglers stay a
+        // uniform subset.
+        let slot_ids = (slow > 0 && !sampler.is_complete()).then(|| {
+            let mut srng = Xoshiro256PlusPlus::from_u64(derive_seed(s.seed, STRAGGLER_STREAM));
+            let mut ids: Vec<u32> = (0..n as u32).collect();
+            for i in (1..n).rev() {
+                ids.swap(i, srng.gen_range(0..=i));
+            }
+            ids
+        });
+        let mut node_rates = vec![1.0; if slow > 0 { n } else { 0 }];
+        for slot in 0..slow {
+            node_rates[slot_ids.as_ref().map_or(slot, |ids| ids[slot] as usize)] = slow_rate;
+        }
         Self {
             rng,
             n,
@@ -379,8 +428,10 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
             tracer: Tracer::new(s.trace),
             births: Vec::new(),
             queue,
-            pools: Vec::new(),
-            slot_ids: None,
+            pools,
+            slot_ids,
+            node_rates,
+            signal_loss: s.scenario.signal_loss(),
             flows: None,
             cross: f64::INFINITY,
             cross_scope: u32::MAX,
@@ -395,43 +446,43 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
         }
     }
 
-    /// Adds a superposed tick chain for the pool slots `slots`, each
-    /// ticking at `rate`. Earlier pools win exact tick-time ties.
-    pub fn add_pool(&mut self, rate: f64, slots: Range<usize>) {
-        self.pools.push(Pool {
-            clock: PoissonClock::new(slots.len() as f64 * rate).expect("positive pool rate"),
-            lo: slots.start,
-            size: slots.len(),
-            next: f64::INFINITY,
-        });
-    }
-
-    /// Draws each pool's first tick, in pool order.
-    pub fn start_ticks(&mut self) {
+    /// Starts the run's clocks: draws each pool's first tick, in pool
+    /// order. When the travel law is exponential and no scenario
+    /// modulates individual signals, also creates one jump chain per
+    /// entry of `rates` (send rates at time 0, no window armed), and tick
+    /// thinning when every node ticks at rate 1: only unlocked nodes'
+    /// ticks are then simulated.
+    pub fn start(&mut self, rates: &[f64]) {
         for pool in &mut self.pools {
             pool.next = pool.clock.next_tick(0.0, &mut self.rng);
         }
-    }
-
-    /// Creates one jump chain per entry of `rates` (send rates at time 0,
-    /// no window armed) when the travel law is exponential and no
-    /// scenario modulates individual signals.
-    pub fn enable_flows(&mut self, rates: &[f64]) {
         if let (None, Latency::Exponential { rate }) = (&self.env, self.waiting.latency()) {
             let mut flows = vec![SignalFlow::new(rate); rates.len()];
             for (flow, &r) in flows.iter_mut().zip(rates) {
                 flow.set_rate(0.0, r);
             }
             self.flows = Some(flows);
+            if self.node_rates.is_empty() {
+                self.thinned = true;
+                self.unlocked = (0..self.n as u32).collect();
+            }
         }
     }
 
-    /// Turns tick thinning on (requires the jump chains and a single
-    /// unit-rate pool): only unlocked nodes' ticks are simulated.
-    pub fn enable_thinning(&mut self) {
-        debug_assert!(self.flows.is_some() && self.pools.len() == 1);
-        self.thinned = true;
-        self.unlocked = (0..self.n as u32).collect();
+    /// The tick rate of node `v`.
+    pub fn tick_rate(&self, v: usize) -> f64 {
+        self.node_rates.get(v).copied().unwrap_or(1.0)
+    }
+
+    /// The summed tick rate of the whole population.
+    pub fn tick_mass(&self) -> f64 {
+        self.pools.iter().map(|p| p.clock.rate()).sum()
+    }
+
+    /// The rate at which nodes whose tick rates sum to `mass` send
+    /// signals that survive the run-long loss: `mass · (1 − p)`.
+    pub fn send_rate(&self, mass: f64) -> f64 {
+        mass * (1.0 - self.signal_loss)
     }
 
     /// Sets `scope`'s send rate and arms a fresh window of `window`
@@ -758,10 +809,14 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
         }
     }
 
-    /// Sends `signal` towards a leader: lost inside a loss burst,
-    /// otherwise queued after one (scaled) travel latency.
+    /// Sends `signal` towards a leader: lost to the run-long signal loss
+    /// or inside a loss burst, otherwise queued after one (scaled) travel
+    /// latency.
     #[inline]
     pub fn send(&mut self, now: f64, signal: S) {
+        if self.signal_loss > 0.0 && self.rng.gen::<f64>() < self.signal_loss {
+            return;
+        }
         if self.env.as_mut().is_some_and(|e| e.message_lost()) {
             return;
         }

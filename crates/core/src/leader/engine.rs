@@ -16,18 +16,11 @@ use crate::leader::node::{apply, decide, NodeDecision, NodeState, SampleView};
 use crate::leader::state::{LeaderParams, LeaderState, LeaderTransition, Signal};
 use crate::opinion::InitialAssignment;
 use crate::outcome::{RecordLevel, RunOutcome};
-use plurality_dist::rng::{derive_seed, Xoshiro256PlusPlus};
 use plurality_dist::ChannelPattern;
 use plurality_obs::{EngineProfile, TraceEvent};
 use plurality_scenario::Scenario;
 use plurality_sim::Series;
 use plurality_topology::Topology;
-use rand::Rng;
-
-/// Seed-stream tag for the straggler-identity permutation used on
-/// sparse topologies (private, like `TOPOLOGY_STREAM`, so it never
-/// perturbs the process stream).
-const STRAGGLER_STREAM: u64 = 0x5752_A661;
 
 /// The gen-size threshold as a fraction of `n`: the leader allows the
 /// next generation once `n/2` nodes reported the current one.
@@ -75,29 +68,13 @@ impl LeaderConfig {
     /// no 0-signal, no interaction — and interactions whose initiator or
     /// sampled peers are crashed at channel completion abort.
     /// `burst-loss` drops each 0-/gen-signal and each peer channel
-    /// independently (composing with `signal-loss`); `latency:` shifts
-    /// multiply every drawn travel and channel latency; `rewire:` swaps
-    /// the peer sampler mid-run. Scenario randomness lives on a private
-    /// stream, so the empty scenario consumes the byte-identical process
-    /// RNG stream as before the subsystem existed.
-    ///
-    /// Two run-long actions hold from the start and are read only by
-    /// this engine:
-    /// * `signal-loss:P` drops each 0-/gen-signal towards the leader
-    ///   independently with probability `P` (a coin on the process
-    ///   stream). The protocol tolerates moderate loss — the `n/2`
-    ///   gen-size threshold still fires as long as more than half the
-    ///   promotion signals get through — and stalls gracefully beyond
-    ///   that.
-    /// * `stragglers:F:RATE` makes a fraction `F` of the nodes tick at
-    ///   `RATE` instead of 1, probing how much clock heterogeneity the
-    ///   protocol absorbs. The straggler set is a uniformly random
-    ///   subset of the nodes: on a sparse topology the identities come
-    ///   from a private seeded permutation, so graph structure (hubs,
-    ///   lattice patches) does not leak into which nodes are slow.
-    ///
-    /// A scenario holding only run-long actions keeps the failure-free
-    /// fast path (no environment is instantiated).
+    /// independently; `latency:` shifts multiply every drawn travel and
+    /// channel latency; `rewire:` swaps the peer sampler mid-run. The
+    /// run-long `signal-loss` and `stragglers` actions hold from the
+    /// start (see [`Action`](plurality_scenario::Action)). Scenario
+    /// randomness lives on a private stream, so the empty scenario
+    /// consumes the byte-identical process RNG stream as before the
+    /// subsystem existed.
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
         self.run.scenario = scenario;
         self
@@ -181,10 +158,7 @@ struct Leader {
     /// Per-node stored leader state; starts stale (leader starts at gen 1).
     seen_gen: Vec<u32>,
     seen_prop: Vec<bool>,
-    /// The scenario's run-long `signal-loss` probability.
-    signal_loss: f64,
-    /// Effective 0-signal send rate of the jump chain: the ticking mass,
-    /// thinned by persistent signal loss.
+    /// The jump chain's 0-signal send rate (see `Kernel::send_rate`).
     send_rate: f64,
     phases: Vec<GenerationPhase>,
     two_choices_promotions: u64,
@@ -215,46 +189,10 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
         s
     });
 
-    // Two rate pools: slots `0..straggler_count` tick at `straggler_rate`,
-    // the rest at unit rate.
-    let (straggler_fraction, straggler_rate) = cfg.run.scenario.stragglers().unwrap_or((0.0, 1.0));
-    let straggler_count = (straggler_fraction * nf).round() as usize;
-    let fast_count = n - straggler_count;
-    if fast_count > 0 {
-        k.add_pool(1.0, straggler_count..n);
-    }
-    if straggler_count > 0 {
-        k.add_pool(straggler_rate, 0..straggler_count);
-    }
-    // On the complete graph node ids are exchangeable (`materialize`
-    // shuffles opinions), so slot = node id and stragglers are a uniform
-    // subset. On a sparse topology ids carry graph structure
-    // (preferential-attachment hubs sit at low ids, ring/torus ids are
-    // geometric), so the slots are mapped through a seeded permutation to
-    // keep "a random fraction of nodes is slow" true rather than silently
-    // slowing the hubs or one contiguous patch. The permutation draws from
-    // a private stream, so the process stream is untouched.
-    if straggler_count > 0 && !k.sampler.is_complete() {
-        let mut ids: Vec<u32> = (0..n as u32).collect();
-        let mut srng = Xoshiro256PlusPlus::from_u64(derive_seed(cfg.run.seed, STRAGGLER_STREAM));
-        for i in (1..n).rev() {
-            let j = srng.gen_range(0..=i);
-            ids.swap(i, j);
-        }
-        k.slot_ids = Some(ids);
-    }
-    k.start_ticks();
-    // Persistent signal loss is independent thinning, folded into the
-    // jump chain's effective send rate.
-    let signal_loss = cfg.run.scenario.signal_loss();
-    let send_rate =
-        (fast_count as f64 + straggler_count as f64 * straggler_rate) * (1.0 - signal_loss);
-    k.enable_flows(&[send_rate]);
+    let send_rate = k.send_rate(k.tick_mass());
+    k.start(&[send_rate]);
     if send_rate > 0.0 {
         k.set_flow(0.0, 0, send_rate, Some(zero_signal_threshold));
-    }
-    if k.flows.is_some() && straggler_count == 0 {
-        k.enable_thinning();
     }
 
     let mut leader = Leader {
@@ -265,7 +203,6 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
         }),
         seen_gen: vec![0; n],
         seen_prop: vec![false; n],
-        signal_loss,
         send_rate,
         phases: vec![GenerationPhase {
             generation: 1,
@@ -300,11 +237,6 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
 }
 
 impl Leader {
-    /// Whether a signal survives the scenario's run-long `signal-loss`.
-    fn survives_loss(&self, k: &mut Kernel<Signal, 2>) -> bool {
-        self.signal_loss == 0.0 || k.rng.gen::<f64>() >= self.signal_loss
-    }
-
     fn on_transition(&mut self, k: &mut Kernel<Signal, 2>, now: f64, t: LeaderTransition) {
         match t {
             LeaderTransition::PropagationEnabled { generation } => {
@@ -346,8 +278,8 @@ impl Handlers<2> for Leader {
     fn send_zero(&mut self, k: &mut Kernel<Signal, 2>, now: f64, _v: u32) {
         // Line 1: the 0-signal travels one latency, without locking;
         // skipped once the leader is terminal (the arrival would be
-        // unobservable), and subject to injected loss.
-        if !self.leader.is_terminal() && self.survives_loss(k) {
+        // unobservable).
+        if !self.leader.is_terminal() {
             k.send(now, Signal::Zero);
         }
     }
@@ -396,9 +328,9 @@ impl Handlers<2> for Leader {
                 }
                 // `apply` says the adoption increased the node's generation,
                 // so a gen-signal departs — unless the leader is provably
-                // past reacting, or loss eats it.
+                // past reacting.
                 if let Some(sig) = signal {
-                    if !self.leader.is_terminal() && self.survives_loss(k) {
+                    if !self.leader.is_terminal() {
                         k.send(now, sig);
                     }
                 }

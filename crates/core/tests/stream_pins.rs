@@ -165,3 +165,21 @@ fn cluster_scenario_sparse() {
     let scenario = Scenario::parse("burst-loss:0.3@10..40;crash:0.1@20;recover:1@60").unwrap();
     check_cluster(cfg.with_scenario(scenario), "ticks=316339 popped=268247 thinned=0 resizes=8 crossings=0 duration=0x4073ccb72b77c256 counts=[1000, 0] hash=0xc01317a0f8f51bd4");
 }
+
+#[test]
+fn cluster_signal_loss() {
+    let cfg = cluster(1_000, 7).with_scenario(Scenario::parse("signal-loss:0.1").unwrap());
+    check_cluster(cfg, "ticks=310375 popped=53283 thinned=259917 resizes=5 crossings=16 duration=0x4073718ab7743110 counts=[1000, 0] hash=0x01ab0ffe15c3e0b7");
+}
+
+#[test]
+fn cluster_stragglers() {
+    let cfg = cluster(1_000, 8).with_scenario(Scenario::parse("stragglers:0.2:0.1").unwrap());
+    check_cluster(cfg, "ticks=263039 popped=49195 thinned=0 resizes=5 crossings=17 duration=0x407415f8c5146c76 counts=[1000, 0] hash=0xbe58037e512011fb");
+}
+
+#[test]
+fn cluster_stragglers_sparse() {
+    let cfg = cluster(1_000, 9).with_topology(Topology::PreferentialAttachment { m: 4 });
+    check_cluster(cfg.with_scenario(Scenario::parse("stragglers:0.2:0.2").unwrap()), "ticks=269505 popped=51225 thinned=0 resizes=5 crossings=21 duration=0x40741b9bdc07b8bc counts=[1000, 0] hash=0xa6de53ea63331245");
+}

@@ -19,7 +19,7 @@
 //!   [`ScenarioEvent`]s (crash, recover, join churn, budgeted
 //!   adversarial corruption, message-loss bursts, latency regime
 //!   shifts, topology rewiring), plus two *run-long* actions that hold
-//!   for the whole run and are read only by the single-leader engine
+//!   for the whole run and are read only by the asynchronous engines
 //!   (persistent `signal-loss`, `stragglers` with slow clocks), built
 //!   either through the fluent builder API or parsed from the compact
 //!   scenario DSL (see [`Scenario::parse`] for the grammar);

@@ -26,7 +26,7 @@
 //! the topology grammar of [`Topology::parse_spec`] (`complete | ring |
 //! torus | er:P | regular:D | pa:M`). `corrupt` defaults to the
 //! oblivious adversary. The run-long actions are read only by the
-//! single-leader engine.
+//! asynchronous engines (single-leader and multi-leader).
 //!
 //! Examples:
 //!

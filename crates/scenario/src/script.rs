@@ -102,17 +102,25 @@ pub enum Action {
         /// The topology family to rewire onto.
         topology: Topology,
     },
-    /// Persistent signal loss, held for the whole run: the single-leader
-    /// engine drops each 0-signal and each gen-signal towards the leader
-    /// independently with probability `p`. Peer channels are untouched
-    /// (script `burst-loss` for loss on every message).
+    /// Persistent signal loss, held for the whole run: each signal
+    /// towards a leader is dropped independently with probability `p` —
+    /// the single leader's 0-signals and gen-signals, and a cluster
+    /// member's 0-signals and promotion signals towards its cluster
+    /// leader. Peer channels, and with them the cluster leaders'
+    /// broadcast and lattice sync, are untouched (script `burst-loss`
+    /// for loss on every message). Both protocols tolerate loss while
+    /// enough promotion signals reach their gen-size threshold — `n/2`
+    /// for the leader, about `card·(1/2 + 1/√log₂ n)` per cluster — and
+    /// stall beyond it. The coin is drawn on the process stream.
     SignalLoss {
         /// The per-signal drop probability, in `[0, 1]`.
         p: f64,
     },
-    /// Straggler clocks, held for the whole run: in the single-leader
-    /// engine a uniformly random `fraction` of the nodes tick at `rate`
-    /// instead of rate 1.
+    /// Straggler clocks, held for the whole run: a uniformly random
+    /// `fraction` of the nodes tick at `rate` instead of rate 1. On a
+    /// sparse topology the straggler identities come from a private
+    /// seeded permutation, so graph structure (hubs, lattice patches)
+    /// does not leak into which nodes are slow.
     Stragglers {
         /// Fraction of the nodes that straggle, in `[0, 1]`.
         fraction: f64,
@@ -162,8 +170,9 @@ impl Action {
 
     /// Whether the action holds for the whole run (`signal-loss`,
     /// `stragglers`) rather than firing on the clock. Run-long actions
-    /// take no `@TIME`, are never polled, and only the single-leader
-    /// engine reads them.
+    /// take no `@TIME`, are never polled, and only the asynchronous
+    /// engines (single-leader and multi-leader) read them; a scenario
+    /// holding only run-long actions keeps their failure-free fast path.
     pub fn is_run_long(&self) -> bool {
         self.window_rule() == WindowRule::RunLong
     }
@@ -334,7 +343,7 @@ impl Scenario {
     /// ≥ 0 in the engine's native clock, `corrupt` defaults to the
     /// oblivious adversary, and the straggler `RATE` (positive, finite)
     /// defaults to 0.1. Run-long actions hold for the whole run; only
-    /// the single-leader engine reads them. Examples:
+    /// the asynchronous engines read them. Examples:
     ///
     /// ```
     /// use plurality_scenario::Scenario;
@@ -460,8 +469,8 @@ impl Scenario {
         })
     }
 
-    /// Drops each single-leader 0-/gen-signal with probability `p` for
-    /// the whole run (DSL `signal-loss:P`).
+    /// Drops each signal towards a leader with probability `p` for the
+    /// whole run (DSL `signal-loss:P`).
     ///
     /// # Panics
     ///
@@ -471,8 +480,8 @@ impl Scenario {
         self.run_long(Action::SignalLoss { p })
     }
 
-    /// Makes a `fraction` of the single leader's nodes tick at `rate`
-    /// for the whole run (DSL `stragglers:FRAC:RATE`).
+    /// Makes a `fraction` of the nodes tick at `rate` for the whole run
+    /// (DSL `stragglers:FRAC:RATE`).
     ///
     /// # Panics
     ///

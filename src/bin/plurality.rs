@@ -523,7 +523,7 @@ topology SPEC: complete | ring | torus | er:P | regular:D | pa:M
 scenario SPEC: ACTION@TIME[..UNTIL] joined by ';' — e.g. \"crash:0.2@5;burst-loss:0.5@8..12\"
                actions: crash:F | recover:F | join:F | corrupt:F[:oblivious|:adaptive]
                         | burst-loss:P (window req.) | latency:FACTOR | rewire:TOPOLOGY
-               run-long, no @TIME, leader only: signal-loss:P | stragglers:F[:RATE]";
+               run-long, no @TIME, leader and cluster: signal-loss:P | stragglers:F[:RATE]";
 
 /// Gives the boolean `--trace` flag an implicit value so it fits the
 /// parser's strict `--key value` grammar.

@@ -183,25 +183,51 @@ fn run_leader_with_loss_and_stragglers() {
 }
 
 #[test]
-fn loss_and_stragglers_are_rejected_for_non_leader_protocols() {
-    let out = plurality(&["run", "--protocol", "sync", "--scenario", "signal-loss:0.2"]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("leader-only"), "stderr: {stderr}");
-    // The error teaches the all-protocol equivalent.
-    assert!(stderr.contains("burst-loss"), "stderr: {stderr}");
-
+fn run_cluster_with_loss_and_stragglers() {
     let out = plurality(&[
         "run",
         "--protocol",
         "cluster",
+        "--n",
+        "600",
+        "--k",
+        "2",
+        "--alpha",
+        "3.0",
+        "--seed",
+        "3",
         "--scenario",
-        "stragglers:0.2",
+        "signal-loss:0.2;stragglers:0.1:0.5",
     ]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("leader-only"));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("multi-leader"));
+}
 
-    // The old leader-only flags are gone.
+#[test]
+fn loss_and_stragglers_are_rejected_for_non_async_protocols() {
+    let out = plurality(&["run", "--protocol", "sync", "--scenario", "signal-loss:0.2"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("run `leader` or `cluster`"),
+        "stderr: {stderr}"
+    );
+    // The error teaches the all-protocol equivalent.
+    assert!(stderr.contains("burst-loss"), "stderr: {stderr}");
+
+    let out = plurality(&["run", "--protocol", "sync", "--scenario", "stragglers:0.2"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("run `leader` or `cluster`"),
+        "stderr: {stderr}"
+    );
+
+    // The old leader flags are gone.
     let out = plurality(&["run", "--protocol", "leader", "--loss", "0.2"]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -270,7 +296,10 @@ fn unknown_protocol_wins_over_flag_compatibility_advice() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown protocol"), "stderr: {stderr}");
-    assert!(!stderr.contains("leader-only"), "stderr: {stderr}");
+    assert!(
+        !stderr.contains("run `leader` or `cluster`"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]

@@ -5,8 +5,11 @@
 use plurality::core::cluster::{ClusterConfig, ClusterPhase};
 use plurality::core::leader::LeaderConfig;
 use plurality::core::sync::{generations_needed, SyncConfig, GENERATION_CAP};
-use plurality::core::{InitialAssignment, RecordLevel};
+use plurality::core::{InitialAssignment, RecordLevel, RunOutcome};
 use plurality::dist::{ChannelPattern, Latency, WaitingTime};
+use plurality::par::par_map_indexed;
+use plurality::scenario::Scenario;
+use plurality::stats::ks_test;
 
 #[test]
 fn bias_roughly_squares_between_sync_generations() {
@@ -241,4 +244,72 @@ fn multi_leader_broadcast_spread_is_constant_units() {
             assert!(spread < 8.0, "generation {g} spread {spread} units");
         }
     }
+}
+
+/// Runs `REPS` seeds of `run` with the run-long actions alone (the
+/// jump-chain path, where loss is Poisson thinning of the send rates) and
+/// with the same actions plus an inert scripted event (a latency factor
+/// of 1 changes no law, but any timed event instantiates the environment,
+/// which forces the per-signal path, where loss is a coin per signal).
+/// Both are simulations of one process, so their ε-time distributions
+/// must agree under KS, and so must their reached and `preserved` counts.
+fn assert_jump_chains_match_per_signal<F>(label: &str, run: F)
+where
+    F: Fn(u64, Scenario) -> RunOutcome + Sync,
+{
+    const REPS: usize = 80;
+    const RUN_LONG: &str = "signal-loss:0.3;stragglers:0.2:0.1";
+    let sample = |spec: &str| {
+        let scenario = Scenario::parse(spec).unwrap();
+        let outcomes = par_map_indexed(REPS, |seed| run(seed as u64, scenario.clone()));
+        let eps: Vec<f64> = outcomes.iter().filter_map(|o| o.epsilon_time).collect();
+        let preserved = outcomes.iter().filter(|o| o.plurality_preserved()).count();
+        (eps, preserved)
+    };
+    let (chain, chain_preserved) = sample(RUN_LONG);
+    let (signal, signal_preserved) = sample(&format!("{RUN_LONG};latency:1@0..1"));
+    assert!(
+        chain.len() >= REPS * 9 / 10 && signal.len() >= REPS * 9 / 10,
+        "{label}: too few ε-convergences ({} / {})",
+        chain.len(),
+        signal.len()
+    );
+    let ks = ks_test(&chain, &signal);
+    assert!(
+        ks.p_value > 1e-3,
+        "{label}: KS rejected, D = {:.4}, p = {:.2e}",
+        ks.statistic,
+        ks.p_value
+    );
+    assert!(
+        chain_preserved.abs_diff(signal_preserved) <= REPS / 10,
+        "{label}: preserved {chain_preserved} vs {signal_preserved}"
+    );
+}
+
+#[test]
+fn run_long_failures_keep_the_jump_chains_exact() {
+    let assignment = InitialAssignment::with_bias(1_000, 2, 3.0).unwrap();
+    assert_jump_chains_match_per_signal("leader", |seed, scenario| {
+        LeaderConfig::new(assignment.clone())
+            .with_seed(seed)
+            .with_steps_per_unit(9.3)
+            .with_scenario(scenario)
+            .run()
+            .outcome
+    });
+    // 30% loss sits past the clusters' cliff (≈ 18% at n = 800): no
+    // cluster allows generation 2, so `preserved` is ≈ 0 on both paths.
+    // A strong bias still ε-converges inside generation 1, and its
+    // ε-time is set by the 0-signal windows the jump chains solve.
+    let assignment = InitialAssignment::with_bias(800, 2, 8.0).unwrap();
+    assert_jump_chains_match_per_signal("cluster", |seed, scenario| {
+        ClusterConfig::new(assignment.clone())
+            .with_seed(seed)
+            .with_steps_per_unit(12.0)
+            .with_max_time(400.0)
+            .with_scenario(scenario)
+            .run()
+            .outcome
+    });
 }
