@@ -10,7 +10,7 @@
 //! print the measured `t̂` marks per generation.
 
 use plurality_bench::{is_full, results_dir, run_many};
-use plurality_core::cluster::{ClusterConfig, ClusterPhase};
+use plurality_core::cluster::{phase_spread, ClusterConfig, ClusterPhase};
 use plurality_core::InitialAssignment;
 use plurality_stats::{fmt_f64, Table};
 
@@ -45,9 +45,9 @@ fn main() {
         );
     }
 
-    let two = result.phase_spread(ClusterPhase::TwoChoices);
-    let sleep = result.phase_spread(ClusterPhase::Sleeping);
-    let prop = result.phase_spread(ClusterPhase::Propagation);
+    let two = phase_spread(&result.phase_log, ClusterPhase::TwoChoices);
+    let sleep = phase_spread(&result.phase_log, ClusterPhase::Sleeping);
+    let prop = phase_spread(&result.phase_log, ClusterPhase::Propagation);
 
     let mut table = Table::new(
         "Figure 2: per-generation phase-change marks across clusters (t̂₀…t̂₅, time units)",

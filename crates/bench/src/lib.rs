@@ -4,11 +4,12 @@
 //! binary runs the line-based manifests under `experiments/` (see
 //! [`manifest`]): each one reproduces the tables of one EXPERIMENTS.md
 //! entry and checks its claims with `assert` lines. The other binaries
-//! in `src/bin/` cover what a manifest cannot express (per-generation
-//! dumps of single runs, paired specs, the time-unit estimate, the perf
-//! snapshot and the load generator). The last two record their numbers
-//! as `benchmarks/BENCH_<suite>.json` snapshots, whose format
-//! [`write_suite_json`] and [`baseline_entries`] own.
+//! in `src/bin/` cover what a manifest cannot express (Figure 1's
+//! time-unit estimate, per-generation dumps of single runs, the schedule
+//! ablation's `α` hint, the perf snapshot and the load generator). The
+//! last two record their numbers as `benchmarks/BENCH_<suite>.json`
+//! snapshots, whose format [`write_suite_json`] and [`baseline_entries`]
+//! own.
 //!
 //! Every experiment accepts an optional `full` argument (or the
 //! environment variable `PLURALITY_EFFORT=full`) to run at publication

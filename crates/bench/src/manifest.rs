@@ -40,12 +40,14 @@
 //! metric is defined; `-` if none), `count` (repetitions where it is
 //! defined), `wins` (repetitions where it is positive) or `ci95` (the 95%
 //! Wilson interval of `wins`). The fit AXIS is `linear`, `log` or
-//! `loglog`. An assert SUBJECT is `slope`, `|slope|` or `r2` of the fit,
+//! `loglog`; if a cell has no mean of the fitted metric, the fit line
+//! shows `-`. An assert SUBJECT is `slope`, `|slope|` or `r2` of the fit,
 //! or `NAME=VALUE… METRIC AGG` for the one row the selectors match; OP is
-//! `<`, `<=`, `>`, `>=` or `==`.
+//! `<`, `<=`, `>`, `>=` or `==`. An assert whose subject shows `-` fails.
 
 use crate::{run_many, theorem_bias};
 use plurality_api::{ClusterTelemetry, Registry, Report, Resolved, RunSpec, Telemetry};
+use plurality_core::cluster::{phase_spread, ClusterPhase};
 use plurality_stats::{fit, fmt_f64, success_rate, Axis, OnlineStats, Table};
 
 /// A metric name and its value in one report, where the report defines it.
@@ -58,15 +60,33 @@ fn cluster(r: &Report) -> Option<&ClusterTelemetry> {
     }
 }
 
+/// The generation-bump spreads of one cluster run, in time units: for
+/// each generation ≥ 2, the first to the last cluster entering
+/// `TwoChoices` (generation 1 starts with the consensus switch itself).
+fn bump_spreads(r: &Report) -> Option<OnlineStats> {
+    let t = cluster(r)?;
+    let mut spreads = OnlineStats::new();
+    for (g, first, last) in phase_spread(&t.phase_log, ClusterPhase::TwoChoices) {
+        if g >= 2 {
+            spreads.push((last - first) / t.steps_per_unit);
+        }
+    }
+    (spreads.count() > 0).then_some(spreads)
+}
+
 /// Every metric a manifest can name. Times are in the engine's clock
-/// (rounds or steps); `eps_units` and `switch_*` are in time units `C1`;
-/// `tail_ln_n` is `(full − ε) / ln n`; `preserved`, `eps_reached` and
-/// `full_reached` are 0/1 indicators.
+/// (rounds or steps); `c1` is the time-unit length `C1` in steps the run
+/// used; `eps_units`, `switch_*` and `bump_spread*` are in units of `C1`;
+/// `bump_spread` and `bump_spread_max` are the mean and the maximum of a
+/// run's generation-bump broadcast spreads (Theorem 28); `tail_ln_n` is
+/// `(full − ε) / ln n`; `preserved`, `eps_reached` and `full_reached` are
+/// 0/1 indicators.
 pub const METRICS: &[Metric] = &[
     ("eps_time", |r| r.outcome.epsilon_time),
     ("full_time", |r| r.outcome.consensus_time),
     ("duration", |r| Some(r.outcome.duration)),
     ("rounds", |r| Some(r.rounds()? as f64)),
+    ("c1", Report::steps_per_unit),
     ("eps_units", |r| {
         Some(r.outcome.epsilon_time? / r.steps_per_unit()?)
     }),
@@ -101,6 +121,8 @@ pub const METRICS: &[Metric] = &[
         let t = cluster(r)?;
         Some((t.last_switch_time? - t.first_switch_time?) / t.steps_per_unit)
     }),
+    ("bump_spread", |r| Some(bump_spreads(r)?.mean())),
+    ("bump_spread_max", |r| Some(bump_spreads(r)?.max())),
 ];
 
 const AGGS: [&str; 7] = ["mean", "sd", "min", "max", "count", "wins", "ci95"];
@@ -273,23 +295,25 @@ impl TableSpec {
         }
         let mut text = table.render();
 
-        let fitted = self.fit.as_ref().map(|(param, axis, metric)| {
+        let fitted = self.fit.as_ref().and_then(|(param, axis, metric)| {
             let xs: Vec<f64> = self.cells.iter().filter_map(|c| c.number(param)).collect();
-            let ys: Vec<f64> = reports
+            // A cell where no repetition defines the metric has no mean to
+            // fit, and neither has the table.
+            let ys: Option<Vec<f64>> = reports
                 .iter()
-                .map(|r| Summary::new(metric, r).stats.mean())
+                .map(|r| Summary::new(metric, r).number("mean"))
                 .collect();
-            let line = fit(&xs, &ys, *axis, Axis::Linear);
             let on = match axis {
                 Axis::Linear => "",
                 Axis::Log => "ln ",
                 Axis::LogLog => "ln ln ",
             };
-            let (slope, r2) = (line.slope, line.r_squared);
-            text += &format!(
-                "fit {} mean vs {on}{param}: slope {slope:.3}, R² {r2:.4}\n",
-                metric.0
+            let line = ys.map(|ys| fit(&xs, &ys, *axis, Axis::Linear));
+            let shown = line.map_or_else(
+                || "-".into(),
+                |l| format!("slope {:.3}, R² {:.4}", l.slope, l.r_squared),
             );
+            text += &format!("fit {} mean vs {on}{param}: {shown}\n", metric.0);
             line
         });
         let mut passed = true;

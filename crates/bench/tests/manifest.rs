@@ -1,6 +1,7 @@
 //! The manifest runner: parser errors name their line, cells reproduce
-//! `run_spec_many` report for report, a failing assert fails the
-//! `experiments` binary, and every committed manifest parses.
+//! `run_spec_many` report for report, a fit over an undefined cell fails
+//! its asserts, a failing assert fails the `experiments` binary, and
+//! every committed manifest parses.
 
 use plurality_bench::manifest::Manifest;
 use plurality_bench::{run_spec_many, theorem_bias};
@@ -77,6 +78,36 @@ fn cells_fill_their_specs_and_reproduce_run_spec_many() {
 }
 
 #[test]
+fn fit_over_a_cell_without_a_mean_fails_its_asserts() {
+    // `max=1` stops every repetition before ε-convergence, so that cell
+    // has no `eps_time` mean; it must not enter the fit as 0.
+    let text = "\
+table T undefined cell
+spec leader?n=2000&k=4&alpha=2&c1=9.3&max={max}
+master 0x5EED
+reps 2
+vary max 1 100000 200000
+column eps_time mean
+fit max log eps_time
+assert slope > 0
+assert |slope| < 100
+assert r2 >= 0
+";
+    let manifest = Manifest::parse(text, false).expect("valid manifest");
+    let table = &manifest.tables[0];
+    let (stdout, _, passed) = table.summarize(&table.run());
+    assert!(!passed, "{stdout}");
+    assert!(
+        stdout.contains("fit eps_time mean vs ln max: -\n"),
+        "{stdout}"
+    );
+    for subject in ["slope > 0", "|slope| < 100", "r2 >= 0"] {
+        let verdict = format!("assert {subject}: FAILED (-)\n");
+        assert!(stdout.contains(&verdict), "{stdout}");
+    }
+}
+
+#[test]
 fn failing_assert_makes_the_runner_exit_nonzero() {
     let dir = std::env::temp_dir().join(format!("plurality-manifest-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -123,5 +154,5 @@ fn committed_manifests_parse_at_both_efforts() {
             count += 1;
         }
     }
-    assert_eq!(count, 9);
+    assert_eq!(count, 12);
 }

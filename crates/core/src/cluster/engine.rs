@@ -208,35 +208,33 @@ pub struct ClusterResult {
     pub profile: EngineProfile,
 }
 
-impl ClusterResult {
-    /// Per-generation spread between the first and last cluster entering
-    /// the given phase — the de-synchronization Figure 2 visualizes and
-    /// Proposition 31 bounds by `O(1)` time units.
-    ///
-    /// Returns `(generation, first_time, last_time)` tuples, ascending by
-    /// generation, for generations in which at least one cluster entered
-    /// `phase`.
-    pub fn phase_spread(&self, phase: ClusterPhase) -> Vec<(u32, f64, f64)> {
-        let mut per_gen: Vec<(u32, f64, f64)> = Vec::new();
-        for &(time, entry) in self.phase_log.entries() {
-            if entry.phase != phase {
-                continue;
-            }
-            match per_gen.iter_mut().find(|(g, _, _)| *g == entry.generation) {
-                Some((_, first, last)) => {
-                    if time < *first {
-                        *first = time;
-                    }
-                    if time > *last {
-                        *last = time;
-                    }
-                }
-                None => per_gen.push((entry.generation, time, time)),
-            }
+/// Per-generation spread between the first and last cluster entering
+/// `phase` in a [`ClusterResult::phase_log`] — the de-synchronization
+/// Figure 2 visualizes and Proposition 31 bounds by `O(1)` time units.
+///
+/// Returns `(generation, first_time, last_time)` tuples, ascending by
+/// generation, for generations in which at least one cluster entered
+/// `phase`.
+pub fn phase_spread(log: &EventLog<PhaseLogEntry>, phase: ClusterPhase) -> Vec<(u32, f64, f64)> {
+    let mut per_gen: Vec<(u32, f64, f64)> = Vec::new();
+    for &(time, entry) in log.entries() {
+        if entry.phase != phase {
+            continue;
         }
-        per_gen.sort_by_key(|&(g, _, _)| g);
-        per_gen
+        match per_gen.iter_mut().find(|(g, _, _)| *g == entry.generation) {
+            Some((_, first, last)) => {
+                if time < *first {
+                    *first = time;
+                }
+                if time > *last {
+                    *last = time;
+                }
+            }
+            None => per_gen.push((entry.generation, time, time)),
+        }
     }
+    per_gen.sort_by_key(|&(g, _, _)| g);
+    per_gen
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -958,7 +956,7 @@ mod tests {
     #[test]
     fn phase_spread_reports_each_generation_once() {
         let result = quick(1_500, 2, 3.0, 5).run();
-        let spreads = result.phase_spread(ClusterPhase::Propagation);
+        let spreads = phase_spread(&result.phase_log, ClusterPhase::Propagation);
         let mut last_gen = 0;
         for (g, first, last) in spreads {
             assert!(g > last_gen);

@@ -1,8 +1,8 @@
 //! Integration: quantitative invariants from the paper's analysis, checked
-//! on real end-to-end runs (moderate sizes, fixed seeds; the experiment
-//! binaries check the same claims at scale with repetitions).
+//! on real end-to-end runs (moderate sizes, fixed seeds; the experiments
+//! check the same claims at scale with repetitions).
 
-use plurality::core::cluster::{ClusterConfig, ClusterPhase};
+use plurality::core::cluster::{phase_spread, ClusterConfig, ClusterPhase};
 use plurality::core::leader::LeaderConfig;
 use plurality::core::sync::{generations_needed, SyncConfig, GENERATION_CAP};
 use plurality::core::{InitialAssignment, RecordLevel, RunOutcome};
@@ -238,7 +238,7 @@ fn multi_leader_broadcast_spread_is_constant_units() {
         .with_steps_per_unit(12.0)
         .run();
     let c1 = r.steps_per_unit;
-    for (g, first, last) in r.phase_spread(ClusterPhase::TwoChoices) {
+    for (g, first, last) in phase_spread(&r.phase_log, ClusterPhase::TwoChoices) {
         if g >= 2 {
             let spread = (last - first) / c1;
             assert!(spread < 8.0, "generation {g} spread {spread} units");
