@@ -20,7 +20,8 @@
 //! sound. Before measurement, a warmup pass requests every hot pair
 //! once (uncounted) so each measured hot request finds the cache
 //! populated; hits are counted client-side from the server's `X-Cache`
-//! header.
+//! header, which also splits the latency report into a hit path (a
+//! cache lookup and one socket write) and a miss path (a queued run).
 //!
 //! Closed loop by default (next request starts when the previous
 //! response lands); `--rate R` switches to an open loop where request
@@ -33,7 +34,7 @@
 //! cargo run --release -p plurality-bench --bin plurality_load -- \
 //!     --addr 127.0.0.1:8080 --connections 8 --requests 200 \
 //!     --hot-fraction 0.5 --assert-no-5xx --assert-hit-rate 0.5 \
-//!     --assert-p99-ms 5000
+//!     --assert-p99-ms 5000 --assert-hit-p99-ms 25
 //! ```
 
 use plurality_obs::{validate_exposition, Histogram};
@@ -64,6 +65,8 @@ OPTIONS:
     --assert-hit-rate <F>     exit non-zero if the measured cache hit rate
                               is below F
     --assert-p99-ms <MS>      exit non-zero if p99 latency is >= MS
+    --assert-hit-p99-ms <MS>  exit non-zero if p99 latency of cache hits is
+                              >= MS, or if no request hit the cache
     --scrape-metrics          GET /metrics mid-load and exit non-zero unless
                               it parses as Prometheus text exposition with
                               the request-latency histogram present
@@ -84,16 +87,25 @@ struct Config {
     assert_no_5xx: bool,
     assert_hit_rate: Option<f64>,
     assert_p99_ms: Option<f64>,
+    assert_hit_p99_ms: Option<f64>,
     scrape_metrics: bool,
 }
 
-/// Per-connection tallies, merged after the join. Latencies go straight
-/// into the shared log-bucket [`Histogram`] — O(1) per sample, no
-/// per-request allocation, quantiles within one bucket width
-/// (≤ 1/16 relative error) of the exact nearest-rank value.
+/// End-to-end latencies in µs, shared by every connection: all
+/// responses, and the `200`s split by their `X-Cache` disposition. Each
+/// is a log-bucket [`Histogram`] — O(1) per sample, no per-request
+/// allocation, quantiles within one bucket width (≤ 1/16 relative
+/// error) of the exact nearest-rank value.
+#[derive(Default)]
+struct Latencies {
+    all: Histogram,
+    hit: Histogram,
+    miss: Histogram,
+}
+
+/// Per-connection status tallies, merged after the join.
 #[derive(Default)]
 struct Tally {
-    hits: u64,
     status_200: u64,
     status_429: u64,
     status_5xx: u64,
@@ -113,6 +125,7 @@ fn parse_args() -> Config {
         assert_no_5xx: false,
         assert_hit_rate: None,
         assert_p99_ms: None,
+        assert_hit_p99_ms: None,
         scrape_metrics: false,
     };
     let mut args = std::env::args().skip(1);
@@ -140,6 +153,10 @@ fn parse_args() -> Config {
             }
             "--assert-p99-ms" => {
                 config.assert_p99_ms = Some(parse(&value("--assert-p99-ms"), "--assert-p99-ms"));
+            }
+            "--assert-hit-p99-ms" => {
+                config.assert_hit_p99_ms =
+                    Some(parse(&value("--assert-hit-p99-ms"), "--assert-hit-p99-ms"));
             }
             "--scrape-metrics" => config.scrape_metrics = true,
             "--help" | "-h" => {
@@ -182,7 +199,7 @@ fn drive_connection(
     config: &Config,
     conn: usize,
     start_gun: &Barrier,
-    latencies: &Histogram,
+    latencies: &Latencies,
 ) -> Tally {
     let mut client = HttpClient::connect(config.addr).expect("connect to server");
     client
@@ -231,14 +248,15 @@ fn drive_connection(
         let response = client
             .get(&run_target(&config.spec, Some(seed)))
             .expect("request");
-        latencies.record(sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+        let us = sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        latencies.all.record(us);
+        match response.cache_disposition() {
+            Some("hit") => latencies.hit.record(us),
+            Some("miss") => latencies.miss.record(us),
+            _ => {}
+        }
         match response.status {
-            200 => {
-                tally.status_200 += 1;
-                if response.cache_disposition() == Some("hit") {
-                    tally.hits += 1;
-                }
-            }
+            200 => tally.status_200 += 1,
             429 => tally.status_429 += 1,
             500..=599 => tally.status_5xx += 1,
             _ => tally.status_other += 1,
@@ -293,7 +311,7 @@ fn main() {
     );
 
     let start_gun = Arc::new(Barrier::new(config.connections + 1));
-    let latencies = Arc::new(Histogram::new());
+    let latencies = Arc::new(Latencies::default());
     let workers: Vec<_> = (0..config.connections)
         .map(|conn| {
             let config = config.clone();
@@ -315,26 +333,34 @@ fn main() {
         .collect();
     let elapsed = measured_from.elapsed();
 
-    let total = latencies.count() as f64;
+    let total = latencies.all.count() as f64;
     let sum = |f: fn(&Tally) -> u64| tallies.iter().map(f).sum::<u64>();
-    let (hits, ok) = (sum(|t| t.hits), sum(|t| t.status_200));
+    // Only a `200` carries `X-Cache: hit`.
+    let (hits, ok) = (latencies.hit.count(), sum(|t| t.status_200));
     let hit_rate = if ok == 0 {
         0.0
     } else {
         hits as f64 / ok as f64
     };
     let specs_per_sec = total / elapsed.as_secs_f64();
+    let ms = |h: &Histogram, q: f64| h.quantile(q) as f64 / 1_000.0;
     let (p50, p95, p99) = (
-        latencies.quantile(0.50) as f64 / 1_000.0,
-        latencies.quantile(0.95) as f64 / 1_000.0,
-        latencies.quantile(0.99) as f64 / 1_000.0,
+        ms(&latencies.all, 0.50),
+        ms(&latencies.all, 0.95),
+        ms(&latencies.all, 0.99),
     );
+    let (hit_p50, hit_p99) = (ms(&latencies.hit, 0.50), ms(&latencies.hit, 0.99));
+    let (miss_p50, miss_p99) = (ms(&latencies.miss, 0.50), ms(&latencies.miss, 0.99));
 
     let metrics: Vec<(String, f64)> = vec![
         ("serve/specs_per_sec".into(), specs_per_sec),
         ("serve/p50_ms".into(), p50),
         ("serve/p95_ms".into(), p95),
         ("serve/p99_ms".into(), p99),
+        ("serve/hit_p50_ms".into(), hit_p50),
+        ("serve/hit_p99_ms".into(), hit_p99),
+        ("serve/miss_p50_ms".into(), miss_p50),
+        ("serve/miss_p99_ms".into(), miss_p99),
         ("serve/hit_rate".into(), hit_rate),
         ("serve/requests".into(), total),
         ("serve/connections".into(), config.connections as f64),
@@ -354,6 +380,7 @@ fn main() {
     .expect("write snapshot");
     println!(
         "{:.1} specs/sec | p50 {p50:.1} ms, p95 {p95:.1} ms, p99 {p99:.1} ms | \
+         hit p50/p99 {hit_p50:.2}/{hit_p99:.2} ms, miss p50/p99 {miss_p50:.2}/{miss_p99:.2} ms | \
          hit rate {hit_rate:.3} | wrote {}",
         specs_per_sec,
         path.display()
@@ -371,6 +398,15 @@ fn main() {
     if let Some(bound) = config.assert_p99_ms {
         if p99 >= bound {
             failures.push(format!("p99 {p99:.1} ms is not under the {bound} ms bound"));
+        }
+    }
+    if let Some(bound) = config.assert_hit_p99_ms {
+        if hits == 0 {
+            failures.push("no request hit the cache, so the hit path is ungated".to_string());
+        } else if hit_p99 >= bound {
+            failures.push(format!(
+                "hit p99 {hit_p99:.2} ms is not under the {bound} ms bound"
+            ));
         }
     }
     if let Some(Err(reason)) = scrape_result {

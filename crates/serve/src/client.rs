@@ -77,11 +77,13 @@ impl HttpClient {
     }
 
     fn try_get(&mut self, target: &str) -> io::Result<ClientResponse> {
-        write!(
-            self.writer,
+        // One buffer, one write: `write!` on the raw socket would send
+        // each format fragment as its own tiny segment.
+        let request = format!(
             "GET {target} HTTP/1.1\r\nHost: {}\r\nConnection: keep-alive\r\n\r\n",
             self.addr
-        )?;
+        );
+        self.writer.write_all(request.as_bytes())?;
         self.writer.flush()?;
         self.read_response()
     }

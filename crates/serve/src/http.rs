@@ -274,7 +274,9 @@ impl Response {
         self
     }
 
-    /// Serializes head + body to `writer`. `keep_alive` selects the
+    /// Serializes head + body to `writer` in a single `write_all`, so
+    /// on a socket the reply leaves as one send rather than a head
+    /// segment the body then waits behind. `keep_alive` selects the
     /// `Connection` header.
     ///
     /// # Errors
@@ -282,7 +284,7 @@ impl Response {
     /// Propagates transport-level I/O errors.
     pub fn write_to(&self, writer: &mut impl Write, keep_alive: bool) -> io::Result<()> {
         let reason = status_reason(self.status);
-        let mut head = format!(
+        let mut out = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason,
@@ -291,14 +293,14 @@ impl Response {
             if keep_alive { "keep-alive" } else { "close" },
         );
         for (name, value) in &self.extra_headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            out.push_str(name);
+            out.push_str(": ");
+            out.push_str(value);
+            out.push_str("\r\n");
         }
-        head.push_str("\r\n");
-        writer.write_all(head.as_bytes())?;
-        writer.write_all(self.body.as_bytes())?;
+        out.push_str("\r\n");
+        out.push_str(&self.body);
+        writer.write_all(out.as_bytes())?;
         writer.flush()
     }
 }
@@ -404,5 +406,43 @@ mod tests {
         assert!(text.contains("Retry-After: 2\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("queue full\n"));
+    }
+
+    /// Records every `write` call so a test can see how a response was
+    /// split across sends.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_goes_out_in_exactly_one_write() {
+        // Two writes on a socket let Nagle hold the body back until the
+        // peer ACKs the head, which a delayed ACK puts off by ~40 ms.
+        let response =
+            Response::ok("plurality-report/1\nwinner 0\n").with_header("X-Cache", "miss");
+        let mut expected = Vec::new();
+        response.write_to(&mut expected, true).unwrap();
+
+        let mut counting = CountingWriter::default();
+        response.write_to(&mut counting, true).unwrap();
+        assert_eq!(
+            counting.writes.len(),
+            1,
+            "head and body must share one write"
+        );
+        assert_eq!(counting.writes[0], expected);
+        assert!(expected.ends_with(b"\r\n\r\nplurality-report/1\nwinner 0\n"));
     }
 }

@@ -188,6 +188,12 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
 }
 
 fn handle_connection(stream: TcpStream, inner: &Arc<Inner>) {
+    // Every reply is one write (`Response::write_to`), so Nagle has
+    // nothing to coalesce; left on, it would hold a reply behind the
+    // peer's delayed ACK of the previous one.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -216,11 +222,13 @@ fn handle_connection(stream: TcpStream, inner: &Arc<Inner>) {
             request.path == "/admin/drain" && matches!(request.method.as_str(), "GET" | "POST");
         let started = Instant::now();
         let response = route(&request, inner);
+        // Recorded after the write, so the latency covers the socket
+        // send the client waits for, not just routing.
+        let written = response.write_to(&mut write_half, keep_alive).is_ok();
         inner
             .stats
             .request_latency_us
             .record(duration_us(started.elapsed()));
-        let written = response.write_to(&mut write_half, keep_alive).is_ok();
         if is_drain {
             // Acknowledge *before* closing the queue: once the drain
             // starts, `join()` can return and the process may exit, so

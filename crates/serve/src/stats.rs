@@ -95,7 +95,7 @@ impl Default for ServerStats {
         );
         let request_latency_us = registry.histogram(
             "plurality_request_latency_us",
-            "End-to-end request handling time in microseconds.",
+            "Request handling time in microseconds, from routing through the response write.",
         );
         let queue_wait_us = registry.histogram(
             "plurality_queue_wait_us",

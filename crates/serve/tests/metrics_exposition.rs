@@ -96,6 +96,34 @@ fn metrics_parse_as_prometheus_exposition_after_traffic() {
 }
 
 #[test]
+fn request_latency_counts_every_routed_request_once_written() {
+    let (server, mut client) = start();
+    const N: u64 = 7;
+    for _ in 0..N {
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
+    }
+
+    // Latency is recorded after each reply is written, and one
+    // connection is served in order, so every earlier request is in the
+    // histogram before this scrape is read. The scrape itself is routed
+    // (and counted) but not yet written when it renders.
+    let text = client.get("/metrics").unwrap().body;
+    let sample = |name: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {name} sample in:\n{text}"))
+            .parse()
+            .unwrap()
+    };
+    let routed = sample("plurality_requests_total");
+    assert_eq!(routed, N + 1);
+    assert_eq!(sample("plurality_request_latency_us_count"), routed - 1);
+
+    server.drain();
+    server.join();
+}
+
+#[test]
 fn stats_json_quantiles_follow_the_latency_histogram() {
     let (server, mut client) = start();
     let spec = "sync?n=400&k=2&alpha=3.0&seed=6";

@@ -6,7 +6,7 @@ use plurality_serve::{run_target, ClientResponse, HttpClient, ServeConfig, Serve
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(config: ServeConfig) -> (Server, HttpClient) {
     let server = Server::start(config).expect("bind loopback");
@@ -55,6 +55,26 @@ fn routing_covers_health_metrics_stats_and_the_error_paths() {
     assert_eq!(missing.status, 404);
     assert!(missing.body.contains("/run"), "404 should list endpoints");
 
+    server.drain();
+    server.join();
+}
+
+#[test]
+fn sequential_keep_alive_requests_do_not_stall_on_delayed_acks() {
+    // A reply split across two sends on a Nagle socket waits for the
+    // peer's delayed ACK, ~40 ms per request: 50 requests would take
+    // two seconds or more. Sent whole on a nodelay socket they take
+    // milliseconds.
+    let (server, mut client) = start(ServeConfig::default());
+    let started = Instant::now();
+    for _ in 0..50 {
+        assert_eq!(get(&mut client, "/healthz").status, 200);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 keep-alive /healthz took {elapsed:?}"
+    );
     server.drain();
     server.join();
 }
