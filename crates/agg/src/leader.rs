@@ -12,10 +12,11 @@
 //! * **Locks.** An unlocked node ticks at rate 1 and opens its three
 //!   channels, so each unlocked pool loses `Binomial(count, 1 − e^{−Δ})`
 //!   members per sub-step into the in-flight ring. The channel-phase
-//!   duration `T′₂ = max(T₂, T₂) + T₂` is discretized once into sub-step
+//!   duration `T′₂ = max(T₂, T₂) + T₂` is discretized into sub-step
 //!   buckets by an empirical CDF over a *fixed-seed* sample (quadrature
-//!   of a run-independent law, not process randomness), and each locked
-//!   batch is scattered over completion slots by one multinomial.
+//!   of a run-independent law, not process randomness). The sample is
+//!   drawn once per process and bucketed by each run's `Δ`, and each
+//!   locked batch is scattered over completion slots by one multinomial.
 //! * **Completions.** A stale batch refreshes (Algorithm 2 lines 13–14)
 //!   and returns to its pool fresh. A fresh batch applies the exact
 //!   [`plurality_core::leader::decide`] rule *in law*: because peers are
@@ -48,9 +49,9 @@ use plurality_core::sync::{generations_needed, GENERATION_CAP};
 use plurality_core::{ConvergenceTracker, OpinionCounts, RunOutcome};
 use plurality_dist::rng::Xoshiro256PlusPlus;
 use plurality_dist::{
-    multinomial_split, sample_binomial, sample_multinomial, ChannelPattern, InvalidParameterError,
-    Latency, WaitingTime,
+    multinomial_split, sample_binomial, ChannelPattern, InvalidParameterError, Latency, WaitingTime,
 };
+use std::sync::OnceLock;
 
 use crate::biased_counts;
 
@@ -61,6 +62,28 @@ const PHASE_ECDF_SEED: u64 = 0x00EC_DF00;
 
 /// Sample size for the channel-phase ECDF.
 const PHASE_ECDF_SAMPLES: usize = 1 << 16;
+
+/// The waiting-time law of the core model: `Exp(1)` latencies, one
+/// leader channel.
+fn core_waiting_time() -> WaitingTime {
+    WaitingTime::new(
+        Latency::exponential(1.0).expect("rate 1 valid"),
+        ChannelPattern::SingleLeader,
+    )
+}
+
+/// The fixed-seed channel-phase sample behind the ECDF, drawn once per
+/// process (512 KB); each run buckets it by its own `Δ`.
+fn phase_samples() -> &'static [f64] {
+    static SAMPLES: OnceLock<Vec<f64>> = OnceLock::new();
+    SAMPLES.get_or_init(|| {
+        let waiting = core_waiting_time();
+        let mut ecdf_rng = Xoshiro256PlusPlus::from_u64(PHASE_ECDF_SEED);
+        (0..PHASE_ECDF_SAMPLES)
+            .map(|_| waiting.sample_channel_phase(&mut ecdf_rng))
+            .collect()
+    })
+}
 
 /// Configuration for a mean-field single-leader run (facade spec name
 /// `"leader-mf"`). Restricted to the paper's core model: complete
@@ -84,6 +107,13 @@ pub struct LeaderMfConfig {
 }
 
 impl LeaderMfConfig {
+    /// The smallest accepted tau-leap sub-step `Δ`. A run's sub-steps and
+    /// its completion ring both grow as `1/Δ`, and its cost faster: at
+    /// `n = 10⁶`, `k = 4` a run takes 0.5 s at `Δ = 1/16`, 2.8 s at
+    /// `Δ = 1/64` and 6.5 s at `Δ = 0.01` (2-vCPU container), so a tiny
+    /// `Δ` would hold a daemon worker far past its deadline.
+    pub const MIN_DT: f64 = 1.0 / 64.0;
+
     /// Creates a configuration with the canonical biased start: opinion 0
     /// leads by the multiplicative factor `alpha`.
     ///
@@ -128,9 +158,12 @@ impl LeaderMfConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `dt ∉ (0, 1]`.
+    /// Panics if `dt ∉ [1/64, 1]` ([`LeaderMfConfig::MIN_DT`] is the floor).
     pub fn with_dt(mut self, dt: f64) -> Self {
-        assert!(dt > 0.0 && dt <= 1.0, "dt must lie in (0, 1]");
+        assert!(
+            (Self::MIN_DT..=1.0).contains(&dt),
+            "dt must lie in (0, 1] and be at least 1/64, got {dt}"
+        );
         self.dt = dt;
         self
     }
@@ -182,9 +215,7 @@ fn run_leader_mf(cfg: &LeaderMfConfig) -> LeaderMfResult {
     let mut rng = Xoshiro256PlusPlus::from_u64(cfg.seed);
 
     // --- Protocol schedule, mirroring LeaderConfig::run -------------------
-    let latency = Latency::exponential(1.0).expect("rate 1 valid");
-    let waiting = WaitingTime::new(latency, ChannelPattern::SingleLeader);
-    let c1 = waiting.time_unit_cached(20_000);
+    let c1 = core_waiting_time().time_unit_cached(20_000);
     let initial = OpinionCounts::from_counts(cfg.counts.clone());
     let initial_winner = initial.winner().expect("non-empty population");
     let initial_bias = initial.bias().unwrap_or(f64::INFINITY);
@@ -219,22 +250,24 @@ fn run_leader_mf(cfg: &LeaderMfConfig) -> LeaderMfResult {
     // Completion slot offsets: a node locking in sub-step s completes in
     // sub-step s + 1 + ⌊phase/Δ⌋ (the +1 centers the tick-time jitter
     // within the locking sub-step).
-    let phase_probs: Vec<f64> = {
-        let mut ecdf_rng = Xoshiro256PlusPlus::from_u64(PHASE_ECDF_SEED);
-        let mut buckets: Vec<u64> = Vec::new();
-        for _ in 0..PHASE_ECDF_SAMPLES {
-            let j = (waiting.sample_channel_phase(&mut ecdf_rng) / dt) as usize;
-            if j >= buckets.len() {
-                buckets.resize(j + 1, 0);
-            }
-            buckets[j] += 1;
+    let mut buckets: Vec<u64> = Vec::new();
+    for &phase in phase_samples() {
+        let j = (phase / dt) as usize;
+        if j >= buckets.len() {
+            buckets.resize(j + 1, 0);
         }
-        buckets
-            .iter()
-            .map(|&b| b as f64 / PHASE_ECDF_SAMPLES as f64)
-            .collect()
-    };
-    let ring_len = phase_probs.len() + 1;
+        buckets[j] += 1;
+    }
+    // The multinomial over offsets as split targets: every occupied
+    // offset but the last, whose draw is the split's residual.
+    let last_offset = buckets.len() - 1;
+    let phase_targets: Vec<(usize, f64)> = buckets[..last_offset]
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b > 0)
+        .map(|(j, &b)| (j, b as f64 / PHASE_ECDF_SAMPLES as f64))
+        .collect();
+    let ring_len = buckets.len() + 1;
 
     // --- Pools ------------------------------------------------------------
     let cells = (cap as usize + 1) * k;
@@ -289,10 +322,13 @@ fn run_leader_mf(cfg: &LeaderMfConfig) -> LeaderMfResult {
     let mut sub_steps = 0u64;
     let mut t = 0.0f64;
     let mut slot = 0usize;
-    // Scratch buffers reused across sub-steps.
+    // Scratch buffers reused across sub-steps. `scattered` and `by_slot`
+    // are all-zero between uses: each reader takes what it reads.
     let mut occupied: Vec<usize> = Vec::new();
     let mut targets: Vec<(usize, f64)> = Vec::new();
+    let mut target_mass = vec![0.0f64; cells];
     let mut scattered = vec![0u64; cells];
+    let mut by_slot = vec![0u64; buckets.len()];
 
     while !tracker.is_consensus() && t < max_time {
         sub_steps += 1;
@@ -362,7 +398,7 @@ fn run_leader_mf(cfg: &LeaderMfConfig) -> LeaderMfResult {
                 // enumeration of ordered sample pairs over occupied
                 // cells (decide() reads only the samples' (gen, col)).
                 targets.clear();
-                let mut target_mass = vec![0.0f64; cells];
+                target_mass.fill(0.0);
                 let mut move_mass = 0.0f64;
                 for &c1_idx in &occupied {
                     let (g1, col1) = ((c1_idx / k) as u32, c1_idx % k);
@@ -416,11 +452,11 @@ fn run_leader_mf(cfg: &LeaderMfConfig) -> LeaderMfResult {
                         continue;
                     }
                     row[col] = 0;
-                    scattered[..].iter_mut().for_each(|s| *s = 0);
                     let stayed = multinomial_split(m, &targets, &mut scattered, &mut rng);
                     unlocked_fresh[cell(g, col, k)] += stayed;
                     let src = cell(g, col, k);
-                    for (dst, &moved) in scattered.iter().enumerate() {
+                    for &(dst, _) in &targets {
+                        let moved = std::mem::take(&mut scattered[dst]);
                         if moved == 0 {
                             continue;
                         }
@@ -453,10 +489,11 @@ fn run_leader_mf(cfg: &LeaderMfConfig) -> LeaderMfResult {
                     continue;
                 }
                 pools[c] = m - locked;
-                let by_slot = sample_multinomial(locked, &phase_probs, &mut rng);
-                for (j, &batch) in by_slot.iter().enumerate() {
-                    if batch > 0 {
-                        ring[(slot + 1 + j) % ring_len][c] += batch;
+                let stayed = multinomial_split(locked, &phase_targets, &mut by_slot, &mut rng);
+                by_slot[last_offset] += stayed;
+                for (j, batch) in by_slot.iter_mut().enumerate() {
+                    if *batch > 0 {
+                        ring[(slot + 1 + j) % ring_len][c] += std::mem::take(batch);
                     }
                 }
             }
@@ -527,6 +564,12 @@ mod tests {
             .with_seed(7)
             .run();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1/64")]
+    fn dt_below_one_sixty_fourth_is_refused() {
+        let _ = LeaderMfConfig::from_counts(vec![600, 400]).with_dt(0.01);
     }
 
     #[test]

@@ -420,8 +420,8 @@ fn check_mean_field(
 /// sharing the per-node engine's thresholds and state machine.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LeaderMfEngine {
-    /// Tau-leap sub-step length in time units, in `(0, 1]` (engine
-    /// default 1/8).
+    /// Tau-leap sub-step length in time units, in
+    /// `[LeaderMfConfig::MIN_DT, 1] = [1/64, 1]` (engine default 1/8).
     pub dt: Option<f64>,
 }
 
@@ -433,9 +433,10 @@ impl Protocol for LeaderMfEngine {
     fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
         check_mean_field("leader-mf", "leader", cfg)?;
         if let Some(dt) = self.dt {
-            if !(dt > 0.0 && dt <= 1.0) {
+            if !(LeaderMfConfig::MIN_DT..=1.0).contains(&dt) {
                 return Err(InvalidParameterError::new(format!(
-                    "leader-mf sub-step dt must lie in (0, 1], got {dt}"
+                    "leader-mf sub-step dt must lie in (0, 1] and be at least 1/64 \
+                     (a run's sub-steps and memory grow as 1/dt), got {dt}"
                 )));
             }
         }
@@ -721,6 +722,19 @@ mod tests {
         let engine = LeaderMfEngine { dt: Some(1.5) };
         let err = engine.check(&cfg).unwrap_err();
         assert!(err.to_string().contains("(0, 1]"), "{err}");
+    }
+
+    #[test]
+    fn leader_mf_rejects_a_dt_below_one_sixty_fourth() {
+        let cfg = RunConfig::with_bias(1_000, 2, 2.0).unwrap();
+        for dt in [0.01, 1e-6] {
+            let err = LeaderMfEngine { dt: Some(dt) }.check(&cfg).unwrap_err();
+            assert!(err.to_string().contains("at least 1/64"), "{err}");
+        }
+        let floor = LeaderMfEngine {
+            dt: Some(LeaderMfConfig::MIN_DT),
+        };
+        assert!(floor.check(&cfg).is_ok());
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::protocol::{
     PopulationMfEngine, Protocol, SyncEngine, UndecidedMfEngine, UrnEngine,
 };
 use crate::report::Report;
+use plurality_agg::LeaderMfConfig;
 use plurality_baselines::{Dynamics, PopulationProtocol};
 use plurality_core::sync::ScheduleMode;
 use plurality_core::RecordLevel;
@@ -450,9 +451,10 @@ fn build_population(
 
 fn build_leader_mf(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
     let dt = match kv.get_f64("dt")? {
-        Some(dt) if !(dt > 0.0 && dt <= 1.0) => {
+        Some(dt) if !(LeaderMfConfig::MIN_DT..=1.0).contains(&dt) => {
             return Err(SpecError::new(format!(
-                "parameter `dt` must lie in (0, 1], got {dt}"
+                "parameter `dt` must lie in (0, 1] and be at least 1/64 = 0.015625 \
+                 (a run's sub-steps and memory grow as 1/dt), got {dt}"
             )))
         }
         other => other,
@@ -579,7 +581,7 @@ impl Registry {
                     name: "leader-mf",
                     aliases: &[],
                     summary: "mean-field aggregate single-leader engine (tau-leaped pools, n up to ~1e9)",
-                    keys: &[("dt", "tau-leap sub-step in time units, in (0, 1] (default 0.125)")],
+                    keys: &[("dt", "tau-leap sub-step in time units, in [1/64, 1] (default 0.125)")],
                     default_k: 4,
                     build: build_leader_mf,
                 },
@@ -884,6 +886,8 @@ mod tests {
             ("sync?max=-1", "`max`"),
             ("cluster?leader-prob=0", "`leader-prob`"),
             ("leader-mf?dt=2", "`dt`"),
+            ("leader-mf?dt=0.01", "at least 1/64"),
+            ("leader-mf?dt=1e-6", "at least 1/64"),
             ("sync-mf?gamma=0", "`gamma`"),
         ];
         for (spec, needle) in cases {

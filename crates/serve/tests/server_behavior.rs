@@ -116,6 +116,31 @@ fn bad_specs_get_the_registry_teaching_errors_as_400s() {
 }
 
 #[test]
+fn a_leader_mf_dt_below_one_sixty_fourth_is_a_400_not_a_wedged_worker() {
+    // A run's sub-steps and completion ring grow as 1/dt, so a tiny dt
+    // would hold a worker far past any deadline; it is refused up front.
+    let (server, mut client) = start(ServeConfig::default());
+    let started = Instant::now();
+    let tiny = get(
+        &mut client,
+        &run_target("leader-mf?n=1000000&k=2&alpha=2.0&dt=1e-6", None),
+    );
+    assert_eq!(tiny.status, 400);
+    assert!(
+        tiny.body.contains("`dt`") && tiny.body.contains("at least 1/64"),
+        "the 400 must name the accepted range: {}",
+        tiny.body
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "rejection took {:?}",
+        started.elapsed()
+    );
+    server.drain();
+    server.join();
+}
+
+#[test]
 fn method_and_framing_violations_are_rejected() {
     let (server, mut client) = start(ServeConfig::default());
 
