@@ -39,6 +39,22 @@ fn urn_n1e9() {
 }
 
 #[test]
+fn urn_k3_many_generations() {
+    check(
+        "urn?n=100000000&k=3&alpha=1.1&seed=7",
+        "duration=0x4046000000000000 counts=[100000000, 0, 0] bytes=892 hash=0xbb44fbcbd7e6d41d",
+    );
+}
+
+#[test]
+fn urn_k6_many_generations() {
+    check(
+        "urn?n=1000000000&k=6&alpha=1.1&seed=8",
+        "duration=0x404a000000000000 counts=[1000000000, 0, 0, 0, 0, 0] bytes=905 hash=0x2b97b20d98234a94",
+    );
+}
+
+#[test]
 fn leader_mf_default_dt_n1e8() {
     check(
         "leader-mf?n=100000000&k=3&alpha=2.0&seed=2",
