@@ -166,7 +166,7 @@ fn sampler_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
     metrics.push((
         "sim/calendar_queue_push_pop_1k_ns".into(),
         median_ns(eff.batch(50), eff.timing_samples, || {
-            let mut q = CalendarQueue::with_capacity(1024);
+            let mut q = CalendarQueue::new();
             for i in 0..1000u32 {
                 q.schedule(f64::from(i.wrapping_mul(2654435761) % 10_000), i);
             }
@@ -246,6 +246,16 @@ fn engine_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
         "engine/urn_n1e8_k8_ms".into(),
         median_ms(eff.engine_runs, || {
             let r = UrnConfig::new(100_000_000, 8, 1.5)
+                .expect("valid")
+                .with_seed(2)
+                .run();
+            std::hint::black_box(r.rounds);
+        }),
+    ));
+    metrics.push((
+        "engine/urn_n1e8_k3_ms".into(),
+        median_ms(eff.engine_runs, || {
+            let r = UrnConfig::new(100_000_000, 3, 1.5)
                 .expect("valid")
                 .with_seed(2)
                 .run();

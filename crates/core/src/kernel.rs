@@ -372,10 +372,7 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
             table.color_support(initial_winner),
             table.max_color_support(),
         );
-        // Pending events at any time: ≤ n open interactions plus in-flight
-        // signals (≈ n·E[T1] for unit-rate ticking) — `3n` covers the
-        // steady state without rehashing.
-        let mut queue = CalendarQueue::with_capacity(3 * n);
+        let mut queue = CalendarQueue::new();
         queue.set_trace(s.trace);
 
         // Slots `0..slow` tick at the straggler rate, the rest at rate 1

@@ -155,6 +155,65 @@ fn cell(g: usize, c: usize, k: usize) -> usize {
     g * k + c
 }
 
+/// One round's outcome law, shared by every source generation.
+///
+/// A node of generation `g` samples cells `A = (gA, cA)` and `B = (gB,
+/// cB)` with probability `f_A·f_B`. In a two-choices round with `A == B`
+/// and `gA ≥ g` it moves to `(gA+1, cA)`; otherwise, with `H = A` if
+/// `gA ≥ gB` else `B`, it moves to `H` if `gH > g`, else it stays. A
+/// pair's destination `t` thus never depends on `g`, and the pair counts
+/// exactly when `gen(t) > g` (the diagonal lands on generation `gA+1`,
+/// which exceeds `g` iff `gA ≥ g`). So every target collects the same
+/// pairs in the same order for each `g < gen(t)` and none for larger
+/// `g`: one ordered sum per target, listed in ascending cell order, gives
+/// generation `g`'s law bit for bit as the suffix `t ≥ (g+1)·k`.
+#[derive(Default)]
+struct RoundLaw {
+    /// Occupied cells as `(cell, generation, fraction)`, ascending.
+    live: Vec<(usize, usize, f64)>,
+    /// Summed pair probability per destination cell.
+    mass: Vec<f64>,
+    /// Destinations with positive mass, ascending.
+    targets: Vec<(usize, f64)>,
+}
+
+impl RoundLaw {
+    /// Builds the law of the configuration `counts` (generation-major
+    /// cells of `k` colors, `nf` nodes in all).
+    fn build(&mut self, counts: &[u64], k: usize, nf: f64, two_choices: bool) {
+        let fractions = counts.iter().map(|&m| m as f64 / nf).enumerate();
+        self.live.clear();
+        self.live.extend(
+            fractions
+                .filter(|&(_, f)| f != 0.0)
+                .map(|(a, f)| (a, a / k, f)),
+        );
+        self.mass.clear();
+        self.mass.resize(counts.len() + k, 0.0);
+        for &(a, ga, fa) in &self.live {
+            for &(b, gb, fb) in &self.live {
+                let t = if two_choices && a == b {
+                    a + k
+                } else if ga >= gb {
+                    a
+                } else {
+                    b
+                };
+                self.mass[t] += fa * fb;
+            }
+        }
+        let mass = self.mass.iter().copied().enumerate().skip(k);
+        self.targets.clear();
+        self.targets.extend(mass.filter(|&(_, p)| p > 0.0));
+    }
+
+    /// Generation `g`'s targets; the residual probability means "stay".
+    fn for_generation(&self, g: usize, k: usize) -> &[(usize, f64)] {
+        let from = self.targets.partition_point(|&(t, _)| t < (g + 1) * k);
+        &self.targets[from..]
+    }
+}
+
 fn run_urn(cfg: &UrnConfig) -> UrnResult {
     let k = cfg.counts.len();
     let n: u64 = cfg.counts.iter().sum();
@@ -178,7 +237,6 @@ fn run_urn(cfg: &UrnConfig) -> UrnResult {
         .unwrap_or_else(|| schedule.final_round() + 4 * (nf.log2().ceil() as u64) + 100);
 
     // counts[cell(g, c)] — generations 0..=G (grown on demand).
-    let mut gens: usize = 1;
     let mut counts: Vec<u64> = cfg.counts.clone();
     let mut tracker = ConvergenceTracker::new(n, initial_winner, cfg.epsilon);
     let mut births: Vec<GenerationBirth> = Vec::new();
@@ -188,17 +246,17 @@ fn run_urn(cfg: &UrnConfig) -> UrnResult {
     // O(G·k) column sums are computed once per mutation and every query
     // in the round — convergence tracking, the monochromatic check, the
     // final report — reads the cache instead of re-summing.
-    let refresh_color_sums = |counts: &[u64], gens: usize, sums: &mut Vec<u64>| {
+    let refresh_color_sums = |counts: &[u64], sums: &mut Vec<u64>| {
         sums.clear();
         sums.resize(k, 0);
-        for g in 0..gens {
-            for (c, sum) in sums.iter_mut().enumerate() {
-                *sum += counts[cell(g, c, k)];
+        for row in counts.chunks_exact(k) {
+            for (sum, &m) in sums.iter_mut().zip(row) {
+                *sum += m;
             }
         }
     };
     let mut color_sums: Vec<u64> = Vec::with_capacity(k);
-    refresh_color_sums(&counts, gens, &mut color_sums);
+    refresh_color_sums(&counts, &mut color_sums);
 
     let observe = |sums: &[u64], tracker: &mut ConvergenceTracker, t: f64| {
         let winner_support = sums[initial_winner.index() as usize];
@@ -208,123 +266,60 @@ fn run_urn(cfg: &UrnConfig) -> UrnResult {
     observe(&color_sums, &mut tracker, 0.0);
 
     let bias_in_gen = |counts: &[u64], g: usize| -> f64 {
-        let row: Vec<u64> = (0..k).map(|c| counts[cell(g, c, k)]).collect();
-        OpinionCounts::from_counts(row)
+        OpinionCounts::from_counts(counts[cell(g, 0, k)..][..k].to_vec())
             .bias()
             .unwrap_or(f64::INFINITY)
     };
     let collision_in_gen = |counts: &[u64], g: usize| -> f64 {
-        let total: u64 = (0..k).map(|c| counts[cell(g, c, k)]).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        (0..k)
-            .map(|c| {
-                let f = counts[cell(g, c, k)] as f64 / total as f64;
-                f * f
-            })
-            .sum()
+        // Only read at a birth, whose parent row is occupied.
+        let row = &counts[cell(g, 0, k)..][..k];
+        let total = row.iter().sum::<u64>() as f64;
+        row.iter().map(|&m| m as f64 / total).map(|f| f * f).sum()
     };
 
     let mut rounds = 0u64;
     let is_mono = |sums: &[u64]| -> bool { sums.contains(&n) };
 
+    // Buffers reused across rounds.
+    let mut law = RoundLaw::default();
+    let mut new_counts: Vec<u64> = Vec::new();
+
     if !is_mono(&color_sums) {
         for round in 1..=max_rounds {
             rounds = round;
-            let two_choices = schedule.is_two_choices_round(round);
+            let gens = counts.len() / k;
+            law.build(&counts, k, nf, schedule.is_two_choices_round(round));
 
-            // Cell fractions of the current configuration.
-            let fracs: Vec<f64> = counts.iter().map(|&c| c as f64 / nf).collect();
-            // Cumulative fraction of generations > g (the "strictly higher"
-            // mass a node can be pulled into) per target cell is needed; we
-            // instead compute, per source generation g, the outcome
-            // distribution over target cells shared by all its colors.
-            //
-            // Outcome of a node in generation g sampling cells A=(gA,cA),
-            // B=(gB,cB) with independent probabilities f_A·f_B:
-            // * two-choices round and A == B with gA ≥ g → (gA+1, cA);
-            // * else with H = A if gA ≥ gB else B: if gH > g → H, else stay.
-            let total_cells = gens * k;
-            let mut new_counts = vec![0u64; (gens + 1) * k];
-
-            // Precompute per-source-generation outcome distributions.
-            // targets[g] = Vec<(target_cell_in_new_layout, prob)>, with the
-            // residual probability meaning "stay".
-            let mut per_gen_targets: Vec<Vec<(usize, f64)>> = Vec::with_capacity(gens);
-            for g in 0..gens {
-                let mut probs = vec![0.0f64; (gens + 1) * k];
-                for a in 0..total_cells {
-                    let fa = fracs[a];
-                    if fa == 0.0 {
-                        continue;
-                    }
-                    let (ga, ca) = (a / k, a % k);
-                    for (b, &fb) in fracs.iter().enumerate().take(total_cells) {
-                        if fb == 0.0 {
-                            continue;
-                        }
-                        let gb = b / k;
-                        let p = fa * fb;
-                        if two_choices && a == b && ga >= g {
-                            probs[cell(ga + 1, ca, k)] += p;
-                            continue;
-                        }
-                        let h = if ga >= gb { a } else { b };
-                        let gh = h / k;
-                        if gh > g {
-                            probs[h] += p;
-                        }
-                        // else: stay (residual mass).
-                    }
-                }
-                let targets: Vec<(usize, f64)> = probs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &p)| p > 0.0)
-                    .map(|(i, &p)| (i, p))
-                    .collect();
-                per_gen_targets.push(targets);
-            }
-
-            // Multinomial split of every cell over its targets.
-            for g in 0..gens {
-                let targets = &per_gen_targets[g];
-                for c in 0..k {
-                    let m = counts[cell(g, c, k)];
-                    if m == 0 {
-                        continue;
-                    }
-                    // Exact multinomial scatter (shared sampler consumes
-                    // the byte-identical binomial stream the hand-rolled
-                    // loop used to); whoever is left stays in place.
-                    let stayed = multinomial_split(m, targets, &mut new_counts, &mut rng);
-                    new_counts[cell(g, c, k)] += stayed;
-                }
+            // Multinomial split of every cell over its generation's
+            // targets; whoever is left stays in place.
+            new_counts.clear();
+            new_counts.resize(counts.len() + k, 0);
+            for (a, &m) in counts.iter().enumerate().filter(|&(_, &m)| m > 0) {
+                let targets = law.for_generation(a / k, k);
+                let stayed = multinomial_split(m, targets, &mut new_counts, &mut rng);
+                new_counts[a] += stayed;
             }
 
             // Did a new generation appear?
-            let top_row_total: u64 = (0..k).map(|c| new_counts[cell(gens, c, k)]).sum();
-            let parent = gens - 1;
-            let parent_bias = bias_in_gen(&counts, parent);
-            let parent_collision = collision_in_gen(&counts, parent);
-            counts = new_counts;
+            let top_row_total: u64 = new_counts[counts.len()..].iter().sum();
             if top_row_total > 0 {
-                gens += 1;
+                let parent_bias = bias_in_gen(&counts, gens - 1);
+                let parent_collision = collision_in_gen(&counts, gens - 1);
                 births.push(GenerationBirth {
-                    generation: (gens - 1) as u32,
+                    generation: gens as u32,
                     time: round as f64,
-                    bias: bias_in_gen(&counts, gens - 1),
+                    bias: bias_in_gen(&new_counts, gens),
                     parent_bias,
                     initial_fraction: top_row_total as f64 / nf,
                     parent_collision,
                 });
             } else {
-                // Trim the unused extra row for the next iteration.
-                counts.truncate(gens * k);
+                // Drop the unused extra row.
+                new_counts.truncate(counts.len());
             }
+            std::mem::swap(&mut counts, &mut new_counts);
 
-            refresh_color_sums(&counts, gens, &mut color_sums);
+            refresh_color_sums(&counts, &mut color_sums);
             observe(&color_sums, &mut tracker, round as f64);
             if is_mono(&color_sums) {
                 break;
@@ -357,6 +352,98 @@ mod tests {
     use crate::opinion::Opinion;
     use crate::sync::SyncConfig;
     use crate::InitialAssignment;
+
+    /// The per-generation law builder `run_urn` used before
+    /// [`RoundLaw`], kept verbatim as the reference.
+    fn per_generation_targets(
+        fracs: &[f64],
+        gens: usize,
+        k: usize,
+        two_choices: bool,
+    ) -> Vec<Vec<(usize, f64)>> {
+        let total_cells = gens * k;
+        let mut per_gen_targets: Vec<Vec<(usize, f64)>> = Vec::with_capacity(gens);
+        for g in 0..gens {
+            let mut probs = vec![0.0f64; (gens + 1) * k];
+            for a in 0..total_cells {
+                let fa = fracs[a];
+                if fa == 0.0 {
+                    continue;
+                }
+                let (ga, ca) = (a / k, a % k);
+                for (b, &fb) in fracs.iter().enumerate().take(total_cells) {
+                    if fb == 0.0 {
+                        continue;
+                    }
+                    let gb = b / k;
+                    let p = fa * fb;
+                    if two_choices && a == b && ga >= g {
+                        probs[cell(ga + 1, ca, k)] += p;
+                        continue;
+                    }
+                    let h = if ga >= gb { a } else { b };
+                    let gh = h / k;
+                    if gh > g {
+                        probs[h] += p;
+                    }
+                    // else: stay (residual mass).
+                }
+            }
+            let targets: Vec<(usize, f64)> = probs
+                .iter()
+                .enumerate()
+                .filter(|&(_, &p)| p > 0.0)
+                .map(|(i, &p)| (i, p))
+                .collect();
+            per_gen_targets.push(targets);
+        }
+        per_gen_targets
+    }
+
+    #[test]
+    fn one_pass_law_matches_per_generation_laws_bit_for_bit() {
+        use rand::Rng;
+        let mut rng = Xoshiro256PlusPlus::from_u64(21);
+        let mut law = RoundLaw::default();
+        let mut compared = [0usize; 2];
+        for case in 0..20_000 {
+            let k = rng.gen_range(2..=8usize);
+            let gens = rng.gen_range(1..=8usize);
+            let two_choices = case % 2 == 0;
+            // About a third of the cells empty; magnitudes from 1 to 1e9.
+            let mut counts: Vec<u64> = (0..gens * k)
+                .map(|_| {
+                    if rng.gen_range(0..3u32) == 0 {
+                        0
+                    } else {
+                        10f64.powf(rng.gen::<f64>() * 9.0) as u64
+                    }
+                })
+                .collect();
+            if counts.iter().all(|&m| m == 0) {
+                counts[rng.gen_range(0..gens * k)] = 1;
+            }
+            let nf = counts.iter().sum::<u64>() as f64;
+            let fracs: Vec<f64> = counts.iter().map(|&c| c as f64 / nf).collect();
+            let reference = per_generation_targets(&fracs, gens, k, two_choices);
+            law.build(&counts, k, nf, two_choices);
+            for (g, want) in reference.iter().enumerate() {
+                let got = law.for_generation(g, k);
+                let same = got.len() == want.len()
+                    && got
+                        .iter()
+                        .zip(want)
+                        .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits());
+                assert!(
+                    same,
+                    "case {case} (k={k}, gens={gens}, g={g}): {got:?} vs {want:?}"
+                );
+                compared[usize::from(want.is_empty())] += 1;
+            }
+        }
+        // Both non-empty and empty laws were exercised.
+        assert!(compared[0] > 10_000 && compared[1] > 1_000, "{compared:?}");
+    }
 
     #[test]
     fn conserves_population_and_elects_plurality() {

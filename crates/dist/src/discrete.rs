@@ -97,8 +97,8 @@ fn binomial_btpe<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     let q = 1.0 - p;
     let npq = nf * p * q;
     let f_m = nf * p + p;
-    let m = f_m.floor();
-    let p1 = (2.195 * npq.sqrt() - 4.6 * q).floor() + 0.5;
+    let m = floor(f_m);
+    let p1 = floor(2.195 * npq.sqrt() - 4.6 * q) + 0.5;
     let x_m = m + 0.5;
     let x_l = x_m - p1;
     let x_r = x_m + p1;
@@ -123,7 +123,7 @@ fn binomial_btpe<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
         let y: f64;
         if u <= p1 {
             // Triangular centre: lies under the pmf, accept outright.
-            y = (x_m - p1 * v + u).floor();
+            y = floor(x_m - p1 * v + u);
             return y.clamp(0.0, nf) as u64;
         } else if u <= p2 {
             // Parallelogram.
@@ -132,17 +132,17 @@ fn binomial_btpe<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
             if v > 1.0 {
                 continue;
             }
-            y = x.floor();
+            y = floor(x);
         } else if u <= p3 {
             // Left exponential tail.
-            y = (x_l + v.ln() / lambda_l).floor();
+            y = floor(x_l + v.ln() / lambda_l);
             if y < 0.0 {
                 continue;
             }
             v *= (u - p2) * lambda_l;
         } else {
             // Right exponential tail.
-            y = (x_r - v.ln() / lambda_r).floor();
+            y = floor(x_r - v.ln() / lambda_r);
             if y > nf {
                 continue;
             }
@@ -180,6 +180,24 @@ fn binomial_btpe<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
         if v <= ln_f_y.exp() {
             return y.clamp(0.0, nf) as u64;
         }
+    }
+}
+
+/// `x.floor()` without a libm call: on the x86-64 baseline (no SSE4.1
+/// `roundsd`) `f64::floor` compiles to one. Exact for every input, except
+/// that `-0.0` comes out as `+0.0`.
+#[inline]
+fn floor(x: f64) -> f64 {
+    // From 2⁵² on every f64 is an integer; NaN and ±∞ pass through too.
+    if x.abs() < 4_503_599_627_370_496.0 {
+        let t = x as i64 as f64;
+        if t > x {
+            t - 1.0
+        } else {
+            t
+        }
+    } else {
+        x
     }
 }
 
@@ -258,6 +276,43 @@ mod tests {
             + kf * p.ln()
             + (nf - kf) * (1.0 - p).ln())
         .exp()
+    }
+
+    #[test]
+    fn inline_floor_matches_f64_floor() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            1.0 - f64::EPSILON,
+            -1.0 + f64::EPSILON,
+            4_503_599_627_370_495.5,
+            -4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+        ];
+        let mut rng = Xoshiro256PlusPlus::from_u64(9);
+        let random = (0..100_000).map(|i| {
+            let scale = 10f64.powi(i % 19 - 3);
+            (rng.gen::<f64>() - 0.5) * scale
+        });
+        for x in edges.into_iter().chain(random) {
+            let (got, want) = (floor(x), x.floor());
+            // Equal bits, except that −0.0 may come out as +0.0.
+            assert!(
+                got.to_bits() == want.to_bits() || (got == 0.0 && want == 0.0),
+                "floor({x:e}) = {got:e}, want {want:e}"
+            );
+        }
+        assert!(floor(f64::NAN).is_nan());
     }
 
     #[test]

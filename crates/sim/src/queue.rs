@@ -416,13 +416,6 @@ impl<E> CalendarQueue<E> {
             .unwrap_or_default()
     }
 
-    /// Creates an empty queue. The capacity hint is ignored: the bucket
-    /// array self-tunes through resize doublings, and pre-sizing it would
-    /// skip the width retuning those resizes perform.
-    pub fn with_capacity(_capacity: usize) -> Self {
-        Self::new()
-    }
-
     /// The current simulation time: the timestamp of the last popped event
     /// or the last [`CalendarQueue::advance_to`] call, whichever is later
     /// (zero initially). Time never runs backwards.
