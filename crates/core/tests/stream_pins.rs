@@ -12,6 +12,7 @@
 
 use plurality_core::cluster::ClusterConfig;
 use plurality_core::leader::LeaderConfig;
+use plurality_core::sync::SyncConfig;
 use plurality_core::{InitialAssignment, RecordLevel, RunOutcome};
 use plurality_dist::Latency;
 use plurality_obs::EngineProfile;
@@ -20,6 +21,12 @@ use plurality_topology::Topology;
 
 const SCENARIO: &str = "rewire:er:0.02@10;crash:0.2@15;burst-loss:0.4@5..20;\
                         latency:3@10..40;corrupt:0.1:adaptive@25;join:0.2@40";
+
+/// The round-engine scenario: every effect kind the round engines act
+/// on (loss burst, crash, adaptive corruption, rewire, join, recover)
+/// inside the first six rounds.
+const ROUND_SCENARIO: &str = "burst-loss:0.3@1..4;crash:0.2@2;corrupt:0.1:adaptive@3;\
+                              rewire:er:0.02@4;join:0.2@5;recover:0.2@6";
 
 fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -182,4 +189,49 @@ fn cluster_stragglers() {
 fn cluster_stragglers_sparse() {
     let cfg = cluster(1_000, 9).with_topology(Topology::PreferentialAttachment { m: 4 });
     check_cluster(cfg.with_scenario(Scenario::parse("stragglers:0.2:0.2").unwrap()), "ticks=269505 popped=51225 thinned=0 resizes=5 crossings=21 duration=0x40741b9bdc07b8bc counts=[1000, 0] hash=0xa6de53ea63331245");
+}
+
+fn sync(n: u64, seed: u64) -> SyncConfig {
+    SyncConfig::new(InitialAssignment::with_bias(n, 3, 2.0).unwrap())
+        .with_seed(seed)
+        .with_scenario(Scenario::parse(ROUND_SCENARIO).unwrap())
+}
+
+fn check_sync(cfg: SyncConfig, expected: &str) {
+    let r = cfg.run();
+    let line = format!(
+        "rounds={} duration={:#018x} counts={:?} hash={:#018x}",
+        r.rounds,
+        r.outcome.duration.to_bits(),
+        r.outcome.final_counts.as_slice(),
+        fnv1a(&format!("{r:?}")),
+    );
+    assert_eq!(line, expected);
+}
+
+#[test]
+fn sync_scenario_complete() {
+    check_sync(
+        sync(2_000, 1),
+        "rounds=171 duration=0x4065600000000000 counts=[1998, 2, 0] hash=0x2373118d3d813761",
+    );
+}
+
+#[test]
+fn sync_scenario_ring() {
+    check_sync(
+        sync(1_000, 2).with_topology(Topology::Ring),
+        "rounds=167 duration=0x4064e00000000000 counts=[775, 0, 225] hash=0x1b45b75d4a66b651",
+    );
+}
+
+#[test]
+fn sync_scenario_full_record_traced() {
+    let cfg = sync(1_500, 3)
+        .with_record(RecordLevel::Full)
+        .with_trace(true);
+    check_sync(
+        cfg,
+        "rounds=27 duration=0x403b000000000000 counts=[1500, 0, 0] hash=0x08efea96fe42af68",
+    );
 }
