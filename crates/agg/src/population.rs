@@ -30,7 +30,7 @@
 //! regime where pool batching degenerates to one event per batch —
 //! aggregation buys nothing. Use the per-node `exact-majority` spec.
 
-use plurality_core::{Opinion, OpinionCounts, RunOutcome};
+use plurality_core::{OpinionCounts, RunOutcome};
 use plurality_dist::rng::Xoshiro256PlusPlus;
 use plurality_dist::{sample_multinomial, sample_poisson, Gamma};
 
@@ -94,16 +94,9 @@ impl PopulationMfConfig {
         let mut rng = Xoshiro256PlusPlus::from_u64(self.seed);
 
         let (mut sa, mut sb, mut blank) = (self.initial_a, n - self.initial_a, 0u64);
-        let initial_winner = if sa >= sb {
-            Opinion::new(0)
-        } else {
-            Opinion::new(1)
-        };
-        let initial_bias = if sa >= sb {
-            sa as f64 / sb.max(1) as f64
-        } else {
-            sb as f64 / sa.max(1) as f64
-        };
+        let initial_counts = OpinionCounts::from_counts(vec![sa, sb]);
+        let initial_winner = initial_counts.winner().expect("non-empty population");
+        let initial_bias = initial_counts.bias().unwrap_or(f64::INFINITY);
         let max_interactions = self
             .max_interactions
             .unwrap_or_else(|| (500.0 * nf * nf.ln()).ceil() as u64);
@@ -213,6 +206,7 @@ pub struct PopulationMfResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plurality_core::Opinion;
 
     #[test]
     fn converges_with_clear_bias_in_logarithmic_parallel_time() {

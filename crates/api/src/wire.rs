@@ -441,4 +441,22 @@ mod tests {
         let x = 0.1_f64 + 0.2_f64;
         assert_eq!(float(x).parse::<f64>().unwrap().to_bits(), x.to_bits());
     }
+
+    #[test]
+    fn one_sided_population_starts_report_infinite_bias() {
+        // An empty runner-up means α₀ = ∞, as for every other engine.
+        for spec in [
+            "exact-majority?n=100&a=0&seed=1",
+            "exact-majority?n=100&a=100&seed=1",
+            "approx-majority?n=100&a=100&seed=1",
+            "population-mf?n=1000000&a=0&seed=1",
+            "population-mf?n=1000000&a=1000000&seed=1",
+        ] {
+            let text = to_wire(&run_spec(spec).unwrap());
+            assert!(
+                text.lines().any(|l| l == "initial_bias=inf"),
+                "{spec}:\n{text}"
+            );
+        }
+    }
 }

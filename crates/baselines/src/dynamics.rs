@@ -16,12 +16,11 @@
 //! exactly like the paper's synchronous protocol, so round counts are
 //! directly comparable.
 
-use plurality_core::{ConvergenceTracker, InitialAssignment, OpinionCounts, RunOutcome};
-use plurality_dist::rng::{derive_seed, Xoshiro256PlusPlus};
-use plurality_obs::{TraceEvent, TraceKind, Tracer};
-use plurality_scenario::{Effect, Environment, Scenario};
-use plurality_topology::{Topology, TOPOLOGY_STREAM};
+use plurality_core::round::{Round, RoundParams, RoundProtocol};
+use plurality_core::{InitialAssignment, Opinion, OpinionCounts, RunOutcome};
+use plurality_obs::TraceEvent;
 use rand::Rng;
+use std::borrow::Cow;
 
 /// Sentinel color index for the undecided state (only used internally by
 /// [`Dynamics::Undecided`]).
@@ -69,6 +68,10 @@ impl Dynamics {
 /// `"two-choices"`, `"3-majority"`, `"undecided"`), which consumes the
 /// byte-identical RNG stream.
 ///
+/// Runs on the round kernel (`plurality_core::round`) like the
+/// synchronous protocol: scenario event times are in rounds, and
+/// `corrupt` re-colors decided and undecided nodes alike.
+///
 /// # Examples
 ///
 /// ```
@@ -83,13 +86,7 @@ impl Dynamics {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicsConfig {
     dynamics: Dynamics,
-    assignment: InitialAssignment,
-    epsilon: f64,
-    seed: u64,
-    max_rounds: Option<u64>,
-    topology: Topology,
-    scenario: Scenario,
-    trace: bool,
+    run: RoundParams,
 }
 
 impl DynamicsConfig {
@@ -101,68 +98,15 @@ impl DynamicsConfig {
     pub fn new(dynamics: Dynamics, assignment: InitialAssignment) -> Self {
         Self {
             dynamics,
-            assignment,
-            epsilon: 0.05,
-            seed: 0,
-            max_rounds: None,
-            topology: Topology::Complete,
-            scenario: Scenario::new(),
-            trace: false,
+            run: RoundParams::new(assignment),
         }
     }
 
-    /// Enables structured run tracing (default off). The tracer consumes
-    /// no process RNG: a traced run produces the byte-identical
-    /// [`DynamicsResult::outcome`] of an untraced one, plus the event
-    /// log in [`DynamicsResult::trace`].
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Attaches a time-scripted environment (default: the empty
-    /// scenario). Event times are in *rounds*, like the synchronous
-    /// engine: crashed nodes freeze and interactions that sample them
-    /// (or lose a channel during a `burst-loss` window) keep the node's
-    /// own opinion; `corrupt` re-colors decided and undecided nodes
-    /// alike; `latency:` shifts are no-ops in round-based dynamics. The
-    /// empty scenario consumes the byte-identical process RNG stream as
-    /// before the subsystem existed.
-    pub fn with_scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = scenario;
-        self
-    }
-
-    /// Sets the communication topology (default [`Topology::Complete`]):
-    /// all samples a node draws per round come from uniform neighbors on
-    /// the given graph (isolated nodes sample themselves). Random graph
-    /// families are rebuilt per run from `derive_seed(seed,
-    /// TOPOLOGY_STREAM)`.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
-    /// Sets ε for ε-convergence reporting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon ∉ [0, 1]`.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!((0.0..=1.0).contains(&epsilon), "epsilon must lie in [0, 1]");
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
+    plurality_core::round_param_setters!(epsilon);
 
     /// Sets the round cap, overriding the default formula.
     pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        self.max_rounds = Some(max_rounds);
+        self.run.max_steps = Some(max_rounds);
         self
     }
 
@@ -173,7 +117,25 @@ impl DynamicsConfig {
     /// Panics if the assignment materializes fewer than 2 nodes, or if
     /// the configured topology cannot be built for that population size.
     pub fn run(&self) -> DynamicsResult {
-        run_dynamics(self)
+        let (kernel, opinions) = Round::new(&self.run, "baseline");
+        let col: Vec<u32> = opinions.iter().map(|o| o.index()).collect();
+        let mut rule = Rule {
+            dynamics: self.dynamics,
+            initial_winner: kernel.initial_winner,
+            next: col.clone(),
+            col,
+            counts: kernel.initial_counts.clone(),
+            undecided: 0,
+            peak_undecided: 0.0,
+        };
+        let run = kernel.run(&mut rule);
+        DynamicsResult {
+            dynamics: self.dynamics,
+            outcome: run.outcome,
+            rounds: run.steps,
+            peak_undecided: rule.peak_undecided,
+            trace: run.trace,
+        }
     }
 }
 
@@ -195,240 +157,144 @@ pub struct DynamicsResult {
     pub trace: Option<Vec<TraceEvent>>,
 }
 
-fn run_dynamics(cfg: &DynamicsConfig) -> DynamicsResult {
-    let mut rng = Xoshiro256PlusPlus::from_u64(cfg.seed);
-    let opinions = cfg.assignment.materialize(&mut rng);
-    let n = opinions.len();
-    assert!(n >= 2, "baseline run needs at least 2 nodes");
-    let k = cfg.assignment.k() as usize;
+/// A gossip dynamic's node colors and round, run by the round kernel.
+struct Rule {
+    dynamics: Dynamics,
+    initial_winner: Opinion,
+    col: Vec<u32>,
+    next: Vec<u32>,
+    counts: OpinionCounts,
+    undecided: u64,
+    peak_undecided: f64,
+}
 
-    // Private RNG stream: complete-graph runs reproduce the historical
-    // results bitwise.
-    let mut sampler = cfg
-        .topology
-        .build(n, derive_seed(cfg.seed, TOPOLOGY_STREAM))
-        .expect("topology must be buildable for this population size");
-
-    // `None` for the empty scenario: the zero-cost fast path.
-    let mut env: Option<Environment> = cfg.scenario.for_run(n, k as u32, cfg.seed);
-    let max_rounds = cfg.max_rounds.unwrap_or_else(|| {
-        let derived = (200.0 * (n as f64).log2()).ceil() as u64 + 200;
-        derived.max(cfg.scenario.horizon().ceil() as u64 + 200)
-    });
-
-    let mut col: Vec<u32> = opinions.iter().map(|o| o.index()).collect();
-    let mut counts = OpinionCounts::tally(&opinions, k);
-    let initial_winner = counts.winner().expect("non-empty population");
-    let initial_bias = counts.bias().unwrap_or(f64::INFINITY);
-
-    let mut tracker = ConvergenceTracker::new(n as u64, initial_winner, cfg.epsilon);
-    let mut undecided_count: u64 = 0;
-    let mut peak_undecided = 0.0f64;
-    tracker.observe(
-        0.0,
-        counts.support(initial_winner),
-        counts.as_slice().iter().copied().max().unwrap_or(0),
-    );
-
-    let mut new_col = col.clone();
-    let mut rounds = 0u64;
-    let mut tracer = Tracer::new(cfg.trace);
-
-    // Consensus for the undecided dynamic additionally requires that no
-    // node is undecided.
-    let mono = |counts: &OpinionCounts, undecided: u64| undecided == 0 && counts.is_monochromatic();
-
-    // A sampled channel is unusable if the peer is crashed or the draw
-    // falls inside a loss burst; the node then keeps its own opinion.
-    fn blocked(env: &mut Option<Environment>, peer: u32) -> bool {
-        match env.as_mut() {
-            Some(e) => e.is_crashed(peer) || e.message_lost(),
-            None => false,
-        }
-    }
-
-    if !mono(&counts, undecided_count) {
-        for round in 1..=max_rounds {
-            rounds = round;
-            if let Some(e) = env.as_mut() {
-                for effect in e.poll(round as f64) {
-                    match effect {
-                        Effect::Joined(joins) => {
-                            tracer.emit(
-                                round as f64,
-                                TraceKind::ScenarioEffect {
-                                    name: "joined",
-                                    count: joins.len() as u64,
-                                },
-                            );
-                            for (v, c) in joins {
-                                col[v as usize] = c;
-                            }
-                        }
-                        Effect::Corrupt { budget, mode } => {
-                            // Undecided nodes carry the sentinel (≥ k) and
-                            // are skipped by the adversary's support count;
-                            // victims always end up decided.
-                            let targets = e.corruption_targets(budget, mode, &col, k as u32);
-                            tracer.emit(
-                                round as f64,
-                                TraceKind::ScenarioEffect {
-                                    name: "corrupt",
-                                    count: targets.len() as u64,
-                                },
-                            );
-                            for (v, c) in targets {
-                                col[v as usize] = c;
-                            }
-                        }
-                        Effect::Rewired(s) => {
-                            tracer.emit(
-                                round as f64,
-                                TraceKind::ScenarioEffect {
-                                    name: "rewired",
-                                    count: 1,
-                                },
-                            );
-                            sampler = s;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            for v in 0..n {
-                let own = col[v];
-                let vu = v as u32;
-                if env.as_ref().is_some_and(|e| e.is_crashed(vu)) {
-                    new_col[v] = own;
-                    continue;
-                }
-                new_col[v] = match cfg.dynamics {
-                    Dynamics::PullVoting => {
-                        let s = sampler.sample(vu, &mut rng);
-                        if blocked(&mut env, s) {
-                            own
-                        } else {
-                            col[s as usize]
-                        }
-                    }
-                    Dynamics::TwoChoices => {
-                        let sa = sampler.sample(vu, &mut rng);
-                        let sb = sampler.sample(vu, &mut rng);
-                        if blocked(&mut env, sa) || blocked(&mut env, sb) {
-                            own
-                        } else {
-                            let (a, b) = (col[sa as usize], col[sb as usize]);
-                            if a == b {
-                                a
-                            } else {
-                                own
-                            }
-                        }
-                    }
-                    Dynamics::ThreeMajority => {
-                        let sa = sampler.sample(vu, &mut rng);
-                        let sb = sampler.sample(vu, &mut rng);
-                        let sc = sampler.sample(vu, &mut rng);
-                        if blocked(&mut env, sa) || blocked(&mut env, sb) || blocked(&mut env, sc) {
-                            own
-                        } else {
-                            let (a, b, c) = (col[sa as usize], col[sb as usize], col[sc as usize]);
-                            if a == b || a == c {
-                                a
-                            } else if b == c {
-                                b
-                            } else {
-                                // All distinct: uniform tie-break among them.
-                                [a, b, c][rng.gen_range(0..3usize)]
-                            }
-                        }
-                    }
-                    Dynamics::Undecided => {
-                        let su = sampler.sample(vu, &mut rng);
-                        if blocked(&mut env, su) {
-                            own
-                        } else {
-                            let s = col[su as usize];
-                            if own == UNDECIDED {
-                                s // adopt whatever the sample holds (or stay
-                                  // undecided if the sample is undecided too)
-                            } else if s == UNDECIDED || s == own {
-                                own
-                            } else {
-                                UNDECIDED
-                            }
-                        }
-                    }
-                };
-            }
-            // Re-tally (cheaper than incremental transfer bookkeeping here).
-            undecided_count = 0;
-            let mut tally = vec![0u64; k];
-            for &c in &new_col {
-                if c == UNDECIDED {
-                    undecided_count += 1;
+impl Rule {
+    /// Node `v`'s next color. Each sample is checked as soon as it is
+    /// drawn (a blocked channel keeps the node's own color and skips the
+    /// remaining checks), and 3-majority's tie-break comes last.
+    #[inline]
+    fn update(&self, k: &mut Round, v: u32, own: u32) -> u32 {
+        let col = |s: u32| self.col[s as usize];
+        match self.dynamics {
+            Dynamics::PullVoting => {
+                let s = k.sample(v);
+                if k.blocked(s) {
+                    own
                 } else {
-                    tally[c as usize] += 1;
+                    col(s)
                 }
             }
-            counts = OpinionCounts::from_counts(tally);
-            std::mem::swap(&mut col, &mut new_col);
-
-            peak_undecided = peak_undecided.max(undecided_count as f64 / n as f64);
-            let max_support = counts.as_slice().iter().copied().max().unwrap_or(0);
-            tracker.observe(
-                round as f64,
-                counts.support(initial_winner),
-                if undecided_count == 0 { max_support } else { 0 },
-            );
-            if mono(&counts, undecided_count) {
-                break;
+            Dynamics::TwoChoices => {
+                let (sa, sb) = (k.sample(v), k.sample(v));
+                if k.blocked(sa) || k.blocked(sb) {
+                    own
+                } else if col(sa) == col(sb) {
+                    col(sa)
+                } else {
+                    own
+                }
+            }
+            Dynamics::ThreeMajority => {
+                let (sa, sb, sc) = (k.sample(v), k.sample(v), k.sample(v));
+                if k.blocked(sa) || k.blocked(sb) || k.blocked(sc) {
+                    return own;
+                }
+                let (a, b, c) = (col(sa), col(sb), col(sc));
+                if a == b || a == c {
+                    a
+                } else if b == c {
+                    b
+                } else {
+                    // All distinct: uniform tie-break among them.
+                    [a, b, c][k.rng.gen_range(0..3usize)]
+                }
+            }
+            Dynamics::Undecided => {
+                let su = k.sample(v);
+                if k.blocked(su) {
+                    return own;
+                }
+                let s = col(su);
+                if own == UNDECIDED {
+                    s // adopt whatever the sample holds (or stay undecided)
+                } else if s == UNDECIDED || s == own {
+                    own
+                } else {
+                    UNDECIDED
+                }
             }
         }
     }
+}
 
-    if let Some(t) = tracker.epsilon_time() {
-        tracer.emit(
-            t,
-            TraceKind::Milestone {
-                name: "epsilon-converged",
-                value: t,
-            },
-        );
+impl RoundProtocol for Rule {
+    fn default_cap(&self, n: usize) -> (u64, f64) {
+        ((200.0 * (n as f64).log2()).ceil() as u64 + 200, 200.0)
     }
-    if let Some(t) = tracker.consensus_time() {
-        tracer.emit(
-            t,
-            TraceKind::Milestone {
-                name: "consensus",
-                value: t,
-            },
-        );
+
+    /// Consensus additionally requires that no node is undecided.
+    fn is_done(&self) -> bool {
+        self.undecided == 0 && self.counts.is_monochromatic()
     }
-    let outcome = RunOutcome {
-        n: n as u64,
-        k: k as u32,
-        initial_winner,
-        initial_bias,
-        final_counts: counts,
-        epsilon_time: tracker.epsilon_time(),
-        consensus_time: tracker.consensus_time(),
-        duration: rounds as f64,
-        generations: Vec::new(),
-    };
-    DynamicsResult {
-        dynamics: cfg.dynamics,
-        outcome,
-        rounds,
-        peak_undecided,
-        trace: tracer.finish(),
+
+    fn step(&mut self, k: &mut Round, round: u64) -> Option<bool> {
+        for v in 0..self.col.len() {
+            let own = self.col[v];
+            let vu = v as u32;
+            self.next[v] = if k.is_crashed(vu) {
+                own
+            } else {
+                self.update(k, vu, own)
+            };
+        }
+        // Re-tally (cheaper than incremental transfer bookkeeping here).
+        self.undecided = 0;
+        let mut tally = vec![0u64; self.counts.as_slice().len()];
+        for &c in &self.next {
+            if c == UNDECIDED {
+                self.undecided += 1;
+            } else {
+                tally[c as usize] += 1;
+            }
+        }
+        self.counts = OpinionCounts::from_counts(tally);
+        std::mem::swap(&mut self.col, &mut self.next);
+
+        let n = self.col.len() as f64;
+        self.peak_undecided = self.peak_undecided.max(self.undecided as f64 / n);
+        let max_support = self.counts.as_slice().iter().copied().max().unwrap_or(0);
+        k.observe(
+            round as f64,
+            self.counts.support(self.initial_winner),
+            if self.undecided == 0 { max_support } else { 0 },
+        );
+        Some(self.is_done())
+    }
+
+    fn on_join(&mut self, v: usize, c: u32) {
+        self.col[v] = c;
+    }
+
+    fn recolor(&mut self, v: usize, c: u32) {
+        self.col[v] = c;
+    }
+
+    /// Undecided nodes carry the sentinel (≥ k), which hides them from
+    /// the adaptive adversary's support count.
+    fn colors(&self) -> Cow<'_, [u32]> {
+        Cow::Borrowed(&self.col)
+    }
+
+    fn final_counts(&self) -> OpinionCounts {
+        self.counts.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plurality_core::Opinion;
+    use plurality_scenario::Scenario;
+    use plurality_topology::Topology;
 
     fn biased(n: u64, k: u32, alpha: f64) -> InitialAssignment {
         InitialAssignment::with_bias(n, k, alpha).unwrap()

@@ -13,12 +13,11 @@
 //!   (differences are conserved), at the price of `O(n² log n)`
 //!   interactions in the worst case.
 
+use plurality_core::round::{Round, RoundParams, RoundProtocol};
 use plurality_core::{InitialAssignment, Opinion, OpinionCounts, RunOutcome};
-use plurality_dist::rng::{derive_seed, Xoshiro256PlusPlus};
-use plurality_obs::{TraceEvent, TraceKind, Tracer};
-use plurality_scenario::{Effect, Environment, Scenario};
-use plurality_topology::{Topology, TOPOLOGY_STREAM};
-use rand::Rng;
+use plurality_dist::rng::Xoshiro256PlusPlus;
+use plurality_obs::TraceEvent;
+use std::borrow::Cow;
 
 /// A two-opinion population protocol for majority.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,13 +52,12 @@ enum State {
 }
 
 impl State {
-    /// The opinion an agent currently outputs, if any.
-    #[cfg(test)]
-    fn output(self) -> Option<Opinion> {
-        match self {
-            State::StrongA | State::WeakA => Some(Opinion::new(0)),
-            State::StrongB | State::WeakB => Some(Opinion::new(1)),
-            State::Blank => None,
+    /// The fresh strong state of opinion `c` (0 = A, 1 = B).
+    fn strong(c: u32) -> Self {
+        if c == 0 {
+            State::StrongA
+        } else {
+            State::StrongB
         }
     }
 }
@@ -68,6 +66,17 @@ impl State {
 /// the unified facade (`plurality-api`'s `PopulationEngine`; spec names
 /// `"approx-majority"`, `"exact-majority"`), which consumes the
 /// byte-identical RNG stream.
+///
+/// Runs on the round kernel (`plurality_core::round`) with one
+/// interaction per step, `n` per unit of parallel time, the clock of
+/// scenario events. A scheduler draw that picks a crashed agent — or
+/// falls inside a `burst-loss` window — consumes a step without an
+/// interaction. `corrupt` and `join` overwrite agent states with fresh
+/// strong opinions, which voids the 4-state protocol's exactness
+/// guarantee (precisely what E18 measures). On a topology, each pair is
+/// a uniformly random *directed edge* (initiator degree-proportional,
+/// responder a uniform neighbor); an edgeless graph admits no
+/// interaction at all.
 ///
 /// # Examples
 ///
@@ -81,13 +90,7 @@ impl State {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationConfig {
     protocol: PopulationProtocol,
-    n: u64,
-    initial_a: u64,
-    seed: u64,
-    max_interactions: Option<u64>,
-    topology: Topology,
-    scenario: Scenario,
-    trace: bool,
+    run: RoundParams,
 }
 
 impl PopulationConfig {
@@ -100,52 +103,11 @@ impl PopulationConfig {
     pub fn new(protocol: PopulationProtocol, n: u64, initial_a: u64) -> Self {
         assert!(n >= 2, "population needs at least 2 agents");
         assert!(initial_a <= n, "initial_a cannot exceed n");
+        let assignment = InitialAssignment::Exact(vec![initial_a, n - initial_a]);
         Self {
             protocol,
-            n,
-            initial_a,
-            seed: 0,
-            max_interactions: None,
-            topology: Topology::Complete,
-            scenario: Scenario::new(),
-            trace: false,
+            run: RoundParams::new(assignment),
         }
-    }
-
-    /// Enables structured run tracing (default: off). Tracing consumes
-    /// no process RNG, so the run outcome is byte-identical with the
-    /// knob on or off; only [`PopulationResult::trace`] changes.
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Attaches a time-scripted environment (default: the empty
-    /// scenario). Event times are in *parallel time* (interactions
-    /// divided by `n`, the protocols' native clock). Scheduler draws
-    /// that pick a crashed agent — or fall inside a `burst-loss`
-    /// window — consume a step without an interaction; `corrupt` and
-    /// `join` overwrite agent states with fresh strong opinions (note
-    /// that corruption voids the 4-state protocol's exactness guarantee,
-    /// which is precisely what E18 measures); `latency:` shifts are
-    /// no-ops in the sequential scheduler. The empty scenario consumes
-    /// the byte-identical process RNG stream as before the subsystem
-    /// existed.
-    pub fn with_scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = scenario;
-        self
-    }
-
-    /// Sets the communication topology (default [`Topology::Complete`]).
-    /// The sequential scheduler then draws each interacting pair as a
-    /// uniformly random *directed edge* of the graph (initiator
-    /// degree-proportional, responder a uniform neighbor), the standard
-    /// population-protocol-on-graphs model. A run on an edgeless graph
-    /// performs no interactions at all. Random graph families are
-    /// rebuilt per run from `derive_seed(seed, TOPOLOGY_STREAM)`.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
     }
 
     /// Builds from an [`InitialAssignment`] with `k = 2`.
@@ -165,22 +127,34 @@ impl PopulationConfig {
         Self::new(protocol, counts.n(), counts.support(Opinion::new(0))).with_seed(seed)
     }
 
-    /// Sets the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
+    plurality_core::round_param_setters!();
 
     /// Caps the number of interactions (default: `500·n·ln n` for the
     /// 3-state protocol, `50·n² ln n / max(1, bias gap)` for the 4-state).
     pub fn with_max_interactions(mut self, max: u64) -> Self {
-        self.max_interactions = Some(max);
+        self.run.max_steps = Some(max);
         self
     }
 
     /// Runs the protocol.
     pub fn run(&self) -> PopulationResult {
-        run_population(self)
+        let (kernel, opinions) = Round::new(&self.run, "population");
+        let states: Vec<State> = opinions.iter().map(|o| State::strong(o.index())).collect();
+        let initial = kernel.initial_counts.as_slice();
+        let mut agents = Agents {
+            protocol: self.protocol,
+            gap: initial[0].abs_diff(initial[1]),
+            tally: Tally::of(&states),
+            states,
+        };
+        let run = kernel.run(&mut agents);
+        PopulationResult {
+            protocol: self.protocol,
+            outcome: run.outcome,
+            interactions: run.steps,
+            converged: agents.is_done(),
+            trace: run.trace,
+        }
     }
 }
 
@@ -203,174 +177,69 @@ pub struct PopulationResult {
     pub trace: Option<Vec<TraceEvent>>,
 }
 
-fn run_population(cfg: &PopulationConfig) -> PopulationResult {
-    let n = cfg.n as usize;
-    // Private RNG stream: complete-graph runs reproduce the historical
-    // results bitwise.
-    let mut sampler = cfg
-        .topology
-        .build(n, derive_seed(cfg.seed, TOPOLOGY_STREAM))
-        .expect("topology must be buildable for this population size");
-    // `None` for the empty scenario: the zero-cost fast path.
-    let mut env: Option<Environment> = cfg.scenario.for_run(n, 2, cfg.seed);
-    let mut tracer = Tracer::new(cfg.trace);
-    let mut rng = Xoshiro256PlusPlus::from_u64(cfg.seed);
-    let mut states: Vec<State> = (0..n)
-        .map(|i| {
-            if (i as u64) < cfg.initial_a {
-                State::StrongA
-            } else {
-                State::StrongB
-            }
-        })
-        .collect();
-    // Shuffle so agent index is independent of opinion.
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
-        states.swap(i, j);
+/// Agents per state: strong A/B, weak A/B, blank.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally([u64; 5]);
+
+impl Tally {
+    fn of(states: &[State]) -> Self {
+        let mut t = Self::default();
+        for &s in states {
+            t.0[s as usize] += 1;
+        }
+        t
     }
 
-    let initial_a = cfg.initial_a;
-    let initial_b = cfg.n - cfg.initial_a;
-    let initial_winner = if initial_a >= initial_b {
-        Opinion::new(0)
-    } else {
-        Opinion::new(1)
-    };
-    let initial_bias = if initial_a >= initial_b {
-        initial_a as f64 / initial_b.max(1) as f64
-    } else {
-        initial_b as f64 / initial_a.max(1) as f64
-    };
+    /// All agents output one opinion: no opponent, weak or strong, and no
+    /// blank agent remains.
+    fn converged(&self) -> bool {
+        let [sa, sb, wa, wb, blank] = self.0;
+        blank == 0 && ((sb == 0 && wb == 0) || (sa == 0 && wa == 0))
+    }
+}
 
-    let nf = cfg.n as f64;
-    let max_interactions = cfg.max_interactions.unwrap_or_else(|| {
-        let derived = match cfg.protocol {
+/// The agents of a population-protocol run, one interaction per kernel
+/// step.
+struct Agents {
+    protocol: PopulationProtocol,
+    /// `|A| − |B|` at the start, for the 4-state protocol's default cap.
+    gap: u64,
+    states: Vec<State>,
+    tally: Tally,
+}
+
+impl RoundProtocol for Agents {
+    const PAIRWISE: bool = true;
+    const TRACKS_EPSILON: bool = false;
+
+    fn default_cap(&self, n: usize) -> (u64, f64) {
+        let nf = n as f64;
+        let derived = match self.protocol {
             PopulationProtocol::ApproximateMajority => (500.0 * nf * nf.ln()).ceil() as u64,
             PopulationProtocol::ExactMajority => {
-                let gap = initial_a.abs_diff(initial_b).max(1) as f64;
-                ((50.0 * nf * nf * nf.ln()) / gap).ceil() as u64
+                ((50.0 * nf * nf * nf.ln()) / self.gap.max(1) as f64).ceil() as u64
             }
         };
-        // Scripted events (in parallel time) must actually fire.
-        derived.max(((cfg.scenario.horizon() + 50.0) * nf).ceil() as u64)
-    });
+        (derived, 50.0)
+    }
 
-    // Incremental count of outputs per opinion, and of "unstable" agents
-    // (blank, or weak opposing a remaining strong side).
-    let count = |states: &[State]| -> (u64, u64, u64, u64, u64) {
-        let (mut sa, mut sb, mut wa, mut wb, mut blank) = (0, 0, 0, 0, 0);
-        for &s in states {
-            match s {
-                State::StrongA => sa += 1,
-                State::StrongB => sb += 1,
-                State::WeakA => wa += 1,
-                State::WeakB => wb += 1,
-                State::Blank => blank += 1,
-            }
-        }
-        (sa, sb, wa, wb, blank)
-    };
+    fn is_done(&self) -> bool {
+        self.tally.converged()
+    }
 
-    let converged_now = |sa: u64, sb: u64, wa: u64, wb: u64, blank: u64| -> bool {
-        let all_a = sb == 0 && wb == 0 && blank == 0;
-        let all_b = sa == 0 && wa == 0 && blank == 0;
-        all_a || all_b
-    };
-
-    let (mut sa, mut sb, mut wa, mut wb, mut blank) = count(&states);
-    let mut interactions = 0u64;
-
-    while !converged_now(sa, sb, wa, wb, blank) && interactions < max_interactions {
-        if let Some(e) = env.as_mut() {
-            let effects = e.poll(interactions as f64 / nf);
-            if !effects.is_empty() {
-                let now = interactions as f64 / nf;
-                for effect in effects {
-                    match effect {
-                        Effect::Joined(joins) => {
-                            tracer.emit(
-                                now,
-                                TraceKind::ScenarioEffect {
-                                    name: "joined",
-                                    count: joins.len() as u64,
-                                },
-                            );
-                            for (v, c) in joins {
-                                states[v as usize] = if c == 0 {
-                                    State::StrongA
-                                } else {
-                                    State::StrongB
-                                };
-                            }
-                        }
-                        Effect::Corrupt { budget, mode } => {
-                            // Blank agents map to the out-of-range color 2,
-                            // hiding them from the *adaptive* adversary's
-                            // support count (oblivious victims are uniform
-                            // over all alive agents, Blank included);
-                            // victims come back as strong opinions.
-                            let colors: Vec<u32> = states
-                                .iter()
-                                .map(|s| match s {
-                                    State::StrongA | State::WeakA => 0,
-                                    State::StrongB | State::WeakB => 1,
-                                    State::Blank => 2,
-                                })
-                                .collect();
-                            let targets = e.corruption_targets(budget, mode, &colors, 2);
-                            tracer.emit(
-                                now,
-                                TraceKind::ScenarioEffect {
-                                    name: "corrupt",
-                                    count: targets.len() as u64,
-                                },
-                            );
-                            for (v, c) in targets {
-                                states[v as usize] = if c == 0 {
-                                    State::StrongA
-                                } else {
-                                    State::StrongB
-                                };
-                            }
-                        }
-                        Effect::Rewired(s) => {
-                            tracer.emit(
-                                now,
-                                TraceKind::ScenarioEffect {
-                                    name: "rewired",
-                                    count: 1,
-                                },
-                            );
-                            sampler = s;
-                        }
-                        _ => {}
-                    }
-                }
-                // Bulk state edits: recompute the counters, then re-check
-                // convergence before the next interaction.
-                (sa, sb, wa, wb, blank) = count(&states);
-                continue;
-            }
-        }
+    fn step(&mut self, k: &mut Round, _step: u64) -> Option<bool> {
         // Ordered pair of distinct agents (initiator, responder); on a
-        // graph: a uniformly random directed edge. An edgeless graph
-        // admits no interaction — ever — so the run ends unconverged.
-        let Some((iu, ju)) = sampler.sample_interaction_pair(&mut rng) else {
-            break;
-        };
-        interactions += 1;
-        if let Some(e) = env.as_mut() {
-            // A step whose initiator or responder is crashed — or that
-            // falls inside a loss burst — consumes scheduler time
-            // without an interaction.
-            if e.is_crashed(iu) || e.is_crashed(ju) || e.message_lost() {
-                continue;
-            }
+        // graph: a uniformly random directed edge.
+        let (iu, ju) = k.sample_pair()?;
+        // A step whose initiator or responder is crashed — or that falls
+        // inside a loss burst — consumes scheduler time without an
+        // interaction.
+        if k.is_crashed(iu) || k.is_crashed(ju) || k.message_lost() {
+            return Some(false);
         }
         let (i, j) = (iu as usize, ju as usize);
-        let (x, y) = (states[i], states[j]);
-        let (nx, ny) = match cfg.protocol {
+        let (x, y) = (self.states[i], self.states[j]);
+        let (nx, ny) = match self.protocol {
             PopulationProtocol::ApproximateMajority => match (x, y) {
                 (State::StrongA, State::StrongB) => (x, State::Blank),
                 (State::StrongB, State::StrongA) => (x, State::Blank),
@@ -389,76 +258,72 @@ fn run_population(cfg: &PopulationConfig) -> PopulationResult {
                 _ => (x, y),
             },
         };
-        if nx != x || ny != y {
-            for (old, new) in [(x, nx), (y, ny)] {
-                if old == new {
-                    continue;
-                }
-                match old {
-                    State::StrongA => sa -= 1,
-                    State::StrongB => sb -= 1,
-                    State::WeakA => wa -= 1,
-                    State::WeakB => wb -= 1,
-                    State::Blank => blank -= 1,
-                }
-                match new {
-                    State::StrongA => sa += 1,
-                    State::StrongB => sb += 1,
-                    State::WeakA => wa += 1,
-                    State::WeakB => wb += 1,
-                    State::Blank => blank += 1,
-                }
+        for (agent, old, new) in [(i, x, nx), (j, y, ny)] {
+            if old != new {
+                self.tally.0[old as usize] -= 1;
+                self.tally.0[new as usize] += 1;
+                self.states[agent] = new;
             }
-            states[i] = nx;
-            states[j] = ny;
         }
+        Some(self.tally.converged())
     }
 
-    let converged = converged_now(sa, sb, wa, wb, blank);
-    let final_counts = OpinionCounts::from_counts(vec![sa + wa, sb + wb]);
-    let parallel_time = interactions as f64 / nf;
-    let consensus_time = converged.then_some(parallel_time);
-    if let Some(t) = consensus_time {
-        tracer.emit(
-            t,
-            TraceKind::Milestone {
-                name: "consensus",
-                value: t,
-            },
-        );
+    /// Bulk state edits: recount, then re-check convergence before the
+    /// next interaction.
+    fn after_effects(&mut self) -> bool {
+        self.tally = Tally::of(&self.states);
+        self.tally.converged()
     }
 
-    let outcome = RunOutcome {
-        n: cfg.n,
-        k: 2,
-        initial_winner,
-        initial_bias,
-        final_counts,
-        epsilon_time: consensus_time,
-        consensus_time,
-        duration: parallel_time,
-        generations: Vec::new(),
-    };
-    PopulationResult {
-        protocol: cfg.protocol,
-        outcome,
-        interactions,
-        converged,
-        trace: tracer.finish(),
+    fn on_join(&mut self, v: usize, c: u32) {
+        self.states[v] = State::strong(c);
+    }
+
+    fn recolor(&mut self, v: usize, c: u32) {
+        self.states[v] = State::strong(c);
+    }
+
+    /// Blank agents map to the out-of-range color 2, hiding them from the
+    /// adaptive adversary's support count (oblivious victims are uniform
+    /// over all alive agents, Blank included).
+    fn colors(&self) -> Cow<'_, [u32]> {
+        let color = |s: &State| match s {
+            State::StrongA | State::WeakA => 0,
+            State::StrongB | State::WeakB => 1,
+            State::Blank => 2,
+        };
+        Cow::Owned(self.states.iter().map(color).collect())
+    }
+
+    fn final_counts(&self) -> OpinionCounts {
+        let [sa, sb, wa, wb, _] = self.tally.0;
+        OpinionCounts::from_counts(vec![sa + wa, sb + wb])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plurality_obs::TraceKind;
+    use plurality_scenario::Scenario;
+    use plurality_topology::Topology;
 
     #[test]
     fn state_output_mapping() {
-        assert_eq!(State::StrongA.output(), Some(Opinion::new(0)));
-        assert_eq!(State::WeakA.output(), Some(Opinion::new(0)));
-        assert_eq!(State::StrongB.output(), Some(Opinion::new(1)));
-        assert_eq!(State::WeakB.output(), Some(Opinion::new(1)));
-        assert_eq!(State::Blank.output(), None);
+        // The opinion an agent outputs is the color the adversary reads.
+        let agents = Agents {
+            protocol: PopulationProtocol::ExactMajority,
+            gap: 0,
+            states: vec![
+                State::StrongA,
+                State::WeakA,
+                State::StrongB,
+                State::WeakB,
+                State::Blank,
+            ],
+            tally: Tally::default(),
+        };
+        assert_eq!(agents.colors().as_ref(), [0, 0, 1, 1, 2]);
     }
 
     #[test]

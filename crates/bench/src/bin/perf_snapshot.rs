@@ -24,6 +24,7 @@
 //! are machine-dependent and only checked for presence.
 
 use plurality_agg::LeaderMfConfig;
+use plurality_baselines::{Dynamics, DynamicsConfig, PopulationConfig, PopulationProtocol};
 use plurality_core::cluster::ClusterConfig;
 use plurality_core::leader::LeaderConfig;
 use plurality_core::sync::{SyncConfig, UrnConfig};
@@ -185,6 +186,29 @@ fn engine_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
         median_ms(eff.engine_runs, || {
             let assignment = InitialAssignment::with_bias(10_000, 4, 2.0).expect("valid");
             std::hint::black_box(SyncConfig::new(assignment).with_seed(1).run().rounds);
+        }),
+    ));
+    // The round kernel's other engines: one gossip dynamic (simultaneous
+    // rounds, per-round re-tally) and one population protocol (one pair
+    // per step, n steps per unit of parallel time).
+    metrics.push((
+        "engine/three_majority_n10k_ms".into(),
+        median_ms(eff.engine_runs, || {
+            let assignment = InitialAssignment::with_bias(10_000, 4, 2.0).expect("valid");
+            let r = DynamicsConfig::new(Dynamics::ThreeMajority, assignment)
+                .with_seed(1)
+                .run();
+            std::hint::black_box(r.rounds);
+        }),
+    ));
+    metrics.push((
+        "engine/approx_majority_n10k_ms".into(),
+        median_ms(eff.engine_runs, || {
+            let protocol = PopulationProtocol::ApproximateMajority;
+            let r = PopulationConfig::new(protocol, 10_000, 6_000)
+                .with_seed(1)
+                .run();
+            std::hint::black_box(r.interactions);
         }),
     ));
     metrics.push((

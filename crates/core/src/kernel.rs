@@ -67,6 +67,7 @@
 use crate::genstate::GenerationTable;
 use crate::opinion::InitialAssignment;
 use crate::outcome::{ConvergenceTracker, GenerationBirth, RecordLevel, RunOutcome};
+use crate::round::{apply_effects, EffectTarget};
 use crate::signalflow::SignalFlow;
 use crate::sync::{generations_needed, GENERATION_CAP};
 use crate::Opinion;
@@ -77,6 +78,7 @@ use plurality_scenario::{Effect, Environment, Scenario};
 use plurality_sim::{CalendarQueue, PoissonClock};
 use plurality_topology::{PeerSampler, Topology, TOPOLOGY_STREAM};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// Seed-stream tag for the straggler-identity permutation used on
 /// sparse topologies (private, like `TOPOLOGY_STREAM`, so it never
@@ -247,6 +249,39 @@ macro_rules! run_param_setters {
     };
 }
 pub(crate) use run_param_setters;
+
+/// An async protocol with its kernel, as the shared [`apply_effects`]
+/// target; `.2` records whether a move saw a monochromatic population.
+struct KernelEffects<'a, P, S, const M: usize>(&'a mut Kernel<S, M>, &'a mut P, bool);
+
+impl<P: Handlers<M, Signal = S>, S: Copy, const M: usize> EffectTarget
+    for KernelEffects<'_, P, S, M>
+{
+    fn k(&self) -> u32 {
+        self.0.table.k() as u32
+    }
+    fn colors(&self) -> Cow<'_, [u32]> {
+        Cow::Borrowed(&self.0.cols)
+    }
+    /// A fresh node in a reused slot: the epoch bump voids the replaced
+    /// node's in-flight interaction and the slot unlocks, so the fresh
+    /// node starts unentangled.
+    fn join(&mut self, now: f64, v: usize, c: u32) {
+        self.1.on_join(v);
+        self.0.op_epoch[v] = self.0.op_epoch[v].wrapping_add(1);
+        self.0.locked[v] = false;
+        self.2 |= self.0.effect_move::<P>(now, v, 0, c);
+    }
+    fn recolor(&mut self, now: f64, v: usize, c: u32) {
+        self.2 |= self.0.effect_move::<P>(now, v, self.0.gens[v], c);
+    }
+    fn rewire(&mut self, sampler: PeerSampler) {
+        self.0.sampler = sampler;
+    }
+    fn tracer(&mut self) -> &mut Tracer {
+        &mut self.0.tracer
+    }
+}
 
 /// One superposed tick chain over the pool slots `lo..lo + size`.
 struct Pool {
@@ -662,8 +697,9 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
         p.on_op(self, now, v, peers)
     }
 
-    /// Applies the scenario effects due at `now`. Returns true if the
-    /// population became monochromatic.
+    /// Applies the scenario effects due at `now` through the shared
+    /// [`apply_effects`]. Returns true if the population became
+    /// monochromatic.
     fn apply_effects<P: Handlers<M, Signal = S>>(
         &mut self,
         p: &mut P,
@@ -672,40 +708,9 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
     ) -> bool {
         // Taken out and restored so effects can borrow the kernel mutably.
         let mut env = self.env.take().expect("effects come from an environment");
-        let mut mono = false;
-        for effect in effects {
-            let (name, count) = match effect {
-                Effect::Joined(joins) => {
-                    for &(v, c) in &joins {
-                        // A fresh node in a reused slot: the epoch bump voids
-                        // the replaced node's in-flight interaction and the
-                        // slot unlocks, so the fresh node starts unentangled.
-                        let vi = v as usize;
-                        p.on_join(vi);
-                        self.op_epoch[vi] = self.op_epoch[vi].wrapping_add(1);
-                        self.locked[vi] = false;
-                        mono |= self.effect_move::<P>(now, vi, 0, c);
-                    }
-                    ("joined", joins.len())
-                }
-                Effect::Corrupt { budget, mode } => {
-                    let k = self.table.k() as u32;
-                    let targets = env.corruption_targets(budget, mode, &self.cols, k);
-                    for &(v, c) in &targets {
-                        mono |= self.effect_move::<P>(now, v as usize, self.gens[v as usize], c);
-                    }
-                    ("corrupt", targets.len())
-                }
-                Effect::Rewired(s) => {
-                    self.sampler = s;
-                    ("rewired", 1)
-                }
-                _ => continue,
-            };
-            let count = count as u64;
-            self.tracer
-                .emit(now, TraceKind::ScenarioEffect { name, count });
-        }
+        let mut target = KernelEffects(&mut *self, p, false);
+        apply_effects(&mut env, now, effects, &mut target);
+        let mut mono = target.2;
         self.env = Some(env);
         if !P::OBSERVE_EACH_MOVE {
             mono = self.observe(now);

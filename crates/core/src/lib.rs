@@ -11,6 +11,8 @@
 //! * [`cluster`] — the fully decentralized multi-leader protocol:
 //!   clustering (Theorem 27), constant-time leader broadcast (Theorem 28),
 //!   and the clustered consensus phase (Algorithms 4 and 5, Theorem 26).
+//! * [`round`] — the round kernel the synchronous protocol shares with
+//!   the gossip and population-protocol baselines.
 //!
 //! Shared vocabulary lives at the crate root: [`Opinion`],
 //! [`OpinionCounts`], [`InitialAssignment`], [`GenerationTable`],
@@ -38,6 +40,7 @@ mod kernel;
 pub mod leader;
 mod opinion;
 mod outcome;
+pub mod round;
 pub mod signalflow;
 pub mod sync;
 

@@ -65,11 +65,6 @@ pub struct OpinionCounts {
 }
 
 impl OpinionCounts {
-    /// Creates counts with all opinions at zero support.
-    pub fn zeros(k: usize) -> Self {
-        Self { counts: vec![0; k] }
-    }
-
     /// Creates counts from an explicit vector (index = opinion).
     pub fn from_counts(counts: Vec<u64>) -> Self {
         Self { counts }
@@ -451,7 +446,7 @@ mod tests {
 
     #[test]
     fn increment_decrement_roundtrip() {
-        let mut c = OpinionCounts::zeros(2);
+        let mut c = OpinionCounts::from_counts(vec![0; 2]);
         c.increment(Opinion::new(1));
         assert_eq!(c.support(Opinion::new(1)), 1);
         c.decrement(Opinion::new(1));
@@ -461,7 +456,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "decrement below zero")]
     fn decrement_below_zero_panics() {
-        let mut c = OpinionCounts::zeros(2);
+        let mut c = OpinionCounts::from_counts(vec![0; 2]);
         c.decrement(Opinion::new(0));
     }
 

@@ -8,14 +8,13 @@
 //! color (the propagation / pull-voting step).
 
 use crate::genstate::GenerationTable;
-use crate::opinion::InitialAssignment;
-use crate::outcome::{ConvergenceTracker, GenerationBirth, RecordLevel, RunOutcome};
+use crate::opinion::{InitialAssignment, Opinion, OpinionCounts};
+use crate::outcome::{GenerationBirth, RecordLevel, RunOutcome};
+use crate::round::{Round, RoundParams, RoundProtocol};
 use crate::sync::schedule::{generations_needed, lifecycle_length, Schedule, GENERATION_CAP};
-use plurality_dist::rng::{derive_seed, Xoshiro256PlusPlus};
-use plurality_obs::{TraceEvent, TraceKind, Tracer};
-use plurality_scenario::{Effect, Environment, Scenario};
+use plurality_obs::{TraceEvent, TraceKind};
 use plurality_sim::Series;
-use plurality_topology::{Topology, TOPOLOGY_STREAM};
+use std::borrow::Cow;
 
 /// How two-choices rounds are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,6 +34,11 @@ pub enum ScheduleMode {
 /// the unified facade (`plurality-api`'s `SyncEngine`, spec name
 /// `"sync"`), which consumes the byte-identical RNG stream.
 ///
+/// Runs on the [round kernel](crate::round): scenario event times are
+/// in rounds, and an event at time `t` takes effect just before the
+/// updates of the first round ≥ `t`. Both per-round samples of every
+/// node come from the configured topology.
+///
 /// # Examples
 ///
 /// ```
@@ -49,17 +53,11 @@ pub enum ScheduleMode {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyncConfig {
-    assignment: InitialAssignment,
+    run: RoundParams,
     gamma: f64,
     mode: ScheduleMode,
-    epsilon: f64,
-    seed: u64,
     record: RecordLevel,
-    max_rounds: Option<u64>,
     alpha_hint: Option<f64>,
-    topology: Topology,
-    scenario: Scenario,
-    trace: bool,
 }
 
 impl SyncConfig {
@@ -67,85 +65,15 @@ impl SyncConfig {
     /// predefined schedule, `ε = 0.05`, seed 0.
     pub fn new(assignment: InitialAssignment) -> Self {
         Self {
-            assignment,
+            run: RoundParams::new(assignment),
             gamma: 0.5,
             mode: ScheduleMode::Predefined,
-            epsilon: 0.05,
-            seed: 0,
             record: RecordLevel::Generations,
-            max_rounds: None,
             alpha_hint: None,
-            topology: Topology::Complete,
-            scenario: Scenario::new(),
-            trace: false,
         }
     }
 
-    /// Enables structured run tracing (default off). The tracer consumes
-    /// no process RNG: a traced run produces the byte-identical
-    /// [`SyncResult::outcome`] of an untraced one, plus the event log in
-    /// [`SyncResult::trace`].
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Attaches a time-scripted environment (default: the empty
-    /// scenario, the paper's failure-free static model). Event times are
-    /// in *rounds*; an event at time `t` takes effect just before the
-    /// updates of the first round ≥ `t`. Crashed nodes freeze and
-    /// interactions that sample them (or lose a channel during a
-    /// `burst-loss` window) abort without a state change; `latency:`
-    /// shifts are no-ops in this round-based engine. All scenario
-    /// randomness comes from a private stream
-    /// (`plurality_scenario::SCENARIO_STREAM`), so the empty scenario
-    /// consumes the byte-identical process RNG stream as before the
-    /// subsystem existed.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use plurality_core::sync::SyncConfig;
-    /// use plurality_core::InitialAssignment;
-    /// use plurality_scenario::Scenario;
-    ///
-    /// let assignment = InitialAssignment::with_bias(2_000, 3, 3.0).unwrap();
-    /// let scenario = Scenario::parse("crash:0.3@2;recover:0.3@6").unwrap();
-    /// let result = SyncConfig::new(assignment)
-    ///     .with_scenario(scenario)
-    ///     .with_seed(5)
-    ///     .run();
-    /// assert!(result.outcome.plurality_preserved());
-    /// ```
-    pub fn with_scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = scenario;
-        self
-    }
-
-    /// Sets the communication topology (default [`Topology::Complete`],
-    /// the paper's model). Both per-round samples of every node are
-    /// drawn as uniform neighbors on the given graph; isolated nodes
-    /// sample themselves. The graph of a random family is rebuilt per
-    /// run from `derive_seed(seed, TOPOLOGY_STREAM)`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use plurality_core::sync::SyncConfig;
-    /// use plurality_core::InitialAssignment;
-    /// use plurality_topology::Topology;
-    ///
-    /// let assignment = InitialAssignment::with_bias(1_024, 2, 3.0).unwrap();
-    /// let result = SyncConfig::new(assignment)
-    ///     .with_topology(Topology::Regular { d: 8 })
-    ///     .with_seed(1)
-    ///     .run();
-    /// assert!(result.outcome.plurality_preserved());
-    /// ```
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
+    crate::round_param_setters!(epsilon);
 
     /// Sets the generation-density threshold `γ ∈ (0, 1)` (default 1/2).
     ///
@@ -164,23 +92,6 @@ impl SyncConfig {
         self
     }
 
-    /// Sets the ε used for ε-convergence reporting (default 0.05).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon ∉ [0, 1]`.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!((0.0..=1.0).contains(&epsilon), "epsilon must lie in [0, 1]");
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the RNG seed (default 0). Runs are pure functions of the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the telemetry level (default [`RecordLevel::Generations`]).
     pub fn with_record(mut self, record: RecordLevel) -> Self {
         self.record = record;
@@ -189,7 +100,7 @@ impl SyncConfig {
 
     /// Caps the number of rounds (default: derived from the schedule).
     pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        self.max_rounds = Some(max_rounds);
+        self.run.max_steps = Some(max_rounds);
         self
     }
 
@@ -206,9 +117,51 @@ impl SyncConfig {
     ///
     /// Panics if the assignment materializes fewer than 2 nodes, or if
     /// the configured topology cannot be built for that population size
-    /// (see [`Topology::build`]).
+    /// (see [`Topology::build`](plurality_topology::Topology::build)).
     pub fn run(&self) -> SyncResult {
-        run_sync(self)
+        let (kernel, opinions) = Round::new(&self.run, "synchronous");
+        let (n, k) = (opinions.len(), self.run.assignment.k());
+        let col: Vec<u32> = opinions.iter().map(|o| o.index()).collect();
+        let table = GenerationTable::from_states(&vec![0; n], &col, k as usize);
+        let bias = kernel.initial_bias;
+        let alpha = self
+            .alpha_hint
+            .unwrap_or(if bias.is_finite() { bias.max(1.0) } else { 2.0 });
+        let winner = kernel.initial_winner;
+        let series = |name: &str, first: f64| {
+            matches!(self.record, RecordLevel::Full).then(|| {
+                let mut s = Series::new(name);
+                s.push(0.0, first);
+                s
+            })
+        };
+        let mut rule = SyncRule {
+            cfg: self,
+            winner,
+            gen: vec![0; n],
+            new_gen: vec![0; n],
+            new_col: col.clone(),
+            col,
+            table,
+            alpha,
+            g_star: generations_needed(n as u64, alpha, GENERATION_CAP),
+            schedule: matches!(self.mode, ScheduleMode::Predefined)
+                .then(|| Schedule::predefined(n as u64, k, alpha, self.gamma)),
+            births: Vec::new(),
+            two_choices_rounds: Vec::new(),
+            newest_frac: series("newest_generation_fraction", 1.0),
+            winner_frac: series("winner_fraction", kernel.initial_counts.fraction(winner)),
+        };
+        let run = kernel.run(&mut rule);
+        SyncResult {
+            outcome: run.outcome,
+            rounds: run.steps,
+            g_star: rule.g_star,
+            two_choices_rounds: rule.two_choices_rounds,
+            newest_generation_fraction: rule.newest_frac,
+            winner_fraction: rule.winner_frac,
+            trace: run.trace,
+        }
     }
 }
 
@@ -262,283 +215,166 @@ pub fn step_node(
     }
 }
 
-fn run_sync(cfg: &SyncConfig) -> SyncResult {
-    let mut rng = Xoshiro256PlusPlus::from_u64(cfg.seed);
-    let opinions = cfg.assignment.materialize(&mut rng);
-    let n = opinions.len();
-    assert!(n >= 2, "synchronous run needs at least 2 nodes");
-    let k = cfg.assignment.k() as usize;
+/// Algorithm 1's node state and round, run by the round kernel.
+struct SyncRule<'a> {
+    cfg: &'a SyncConfig,
+    winner: Opinion,
+    gen: Vec<u32>,
+    col: Vec<u32>,
+    /// Each node's generation and color after the current round.
+    new_gen: Vec<u32>,
+    new_col: Vec<u32>,
+    table: GenerationTable,
+    alpha: f64,
+    g_star: u32,
+    schedule: Option<Schedule>,
+    births: Vec<GenerationBirth>,
+    two_choices_rounds: Vec<u64>,
+    newest_frac: Option<Series>,
+    winner_frac: Option<Series>,
+}
 
-    // The topology RNG is private to the build: complete-graph runs do
-    // not touch it at all, and the process stream below is unaffected
-    // either way.
-    let mut sampler = cfg
-        .topology
-        .build(n, derive_seed(cfg.seed, TOPOLOGY_STREAM))
-        .expect("topology must be buildable for this population size");
+impl SyncRule<'_> {
+    /// Every node's next state into `new_gen`/`new_col`. A crashed node
+    /// freezes; a node whose samples hit a crashed peer or a lost channel
+    /// aborts this round's interaction and keeps its state.
+    #[inline]
+    fn update<const SCENARIO: bool>(&mut self, k: &mut Round, two_choices: bool) {
+        let (gen, col) = (&self.gen, &self.col);
+        for v in 0..gen.len() {
+            let vu = v as u32;
+            let (g, c) = if SCENARIO && k.is_crashed(vu) {
+                (gen[v], col[v])
+            } else {
+                let (a, b) = (k.sample(vu), k.sample(vu));
+                if SCENARIO
+                    && (k.is_crashed(a) || k.is_crashed(b) || k.message_lost() || k.message_lost())
+                {
+                    (gen[v], col[v])
+                } else {
+                    let (a, b) = (a as usize, b as usize);
+                    step_node(gen[v], col[v], gen[a], col[a], gen[b], col[b], two_choices)
+                }
+            };
+            self.new_gen[v] = g;
+            self.new_col[v] = c;
+        }
+    }
+}
 
-    // `None` for the empty scenario: the zero-cost fast path, one branch
-    // per round and per node, process RNG stream untouched.
-    let mut env: Option<Environment> = cfg.scenario.for_run(n, cfg.assignment.k(), cfg.seed);
-
-    let mut col: Vec<u32> = opinions.iter().map(|o| o.index()).collect();
-    let mut gen: Vec<u32> = vec![0; n];
-    let mut table = GenerationTable::from_states(&gen, &col, k);
-
-    let initial_counts = table.global_counts();
-    let initial_winner = initial_counts.winner().expect("non-empty population");
-    let initial_bias = initial_counts.bias().unwrap_or(f64::INFINITY);
-
-    let alpha_for_schedule = cfg.alpha_hint.unwrap_or(if initial_bias.is_finite() {
-        initial_bias.max(1.0)
-    } else {
-        2.0
-    });
-    let g_star = generations_needed(n as u64, alpha_for_schedule, GENERATION_CAP);
-    let schedule = match cfg.mode {
-        ScheduleMode::Predefined => Some(Schedule::predefined(
-            n as u64,
-            k as u32,
-            alpha_for_schedule,
-            cfg.gamma,
-        )),
-        ScheduleMode::Adaptive => None,
-    };
-
-    let max_rounds = cfg.max_rounds.unwrap_or_else(|| {
-        let x1 = lifecycle_length(alpha_for_schedule.max(1.0 + 1e-9), k as u32, cfg.gamma, 1)
+impl RoundProtocol for SyncRule<'_> {
+    fn default_cap(&self, n: usize) -> (u64, f64) {
+        let k = self.table.k() as u32;
+        let x1 = lifecycle_length(self.alpha.max(1.0 + 1e-9), k, self.cfg.gamma, 1)
             .ceil()
             .max(1.0) as u64;
         let tail = 4 * (n as f64).log2().ceil() as u64 + 100;
-        let derived = match &schedule {
+        let derived = match &self.schedule {
             Some(s) => s.final_round() + tail,
-            None => g_star as u64 * (x1 + 4) + tail,
+            None => self.g_star as u64 * (x1 + 4) + tail,
         };
-        // Scripted events must actually fire: stretch the default cap
-        // past the scenario horizon plus a recovery tail.
-        derived.max(cfg.scenario.horizon().ceil() as u64 + tail)
-    });
+        (derived, tail as f64)
+    }
 
-    let mut tracker = ConvergenceTracker::new(n as u64, initial_winner, cfg.epsilon);
-    tracker.observe(
-        0.0,
-        table.color_support(initial_winner),
-        table.max_color_support(),
-    );
+    fn is_done(&self) -> bool {
+        self.table.is_monochromatic()
+    }
 
-    let mut births: Vec<GenerationBirth> = Vec::new();
-    let mut two_choices_rounds: Vec<u64> = Vec::new();
-    let mut newest_frac = matches!(cfg.record, RecordLevel::Full).then(|| {
-        let mut s = Series::new("newest_generation_fraction");
-        s.push(0.0, 1.0);
-        s
-    });
-    let mut winner_frac = matches!(cfg.record, RecordLevel::Full).then(|| {
-        let mut s = Series::new("winner_fraction");
-        s.push(0.0, initial_counts.fraction(initial_winner));
-        s
-    });
+    fn step(&mut self, k: &mut Round, round: u64) -> Option<bool> {
+        let now = round as f64;
+        let table = &mut self.table;
+        let created = table.max_generation();
+        let two_choices = match &self.schedule {
+            Some(s) => s.is_two_choices_round(round),
+            None => created < self.g_star && table.fraction_in(created) >= self.cfg.gamma,
+        };
+        if two_choices {
+            self.two_choices_rounds.push(round);
+            let name = "two-choices-round";
+            k.emit(now, TraceKind::Milestone { name, value: now });
+        }
 
-    let mut new_col = col.clone();
-    let mut new_gen = gen.clone();
-    let mut rounds_run = 0u64;
-    let mut tracer = Tracer::new(cfg.trace);
+        // Snapshot of the would-be parent generation, just before the round.
+        let parent_gen = table.max_generation();
+        let parent_bias = table.bias_in(parent_gen).unwrap_or(f64::INFINITY);
+        let parent_collision = table.collision_in(parent_gen);
 
-    if !table.is_monochromatic() {
-        for round in 1..=max_rounds {
-            rounds_run = round;
-            if let Some(env) = env.as_mut() {
-                for effect in env.poll(round as f64) {
-                    match effect {
-                        Effect::Joined(joins) => {
-                            tracer.emit(
-                                round as f64,
-                                TraceKind::ScenarioEffect {
-                                    name: "joined",
-                                    count: joins.len() as u64,
-                                },
-                            );
-                            for (v, c) in joins {
-                                let vi = v as usize;
-                                if (gen[vi], col[vi]) != (0, c) {
-                                    table.transfer(gen[vi], col[vi], 0, c);
-                                    gen[vi] = 0;
-                                    col[vi] = c;
-                                }
-                            }
-                        }
-                        Effect::Corrupt { budget, mode } => {
-                            let targets = env.corruption_targets(budget, mode, &col, k as u32);
-                            tracer.emit(
-                                round as f64,
-                                TraceKind::ScenarioEffect {
-                                    name: "corrupt",
-                                    count: targets.len() as u64,
-                                },
-                            );
-                            for (v, c) in targets {
-                                let vi = v as usize;
-                                if col[vi] != c {
-                                    table.transfer(gen[vi], col[vi], gen[vi], c);
-                                    col[vi] = c;
-                                }
-                            }
-                        }
-                        Effect::Rewired(s) => {
-                            tracer.emit(
-                                round as f64,
-                                TraceKind::ScenarioEffect {
-                                    name: "rewired",
-                                    count: 1,
-                                },
-                            );
-                            sampler = s;
-                        }
-                        _ => {}
-                    }
-                }
+        // Unswitched on the scenario, so the failure-free loop carries no
+        // crash or loss checks.
+        if k.has_scenario() {
+            self.update::<true>(k, two_choices);
+        } else {
+            self.update::<false>(k, two_choices);
+        }
+        let (gen, col, table) = (&self.gen, &self.col, &mut self.table);
+        for v in 0..gen.len() {
+            if self.new_gen[v] != gen[v] || self.new_col[v] != col[v] {
+                table.transfer(gen[v], col[v], self.new_gen[v], self.new_col[v]);
             }
-            let created = table.max_generation();
-            let two_choices = match &schedule {
-                Some(s) => s.is_two_choices_round(round),
-                None => created < g_star && table.fraction_in(created) >= cfg.gamma,
-            };
-            if two_choices {
-                two_choices_rounds.push(round);
-                tracer.emit(
-                    round as f64,
-                    TraceKind::Milestone {
-                        name: "two-choices-round",
-                        value: round as f64,
-                    },
-                );
-            }
+        }
+        std::mem::swap(&mut self.gen, &mut self.new_gen);
+        std::mem::swap(&mut self.col, &mut self.new_col);
 
-            // Snapshot of the would-be parent generation, just before the round.
-            let parent_gen = table.max_generation();
-            let parent_bias = table.bias_in(parent_gen).unwrap_or(f64::INFINITY);
-            let parent_collision = table.collision_in(parent_gen);
-
-            for v in 0..n {
-                if let Some(env) = env.as_mut() {
-                    // A crashed node freezes; a node whose samples hit a
-                    // crashed peer or a lost channel aborts this round's
-                    // interaction and keeps its state.
-                    if env.is_crashed(v as u32) {
-                        new_gen[v] = gen[v];
-                        new_col[v] = col[v];
-                        continue;
-                    }
-                }
-                let a = sampler.sample(v as u32, &mut rng) as usize;
-                let b = sampler.sample(v as u32, &mut rng) as usize;
-                if let Some(env) = env.as_mut() {
-                    if env.is_crashed(a as u32)
-                        || env.is_crashed(b as u32)
-                        || env.message_lost()
-                        || env.message_lost()
-                    {
-                        new_gen[v] = gen[v];
-                        new_col[v] = col[v];
-                        continue;
-                    }
-                }
-                let (g, c) = step_node(gen[v], col[v], gen[a], col[a], gen[b], col[b], two_choices);
-                new_gen[v] = g;
-                new_col[v] = c;
-            }
-            for v in 0..n {
-                if new_gen[v] != gen[v] || new_col[v] != col[v] {
-                    table.transfer(gen[v], col[v], new_gen[v], new_col[v]);
-                }
-            }
-            std::mem::swap(&mut gen, &mut new_gen);
-            std::mem::swap(&mut col, &mut new_col);
-
-            if table.max_generation() > parent_gen {
-                tracer.emit(
-                    round as f64,
-                    TraceKind::Birth {
-                        generation: table.max_generation(),
-                    },
-                );
-            }
-            if table.max_generation() > parent_gen && !matches!(cfg.record, RecordLevel::Outcome) {
-                let g = table.max_generation();
-                births.push(GenerationBirth {
-                    generation: g,
-                    time: round as f64,
-                    bias: table.bias_in(g).unwrap_or(f64::INFINITY),
+        let newest = table.max_generation();
+        if newest > parent_gen {
+            k.emit(now, TraceKind::Birth { generation: newest });
+            if !matches!(self.cfg.record, RecordLevel::Outcome) {
+                self.births.push(GenerationBirth {
+                    generation: newest,
+                    time: now,
+                    bias: table.bias_in(newest).unwrap_or(f64::INFINITY),
                     parent_bias,
-                    initial_fraction: table.fraction_in(g),
+                    initial_fraction: table.fraction_in(newest),
                     parent_collision,
                 });
             }
+        }
 
-            tracker.observe(
-                round as f64,
-                table.color_support(initial_winner),
-                table.max_color_support(),
-            );
-            if let Some(s) = newest_frac.as_mut() {
-                s.push(round as f64, table.fraction_in(table.max_generation()));
-            }
-            if let Some(s) = winner_frac.as_mut() {
-                s.push(
-                    round as f64,
-                    table.color_support(initial_winner) as f64 / n as f64,
-                );
-            }
-            if table.is_monochromatic() {
-                break;
-            }
+        let support = table.color_support(self.winner);
+        k.observe(now, support, table.max_color_support());
+        if let Some(s) = self.newest_frac.as_mut() {
+            s.push(now, table.fraction_in(newest));
+        }
+        if let Some(s) = self.winner_frac.as_mut() {
+            s.push(now, support as f64 / table.n() as f64);
+        }
+        Some(table.is_monochromatic())
+    }
+
+    fn on_join(&mut self, v: usize, c: u32) {
+        if (self.gen[v], self.col[v]) != (0, c) {
+            self.table.transfer(self.gen[v], self.col[v], 0, c);
+            self.gen[v] = 0;
+            self.col[v] = c;
         }
     }
 
-    if let Some(t) = tracker.epsilon_time() {
-        tracer.emit(
-            t,
-            TraceKind::Milestone {
-                name: "epsilon-converged",
-                value: t,
-            },
-        );
+    fn recolor(&mut self, v: usize, c: u32) {
+        if self.col[v] != c {
+            self.table
+                .transfer(self.gen[v], self.col[v], self.gen[v], c);
+            self.col[v] = c;
+        }
     }
-    if let Some(t) = tracker.consensus_time() {
-        tracer.emit(
-            t,
-            TraceKind::Milestone {
-                name: "consensus",
-                value: t,
-            },
-        );
+
+    fn colors(&self) -> Cow<'_, [u32]> {
+        Cow::Borrowed(&self.col)
     }
-    let outcome = RunOutcome {
-        n: n as u64,
-        k: k as u32,
-        initial_winner,
-        initial_bias,
-        final_counts: table.global_counts(),
-        epsilon_time: tracker.epsilon_time(),
-        consensus_time: tracker.consensus_time(),
-        duration: rounds_run as f64,
-        generations: births,
-    };
-    SyncResult {
-        outcome,
-        rounds: rounds_run,
-        g_star,
-        two_choices_rounds,
-        newest_generation_fraction: newest_frac,
-        winner_fraction: winner_frac,
-        trace: tracer.finish(),
+
+    fn final_counts(&self) -> OpinionCounts {
+        self.table.global_counts()
+    }
+
+    fn generations(&mut self) -> Vec<GenerationBirth> {
+        std::mem::take(&mut self.births)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opinion::Opinion;
+    use plurality_scenario::Scenario;
+    use plurality_topology::Topology;
 
     #[test]
     fn step_node_two_choices_promotes() {
