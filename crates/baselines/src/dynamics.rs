@@ -173,12 +173,13 @@ impl Rule {
     /// drawn (a blocked channel keeps the node's own color and skips the
     /// remaining checks), and 3-majority's tie-break comes last.
     #[inline]
-    fn update(&self, k: &mut Round, v: u32, own: u32) -> u32 {
+    fn update<const SCENARIO: bool>(&self, k: &mut Round, v: u32, own: u32) -> u32 {
         let col = |s: u32| self.col[s as usize];
+        let blocked = |k: &mut Round, s: u32| SCENARIO && k.blocked(s);
         match self.dynamics {
             Dynamics::PullVoting => {
                 let s = k.sample(v);
-                if k.blocked(s) {
+                if blocked(k, s) {
                     own
                 } else {
                     col(s)
@@ -186,7 +187,7 @@ impl Rule {
             }
             Dynamics::TwoChoices => {
                 let (sa, sb) = (k.sample(v), k.sample(v));
-                if k.blocked(sa) || k.blocked(sb) {
+                if blocked(k, sa) || blocked(k, sb) {
                     own
                 } else if col(sa) == col(sb) {
                     col(sa)
@@ -196,7 +197,7 @@ impl Rule {
             }
             Dynamics::ThreeMajority => {
                 let (sa, sb, sc) = (k.sample(v), k.sample(v), k.sample(v));
-                if k.blocked(sa) || k.blocked(sb) || k.blocked(sc) {
+                if blocked(k, sa) || blocked(k, sb) || blocked(k, sc) {
                     return own;
                 }
                 let (a, b, c) = (col(sa), col(sb), col(sc));
@@ -211,7 +212,7 @@ impl Rule {
             }
             Dynamics::Undecided => {
                 let su = k.sample(v);
-                if k.blocked(su) {
+                if blocked(k, su) {
                     return own;
                 }
                 let s = col(su);
@@ -237,14 +238,14 @@ impl RoundProtocol for Rule {
         self.undecided == 0 && self.counts.is_monochromatic()
     }
 
-    fn step(&mut self, k: &mut Round, round: u64) -> Option<bool> {
+    fn step<const SCENARIO: bool>(&mut self, k: &mut Round, round: u64) -> Option<bool> {
         for v in 0..self.col.len() {
             let own = self.col[v];
             let vu = v as u32;
-            self.next[v] = if k.is_crashed(vu) {
+            self.next[v] = if SCENARIO && k.is_crashed(vu) {
                 own
             } else {
-                self.update(k, vu, own)
+                self.update::<SCENARIO>(k, vu, own)
             };
         }
         // Re-tally (cheaper than incremental transfer bookkeeping here).

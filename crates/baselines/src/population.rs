@@ -227,14 +227,15 @@ impl RoundProtocol for Agents {
         self.tally.converged()
     }
 
-    fn step(&mut self, k: &mut Round, _step: u64) -> Option<bool> {
+    #[inline]
+    fn step<const SCENARIO: bool>(&mut self, k: &mut Round, _step: u64) -> Option<bool> {
         // Ordered pair of distinct agents (initiator, responder); on a
         // graph: a uniformly random directed edge.
         let (iu, ju) = k.sample_pair()?;
         // A step whose initiator or responder is crashed — or that falls
         // inside a loss burst — consumes scheduler time without an
         // interaction.
-        if k.is_crashed(iu) || k.is_crashed(ju) || k.message_lost() {
+        if SCENARIO && (k.is_crashed(iu) || k.is_crashed(ju) || k.message_lost()) {
             return Some(false);
         }
         let (i, j) = (iu as usize, ju as usize);

@@ -162,8 +162,10 @@ pub trait RoundProtocol {
     fn is_done(&self) -> bool;
     /// Runs step `step` (1-based) and returns whether consensus is
     /// reached; `None` if no step is possible (an edgeless graph admits
-    /// no interaction), which ends the run with the step uncounted.
-    fn step(&mut self, k: &mut Round, step: u64) -> Option<bool>;
+    /// no interaction), which ends the run with the step uncounted. The
+    /// kernel unswitches its loop on whether a scenario is attached, so
+    /// a step guards its crash and loss checks with `SCENARIO`.
+    fn step<const SCENARIO: bool>(&mut self, k: &mut Round, step: u64) -> Option<bool>;
     /// Called after a non-empty batch of scenario effects; true ends the
     /// run before the next step (default: the step runs regardless).
     fn after_effects(&mut self) -> bool {
@@ -342,13 +344,6 @@ impl Round {
         self.sampler.sample_interaction_pair(&mut self.rng)
     }
 
-    /// Whether a scenario is attached (a node loop may branch on it once,
-    /// sparing the failure-free path its crash and loss checks).
-    #[inline]
-    pub fn has_scenario(&self) -> bool {
-        self.env.is_some()
-    }
-
     /// Whether node `v` is crashed (never without a scenario).
     #[inline]
     pub fn is_crashed(&self, v: u32) -> bool {
@@ -381,6 +376,35 @@ impl Round {
         self.tracer.emit(now, kind);
     }
 
+    /// The step loop of [`Round::run`]; returns the steps taken.
+    fn steps<P: RoundProtocol, const SCENARIO: bool>(
+        &mut self,
+        p: &mut P,
+        cap: u64,
+        per_unit: f64,
+    ) -> u64 {
+        let (mut steps, mut done) = (0u64, p.is_done());
+        while !done && steps < cap {
+            if let (true, Some(env)) = (SCENARIO, self.env.as_mut()) {
+                let now = (steps + u64::from(!P::PAIRWISE)) as f64 / per_unit;
+                let effects = env.poll(now);
+                if !effects.is_empty() {
+                    let (sampler, tracer) = (&mut self.sampler, &mut self.tracer);
+                    let mut target = RoundEffects(&mut *p, self.k, sampler, tracer);
+                    apply_effects(env, now, effects, &mut target);
+                    if p.after_effects() {
+                        break;
+                    }
+                }
+            }
+            match p.step::<SCENARIO>(self, steps + 1) {
+                Some(over) => (steps, done) = (steps + 1, over),
+                None => break,
+            }
+        }
+        steps
+    }
+
     /// Runs `p` to consensus, the step cap, or a step that cannot be
     /// taken, and reports the outcome. A finished start returns at once.
     pub fn run<P: RoundProtocol>(mut self, p: &mut P) -> RoundRun {
@@ -396,25 +420,13 @@ impl Round {
             };
             derived.max(((horizon + tail) * per_unit).ceil() as u64)
         });
-        let (mut steps, mut done) = (0u64, p.is_done());
-        while !done && steps < cap {
-            if let Some(env) = self.env.as_mut() {
-                let now = (steps + u64::from(!P::PAIRWISE)) as f64 / per_unit;
-                let effects = env.poll(now);
-                if !effects.is_empty() {
-                    let (sampler, tracer) = (&mut self.sampler, &mut self.tracer);
-                    let mut target = RoundEffects(&mut *p, self.k, sampler, tracer);
-                    apply_effects(env, now, effects, &mut target);
-                    if p.after_effects() {
-                        break;
-                    }
-                }
-            }
-            match p.step(&mut self, steps + 1) {
-                Some(over) => (steps, done) = (steps + 1, over),
-                None => break,
-            }
-        }
+        // Unswitched on the scenario: the failure-free loop polls nothing
+        // and its steps carry no crash or loss checks.
+        let steps = if self.env.is_some() {
+            self.steps::<P, true>(p, cap, per_unit)
+        } else {
+            self.steps::<P, false>(p, cap, per_unit)
+        };
 
         // The loop ends at the first finished step, so consensus time is
         // the run's duration whenever the run ends finished.

@@ -234,12 +234,46 @@ struct SyncRule<'a> {
     winner_frac: Option<Series>,
 }
 
-impl SyncRule<'_> {
-    /// Every node's next state into `new_gen`/`new_col`. A crashed node
-    /// freezes; a node whose samples hit a crashed peer or a lost channel
-    /// aborts this round's interaction and keeps its state.
-    #[inline]
-    fn update<const SCENARIO: bool>(&mut self, k: &mut Round, two_choices: bool) {
+impl RoundProtocol for SyncRule<'_> {
+    fn default_cap(&self, n: usize) -> (u64, f64) {
+        let k = self.table.k() as u32;
+        let x1 = lifecycle_length(self.alpha.max(1.0 + 1e-9), k, self.cfg.gamma, 1)
+            .ceil()
+            .max(1.0) as u64;
+        let tail = 4 * (n as f64).log2().ceil() as u64 + 100;
+        let derived = match &self.schedule {
+            Some(s) => s.final_round() + tail,
+            None => self.g_star as u64 * (x1 + 4) + tail,
+        };
+        (derived, tail as f64)
+    }
+
+    fn is_done(&self) -> bool {
+        self.table.is_monochromatic()
+    }
+
+    fn step<const SCENARIO: bool>(&mut self, k: &mut Round, round: u64) -> Option<bool> {
+        let now = round as f64;
+        let table = &mut self.table;
+        let created = table.max_generation();
+        let two_choices = match &self.schedule {
+            Some(s) => s.is_two_choices_round(round),
+            None => created < self.g_star && table.fraction_in(created) >= self.cfg.gamma,
+        };
+        if two_choices {
+            self.two_choices_rounds.push(round);
+            let name = "two-choices-round";
+            k.emit(now, TraceKind::Milestone { name, value: now });
+        }
+
+        // Snapshot of the would-be parent generation, just before the round.
+        let parent_gen = table.max_generation();
+        let parent_bias = table.bias_in(parent_gen).unwrap_or(f64::INFINITY);
+        let parent_collision = table.collision_in(parent_gen);
+
+        // A crashed node freezes; a node whose samples hit a crashed peer
+        // or a lost channel aborts this round's interaction and keeps its
+        // state.
         let (gen, col) = (&self.gen, &self.col);
         for v in 0..gen.len() {
             let vu = v as u32;
@@ -259,54 +293,7 @@ impl SyncRule<'_> {
             self.new_gen[v] = g;
             self.new_col[v] = c;
         }
-    }
-}
-
-impl RoundProtocol for SyncRule<'_> {
-    fn default_cap(&self, n: usize) -> (u64, f64) {
-        let k = self.table.k() as u32;
-        let x1 = lifecycle_length(self.alpha.max(1.0 + 1e-9), k, self.cfg.gamma, 1)
-            .ceil()
-            .max(1.0) as u64;
-        let tail = 4 * (n as f64).log2().ceil() as u64 + 100;
-        let derived = match &self.schedule {
-            Some(s) => s.final_round() + tail,
-            None => self.g_star as u64 * (x1 + 4) + tail,
-        };
-        (derived, tail as f64)
-    }
-
-    fn is_done(&self) -> bool {
-        self.table.is_monochromatic()
-    }
-
-    fn step(&mut self, k: &mut Round, round: u64) -> Option<bool> {
-        let now = round as f64;
         let table = &mut self.table;
-        let created = table.max_generation();
-        let two_choices = match &self.schedule {
-            Some(s) => s.is_two_choices_round(round),
-            None => created < self.g_star && table.fraction_in(created) >= self.cfg.gamma,
-        };
-        if two_choices {
-            self.two_choices_rounds.push(round);
-            let name = "two-choices-round";
-            k.emit(now, TraceKind::Milestone { name, value: now });
-        }
-
-        // Snapshot of the would-be parent generation, just before the round.
-        let parent_gen = table.max_generation();
-        let parent_bias = table.bias_in(parent_gen).unwrap_or(f64::INFINITY);
-        let parent_collision = table.collision_in(parent_gen);
-
-        // Unswitched on the scenario, so the failure-free loop carries no
-        // crash or loss checks.
-        if k.has_scenario() {
-            self.update::<true>(k, two_choices);
-        } else {
-            self.update::<false>(k, two_choices);
-        }
-        let (gen, col, table) = (&self.gen, &self.col, &mut self.table);
         for v in 0..gen.len() {
             if self.new_gen[v] != gen[v] || self.new_col[v] != col[v] {
                 table.transfer(gen[v], col[v], self.new_gen[v], self.new_col[v]);
