@@ -175,7 +175,9 @@ impl Rule {
     #[inline]
     fn update<const SCENARIO: bool>(&self, k: &mut Round, v: u32, own: u32) -> u32 {
         let col = |s: u32| self.col[s as usize];
-        let blocked = |k: &mut Round, s: u32| SCENARIO && k.blocked(s);
+        // A sampled channel is unusable if the peer is crashed or,
+        // failing that, the channel is lost to a burst.
+        let blocked = |k: &mut Round, s: u32| SCENARIO && (k.is_crashed(s) || k.message_lost());
         match self.dynamics {
             Dynamics::PullVoting => {
                 let s = k.sample(v);

@@ -357,13 +357,6 @@ impl Round {
         self.env.as_mut().is_some_and(|e| e.message_lost())
     }
 
-    /// Whether the channel to a sampled `peer` is unusable: the peer is
-    /// crashed or, failing that, the channel is lost to a burst.
-    #[inline]
-    pub fn blocked(&mut self, peer: u32) -> bool {
-        self.is_crashed(peer) || self.message_lost()
-    }
-
     /// Feeds the supports at `now` to the convergence tracker.
     #[inline]
     pub fn observe(&mut self, now: f64, winner_support: u64, max_support: u64) {
