@@ -177,7 +177,9 @@ impl Rule {
         let col = |s: u32| self.col[s as usize];
         // A sampled channel is unusable if the peer is crashed or,
         // failing that, the channel is lost to a burst.
-        let blocked = |k: &mut Round, s: u32| SCENARIO && (k.is_crashed(s) || k.message_lost());
+        let blocked = |k: &mut Round, s: u32| {
+            SCENARIO && k.env().is_some_and(|e| e.is_crashed(s) || e.message_lost())
+        };
         match self.dynamics {
             Dynamics::PullVoting => {
                 let s = k.sample(v);
@@ -244,7 +246,7 @@ impl RoundProtocol for Rule {
         for v in 0..self.col.len() {
             let own = self.col[v];
             let vu = v as u32;
-            self.next[v] = if SCENARIO && k.is_crashed(vu) {
+            self.next[v] = if SCENARIO && k.env().is_some_and(|e| e.is_crashed(vu)) {
                 own
             } else {
                 self.update::<SCENARIO>(k, vu, own)

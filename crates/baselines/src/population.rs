@@ -17,6 +17,7 @@ use plurality_core::round::{Round, RoundParams, RoundProtocol};
 use plurality_core::{InitialAssignment, Opinion, OpinionCounts, RunOutcome};
 use plurality_dist::rng::Xoshiro256PlusPlus;
 use plurality_obs::TraceEvent;
+use plurality_scenario::Environment;
 use std::borrow::Cow;
 
 /// A two-opinion population protocol for majority.
@@ -235,7 +236,9 @@ impl RoundProtocol for Agents {
         // A step whose initiator or responder is crashed — or that falls
         // inside a loss burst — consumes scheduler time without an
         // interaction.
-        if SCENARIO && (k.is_crashed(iu) || k.is_crashed(ju) || k.message_lost()) {
+        let aborted =
+            |e: &mut Environment| e.is_crashed(iu) || e.is_crashed(ju) || e.message_lost();
+        if SCENARIO && k.env().is_some_and(aborted) {
             return Some(false);
         }
         let (i, j) = (iu as usize, ju as usize);

@@ -344,17 +344,11 @@ impl Round {
         self.sampler.sample_interaction_pair(&mut self.rng)
     }
 
-    /// Whether node `v` is crashed (never without a scenario).
+    /// The scenario environment a step's crash and loss checks read
+    /// (`None` without a scenario).
     #[inline]
-    pub fn is_crashed(&self, v: u32) -> bool {
-        self.env.as_ref().is_some_and(|e| e.is_crashed(v))
-    }
-
-    /// Flips one loss coin against the current burst (no draw without a
-    /// scenario or outside a burst).
-    #[inline]
-    pub fn message_lost(&mut self) -> bool {
-        self.env.as_mut().is_some_and(|e| e.message_lost())
+    pub fn env(&mut self) -> Option<&mut Environment> {
+        self.env.as_mut()
     }
 
     /// Feeds the supports at `now` to the convergence tracker.

@@ -13,6 +13,7 @@ use crate::outcome::{GenerationBirth, RecordLevel, RunOutcome};
 use crate::round::{Round, RoundParams, RoundProtocol};
 use crate::sync::schedule::{generations_needed, lifecycle_length, Schedule, GENERATION_CAP};
 use plurality_obs::{TraceEvent, TraceKind};
+use plurality_scenario::Environment;
 use plurality_sim::Series;
 use std::borrow::Cow;
 
@@ -277,13 +278,14 @@ impl RoundProtocol for SyncRule<'_> {
         let (gen, col) = (&self.gen, &self.col);
         for v in 0..gen.len() {
             let vu = v as u32;
-            let (g, c) = if SCENARIO && k.is_crashed(vu) {
+            let (g, c) = if SCENARIO && k.env().is_some_and(|e| e.is_crashed(vu)) {
                 (gen[v], col[v])
             } else {
                 let (a, b) = (k.sample(vu), k.sample(vu));
-                if SCENARIO
-                    && (k.is_crashed(a) || k.is_crashed(b) || k.message_lost() || k.message_lost())
-                {
+                let aborted = |e: &mut Environment| {
+                    e.is_crashed(a) || e.is_crashed(b) || e.message_lost() || e.message_lost()
+                };
+                if SCENARIO && k.env().is_some_and(aborted) {
                     (gen[v], col[v])
                 } else {
                     let (a, b) = (a as usize, b as usize);
