@@ -216,6 +216,39 @@ pub fn step_node(
     }
 }
 
+/// Every node's next state for one round into `new_gen`/`new_col`. A
+/// crashed node freezes; a node whose samples hit a crashed peer or a
+/// lost channel aborts this round's interaction and keeps its state.
+#[inline]
+fn update<const SCENARIO: bool>(
+    k: &mut Round,
+    gen: &[u32],
+    col: &[u32],
+    new_gen: &mut [u32],
+    new_col: &mut [u32],
+    two_choices: bool,
+) {
+    for v in 0..gen.len() {
+        let vu = v as u32;
+        let (g, c) = if SCENARIO && k.env().is_some_and(|e| e.is_crashed(vu)) {
+            (gen[v], col[v])
+        } else {
+            let (a, b) = (k.sample(vu), k.sample(vu));
+            let aborted = |e: &mut Environment| {
+                e.is_crashed(a) || e.is_crashed(b) || e.message_lost() || e.message_lost()
+            };
+            if SCENARIO && k.env().is_some_and(aborted) {
+                (gen[v], col[v])
+            } else {
+                let (a, b) = (a as usize, b as usize);
+                step_node(gen[v], col[v], gen[a], col[a], gen[b], col[b], two_choices)
+            }
+        };
+        new_gen[v] = g;
+        new_col[v] = c;
+    }
+}
+
 /// Algorithm 1's node state and round, run by the round kernel.
 struct SyncRule<'a> {
     cfg: &'a SyncConfig,
@@ -272,29 +305,15 @@ impl RoundProtocol for SyncRule<'_> {
         let parent_bias = table.bias_in(parent_gen).unwrap_or(f64::INFINITY);
         let parent_collision = table.collision_in(parent_gen);
 
-        // A crashed node freezes; a node whose samples hit a crashed peer
-        // or a lost channel aborts this round's interaction and keeps its
-        // state.
         let (gen, col) = (&self.gen, &self.col);
-        for v in 0..gen.len() {
-            let vu = v as u32;
-            let (g, c) = if SCENARIO && k.env().is_some_and(|e| e.is_crashed(vu)) {
-                (gen[v], col[v])
-            } else {
-                let (a, b) = (k.sample(vu), k.sample(vu));
-                let aborted = |e: &mut Environment| {
-                    e.is_crashed(a) || e.is_crashed(b) || e.message_lost() || e.message_lost()
-                };
-                if SCENARIO && k.env().is_some_and(aborted) {
-                    (gen[v], col[v])
-                } else {
-                    let (a, b) = (a as usize, b as usize);
-                    step_node(gen[v], col[v], gen[a], col[a], gen[b], col[b], two_choices)
-                }
-            };
-            self.new_gen[v] = g;
-            self.new_col[v] = c;
-        }
+        update::<SCENARIO>(
+            k,
+            gen,
+            col,
+            &mut self.new_gen,
+            &mut self.new_col,
+            two_choices,
+        );
         let table = &mut self.table;
         for v in 0..gen.len() {
             if self.new_gen[v] != gen[v] || self.new_col[v] != col[v] {
