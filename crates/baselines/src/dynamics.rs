@@ -168,19 +168,20 @@ struct Rule {
     peak_undecided: f64,
 }
 
-impl Rule {
-    /// Node `v`'s next color. Each sample is checked as soon as it is
+impl Dynamics {
+    /// Node `v`'s next color under this rule, against the colors `cols`
+    /// of the previous round. Each sample is checked as soon as it is
     /// drawn (a blocked channel keeps the node's own color and skips the
     /// remaining checks), and 3-majority's tie-break comes last.
     #[inline]
-    fn update<const SCENARIO: bool>(&self, k: &mut Round, v: u32, own: u32) -> u32 {
-        let col = |s: u32| self.col[s as usize];
+    fn update<const SCENARIO: bool>(self, cols: &[u32], k: &mut Round, v: u32, own: u32) -> u32 {
+        let col = |s: u32| cols[s as usize];
         // A sampled channel is unusable if the peer is crashed or,
         // failing that, the channel is lost to a burst.
         let blocked = |k: &mut Round, s: u32| {
             SCENARIO && k.env().is_some_and(|e| e.is_crashed(s) || e.message_lost())
         };
-        match self.dynamics {
+        match self {
             Dynamics::PullVoting => {
                 let s = k.sample(v);
                 if blocked(k, s) {
@@ -243,13 +244,13 @@ impl RoundProtocol for Rule {
     }
 
     fn step<const SCENARIO: bool>(&mut self, k: &mut Round, round: u64) -> Option<bool> {
-        for v in 0..self.col.len() {
-            let own = self.col[v];
-            let vu = v as u32;
-            self.next[v] = if SCENARIO && k.env().is_some_and(|e| e.is_crashed(vu)) {
+        let cols = &self.col[..];
+        for (v, next) in self.next.iter_mut().enumerate() {
+            let (vu, own) = (v as u32, cols[v]);
+            *next = if SCENARIO && k.env().is_some_and(|e| e.is_crashed(vu)) {
                 own
             } else {
-                self.update::<SCENARIO>(k, vu, own)
+                self.dynamics.update::<SCENARIO>(cols, k, vu, own)
             };
         }
         // Re-tally (cheaper than incremental transfer bookkeeping here).
