@@ -122,10 +122,18 @@ impl PopulationConfig {
         seed: u64,
     ) -> Self {
         assert_eq!(assignment.k(), 2, "population protocols here are binary");
-        let mut rng = Xoshiro256PlusPlus::from_u64(seed);
-        let ops = assignment.materialize(&mut rng);
-        let counts = OpinionCounts::tally(&ops, 2);
-        Self::new(protocol, counts.n(), counts.support(Opinion::new(0))).with_seed(seed)
+        // Only the size of opinion A matters. The deterministic recipes
+        // state it; a Zipf split is drawn and tallied on its own stream.
+        let (n, a) = match assignment {
+            InitialAssignment::Exact(counts) => (counts[0] + counts[1], counts[0]),
+            InitialAssignment::Uniform { n, .. } => (*n, n - n / 2),
+            InitialAssignment::Zipf { .. } => {
+                let mut rng = Xoshiro256PlusPlus::from_u64(seed);
+                let counts = OpinionCounts::tally(&assignment.materialize(&mut rng), 2);
+                (counts.n(), counts.support(Opinion::new(0)))
+            }
+        };
+        Self::new(protocol, n, a).with_seed(seed)
     }
 
     plurality_core::round_param_setters!();
@@ -437,6 +445,44 @@ mod tests {
         let r = cfg.run();
         assert_eq!(r.outcome.n, 100);
         assert_eq!(r.outcome.winner(), Some(Opinion::new(0)));
+    }
+
+    #[test]
+    fn from_assignment_counts_match_a_materialized_tally() {
+        let assignments = [
+            InitialAssignment::Exact(vec![60, 40]),
+            InitialAssignment::Exact(vec![0, 7]),
+            InitialAssignment::Exact(vec![1_000, 999]),
+            InitialAssignment::Uniform { n: 100, k: 2 },
+            InitialAssignment::Uniform { n: 101, k: 2 },
+            InitialAssignment::Zipf {
+                n: 500,
+                k: 2,
+                s: 1.2,
+            },
+        ];
+        for a in &assignments {
+            for seed in 0..6 {
+                let mut rng = Xoshiro256PlusPlus::from_u64(seed);
+                let counts = OpinionCounts::tally(&a.materialize(&mut rng), 2);
+                for protocol in [
+                    PopulationProtocol::ApproximateMajority,
+                    PopulationProtocol::ExactMajority,
+                ] {
+                    let tallied = PopulationConfig::new(
+                        protocol,
+                        counts.n(),
+                        counts.support(Opinion::new(0)),
+                    )
+                    .with_seed(seed);
+                    assert_eq!(
+                        PopulationConfig::from_assignment(protocol, a, seed),
+                        tallied,
+                        "{a:?}, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -178,6 +178,39 @@ fn sampler_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
             std::hint::black_box(acc);
         }),
     ));
+    // The async kernel's own queue pattern, one loop iteration per call:
+    // a steady hold model of ~2k pending events raced by an external tick
+    // chain through `pop_before`. A hit schedules the event's successor an
+    // Erlang(3) delay later; a miss advances the clock to the tick (one in
+    // five iterations). Delays come from a precomputed table, so the key
+    // times the queue, not the samplers.
+    let delays: Vec<f64> = (0..4096).map(|_| exp.sample(&mut rng)).collect();
+    let mut q = CalendarQueue::new();
+    for i in 0..2_000u32 {
+        q.schedule(delays[i as usize], i);
+    }
+    let (mut tick, mut d) = (0.0f64, 0usize);
+    let mut hold_step = || {
+        let mut draw = || {
+            d = (d + 1) & 4095;
+            delays[d]
+        };
+        match q.pop_before(tick) {
+            Some((t, ev)) => q.schedule(t + (draw() + draw() + draw()) / 3.0, ev),
+            None => {
+                q.advance_to(tick);
+                tick += 0.002 * draw();
+            }
+        }
+    };
+    // Settle the ramp-up resizes before timing.
+    for _ in 0..100_000 {
+        hold_step();
+    }
+    metrics.push((
+        "sim/calendar_queue_hold_2k_ns".into(),
+        median_ns(eff.batch(200_000), eff.timing_samples, hold_step),
+    ));
 }
 
 fn engine_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {

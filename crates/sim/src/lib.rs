@@ -15,10 +15,13 @@
 //! of its `u64` seed (see `plurality_dist::rng`), and the queue breaks
 //! timestamp ties by insertion order.
 //!
-//! The [`CalendarQueue`] (O(1) amortized bucketed calendar queue) pops in
-//! the bit-identical order of the original binary-heap [`HeapQueue`],
-//! which stays as the reference oracle of the equivalence property tests
-//! in `tests/queue_properties.rs`.
+//! The [`CalendarQueue`] (O(1) amortized bucketed calendar queue) keeps
+//! its entries in one slab of 32-byte keys plus a parallel payload array,
+//! with each bucket an intrusive linked list through the keys, so its
+//! steady state allocates nothing and its scans read no payloads. It pops
+//! in the bit-identical order of a binary heap keyed on `(time, seq)`; that
+//! heap lives in `tests/queue_properties.rs` as the reference oracle of the
+//! equivalence property tests.
 //!
 //! ## Example
 //!
@@ -47,4 +50,4 @@ pub mod queue;
 
 pub use clock::PoissonClock;
 pub use metrics::{EventLog, Series};
-pub use queue::{CalendarQueue, HeapQueue, QueueProfile, ResizeRecord};
+pub use queue::{CalendarQueue, QueueProfile, ResizeRecord};

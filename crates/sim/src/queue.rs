@@ -2,26 +2,21 @@
 //!
 //! The asynchronous protocols are executed as discrete-event simulations:
 //! ticks, channel completions, and signal arrivals are events scheduled at
-//! continuous timestamps. The queue orders events by `(time, insertion
-//! sequence)`, so simultaneous events (a probability-zero occurrence with
-//! continuous clocks, but possible with deterministic latencies) are resolved
-//! in insertion order — making every run a pure function of the seed.
+//! continuous timestamps. [`CalendarQueue`] orders events by `(time,
+//! insertion sequence)`, so simultaneous events (a probability-zero
+//! occurrence with continuous clocks, but possible with deterministic
+//! latencies) are resolved in insertion order — making every run a pure
+//! function of the seed.
 //!
-//! Two implementations share this contract:
-//!
-//! * [`CalendarQueue`] — the engines' queue: a bucketed calendar queue
-//!   (Brown 1988) tuned for the near-homogeneous Poisson event populations
-//!   the engines generate: O(1) amortized push and pop, lazy power-of-two
-//!   bucket resizing, and the exact `(time, seq)` order of the heap (see
-//!   the determinism argument on the type).
-//! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept as the
-//!   reference oracle for the cross-implementation equivalence property
-//!   tests in `tests/queue_properties.rs`.
+//! It is a bucketed calendar queue (Brown 1988) tuned for the
+//! near-homogeneous Poisson event populations the engines generate: O(1)
+//! amortized push and pop, lazy power-of-two bucket resizing, and exactly
+//! the pop order of a binary heap keyed on `(time, seq)` (see the
+//! determinism argument on the type). That heap survives only as the
+//! reference oracle of the equivalence property tests in
+//! `tests/queue_properties.rs`.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// Always-on operation counters both queue implementations keep —
+/// Always-on operation counters of the queue —
 /// plain integer increments on paths that already mutate the queue, so
 /// they cost nothing measurable and consume no RNG. Engines surface
 /// them through their profiling hooks so `perf_snapshot` can localize a
@@ -33,7 +28,7 @@ pub struct QueueProfile {
     pub pushes: u64,
     /// Events popped.
     pub pops: u64,
-    /// Bucket-array resizes (always 0 for [`HeapQueue`]).
+    /// Bucket-array resizes.
     pub resizes: u64,
 }
 
@@ -48,194 +43,6 @@ pub struct ResizeRecord {
     pub buckets: u64,
     /// New bucket width.
     pub width: f64,
-}
-
-/// A single scheduled entry of the [`HeapQueue`].
-#[derive(Debug, Clone)]
-struct QueueEntry<E> {
-    time: f64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for QueueEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for QueueEntry<E> {}
-
-impl<E> PartialOrd for QueueEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for QueueEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering: BinaryHeap is a max-heap, we want earliest first.
-        // `time` is guaranteed finite by `HeapQueue::schedule`.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event times are finite")
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A binary-heap future-event list ordering events by time, breaking ties
-/// by insertion order — the pre-calendar implementation, kept as the
-/// reference oracle for the equivalence property tests.
-///
-/// # Examples
-///
-/// ```
-/// use plurality_sim::HeapQueue;
-/// let mut q = HeapQueue::new();
-/// q.schedule(2.0, "late");
-/// q.schedule(1.0, "early");
-/// assert_eq!(q.pop(), Some((1.0, "early")));
-/// assert_eq!(q.pop(), Some((2.0, "late")));
-/// assert_eq!(q.pop(), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<QueueEntry<E>>,
-    seq: u64,
-    now: f64,
-    profile: QueueProfile,
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: 0.0,
-            profile: QueueProfile::default(),
-        }
-    }
-
-    /// Creates an empty queue with pre-allocated capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            heap: BinaryHeap::with_capacity(capacity),
-            seq: 0,
-            now: 0.0,
-            profile: QueueProfile::default(),
-        }
-    }
-
-    /// Operation counters since construction (resizes are always 0 for
-    /// the heap).
-    pub fn profile(&self) -> QueueProfile {
-        self.profile
-    }
-
-    /// The current simulation time: the timestamp of the last popped event
-    /// or the last [`HeapQueue::advance_to`] call, whichever is later
-    /// (zero initially). Time never runs backwards.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Timestamp of the next event, if any.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Schedules `event` at absolute time `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is NaN/infinite or lies strictly in the past
-    /// (before [`HeapQueue::now`]).
-    pub fn schedule(&mut self, time: f64, event: E) {
-        assert!(time.is_finite(), "schedule: event time must be finite");
-        assert!(
-            time >= self.now,
-            "schedule: event time {time} is before current time {}",
-            self.now
-        );
-        let entry = QueueEntry {
-            time,
-            seq: self.seq,
-            event,
-        };
-        self.seq += 1;
-        self.profile.pushes += 1;
-        self.heap.push(entry);
-    }
-
-    /// Schedules `event` at `delay` after the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is negative or not finite.
-    pub fn schedule_in(&mut self, delay: f64, event: E) {
-        assert!(
-            delay.is_finite() && delay >= 0.0,
-            "schedule_in: delay must be a non-negative finite number, got {delay}"
-        );
-        self.schedule(self.now + delay, event);
-    }
-
-    /// Removes and returns the earliest event, advancing the clock to its
-    /// timestamp.
-    pub fn pop(&mut self) -> Option<(f64, E)> {
-        let entry = self.heap.pop()?;
-        self.now = entry.time;
-        self.profile.pops += 1;
-        Some((entry.time, entry.event))
-    }
-
-    /// Removes and returns the earliest event if its timestamp is at most
-    /// `limit`; otherwise leaves the queue untouched and returns `None`.
-    ///
-    /// This replaces the peek-then-pop double comparison in engine drain
-    /// loops with a single ordered lookup.
-    pub fn pop_before(&mut self, limit: f64) -> Option<(f64, E)> {
-        if self.heap.peek()?.time > limit {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Advances the clock to `time` without popping — used by engines that
-    /// interleave the queue with externally maintained event sources (the
-    /// superposed Poisson tick chains), so `schedule` keeps rejecting
-    /// genuinely past timestamps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is NaN/infinite or lies strictly in the past.
-    pub fn advance_to(&mut self, time: f64) {
-        assert!(time.is_finite(), "advance_to: time must be finite");
-        assert!(
-            time >= self.now,
-            "advance_to: time {time} is before current time {}",
-            self.now
-        );
-        self.now = time;
-    }
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Smallest bucket array the calendar queue keeps (a power of two).
@@ -265,20 +72,25 @@ const TARGET_OCCUPANCY: f64 = 2.0;
 /// [`SCAN_TUNE_THRESHOLD`].
 const WIDTH_DRIFT: f64 = 1.5;
 
-/// A single scheduled entry of the [`CalendarQueue`]. `vb` caches the
-/// entry's *virtual bucket* `⌊time / width⌋` under the width in force when
-/// the entry was (re-)bucketed, so the pop-time year scan compares exact
-/// integers instead of re-deriving bucket years from floats.
-#[derive(Debug, Clone)]
-struct CalEntry<E> {
+/// "No slot": the end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// The ordering key of one slab slot. `vb` caches the entry's *virtual
+/// bucket* `⌊time / width⌋` under the width in force when the entry was
+/// (re-)bucketed, so the pop-time year scan compares exact integers instead
+/// of re-deriving bucket years from floats. `next` links the slot into its
+/// bucket's list while it is live, and into the free list once popped.
+/// 32 bytes: a scan reads keys only, never the event payloads.
+#[derive(Debug, Clone, Copy)]
+struct Key {
     time: f64,
     seq: u64,
     vb: u64,
-    event: E,
+    next: u32,
 }
 
-/// A bucketed calendar queue (Brown 1988) with the exact `(time, seq)` pop
-/// order of [`HeapQueue`].
+/// A bucketed calendar queue (Brown 1988) popping in exactly the
+/// `(time, seq)` order of a binary heap.
 ///
 /// Timestamps map to *virtual buckets* `vb = ⌊time / width⌋`; virtual
 /// bucket `vb` lives in physical bucket `vb mod nbuckets` (nbuckets a
@@ -292,6 +104,16 @@ struct CalEntry<E> {
 /// (`TARGET_OCCUPANCY` pop gaps per bucket), so steady-state operations
 /// touch O(1) entries without any tuning input from the caller.
 ///
+/// # Storage
+///
+/// Entries live in one slab of slots: a 32-byte key array (`time`, `seq`,
+/// `vb`, `next`) and a parallel payload array. A physical bucket is the
+/// head index of an intrusive singly linked list threaded through the
+/// keys' `next` fields, and popped slots go onto a free list threaded
+/// through the same field. So a scan reads keys only, a steady state
+/// allocates nothing, and a resize relinks the live slots in place,
+/// allocating only the new head array.
+///
 /// # Determinism
 ///
 /// The pop order is exactly the heap's, not merely equivalent in law:
@@ -301,15 +123,17 @@ struct CalEntry<E> {
 ///   order), so every entry in the first non-empty virtual bucket precedes
 ///   every entry in later ones, and *equal* timestamps always share a
 ///   virtual bucket — the `(time, seq)` minimum inside that bucket is the
-///   global minimum, with the insertion-order tie-break intact.
+///   global minimum, with the insertion-order tie-break intact. That
+///   minimum does not depend on the order of a bucket's list, so neither
+///   the pop order nor any resize decision does.
 /// * The cursor only ever commits to the virtual bucket of an actually
-///   popped entry (never during [`CalendarQueue::peek_time`] or a
-///   [`CalendarQueue::pop_before`] miss), and `schedule` rejects past
-///   timestamps, so no entry can land below the cursor and be skipped.
+///   popped entry (never during a [`CalendarQueue::pop_before`] miss), and
+///   `schedule` rejects past timestamps, so no entry can land below the
+///   cursor and be skipped.
 ///
 /// The property tests in `tests/queue_properties.rs` assert bit-identical
-/// pop sequences against [`HeapQueue`] on adversarial schedules (dense
-/// ties, interleaved push/pop, resize churn).
+/// pop sequences against a binary-heap oracle on adversarial schedules
+/// (dense ties, interleaved push/pop, resize churn).
 ///
 /// # Examples
 ///
@@ -324,9 +148,16 @@ struct CalEntry<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CalendarQueue<E> {
-    /// Physical buckets; length is a power of two.
-    buckets: Vec<Vec<CalEntry<E>>>,
-    /// `buckets.len() - 1`, for masking virtual bucket numbers.
+    /// Slot keys; live slots are linked into `heads`, the rest into
+    /// `free`.
+    keys: Vec<Key>,
+    /// Slot payloads, parallel to `keys` (`None` on free slots).
+    events: Vec<Option<E>>,
+    /// Head slot of each physical bucket's list; length is a power of two.
+    heads: Vec<u32>,
+    /// Head of the free-slot list.
+    free: u32,
+    /// `heads.len() - 1`, for masking virtual bucket numbers.
     mask: u64,
     /// Current bucket width in time units.
     width: f64,
@@ -350,7 +181,7 @@ pub struct CalendarQueue<E> {
     examined_since_tune: u64,
     /// Value of `now` at the last resize, for the pop-rate measurement.
     last_tune_now: f64,
-    /// Memoized front: `(time, seq, bucket, index, examined)` of the
+    /// Memoized front: `(slot, bucket, examined)` of the
     /// `(time, seq)`-minimal pending entry, plus the scan cost that
     /// located it (billed to the tuning stats when the entry is actually
     /// popped). Engines running an external tick chain peek far more
@@ -358,7 +189,7 @@ pub struct CalendarQueue<E> {
     /// instead of re-walking the same empty-bucket run. Invalidated by
     /// any mutation that can move the front (pops, resizes); updated in
     /// place by a schedule that beats it.
-    front: Option<(f64, u64, usize, usize, usize)>,
+    front: Option<(u32, usize, usize)>,
     /// Always-on operation counters (pushes / pops / resizes).
     profile: QueueProfile,
     /// Opt-in resize log (`Some` iff tracing is enabled); timestamps are
@@ -371,7 +202,10 @@ impl<E> CalendarQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         Self {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            keys: Vec::new(),
+            events: Vec::new(),
+            heads: vec![NIL; MIN_BUCKETS],
+            free: NIL,
             mask: (MIN_BUCKETS - 1) as u64,
             width: 1.0,
             inv_width: 1.0,
@@ -441,25 +275,21 @@ impl<E> CalendarQueue<E> {
         (time * self.inv_width) as u64
     }
 
-    /// Locates the `(time, seq)`-minimal entry as `(physical bucket,
-    /// index within it, buckets + entries examined)`, serving from the
-    /// front memo when it is valid and scanning (then filling the memo)
-    /// otherwise.
-    fn locate(&mut self) -> Option<(usize, usize, usize)> {
-        if let Some((_, _, bi, i, examined)) = self.front {
-            return Some((bi, i, examined));
+    /// Locates the `(time, seq)`-minimal entry as `(slot, physical bucket,
+    /// buckets + entries examined)`, serving from the front memo when it
+    /// is valid and scanning (then filling the memo) otherwise.
+    fn locate(&mut self) -> Option<(u32, usize, usize)> {
+        if self.front.is_none() {
+            self.front = self.locate_scan();
         }
-        let (bi, i, examined) = self.locate_scan()?;
-        let e = &self.buckets[bi][i];
-        self.front = Some((e.time, e.seq, bi, i, examined));
-        Some((bi, i, examined))
+        self.front
     }
 
     /// The scanning body of [`CalendarQueue::locate`]: walks buckets from
     /// the cursor without consulting or mutating the memo. The examined
     /// count lets the popping paths detect a mistuned width and trigger a
     /// retune.
-    fn locate_scan(&self) -> Option<(usize, usize, usize)> {
+    fn locate_scan(&self) -> Option<(u32, usize, usize)> {
         if self.len == 0 {
             return None;
         }
@@ -467,44 +297,41 @@ impl<E> CalendarQueue<E> {
         // holding an entry contains the global minimum (see the
         // determinism argument on the type).
         let mut examined = 0usize;
-        for off in 0..self.buckets.len() as u64 {
+        for off in 0..self.heads.len() as u64 {
             let vb = self.cursor.wrapping_add(off);
             let bi = (vb & self.mask) as usize;
-            let bucket = &self.buckets[bi];
-            examined += 1 + bucket.len();
-            let mut best: Option<(usize, f64, u64)> = None;
-            for (i, e) in bucket.iter().enumerate() {
-                if e.vb == vb
-                    && !best.is_some_and(|(_, bt, bs)| e.time > bt || (e.time == bt && e.seq > bs))
+            let mut best: Option<(u32, f64, u64)> = None;
+            let mut slot = self.heads[bi];
+            examined += 1;
+            while slot != NIL {
+                let k = &self.keys[slot as usize];
+                examined += 1;
+                if k.vb == vb
+                    && !best.is_some_and(|(_, bt, bs)| k.time > bt || (k.time == bt && k.seq > bs))
                 {
-                    best = Some((i, e.time, e.seq));
+                    best = Some((slot, k.time, k.seq));
                 }
+                slot = k.next;
             }
-            if let Some((i, _, _)) = best {
-                return Some((bi, i, examined));
+            if let Some((slot, _, _)) = best {
+                return Some((slot, bi, examined));
             }
         }
         // A whole year was empty: the pending entries are sparse relative
         // to the bucket range (far-future outliers). Fall back to a direct
         // scan for the global minimum — O(len), rare by construction.
-        let mut best: Option<(usize, usize, f64, u64)> = None;
-        for (bi, bucket) in self.buckets.iter().enumerate() {
-            for (i, e) in bucket.iter().enumerate() {
-                if !best.is_some_and(|(_, _, bt, bs)| e.time > bt || (e.time == bt && e.seq > bs)) {
-                    best = Some((bi, i, e.time, e.seq));
+        let mut best: Option<(u32, usize, f64, u64)> = None;
+        for (bi, &head) in self.heads.iter().enumerate() {
+            let mut slot = head;
+            while slot != NIL {
+                let k = &self.keys[slot as usize];
+                if !best.is_some_and(|(_, _, bt, bs)| k.time > bt || (k.time == bt && k.seq > bs)) {
+                    best = Some((slot, bi, k.time, k.seq));
                 }
+                slot = k.next;
             }
         }
-        best.map(|(bi, i, _, _)| (bi, i, usize::MAX))
-    }
-
-    /// Timestamp of the next event, if any.
-    pub fn peek_time(&self) -> Option<f64> {
-        if let Some((t, ..)) = self.front {
-            return Some(t);
-        }
-        self.locate_scan()
-            .map(|(bi, i, _)| self.buckets[bi][i].time)
+        best.map(|(slot, bi, _, _)| (slot, bi, usize::MAX))
     }
 
     /// Schedules `event` at absolute time `time`.
@@ -521,59 +348,76 @@ impl<E> CalendarQueue<E> {
             self.now
         );
         let vb = self.vbucket(time);
-        let seq = self.seq;
-        let entry = CalEntry {
+        let bi = (vb & self.mask) as usize;
+        let key = Key {
             time,
-            seq,
+            seq: self.seq,
             vb,
-            event,
+            next: self.heads[bi],
         };
         self.seq += 1;
         self.profile.pushes += 1;
-        let bi = (vb & self.mask) as usize;
-        self.buckets[bi].push(entry);
+        let slot = if self.free == NIL {
+            let slot = u32::try_from(self.keys.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("calendar queue: at most 2^32 - 1 pending events");
+            self.keys.push(key);
+            self.events.push(Some(event));
+            slot
+        } else {
+            let slot = self.free;
+            self.free = self.keys[slot as usize].next;
+            self.keys[slot as usize] = key;
+            self.events[slot as usize] = Some(event);
+            slot
+        };
+        self.heads[bi] = slot;
         self.len += 1;
         // A strictly earlier arrival takes over the front memo (on a time
         // tie the incumbent wins: its seq is necessarily smaller).
-        if let Some((ft, ..)) = self.front {
-            if time < ft {
-                self.front = Some((time, seq, bi, self.buckets[bi].len() - 1, 0));
+        if let Some((front, ..)) = self.front {
+            if time < self.keys[front as usize].time {
+                self.front = Some((slot, bi, 0));
             }
         }
-        if self.len > 2 * self.buckets.len() {
+        if self.len > 2 * self.heads.len() {
             self.resize();
         }
     }
 
-    /// Schedules `event` at `delay` after the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is negative or not finite.
-    pub fn schedule_in(&mut self, delay: f64, event: E) {
-        assert!(
-            delay.is_finite() && delay >= 0.0,
-            "schedule_in: delay must be a non-negative finite number, got {delay}"
-        );
-        self.schedule(self.now + delay, event);
-    }
-
     /// Removes the located entry, committing clock and cursor.
-    fn take(&mut self, bi: usize, i: usize, examined: usize) -> (f64, E) {
+    fn take(&mut self, slot: u32, bi: usize, examined: usize) -> (f64, E) {
         self.front = None;
-        let entry = self.buckets[bi].swap_remove(i);
+        // Unlink: lists are a few entries long, so finding the
+        // predecessor again is cheaper than carrying it in the memo.
+        let Key { time, vb, next, .. } = self.keys[slot as usize];
+        if self.heads[bi] == slot {
+            self.heads[bi] = next;
+        } else {
+            let mut prev = self.heads[bi];
+            while self.keys[prev as usize].next != slot {
+                prev = self.keys[prev as usize].next;
+            }
+            self.keys[prev as usize].next = next;
+        }
+        self.keys[slot as usize].next = self.free;
+        self.free = slot;
+        let event = self.events[slot as usize]
+            .take()
+            .expect("a linked slot holds an event");
         self.len -= 1;
-        self.now = entry.time;
-        self.cursor = entry.vb;
+        self.now = time;
+        self.cursor = vb;
         self.profile.pops += 1;
         self.pops_since_tune += 1;
         // A direct-search fallback scanned everything; bill it as such.
         self.examined_since_tune += if examined == usize::MAX {
-            (self.len + self.buckets.len()) as u64
+            (self.len + self.heads.len()) as u64
         } else {
             examined as u64
         };
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 8 {
+        if self.heads.len() > MIN_BUCKETS && self.len < self.heads.len() / 8 {
             self.resize();
         } else if self.pops_since_tune > (self.len / 2).max(32) {
             // End of a measurement window (at most once per `len/2` pops,
@@ -601,14 +445,14 @@ impl<E> CalendarQueue<E> {
                 self.last_tune_now = self.now;
             }
         }
-        (entry.time, entry.event)
+        (time, event)
     }
 
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        let (bi, i, examined) = self.locate()?;
-        Some(self.take(bi, i, examined))
+        let (slot, bi, examined) = self.locate()?;
+        Some(self.take(slot, bi, examined))
     }
 
     /// Removes and returns the earliest event if its timestamp is at most
@@ -617,11 +461,11 @@ impl<E> CalendarQueue<E> {
     /// This replaces the peek-then-pop double comparison in engine drain
     /// loops with a single ordered lookup.
     pub fn pop_before(&mut self, limit: f64) -> Option<(f64, E)> {
-        let (bi, i, examined) = self.locate()?;
-        if self.buckets[bi][i].time > limit {
+        let (slot, bi, examined) = self.locate()?;
+        if self.keys[slot as usize].time > limit {
             return None;
         }
-        Some(self.take(bi, i, examined))
+        Some(self.take(slot, bi, examined))
     }
 
     /// Advances the clock to `time` without popping — used by engines that
@@ -649,6 +493,7 @@ impl<E> CalendarQueue<E> {
     /// rate beats span on skewed populations); before any pops have been
     /// observed (ramp-up growth from pure scheduling) it falls back to
     /// spreading the live span at ~1 entry per bucket over half a year.
+    /// Live slots are relinked in place; only the head array is new.
     fn resize(&mut self) {
         self.front = None;
         let nbuckets = self.len.max(MIN_BUCKETS).next_power_of_two();
@@ -657,10 +502,13 @@ impl<E> CalendarQueue<E> {
             TARGET_OCCUPANCY * pop_gap
         } else {
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for bucket in &self.buckets {
-                for e in bucket {
-                    lo = lo.min(e.time);
-                    hi = hi.max(e.time);
+            for &head in &self.heads {
+                let mut slot = head;
+                while slot != NIL {
+                    let k = &self.keys[slot as usize];
+                    lo = lo.min(k.time);
+                    hi = hi.max(k.time);
+                    slot = k.next;
                 }
             }
             let span = hi - lo;
@@ -679,14 +527,18 @@ impl<E> CalendarQueue<E> {
         self.width = width;
         self.inv_width = 1.0 / width;
         self.mask = (nbuckets - 1) as u64;
-        let old = std::mem::replace(
-            &mut self.buckets,
-            (0..nbuckets).map(|_| Vec::new()).collect(),
-        );
-        for bucket in old {
-            for mut e in bucket {
-                e.vb = self.vbucket(e.time);
-                self.buckets[(e.vb & self.mask) as usize].push(e);
+        let old = std::mem::replace(&mut self.heads, vec![NIL; nbuckets]);
+        for head in old {
+            let mut slot = head;
+            while slot != NIL {
+                let vb = self.vbucket(self.keys[slot as usize].time);
+                let bi = (vb & self.mask) as usize;
+                let k = &mut self.keys[slot as usize];
+                let next = k.next;
+                k.vb = vb;
+                k.next = self.heads[bi];
+                self.heads[bi] = slot;
+                slot = next;
             }
         }
         // All pending entries sit at or after `now`, so the cursor
@@ -716,143 +568,119 @@ impl<E> Default for CalendarQueue<E> {
 mod tests {
     use super::*;
 
-    /// The shared contract suite, instantiated for both implementations.
-    macro_rules! queue_contract_suite {
-        ($name:ident, $Q:ident) => {
-            mod $name {
-                use super::$Q;
+    /// The queue contract: time order, insertion-order ties, the clock.
+    mod calendar {
+        use super::CalendarQueue;
 
-                #[test]
-                fn pops_in_time_order() {
-                    let mut q = $Q::new();
-                    q.schedule(3.0, 3u32);
-                    q.schedule(1.0, 1u32);
-                    q.schedule(2.0, 2u32);
-                    assert_eq!(q.pop().unwrap().1, 1);
-                    assert_eq!(q.pop().unwrap().1, 2);
-                    assert_eq!(q.pop().unwrap().1, 3);
-                }
+        #[test]
+        fn pops_in_time_order() {
+            let mut q = CalendarQueue::new();
+            q.schedule(3.0, 3u32);
+            q.schedule(1.0, 1u32);
+            q.schedule(2.0, 2u32);
+            assert_eq!(q.pop().unwrap().1, 1);
+            assert_eq!(q.pop().unwrap().1, 2);
+            assert_eq!(q.pop().unwrap().1, 3);
+        }
 
-                #[test]
-                fn ties_break_by_insertion_order() {
-                    let mut q = $Q::new();
-                    for i in 0..100u32 {
-                        q.schedule(1.0, i);
-                    }
-                    for i in 0..100u32 {
-                        assert_eq!(q.pop().unwrap().1, i);
-                    }
-                }
-
-                #[test]
-                fn now_advances_with_pops() {
-                    let mut q = $Q::new();
-                    q.schedule(5.0, ());
-                    q.schedule(7.0, ());
-                    assert_eq!(q.now(), 0.0);
-                    q.pop();
-                    assert_eq!(q.now(), 5.0);
-                    q.pop();
-                    assert_eq!(q.now(), 7.0);
-                }
-
-                #[test]
-                fn schedule_in_is_relative() {
-                    let mut q = $Q::new();
-                    q.schedule(2.0, "a");
-                    q.pop();
-                    q.schedule_in(1.5, "b");
-                    assert_eq!(q.pop(), Some((3.5, "b")));
-                }
-
-                #[test]
-                #[should_panic(expected = "before current time")]
-                fn scheduling_in_the_past_panics() {
-                    let mut q = $Q::new();
-                    q.schedule(2.0, ());
-                    q.pop();
-                    q.schedule(1.0, ());
-                }
-
-                #[test]
-                #[should_panic(expected = "finite")]
-                fn scheduling_nan_panics() {
-                    let mut q = $Q::new();
-                    q.schedule(f64::NAN, ());
-                }
-
-                #[test]
-                fn len_and_empty_track_contents() {
-                    let mut q = $Q::new();
-                    assert!(q.is_empty());
-                    q.schedule(1.0, ());
-                    q.schedule(2.0, ());
-                    assert_eq!(q.len(), 2);
-                    q.pop();
-                    assert_eq!(q.len(), 1);
-                    assert!(!q.is_empty());
-                    q.pop();
-                    assert!(q.is_empty());
-                }
-
-                #[test]
-                fn peek_does_not_remove() {
-                    let mut q = $Q::new();
-                    q.schedule(4.0, ());
-                    assert_eq!(q.peek_time(), Some(4.0));
-                    assert_eq!(q.len(), 1);
-                }
-
-                #[test]
-                fn pop_before_respects_the_limit() {
-                    let mut q = $Q::new();
-                    q.schedule(1.0, "a");
-                    q.schedule(2.0, "b");
-                    assert_eq!(q.pop_before(0.5), None);
-                    assert_eq!(q.len(), 2, "a miss must not disturb the queue");
-                    assert_eq!(q.pop_before(1.0), Some((1.0, "a")), "limit is inclusive");
-                    assert_eq!(q.pop_before(10.0), Some((2.0, "b")));
-                    assert_eq!(q.pop_before(10.0), None);
-                }
-
-                #[test]
-                fn pop_before_miss_keeps_order_intact() {
-                    let mut q = $Q::new();
-                    q.schedule(5.0, 5u32);
-                    q.schedule(3.0, 3u32);
-                    assert_eq!(q.pop_before(1.0), None);
-                    // An earlier event scheduled *after* the miss must still
-                    // come out first.
-                    q.schedule(2.0, 2u32);
-                    assert_eq!(q.pop(), Some((2.0, 2)));
-                    assert_eq!(q.pop(), Some((3.0, 3)));
-                    assert_eq!(q.pop(), Some((5.0, 5)));
-                }
-
-                #[test]
-                fn advance_to_moves_now_only() {
-                    let mut q = $Q::new();
-                    q.schedule(4.0, ());
-                    q.advance_to(3.0);
-                    assert_eq!(q.now(), 3.0);
-                    assert_eq!(q.len(), 1);
-                    assert_eq!(q.pop(), Some((4.0, ())));
-                }
-
-                #[test]
-                #[should_panic(expected = "before current time")]
-                fn advance_to_rejects_the_past() {
-                    let mut q = $Q::new();
-                    q.schedule(2.0, ());
-                    q.pop();
-                    q.advance_to(1.0);
-                }
+        #[test]
+        fn ties_break_by_insertion_order() {
+            let mut q = CalendarQueue::new();
+            for i in 0..100u32 {
+                q.schedule(1.0, i);
             }
-        };
-    }
+            for i in 0..100u32 {
+                assert_eq!(q.pop().unwrap().1, i);
+            }
+        }
 
-    queue_contract_suite!(heap, HeapQueue);
-    queue_contract_suite!(calendar, CalendarQueue);
+        #[test]
+        fn now_advances_with_pops() {
+            let mut q = CalendarQueue::new();
+            q.schedule(5.0, ());
+            q.schedule(7.0, ());
+            assert_eq!(q.now(), 0.0);
+            q.pop();
+            assert_eq!(q.now(), 5.0);
+            q.pop();
+            assert_eq!(q.now(), 7.0);
+        }
+
+        #[test]
+        #[should_panic(expected = "before current time")]
+        fn scheduling_in_the_past_panics() {
+            let mut q = CalendarQueue::new();
+            q.schedule(2.0, ());
+            q.pop();
+            q.schedule(1.0, ());
+        }
+
+        #[test]
+        #[should_panic(expected = "finite")]
+        fn scheduling_nan_panics() {
+            let mut q = CalendarQueue::new();
+            q.schedule(f64::NAN, ());
+        }
+
+        #[test]
+        fn len_and_empty_track_contents() {
+            let mut q = CalendarQueue::new();
+            assert!(q.is_empty());
+            q.schedule(1.0, ());
+            q.schedule(2.0, ());
+            assert_eq!(q.len(), 2);
+            q.pop();
+            assert_eq!(q.len(), 1);
+            assert!(!q.is_empty());
+            q.pop();
+            assert!(q.is_empty());
+        }
+
+        #[test]
+        fn pop_before_respects_the_limit() {
+            let mut q = CalendarQueue::new();
+            q.schedule(1.0, "a");
+            q.schedule(2.0, "b");
+            assert_eq!(q.pop_before(0.5), None);
+            assert_eq!(q.len(), 2, "a miss must not disturb the queue");
+            assert_eq!(q.pop_before(1.0), Some((1.0, "a")), "limit is inclusive");
+            assert_eq!(q.pop_before(10.0), Some((2.0, "b")));
+            assert_eq!(q.pop_before(10.0), None);
+        }
+
+        #[test]
+        fn pop_before_miss_keeps_order_intact() {
+            let mut q = CalendarQueue::new();
+            q.schedule(5.0, 5u32);
+            q.schedule(3.0, 3u32);
+            assert_eq!(q.pop_before(1.0), None);
+            // An earlier event scheduled *after* the miss must still
+            // come out first.
+            q.schedule(2.0, 2u32);
+            assert_eq!(q.pop(), Some((2.0, 2)));
+            assert_eq!(q.pop(), Some((3.0, 3)));
+            assert_eq!(q.pop(), Some((5.0, 5)));
+        }
+
+        #[test]
+        fn advance_to_moves_now_only() {
+            let mut q = CalendarQueue::new();
+            q.schedule(4.0, ());
+            q.advance_to(3.0);
+            assert_eq!(q.now(), 3.0);
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.pop(), Some((4.0, ())));
+        }
+
+        #[test]
+        #[should_panic(expected = "before current time")]
+        fn advance_to_rejects_the_past() {
+            let mut q = CalendarQueue::new();
+            q.schedule(2.0, ());
+            q.pop();
+            q.advance_to(1.0);
+        }
+    }
 
     #[test]
     fn calendar_survives_growth_and_shrink_churn() {
@@ -921,6 +749,24 @@ mod tests {
         for i in 0..200u64 {
             assert_eq!(q.pop(), Some((123.456, i)));
         }
+    }
+
+    #[test]
+    fn calendar_reuses_popped_slots() {
+        // A hold model (every pop schedules one successor) through several
+        // retunes: popped slots are recycled through the free list, so the
+        // slab never outgrows the peak number of pending events.
+        let mut q = CalendarQueue::new();
+        for i in 0..100u64 {
+            q.schedule(i as f64 * 0.01, i);
+        }
+        for i in 100..20_000u64 {
+            let (t, _) = q.pop().unwrap();
+            q.schedule(t + 1.0 + (i % 13) as f64 * 0.1, i);
+        }
+        assert!(q.profile().resizes > 0);
+        assert_eq!(q.keys.len(), 100);
+        assert_eq!(q.events.len(), 100);
     }
 
     #[test]

@@ -3,9 +3,112 @@
 //! queue must reproduce the binary heap's pop sequence *bit-identically* —
 //! including `(time, seq)` tie-breaks — on adversarial schedules.
 
-use plurality_sim::{CalendarQueue, HeapQueue};
+use plurality_sim::CalendarQueue;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+/// One entry of the [`HeapQueue`] oracle.
+struct HeapEntry<E> {
+    time: f64,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for HeapEntry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<E> Eq for HeapEntry<E> {}
+
+impl<E> PartialOrd for HeapEntry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for HeapEntry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` is a max-heap and the earliest entry must
+        // come out first. Times are finite (checked by `schedule`).
+        other
+            .time
+            .total_cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The reference oracle: a binary-heap future-event list ordering events
+/// by time and breaking ties by insertion order, with the calendar
+/// queue's API and panics.
+struct HeapQueue<E> {
+    heap: BinaryHeap<HeapEntry<E>>,
+    seq: u64,
+    now: f64,
+}
+
+impl<E> HeapQueue<E> {
+    fn new() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            now: 0.0,
+        }
+    }
+
+    fn now(&self) -> f64 {
+        self.now
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    fn schedule(&mut self, time: f64, event: E) {
+        assert!(time.is_finite(), "schedule: event time must be finite");
+        assert!(
+            time >= self.now,
+            "schedule: event time {time} is before current time {}",
+            self.now
+        );
+        self.heap.push(HeapEntry {
+            time,
+            seq: self.seq,
+            event,
+        });
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(f64, E)> {
+        let entry = self.heap.pop()?;
+        self.now = entry.time;
+        Some((entry.time, entry.event))
+    }
+
+    fn pop_before(&mut self, limit: f64) -> Option<(f64, E)> {
+        if self.heap.peek()?.time > limit {
+            return None;
+        }
+        self.pop()
+    }
+
+    fn advance_to(&mut self, time: f64) {
+        assert!(time.is_finite(), "advance_to: time must be finite");
+        assert!(
+            time >= self.now,
+            "advance_to: time {time} is before current time {}",
+            self.now
+        );
+        self.now = time;
+    }
+}
 
 /// Drains both queues in lockstep, asserting identical `(time, event)`
 /// pops. Event payloads are unique ids, so payload equality pins the
@@ -68,7 +171,7 @@ proptest! {
             last = t;
             if budget > 0 && id < 1_000 {
                 budget -= 1;
-                q.schedule_in(0.5, id + 1_000);
+                q.schedule(t + 0.5, id + 1_000);
             }
         }
     }
@@ -134,8 +237,8 @@ proptest! {
                 // A coarse grid keeps exact ties frequent while the
                 // range spans several calendar years.
                 let delay = f64::from(op / 10) * 0.5;
-                cal.schedule_in(delay, next_id);
-                heap.schedule_in(delay, next_id);
+                cal.schedule(cal.now() + delay, next_id);
+                heap.schedule(heap.now() + delay, next_id);
                 next_id += 1;
             } else {
                 prop_assert_eq!(cal.pop(), heap.pop(), "mid-stream pop diverged");
@@ -157,8 +260,10 @@ proptest! {
             heap.schedule(t, i as u64);
         }
         for limit in limits {
+            // A probe below the limit (usually a miss) must leave both
+            // fronts where they were.
+            prop_assert_eq!(cal.pop_before(limit - 5.0), heap.pop_before(limit - 5.0));
             prop_assert_eq!(cal.pop_before(limit), heap.pop_before(limit));
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
         }
         assert_drain_equal(&mut cal, &mut heap)?;
     }
@@ -202,4 +307,201 @@ proptest! {
         }
         assert_drain_equal(&mut cal, &mut heap)?;
     }
+}
+
+// --- The oracle's own contract ---
+
+#[test]
+fn heap_oracle_pops_in_time_order() {
+    let mut q = HeapQueue::new();
+    q.schedule(3.0, 3u32);
+    q.schedule(1.0, 1u32);
+    q.schedule(2.0, 2u32);
+    assert_eq!(q.pop().unwrap().1, 1);
+    assert_eq!(q.pop().unwrap().1, 2);
+    assert_eq!(q.pop().unwrap().1, 3);
+}
+
+#[test]
+fn heap_oracle_ties_break_by_insertion_order() {
+    let mut q = HeapQueue::new();
+    for i in 0..100u32 {
+        q.schedule(1.0, i);
+    }
+    for i in 0..100u32 {
+        assert_eq!(q.pop().unwrap().1, i);
+    }
+}
+
+#[test]
+fn heap_oracle_now_advances_with_pops() {
+    let mut q = HeapQueue::new();
+    q.schedule(5.0, ());
+    q.schedule(7.0, ());
+    assert_eq!(q.now(), 0.0);
+    q.pop();
+    assert_eq!(q.now(), 5.0);
+    q.pop();
+    assert_eq!(q.now(), 7.0);
+}
+
+#[test]
+#[should_panic(expected = "before current time")]
+fn heap_oracle_scheduling_in_the_past_panics() {
+    let mut q = HeapQueue::new();
+    q.schedule(2.0, ());
+    q.pop();
+    q.schedule(1.0, ());
+}
+
+#[test]
+#[should_panic(expected = "finite")]
+fn heap_oracle_scheduling_nan_panics() {
+    let mut q = HeapQueue::new();
+    q.schedule(f64::NAN, ());
+}
+
+#[test]
+fn heap_oracle_len_and_empty_track_contents() {
+    let mut q = HeapQueue::new();
+    assert!(q.is_empty());
+    q.schedule(1.0, ());
+    q.schedule(2.0, ());
+    assert_eq!(q.len(), 2);
+    q.pop();
+    assert_eq!(q.len(), 1);
+    assert!(!q.is_empty());
+    q.pop();
+    assert!(q.is_empty());
+}
+
+#[test]
+fn heap_oracle_pop_before_respects_the_limit() {
+    let mut q = HeapQueue::new();
+    q.schedule(1.0, "a");
+    q.schedule(2.0, "b");
+    assert_eq!(q.pop_before(0.5), None);
+    assert_eq!(q.len(), 2, "a miss must not disturb the queue");
+    assert_eq!(q.pop_before(1.0), Some((1.0, "a")), "limit is inclusive");
+    assert_eq!(q.pop_before(10.0), Some((2.0, "b")));
+    assert_eq!(q.pop_before(10.0), None);
+}
+
+#[test]
+fn heap_oracle_pop_before_miss_keeps_order_intact() {
+    let mut q = HeapQueue::new();
+    q.schedule(5.0, 5u32);
+    q.schedule(3.0, 3u32);
+    assert_eq!(q.pop_before(1.0), None);
+    q.schedule(2.0, 2u32);
+    assert_eq!(q.pop(), Some((2.0, 2)));
+    assert_eq!(q.pop(), Some((3.0, 3)));
+    assert_eq!(q.pop(), Some((5.0, 5)));
+}
+
+#[test]
+fn heap_oracle_advance_to_moves_now_only() {
+    let mut q = HeapQueue::new();
+    q.schedule(4.0, ());
+    q.advance_to(3.0);
+    assert_eq!(q.now(), 3.0);
+    assert_eq!(q.len(), 1);
+    assert_eq!(q.pop(), Some((4.0, ())));
+}
+
+#[test]
+#[should_panic(expected = "before current time")]
+fn heap_oracle_advance_to_rejects_the_past() {
+    let mut q = HeapQueue::new();
+    q.schedule(2.0, ());
+    q.pop();
+    q.advance_to(1.0);
+}
+
+// --- Tier 2: a long engine-shaped run against the oracle ---
+
+/// 10⁶ operations in the async kernel's pattern, checked call by call
+/// against the heap: an external tick chain races the queue head through
+/// `pop_before` (a miss advances the clock with `advance_to`), each popped
+/// event schedules 0–2 successors, and the pending population is steered
+/// through targets from 16 to 8k so the bucket array keeps growing,
+/// shrinking and retuning. Delays mix exponential and Erlang draws, a
+/// coarse grid (exact time ties) and rare far-future outliers (the
+/// direct-scan fallback).
+#[test]
+#[ignore = "tier 2: 10^6 queue operations"]
+fn calendar_matches_heap_on_a_million_engine_shaped_operations() {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut unit = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        ((state >> 11) + 1) as f64 / (1u64 << 53) as f64
+    };
+    let mut cal = CalendarQueue::new();
+    let mut heap = HeapQueue::new();
+    let (mut ops, mut id, mut misses, mut hits) = (0u64, 0u64, 0u64, 0u64);
+    let mut tick = 0.0f64;
+    while ops < 1_000_000 {
+        let target = [64usize, 8_192, 512, 16, 2_048][(ops / 50_000) as usize % 5];
+        let popped = cal.pop_before(tick);
+        assert_eq!(
+            popped,
+            heap.pop_before(tick),
+            "pop_before diverged at op {ops}"
+        );
+        ops += 1;
+        let (now, successors) = match popped {
+            Some((t, _)) => {
+                hits += 1;
+                let len = cal.len();
+                (
+                    t,
+                    usize::from(len <= target) + usize::from(len < target / 2),
+                )
+            }
+            None => {
+                misses += 1;
+                cal.advance_to(tick);
+                heap.advance_to(tick);
+                ops += 1;
+                let now = tick;
+                tick += -0.01 * unit().ln();
+                (now, usize::from(cal.len() < target))
+            }
+        };
+        for _ in 0..successors {
+            let u = unit();
+            let delay = if u < 0.0005 {
+                1e6 * unit()
+            } else if u < 0.2 {
+                0.25 * (unit() * 8.0).floor()
+            } else if u < 0.6 {
+                -unit().ln()
+            } else {
+                -(unit() * unit() * unit()).ln() / 3.0
+            };
+            cal.schedule(now + delay, id);
+            heap.schedule(now + delay, id);
+            id += 1;
+            ops += 1;
+        }
+        assert_eq!(cal.len(), heap.len(), "len diverged at op {ops}");
+    }
+    loop {
+        let (c, h) = (cal.pop(), heap.pop());
+        assert_eq!(c, h, "drain diverged");
+        if c.is_none() {
+            break;
+        }
+    }
+    assert!(
+        hits > 100_000 && misses > 100_000,
+        "{hits} hits, {misses} misses"
+    );
+    assert!(
+        cal.profile().resizes > 50,
+        "{} resizes",
+        cal.profile().resizes
+    );
 }
