@@ -179,15 +179,16 @@ fn sampler_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
         }),
     ));
     // The async kernel's own queue pattern, one loop iteration per call:
-    // a steady hold model of ~2k pending events raced by an external tick
-    // chain through `pop_before`. A hit schedules the event's successor an
-    // Erlang(3) delay later; a miss advances the clock to the tick (one in
-    // five iterations). Delays come from a precomputed table, so the key
-    // times the queue, not the samplers.
+    // a steady hold model of ~2k pending 20-byte events (the size of the
+    // kernel's `Event`) raced by an external tick chain through
+    // `pop_before`. A hit schedules the event's successor an Erlang(3)
+    // delay later; a miss advances the clock to the tick (one in five
+    // iterations). Delays come from a precomputed table, so the key times
+    // the queue, not the samplers.
     let delays: Vec<f64> = (0..4096).map(|_| exp.sample(&mut rng)).collect();
     let mut q = CalendarQueue::new();
     for i in 0..2_000u32 {
-        q.schedule(delays[i as usize], i);
+        q.schedule(delays[i as usize], [i; 5]);
     }
     let (mut tick, mut d) = (0.0f64, 0usize);
     let mut hold_step = || {

@@ -18,7 +18,7 @@ struct HeapEntry<E> {
 
 impl<E> PartialEq for HeapEntry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        self.time == other.time && self.seq == other.seq
     }
 }
 
@@ -36,7 +36,8 @@ impl<E> Ord for HeapEntry<E> {
         // come out first. Times are finite (checked by `schedule`).
         other
             .time
-            .total_cmp(&self.time)
+            .partial_cmp(&self.time)
+            .expect("event times are finite")
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
