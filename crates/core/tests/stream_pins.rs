@@ -8,7 +8,9 @@
 //! bits of the run duration, the final opinion counts, and an FNV-1a hash
 //! of the whole result's `Debug` text. A refactor of the engines must
 //! leave every line below byte-identical; a deliberate re-stream must
-//! re-record them and say so.
+//! re-record them and say so. The `*_outcomes` pins of the
+//! non-exponential travel laws leave the `EngineProfile` counters out
+//! (see [`outcome_pin`]): they pin the run, not its queue traffic.
 
 use plurality_core::cluster::ClusterConfig;
 use plurality_core::leader::LeaderConfig;
@@ -189,6 +191,210 @@ fn cluster_stragglers() {
 fn cluster_stragglers_sparse() {
     let cfg = cluster(1_000, 9).with_topology(Topology::PreferentialAttachment { m: 4 });
     check_cluster(cfg.with_scenario(Scenario::parse("stragglers:0.2:0.2").unwrap()), "ticks=269505 popped=51225 thinned=0 resizes=5 crossings=21 duration=0x40741b9bdc07b8bc counts=[1000, 0] hash=0xa6de53ea63331245");
+}
+
+/// An outcome-only pin: the tick count, the duration's bits, the final
+/// counts and the FNV-1a hash of the result's `Debug` text with its
+/// `profile` and `trace` cleared. The cases below run the 0-signal path
+/// of non-exponential travel laws, which may route its arrivals through
+/// any exact mechanism (and so pop, resize and cross differently) but
+/// must keep every observable of the run.
+fn outcome_pin(ticks: u64, o: &RunOutcome, debug: &str) -> String {
+    format!(
+        "ticks={ticks} duration={:#018x} counts={:?} hash={:#018x}",
+        o.duration.to_bits(),
+        o.final_counts.as_slice(),
+        fnv1a(debug),
+    )
+}
+
+/// The four non-exponential travel laws of the outcome pins.
+fn law(name: &str) -> Latency {
+    match name {
+        "erlang" => Latency::erlang(3, 3.0),
+        "weibull" => Latency::weibull_with_mean(2.0, 1.0),
+        "uniform" => Latency::uniform(0.5, 1.5),
+        "deterministic" => Latency::deterministic(1.0),
+        _ => unreachable!("unknown law {name}"),
+    }
+    .unwrap()
+}
+
+/// Each law's outcome cases: two seeds on the complete graph, then two
+/// on a smaller ring whose runs are capped at 400 steps.
+fn outcome_cases() -> [(u64, Topology, u64); 4] {
+    [
+        (800, Topology::Complete, 21),
+        (800, Topology::Complete, 22),
+        (200, Topology::Ring, 23),
+        (200, Topology::Ring, 24),
+    ]
+}
+
+fn leader_outcome(cfg: LeaderConfig) -> String {
+    let mut r = cfg.run();
+    (r.profile, r.trace) = (EngineProfile::default(), None);
+    outcome_pin(r.ticks, &r.outcome, &format!("{r:?}"))
+}
+
+fn cluster_outcome(cfg: ClusterConfig) -> String {
+    let mut r = cfg.run();
+    (r.profile, r.trace) = (EngineProfile::default(), None);
+    outcome_pin(r.ticks, &r.outcome, &format!("{r:?}"))
+}
+
+fn check_leader_outcomes(name: &str, expected: [&str; 4]) {
+    let got = outcome_cases().map(|(n, topology, seed)| {
+        let cfg = leader(n, seed)
+            .with_latency(law(name))
+            .with_topology(topology);
+        leader_outcome(match topology {
+            Topology::Ring => cfg.with_max_time(400.0),
+            _ => cfg,
+        })
+    });
+    assert_eq!(got, expected, "leader, {name} latency");
+}
+
+fn check_cluster_outcomes(name: &str, expected: [&str; 4]) {
+    let got = outcome_cases().map(|(n, topology, seed)| {
+        let cfg = cluster(n, seed)
+            .with_latency(law(name))
+            .with_topology(topology);
+        cluster_outcome(match topology {
+            Topology::Ring => cfg.with_max_time(400.0),
+            _ => cfg,
+        })
+    });
+    assert_eq!(got, expected, "cluster, {name} latency");
+}
+
+#[test]
+fn leader_erlang_outcomes() {
+    check_leader_outcomes(
+        "erlang",
+        [
+            "ticks=54436 duration=0x40510021aede0ff0 counts=[800, 0] hash=0xd6974677b1f7720b",
+            "ticks=61334 duration=0x4052f843b3bcddc7 counts=[800, 0] hash=0x0f755c5bf091a544",
+            "ticks=80405 duration=0x4079000000000000 counts=[158, 42] hash=0x77deb03dff12fa4e",
+            "ticks=80016 duration=0x4079000000000000 counts=[142, 58] hash=0x80d62cdf5ce1041c",
+        ],
+    );
+}
+
+#[test]
+fn leader_weibull_outcomes() {
+    check_leader_outcomes(
+        "weibull",
+        [
+            "ticks=52785 duration=0x4050949758e3c0b0 counts=[800, 0] hash=0xa9e9acca679bac07",
+            "ticks=59799 duration=0x4052a0620773be37 counts=[800, 0] hash=0xb3b575d45216f9cc",
+            "ticks=80363 duration=0x4079000000000000 counts=[167, 33] hash=0x39f60d2c32a3aacb",
+            "ticks=79555 duration=0x4079000000000000 counts=[153, 47] hash=0x8bad5562a75e70c6",
+        ],
+    );
+}
+
+#[test]
+fn leader_uniform_outcomes() {
+    check_leader_outcomes(
+        "uniform",
+        [
+            "ticks=54525 duration=0x40511e0d83bfe906 counts=[800, 0] hash=0xab8dd7d7f4f1479c",
+            "ticks=58285 duration=0x40521ef44cf5c6ce counts=[800, 0] hash=0x1483233883467468",
+            "ticks=80321 duration=0x4079000000000000 counts=[153, 47] hash=0xeab80ff5032256fe",
+            "ticks=80026 duration=0x4079000000000000 counts=[144, 56] hash=0xe8cb4f163d503bb6",
+        ],
+    );
+}
+
+#[test]
+fn leader_deterministic_outcomes() {
+    check_leader_outcomes(
+        "deterministic",
+        [
+            "ticks=48093 duration=0x404de91844af22ec counts=[800, 0] hash=0xb4d37c4b28a4cff2",
+            "ticks=52328 duration=0x4050574750ef8e23 counts=[800, 0] hash=0xe18d7ab2c780216f",
+            "ticks=79664 duration=0x4079000000000000 counts=[162, 38] hash=0x9837fcf558d6f82c",
+            "ticks=79648 duration=0x4079000000000000 counts=[152, 48] hash=0x714788904d081b9c",
+        ],
+    );
+}
+
+#[test]
+fn cluster_erlang_outcomes() {
+    check_cluster_outcomes(
+        "erlang",
+        [
+            "ticks=215177 duration=0x4070caa39afccc6d counts=[800, 0] hash=0x6034e6fe08ca82fa",
+            "ticks=219436 duration=0x40713137437a45a1 counts=[800, 0] hash=0x656ade7f108a9984",
+            "ticks=79443 duration=0x4079000000000000 counts=[158, 42] hash=0x73c6e18d0ff30a74",
+            "ticks=80408 duration=0x4079000000000000 counts=[166, 34] hash=0x48580619b188e93e",
+        ],
+    );
+}
+
+#[test]
+fn cluster_weibull_outcomes() {
+    check_cluster_outcomes(
+        "weibull",
+        [
+            "ticks=132139 duration=0x40649ebefa0973f9 counts=[800, 0] hash=0x6c67f6d691b4e4b8",
+            "ticks=166041 duration=0x4069fa6bfae18b8e counts=[800, 0] hash=0xa3359056ffd5e516",
+            "ticks=79781 duration=0x4079000000000000 counts=[162, 38] hash=0x5521289f2a7ef617",
+            "ticks=80181 duration=0x4079000000000000 counts=[178, 22] hash=0xadd17d3f5d20eb80",
+        ],
+    );
+}
+
+#[test]
+fn cluster_uniform_outcomes() {
+    check_cluster_outcomes(
+        "uniform",
+        [
+            "ticks=162953 duration=0x406985858f8a64a3 counts=[800, 0] hash=0x6e5a7a7eae9d2a7f",
+            "ticks=214777 duration=0x4070d6681a0bfc99 counts=[800, 0] hash=0xe0c57851b8054241",
+            "ticks=79651 duration=0x4079000000000000 counts=[144, 56] hash=0xd4b33f174b4db87e",
+            "ticks=80151 duration=0x4079000000000000 counts=[162, 38] hash=0x585d0c95eddf1888",
+        ],
+    );
+}
+
+#[test]
+fn cluster_deterministic_outcomes() {
+    check_cluster_outcomes(
+        "deterministic",
+        [
+            "ticks=158399 duration=0x4068bebb4f35e4c3 counts=[800, 0] hash=0xd142ac249e76a683",
+            "ticks=209097 duration=0x4070485a7bf9a314 counts=[800, 0] hash=0xaa6ff06ac7efbb32",
+            "ticks=80090 duration=0x4079000000000000 counts=[158, 42] hash=0xf036657fbdd409d8",
+            "ticks=80111 duration=0x4079000000000000 counts=[178, 22] hash=0x47d1e67586806ab2",
+        ],
+    );
+}
+
+#[test]
+fn run_long_actions_outcomes() {
+    let scenario = Scenario::parse("signal-loss:0.2;stragglers:0.2:0.1").unwrap();
+    let got = [
+        leader_outcome(
+            leader(800, 25)
+                .with_latency(law("erlang"))
+                .with_scenario(scenario.clone()),
+        ),
+        cluster_outcome(
+            cluster(800, 26)
+                .with_latency(law("uniform"))
+                .with_scenario(scenario),
+        ),
+    ];
+    assert_eq!(
+        got,
+        [
+            "ticks=137489 duration=0x406a168dab869a9d counts=[800, 0] hash=0xef0faf488644b4cb",
+            "ticks=1419032 duration=0x40a0e86e4123f301 counts=[791, 9] hash=0x190810a1af85d638",
+        ]
+    );
 }
 
 fn sync(n: u64, seed: u64) -> SyncConfig {
