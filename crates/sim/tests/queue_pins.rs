@@ -1,4 +1,4 @@
-//! Byte-level pins of the calendar queue on three fixed schedules: the
+//! Byte-level pins of the calendar queue on five fixed schedules: the
 //! FNV-1a hash of the pop sequence, the operation counters and the resize
 //! log (bucket count, width bits and the simulated time of each resize).
 //!
@@ -224,6 +224,34 @@ fn bursts() -> Pin {
     finish(&mut q, h)
 }
 
+/// Seven chains of events a short hop apart; after every 40th pop the
+/// next seven successors jump 50 time units ahead, past the end of the
+/// calendar year, so the first pop of each burst takes the direct-scan
+/// fallback. The pop rate is periodic, so the width never drifts, and the
+/// fallback's scan bill (`len + buckets`) puts two measurement windows
+/// exactly on the retune threshold and one just above it: billing the
+/// fallback one entry more or less flips a retune.
+fn year_gaps() -> Pin {
+    let mut s = Stream::new(2);
+    let mut q = CalendarQueue::new();
+    q.set_trace(true);
+    let mut h = Fnv::new();
+    for id in 0..7 {
+        q.schedule(s.exp(0.01), id);
+    }
+    let (mut id, mut popped) = (7u64, 0u64);
+    while let Some((t, ev)) = q.pop() {
+        record(&mut h, (t, ev));
+        popped += 1;
+        if id < 20_000 {
+            let jump = if popped % 40 < 7 { 50.0 } else { 0.0 };
+            q.schedule(t + jump + s.exp(0.01), id);
+            id += 1;
+        }
+    }
+    finish(&mut q, h)
+}
+
 /// The pinned outcome of one schedule.
 fn expected(pops: u64, pushes: u64, resizes: u64, log: u64) -> Pin {
     Pin {
@@ -286,6 +314,19 @@ fn bursts_are_pinned() {
             30_000,
             6,
             12_332_515_051_421_232_953
+        )
+    );
+}
+
+#[test]
+fn year_gaps_are_pinned() {
+    assert_eq!(
+        year_gaps(),
+        expected(
+            15_637_237_985_382_413_000,
+            20_000,
+            386,
+            13_125_377_990_870_392_234
         )
     );
 }
