@@ -374,6 +374,32 @@ fn cluster_deterministic_outcomes() {
 }
 
 #[test]
+fn leader_crossing_outcomes() {
+    // Four opinions at bias 1.5: the leader's 0-signal window closes
+    // three or four times per run, not only on the ring.
+    let got = [
+        ("erlang", 27),
+        ("erlang", 28),
+        ("deterministic", 27),
+        ("deterministic", 28),
+    ]
+    .map(|(name, seed)| {
+        let assignment = InitialAssignment::with_bias(800, 4, 1.5).unwrap();
+        let cfg = LeaderConfig::new(assignment).with_seed(seed);
+        leader_outcome(cfg.with_steps_per_unit(9.3).with_latency(law(name)))
+    });
+    assert_eq!(
+        got,
+        [
+            "ticks=108460 duration=0x4060f685c5132441 counts=[800, 0, 0, 0] hash=0x7e0806d663594f71",
+            "ticks=113374 duration=0x4061c00c9906edc5 counts=[800, 0, 0, 0] hash=0x8bb17ccf76731c90",
+            "ticks=124228 duration=0x406357a6bb67d7d8 counts=[800, 0, 0, 0] hash=0xba798b6b91976ccb",
+            "ticks=115810 duration=0x406216047e81960a counts=[800, 0, 0, 0] hash=0x496db6df9c8159fb",
+        ]
+    );
+}
+
+#[test]
 fn run_long_actions_outcomes() {
     let scenario = Scenario::parse("signal-loss:0.2;stragglers:0.2:0.1").unwrap();
     let got = [
