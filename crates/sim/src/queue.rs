@@ -461,11 +461,39 @@ impl<E> CalendarQueue<E> {
     /// This replaces the peek-then-pop double comparison in engine drain
     /// loops with a single ordered lookup.
     pub fn pop_before(&mut self, limit: f64) -> Option<(f64, E)> {
+        self.pop_below(limit, u64::MAX)
+            .map(|(time, _, event)| (time, event))
+    }
+
+    /// Removes and returns the earliest entry as `(time, seq, event)` if
+    /// its `(time, seq)` key lies strictly below `(limit, limit_seq)`;
+    /// otherwise leaves the queue untouched and returns `None`. With
+    /// [`CalendarQueue::take_seq`] this orders the queue exactly against
+    /// entries an engine keeps outside it.
+    #[inline]
+    pub fn pop_below(&mut self, limit: f64, limit_seq: u64) -> Option<(f64, u64, E)> {
         let (slot, bi, examined) = self.locate()?;
-        if self.keys[slot as usize].time > limit {
+        let Key { time, seq, .. } = self.keys[slot as usize];
+        if time > limit || (time == limit && seq >= limit_seq) {
             return None;
         }
-        Some(self.take(slot, bi, examined))
+        let (time, event) = self.take(slot, bi, examined);
+        Some((time, seq, event))
+    }
+
+    /// The sequence number the next scheduled entry will take: every
+    /// entry scheduled so far has a smaller one.
+    pub fn next_seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Takes the next sequence number without scheduling anything, for an
+    /// entry an engine keeps outside the queue but orders against it by
+    /// `(time, seq)`: the sequence numbers of later entries are as if it
+    /// had been scheduled.
+    pub fn take_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
     }
 
     /// Advances the clock to `time` without popping — used by engines that
@@ -646,6 +674,21 @@ mod tests {
             assert_eq!(q.pop_before(1.0), Some((1.0, "a")), "limit is inclusive");
             assert_eq!(q.pop_before(10.0), Some((2.0, "b")));
             assert_eq!(q.pop_before(10.0), None);
+        }
+
+        #[test]
+        fn pop_below_orders_against_taken_sequence_numbers() {
+            let mut q = CalendarQueue::new();
+            q.schedule(1.0, "a");
+            let outside = q.take_seq();
+            q.schedule(1.0, "b");
+            assert_eq!(outside, 1);
+            assert_eq!(q.next_seq(), 3);
+            // An outside entry at (1.0, 1) sits between "a" and "b".
+            assert_eq!(q.pop_below(1.0, outside), Some((1.0, 0, "a")));
+            assert_eq!(q.pop_below(1.0, outside), None);
+            assert_eq!(q.len(), 1, "a miss must not disturb the queue");
+            assert_eq!(q.pop_below(1.0, u64::MAX), Some((1.0, 2, "b")));
         }
 
         #[test]
