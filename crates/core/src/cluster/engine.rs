@@ -352,7 +352,7 @@ fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
     // `Filling`, whose arrivals are unobservable — charging intensity
     // from each cluster's initial (leader-only) membership.
     let rates: Vec<f64> = clusters.iter().map(|c| k.send_rate(c.mass)).collect();
-    k.start(&rates);
+    k.start(&rates, false);
 
     let mut engine = Engine {
         cfg,
@@ -407,7 +407,7 @@ impl Handlers<3> for Engine<'_> {
         // to one travel latency. Also drives the clustering counters.
         let c = self.cluster_of[v as usize];
         if c != UNCLUSTERED && !self.cluster_absorbed(c) {
-            k.send(now, Signal::MemberZero { cluster: c });
+            k.send_zero(now, c, Signal::MemberZero { cluster: c });
         }
     }
 
@@ -653,9 +653,9 @@ impl Engine<'_> {
     }
 
     /// Counts `count` member 0-signals arriving at cluster `c`'s leader
-    /// at one instant. The per-signal path passes 1; the jump-chain fast
-    /// path passes a whole window's remaining gap, landing exactly on the
-    /// threshold (every counter here is a pure count-to-threshold, so
+    /// at one instant. A queued 0-signal passes 1; a window crossing (a
+    /// jump chain's or a counted arrival's) passes the whole window's
+    /// remaining gap, landing exactly on the threshold (every counter here is a pure count-to-threshold, so
     /// batching is equivalent to iterating).
     fn member_zeros(&mut self, k: &mut K, now: f64, c: u32, count: u64) {
         let ci = c as usize;
@@ -744,13 +744,14 @@ impl Engine<'_> {
         k.set_flow_rate(now, c, self.flow_rate(k, c));
     }
 
-    /// Re-arms cluster `c`'s jump chain for the counting window its
-    /// counters currently sit in, with a fresh `Γ` draw — exact whenever
+    /// Re-arms cluster `c`'s 0-signal window (a jump chain with a fresh
+    /// `Γ` draw, or an arrival counter) for the counting window its
+    /// counters currently sit in — exact whenever
     /// the window just crossed or the counters were reset/jumped (see
     /// `signalflow`); must NOT be used for rate-only changes, which
     /// [`Self::flow_set_rate`] handles without discarding progress.
     fn rearm_flow(&mut self, k: &mut K, now: f64, c: u32) {
-        if k.flows.is_none() {
+        if !k.windowed() {
             return;
         }
         k.set_flow(now, c, self.flow_rate(k, c), self.window_gap(c));

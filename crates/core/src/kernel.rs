@@ -31,8 +31,18 @@
 //!   threshold. The kernel jumps straight to each crossing with one
 //!   `Gamma(κ, 1)` draw per window ([`crate::signalflow`]) instead of
 //!   scheduling ~`n` signal events per time step. Scenario runs and
-//!   non-exponential latencies keep the per-signal path, whose loss and
+//!   non-exponential latencies keep per-signal 0-signals, whose loss and
 //!   crash modulation is per event.
+//! * **Exact 0-signal counting** — with any other travel law and no
+//!   scenario environment, each 0-signal still draws its loss coin and
+//!   its latency at send time, but its arrival key `(time, send order)`
+//!   goes into its scope's counter ([`crate::arrivals`]) instead of the
+//!   event queue. The counter reports the exact key of the arrival that
+//!   reaches the armed window's threshold, which the loop races like a
+//!   jump chain's crossing, so a 0-signal arrival is never a loop step.
+//!   Scenario runs (their effects are polled per loop step) and leader
+//!   runs at [`RecordLevel::Full`] (the winner series samples per loop
+//!   step) keep every 0-signal in the queue.
 //! * **Tick thinning** — on that path with unit-rate clocks, a tick on a
 //!   *locked* node does nothing at all: its 0-signal is carried by the
 //!   jump chains and the interaction gate fails. The kernel simulates
@@ -64,6 +74,7 @@
 //! tick, and a leader interaction unlocks its initiator after the
 //! decision while a cluster interaction unlocks it before.
 
+use crate::arrivals::{Arrival, ArrivalCounter};
 use crate::genstate::GenerationTable;
 use crate::opinion::InitialAssignment;
 use crate::outcome::{ConvergenceTracker, GenerationBirth, RecordLevel, RunOutcome};
@@ -72,7 +83,7 @@ use crate::signalflow::SignalFlow;
 use crate::sync::{generations_needed, GENERATION_CAP};
 use crate::Opinion;
 use plurality_dist::rng::{derive_seed, Xoshiro256PlusPlus};
-use plurality_dist::{sample_poisson, unit_exp, ChannelPattern, Latency, WaitingTime};
+use plurality_dist::{sample_poisson, ChannelPattern, Latency, UnitExp, WaitingTime};
 use plurality_obs::{EngineProfile, TraceEvent, TraceKind, Tracer};
 use plurality_scenario::{Effect, Environment, Scenario};
 use plurality_sim::{CalendarQueue, PoissonClock};
@@ -110,8 +121,8 @@ pub(crate) trait Handlers<const M: usize>: Sized {
     /// every node it moves (`true`) or once after the whole batch.
     const OBSERVE_EACH_MOVE: bool;
 
-    /// A tick of node `v` on the per-signal path: send its 0-signal (via
-    /// [`Kernel::send`]) unless the receiving leader is absorbed.
+    /// A tick of node `v` off the jump-chain path: send its 0-signal (via
+    /// [`Kernel::send_zero`]) unless the receiving leader is absorbed.
     fn send_zero(&mut self, k: &mut Kernel<Self::Signal, M>, now: f64, v: u32);
 
     /// The interaction of `v` with `peers` completed; returns true when
@@ -119,17 +130,22 @@ pub(crate) trait Handlers<const M: usize>: Sized {
     fn on_op(&mut self, k: &mut Kernel<Self::Signal, M>, now: f64, v: u32, peers: [u32; M])
         -> bool;
 
-    /// A queued signal arrived at its leader.
+    /// A queued signal arrived at its leader (a 0-signal only when it is
+    /// queued rather than counted).
     fn on_signal(&mut self, k: &mut Kernel<Self::Signal, M>, now: f64, signal: Self::Signal);
 
-    /// The jump chain of `scope` crossed its armed window threshold.
+    /// The armed window of `scope` crossed its threshold: a jump chain's
+    /// solved crossing, or the counted arrival that reached it. Must
+    /// re-arm or disarm the window through [`Kernel::set_flow`].
     fn on_crossing(&mut self, k: &mut Kernel<Self::Signal, M>, now: f64, scope: u32);
 
     /// Clears the protocol flags of slot `v`, just re-filled by a join.
     fn on_join(&mut self, v: usize);
 
     /// Called once per loop step, after scenario effects and before the
-    /// step's event is handled.
+    /// step's event is handled. A step is a tick, a queued event or a
+    /// window crossing; a counted 0-signal arrival is not a step (see
+    /// [`Kernel::start`]).
     fn on_step(&mut self, _k: &Kernel<Self::Signal, M>, _now: f64) {}
 }
 
@@ -291,6 +307,17 @@ struct Pool {
     next: f64,
 }
 
+/// How 0-signal arrivals reach the leaders' counting windows.
+enum Zeros {
+    /// Every 0-signal is a queued event handed to `on_signal`.
+    Queued,
+    /// Per-scope displaced-Poisson jump chains: no 0-signal is sent.
+    Chains(Vec<SignalFlow>),
+    /// Per-scope exact arrival counters: 0-signals are sent but not
+    /// queued.
+    Counted(Vec<ArrivalCounter>),
+}
+
 /// What a finished run reports back to its engine.
 pub(crate) struct Finished {
     pub outcome: RunOutcome,
@@ -315,6 +342,8 @@ pub(crate) struct Kernel<S, const M: usize> {
     env: Option<Environment>,
     pub sampler: PeerSampler,
     waiting: WaitingTime,
+    /// The ziggurat tables of the thinned tick redraws, fetched once.
+    unit_exp: UnitExp,
     /// The time-unit length `C1` in steps.
     pub c1: f64,
     /// The generation cap `⌈log log_α n⌉`.
@@ -332,12 +361,15 @@ pub(crate) struct Kernel<S, const M: usize> {
     node_rates: Vec<f64>,
     /// The run-long `signal-loss` probability.
     signal_loss: f64,
-    /// Per-scope displaced-Poisson 0-signal jump chains; `None` on the
-    /// per-signal path (scenario or non-exponential latency).
-    pub flows: Option<Vec<SignalFlow>>,
-    /// Minimum of the flows' solved crossing times, and its scope.
-    cross: f64,
+    /// Where 0-signal arrivals go.
+    zeros: Zeros,
+    /// The earliest pending window crossing over all scopes, and its
+    /// scope. A jump chain's crossing has `seq = u64::MAX`: queued events
+    /// win exact time ties against it.
+    cross: Arrival,
     cross_scope: u32,
+    /// The loop's position: every key below it has happened.
+    at: Arrival,
     /// Tick thinning: the unlocked nodes, in swap-remove order.
     thinned: bool,
     unlocked: Vec<u32>,
@@ -452,6 +484,7 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
             env,
             sampler,
             waiting,
+            unit_exp: UnitExp::fetch(),
             c1,
             cap,
             max_time: f64::INFINITY,
@@ -464,9 +497,10 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
             slot_ids,
             node_rates,
             signal_loss: s.scenario.signal_loss(),
-            flows: None,
-            cross: f64::INFINITY,
+            zeros: Zeros::Queued,
+            cross: Arrival::NEVER,
             cross_scope: u32::MAX,
+            at: Arrival { time: 0.0, seq: 0 },
             thinned: false,
             unlocked: Vec::new(),
             tick_exposure: 0.0,
@@ -479,26 +513,40 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
     }
 
     /// Starts the run's clocks: draws each pool's first tick, in pool
-    /// order. When the travel law is exponential and no scenario
-    /// modulates individual signals, also creates one jump chain per
-    /// entry of `rates` (send rates at time 0, no window armed), and tick
-    /// thinning when every node ticks at rate 1: only unlocked nodes'
-    /// ticks are then simulated.
-    pub fn start(&mut self, rates: &[f64]) {
+    /// order, and picks where 0-signals go, one scope per entry of
+    /// `rates` (send rates at time 0, no window armed). Without a
+    /// scenario environment, exponential travel gets jump chains, plus
+    /// tick thinning when every node ticks at rate 1 (only unlocked
+    /// nodes' ticks are then simulated), and any other travel law gets
+    /// exact arrival counters — unless `steps_observed`: the protocol's
+    /// [`Handlers::on_step`] samples state per loop step, so 0-signal
+    /// arrivals must stay queued steps.
+    pub fn start(&mut self, rates: &[f64], steps_observed: bool) {
         for pool in &mut self.pools {
             pool.next = pool.clock.next_tick(0.0, &mut self.rng);
         }
-        if let (None, Latency::Exponential { rate }) = (&self.env, self.waiting.latency()) {
+        if self.env.is_some() {
+            return;
+        }
+        if let Latency::Exponential { rate } = self.waiting.latency() {
             let mut flows = vec![SignalFlow::new(rate); rates.len()];
             for (flow, &r) in flows.iter_mut().zip(rates) {
                 flow.set_rate(0.0, r);
             }
-            self.flows = Some(flows);
+            self.zeros = Zeros::Chains(flows);
             if self.node_rates.is_empty() {
                 self.thinned = true;
                 self.unlocked = (0..self.n as u32).collect();
             }
+        } else if !steps_observed {
+            self.zeros = Zeros::Counted(vec![ArrivalCounter::default(); rates.len()]);
         }
+    }
+
+    /// Whether 0-signals are counted against windows (jump chains or
+    /// arrival counters) rather than queued for `on_signal`.
+    pub fn windowed(&self) -> bool {
+        !matches!(self.zeros, Zeros::Queued)
     }
 
     /// The tick rate of node `v`.
@@ -518,46 +566,68 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
     }
 
     /// Sets `scope`'s send rate and arms a fresh window of `window`
-    /// arrivals — or disarms it for `None`. Exact whenever the window just
-    /// crossed or the counters were reset (see `signalflow`).
+    /// arrivals after the loop's position — or disarms it for `None`.
+    /// Exact whenever the window just crossed or the counters were reset
+    /// (see `signalflow`); an arrival counter ignores the rate.
     pub fn set_flow(&mut self, now: f64, scope: u32, rate: f64, window: Option<u64>) {
-        let Some(flows) = self.flows.as_mut() else {
-            return;
-        };
-        let flow = &mut flows[scope as usize];
-        flow.set_rate(now, rate);
-        match window {
-            Some(kappa) => {
+        let s = scope as usize;
+        match (&mut self.zeros, window) {
+            (Zeros::Queued, _) => return,
+            (Zeros::Chains(flows), Some(kappa)) => {
                 debug_assert!(kappa > 0, "crossings are handled before re-arming");
-                flow.arm(now, kappa, &mut self.rng);
+                flows[s].set_rate(now, rate);
+                flows[s].arm(now, kappa, &mut self.rng);
             }
-            None => flow.disarm(now),
+            (Zeros::Chains(flows), None) => {
+                flows[s].set_rate(now, rate);
+                flows[s].disarm(now);
+            }
+            (Zeros::Counted(counters), Some(kappa)) => counters[s].arm(self.at, kappa),
+            (Zeros::Counted(counters), None) => counters[s].disarm(),
         }
         self.rescan();
     }
 
-    /// Changes `scope`'s send rate mid-window, keeping accrued progress.
+    /// Changes `scope`'s send rate mid-window, keeping accrued progress
+    /// (jump chains only: a counter's window does not depend on it).
     pub fn set_flow_rate(&mut self, now: f64, scope: u32, rate: f64) {
-        if let Some(flows) = self.flows.as_mut() {
+        if let Zeros::Chains(flows) = &mut self.zeros {
             flows[scope as usize].set_rate(now, rate);
             self.rescan();
         }
     }
 
-    /// Recomputes the minimum solved crossing over all jump chains (ties
-    /// break towards the lowest scope, deterministically).
+    /// Recomputes the earliest crossing over all scopes (jump-chain time
+    /// ties break towards the lowest scope, deterministically).
     fn rescan(&mut self) {
-        let Some(flows) = self.flows.as_ref() else {
-            return;
+        let mut cross = (Arrival::NEVER, u32::MAX);
+        let mut consider = |i: usize, c: Arrival| {
+            if c < cross.0 {
+                cross = (c, i as u32);
+            }
         };
-        self.cross = f64::INFINITY;
-        self.cross_scope = u32::MAX;
-        for (i, f) in flows.iter().enumerate() {
-            if f.pred() < self.cross {
-                self.cross = f.pred();
-                self.cross_scope = i as u32;
+        match &self.zeros {
+            Zeros::Queued => return,
+            Zeros::Chains(flows) => {
+                for (i, f) in flows.iter().enumerate() {
+                    consider(
+                        i,
+                        Arrival {
+                            time: f.pred(),
+                            seq: u64::MAX,
+                        },
+                    );
+                }
+            }
+            Zeros::Counted(counters) => {
+                for (i, c) in counters.iter().enumerate() {
+                    if let Some(c) = c.crossing() {
+                        consider(i, c);
+                    }
+                }
             }
         }
+        (self.cross, self.cross_scope) = cross;
     }
 
     /// Runs the event loop to consensus, `max_time`, or exhaustion. A
@@ -574,20 +644,50 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
                     (tick, pool) = (second.next, 1);
                 }
             }
-            // The jump chains' next crossing competes with the tick chains;
-            // queued events win exact time ties against both (a
-            // probability-zero event: tick times stay continuous).
-            let forced = tick.min(self.cross);
-            let popped = self.queue.pop_before(forced.min(self.max_time));
+            // The next window crossing competes with the tick chains and
+            // wins exact time ties against them. Queued events win exact
+            // time ties against ticks and jump-chain crossings (a
+            // probability-zero event: tick times stay continuous) and
+            // meet a counted crossing in send order.
+            let crossing = self.cross.time <= tick;
+            let forced = if crossing {
+                self.cross
+            } else {
+                Arrival {
+                    time: tick,
+                    seq: u64::MAX,
+                }
+            };
+            let popped = if forced.time > self.max_time {
+                self.queue.pop_below(self.max_time, u64::MAX)
+            } else {
+                self.queue.pop_below(forced.time, forced.seq)
+            };
             let now = match popped {
-                Some((t, _)) => t,
-                None if forced > self.max_time => {
+                Some((t, seq, _)) => {
+                    self.at = Arrival {
+                        time: t,
+                        seq: seq + 1,
+                    };
+                    t
+                }
+                None if forced.time > self.max_time => {
                     self.end_time = self.max_time;
                     return;
                 }
                 None => {
-                    self.queue.advance_to(forced);
-                    forced
+                    self.queue.advance_to(forced.time);
+                    // A counted crossing follows its own arrival; a tick
+                    // or jump-chain crossing follows everything queued.
+                    let seq = match self.zeros {
+                        Zeros::Counted(_) if crossing => forced.seq + 1,
+                        _ => self.queue.next_seq(),
+                    };
+                    self.at = Arrival {
+                        time: forced.time,
+                        seq,
+                    };
+                    forced.time
                 }
             };
             self.end_time = now;
@@ -599,7 +699,7 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
             }
             p.on_step(self, now);
             let done = match popped {
-                None if self.cross <= tick => {
+                None if crossing => {
                     let scope = self.cross_scope;
                     self.window_crossings += 1;
                     self.tracer.emit(now, TraceKind::WindowCrossing { scope });
@@ -610,8 +710,10 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
                     self.tick(p, now, pool);
                     false
                 }
-                Some((_, Event::Op { v, peers, epoch })) => self.op_done(p, now, v, peers, epoch),
-                Some((_, Event::Signal(signal))) => {
+                Some((_, _, Event::Op { v, peers, epoch })) => {
+                    self.op_done(p, now, v, peers, epoch)
+                }
+                Some((_, _, Event::Signal(signal))) => {
                     p.on_signal(self, now, signal);
                     false
                 }
@@ -647,7 +749,7 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
             if self.env.as_ref().is_some_and(|e| e.is_crashed(v)) {
                 return;
             }
-            if self.flows.is_none() {
+            if !matches!(self.zeros, Zeros::Chains(_)) {
                 p.send_zero(self, now, v);
             }
             if self.locked[v as usize] {
@@ -816,15 +918,49 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
     /// latency.
     #[inline]
     pub fn send(&mut self, now: f64, signal: S) {
-        if self.signal_loss > 0.0 && self.rng.gen::<f64>() < self.signal_loss {
+        if let Some(arrival) = self.travel(now) {
+            self.queue.schedule(arrival, Event::Signal(signal));
+        }
+    }
+
+    /// Sends the 0-signal `signal` towards the leader of `scope`, with
+    /// the draws of [`Kernel::send`]; an arrival counter takes it in
+    /// place of the queue, under the sequence number it would have had
+    /// there.
+    #[inline]
+    pub fn send_zero(&mut self, now: f64, scope: u32, signal: S) {
+        let Some(time) = self.travel(now) else {
             return;
+        };
+        let Zeros::Counted(counters) = &mut self.zeros else {
+            self.queue.schedule(time, Event::Signal(signal));
+            return;
+        };
+        let arrival = Arrival {
+            time,
+            seq: self.queue.take_seq(),
+        };
+        if let Some(c) = counters[scope as usize].push(arrival, self.at) {
+            // The scope's crossing only ever moves earlier.
+            if scope == self.cross_scope || c < self.cross {
+                (self.cross, self.cross_scope) = (c, scope);
+            }
+        }
+    }
+
+    /// The arrival time of a signal sent at `now`, or `None` if it is
+    /// lost: one coin for the run-long loss (drawn only when `p > 0`),
+    /// the loss-burst check, then one (scaled) travel latency.
+    #[inline]
+    fn travel(&mut self, now: f64) -> Option<f64> {
+        if self.signal_loss > 0.0 && self.rng.gen::<f64>() < self.signal_loss {
+            return None;
         }
         if self.env.as_mut().is_some_and(|e| e.message_lost()) {
-            return;
+            return None;
         }
         let scale = self.env.as_ref().map_or(1.0, |e| e.latency_scale());
-        let travel = self.waiting.latency().sample(&mut self.rng) * scale;
-        self.queue.schedule(now + travel, Event::Signal(signal));
+        Some(now + self.waiting.latency().sample(&mut self.rng) * scale)
     }
 
     /// Unlocks node `v`; under thinning, settles the exposure and redraws
@@ -856,7 +992,7 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
         self.pools[0].next = if u == 0 {
             f64::INFINITY
         } else {
-            now + unit_exp(&mut self.rng) / u as f64
+            now + self.unit_exp.sample(&mut self.rng) / u as f64
         };
     }
 

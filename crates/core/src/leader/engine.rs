@@ -190,7 +190,7 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
     });
 
     let send_rate = k.send_rate(k.tick_mass());
-    k.start(&[send_rate]);
+    k.start(&[send_rate], winner_series.is_some());
     if send_rate > 0.0 {
         k.set_flow(0.0, 0, send_rate, Some(zero_signal_threshold));
     }
@@ -280,7 +280,7 @@ impl Handlers<2> for Leader {
         // skipped once the leader is terminal (the arrival would be
         // unobservable).
         if !self.leader.is_terminal() {
-            k.send(now, Signal::Zero);
+            k.send_zero(now, 0, Signal::Zero);
         }
     }
 
@@ -352,7 +352,7 @@ impl Handlers<2> for Leader {
 
     fn on_crossing(&mut self, k: &mut Kernel<Signal, 2>, now: f64, _scope: u32) {
         // The armed window crossed its threshold: batch in the whole
-        // window's count at the solved crossing time. The next window arms
+        // window's count at the crossing time. The next window arms
         // at the next generation birth.
         k.set_flow(now, 0, self.send_rate, None);
         let gap = self.leader.params().zero_signal_threshold - self.leader.zero_count();

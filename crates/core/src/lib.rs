@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+mod arrivals;
 pub mod cluster;
 mod genstate;
 mod kernel;

@@ -13,7 +13,7 @@
 //!
 //! * **Tracing** ([`trace`]): structured per-run events
 //!   ([`TraceEvent`] / [`TraceKind`]) the engines emit behind an opt-in
-//!   knob — phase transitions, generation births, jump-chain window
+//!   knob — phase transitions, generation births, 0-signal window
 //!   crossings, calendar-queue resizes, scenario effect firings — plus
 //!   JSONL and Chrome-trace-format exporters behind the [`TraceSink`]
 //!   trait. The contract is *bitwise determinism*: recording a trace

@@ -40,7 +40,8 @@ pub enum TraceKind {
         /// The generation born.
         generation: u32,
     },
-    /// A jump-chain zero-signal window crossing.
+    /// A zero-signal window crossing: a jump chain's, or the counted
+    /// arrival that reached the window's threshold.
     WindowCrossing {
         /// Cluster index (0 for the single-leader engine).
         scope: u32,
@@ -180,7 +181,7 @@ pub struct EngineProfile {
     pub signals_thinned: u64,
     /// Calendar-queue bucket-array resizes.
     pub queue_resizes: u64,
-    /// Jump-chain zero-signal window crossings.
+    /// Zero-signal window crossings (jump chains or counted arrivals).
     pub window_crossings: u64,
 }
 
