@@ -127,31 +127,53 @@ fn zig_tables() -> &'static ZigTables {
 /// A unit-rate exponential draw via the 256-layer ziggurat: one `u64`
 /// draw and one multiply on the ~98.9% fast path, a wedge rejection test
 /// otherwise, and — since the exponential is memoryless — a shifted
-/// restart for the `e^{−R} ≈ 4.5·10⁻⁴` tail.
+/// restart for the `e^{−R} ≈ 4.5·10⁻⁴` tail. Each call fetches the
+/// tables through a `OnceLock`; a loop of draws fetches a [`UnitExp`]
+/// once instead.
 #[inline]
 pub fn unit_exp<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let t = zig_tables();
-    let mut shift = 0.0;
-    loop {
-        let bits = rng.next_u64();
-        let i = (bits & 0xFF) as usize;
-        // Bits 11..64 form the mantissa (disjoint from the index bits).
-        let u = (bits >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
-        let x = u * t.x[i];
-        if x < t.x[i + 1] {
-            // Inside the layer's rectangle: accept (rejecting the
-            // measure-zero x = 0, as `open01` does for `sample`).
-            if x > 0.0 {
+    UnitExp::fetch().sample(rng)
+}
+
+/// The ziggurat tables of [`unit_exp`], fetched once: its draws are
+/// bit-identical to [`unit_exp`]'s, without the per-draw `OnceLock`
+/// check.
+#[derive(Clone, Copy)]
+pub struct UnitExp(&'static ZigTables);
+
+impl UnitExp {
+    /// Fetches the tables, building them on first use.
+    #[inline]
+    pub fn fetch() -> Self {
+        Self(zig_tables())
+    }
+
+    /// One unit-rate exponential draw (see [`unit_exp`]).
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> f64 {
+        let t = self.0;
+        let mut shift = 0.0;
+        loop {
+            let bits = rng.next_u64();
+            let i = (bits & 0xFF) as usize;
+            // Bits 11..64 form the mantissa (disjoint from the index bits).
+            let u = (bits >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
+            let x = u * t.x[i];
+            if x < t.x[i + 1] {
+                // Inside the layer's rectangle: accept (rejecting the
+                // measure-zero x = 0, as `open01` does for `sample`).
+                if x > 0.0 {
+                    return shift + x;
+                }
+                continue;
+            }
+            if i == 0 {
+                shift += ZIG_R;
+                continue;
+            }
+            if t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.gen::<f64>() < (-x).exp() {
                 return shift + x;
             }
-            continue;
-        }
-        if i == 0 {
-            shift += ZIG_R;
-            continue;
-        }
-        if t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.gen::<f64>() < (-x).exp() {
-            return shift + x;
         }
     }
 }

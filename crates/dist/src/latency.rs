@@ -19,7 +19,7 @@
 //! cruder bound `10/(3β)`, which the measured `C1` exceeds for slow
 //! channels (see EXPERIMENTS.md, E1).
 
-use crate::continuous::{open01, unit_exp, Exponential, Gamma, Weibull};
+use crate::continuous::{open01, Exponential, Gamma, UnitExp, Weibull};
 use crate::quantile::quantile_sorted;
 use crate::rng::{derive_seed, Xoshiro256PlusPlus};
 use crate::special::gamma_quantile_integer;
@@ -387,11 +387,12 @@ impl WaitingTime {
             // Each channel is Erlang(2): two ziggurat draws replace the
             // `-ln(u1·u2)` composition — same law, no transcendental on
             // the ~99% fast path.
-            let mut slowest = unit_exp(rng) + unit_exp(rng);
+            let z = UnitExp::fetch();
+            let mut slowest = z.sample(rng) + z.sample(rng);
             for _ in 1..self.pattern.parallel_channels() {
-                slowest = slowest.max(unit_exp(rng) + unit_exp(rng));
+                slowest = slowest.max(z.sample(rng) + z.sample(rng));
             }
-            return (slowest + unit_exp(rng) + unit_exp(rng)) / rate;
+            return (slowest + z.sample(rng) + z.sample(rng)) / rate;
         }
         let mut slowest = self.sample_t2(rng);
         for _ in 1..self.pattern.parallel_channels() {

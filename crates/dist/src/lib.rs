@@ -51,7 +51,7 @@ pub mod rng;
 pub mod special;
 
 pub use alias::AliasTable;
-pub use continuous::{unit_exp, Exponential, Gamma, Weibull};
+pub use continuous::{unit_exp, Exponential, Gamma, UnitExp, Weibull};
 pub use discrete::{sample_binomial, sample_poisson};
 pub use latency::{ChannelPattern, Latency, WaitingTime};
 pub use multinomial::{multinomial_split, sample_multinomial};
