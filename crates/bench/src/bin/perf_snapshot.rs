@@ -256,6 +256,14 @@ fn engine_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
             std::hint::black_box(r.ticks);
         }),
     ));
+    // Erlang travel: no jump chains, so every 0-signal is sent and
+    // counted exactly (the non-exponential 0-signal path).
+    metrics.push((
+        "engine/leader_erlang_n1k_ms".into(),
+        median_ms(eff.engine_runs, || {
+            std::hint::black_box(leader_erlang_n1k().ticks);
+        }),
+    ));
     metrics.push((
         "engine/cluster_n2k_k2_ms".into(),
         median_ms(eff.engine_runs, || {
@@ -332,6 +340,17 @@ fn engine_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
     ));
 }
 
+/// The leader run behind the `leader_erlang` keys: n = 1000, Erlang(3, 3)
+/// travel latency.
+fn leader_erlang_n1k() -> plurality_core::leader::LeaderResult {
+    let assignment = InitialAssignment::with_bias(1_000, 2, 3.0).expect("valid");
+    LeaderConfig::new(assignment)
+        .with_seed(1)
+        .with_steps_per_unit(9.3)
+        .with_latency(Latency::erlang(3, 3.0).expect("valid"))
+        .run()
+}
+
 /// One smoke-scale Theorem 13 (E8) cell under an explicit thread
 /// count, for the serial-vs-parallel comparison.
 fn thm13_smoke(threads: usize, eff: Effort) -> Vec<plurality_core::leader::LeaderResult> {
@@ -402,6 +421,10 @@ fn profile_metrics(metrics: &mut Vec<(String, f64)>) {
     metrics.push((
         "profile/leader_window_crossings".into(),
         leader.profile.window_crossings as f64,
+    ));
+    metrics.push((
+        "profile/leader_erlang_events_popped".into(),
+        leader_erlang_n1k().profile.events_popped as f64,
     ));
     let cluster = ClusterConfig::new(assignment)
         .with_seed(1)
