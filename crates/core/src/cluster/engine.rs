@@ -751,9 +751,6 @@ impl Engine<'_> {
     /// `signalflow`); must NOT be used for rate-only changes, which
     /// [`Self::flow_set_rate`] handles without discarding progress.
     fn rearm_flow(&mut self, k: &mut K, now: f64, c: u32) {
-        if !k.windowed() {
-            return;
-        }
         k.set_flow(now, c, self.flow_rate(k, c), self.window_gap(c));
     }
 

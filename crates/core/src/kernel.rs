@@ -31,8 +31,8 @@
 //!   threshold. The kernel jumps straight to each crossing with one
 //!   `Gamma(κ, 1)` draw per window ([`crate::signalflow`]) instead of
 //!   scheduling ~`n` signal events per time step. Scenario runs and
-//!   non-exponential latencies keep per-signal 0-signals, whose loss and
-//!   crash modulation is per event.
+//!   non-exponential latencies send each 0-signal individually (scenario
+//!   loss and crashes act per signal).
 //! * **Exact 0-signal counting** — with any other travel law and no
 //!   scenario environment, each 0-signal still draws its loss coin and
 //!   its latency at send time, but its arrival key `(time, send order)`
@@ -541,12 +541,6 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
         } else if !steps_observed {
             self.zeros = Zeros::Counted(vec![ArrivalCounter::default(); rates.len()]);
         }
-    }
-
-    /// Whether 0-signals are counted against windows (jump chains or
-    /// arrival counters) rather than queued for `on_signal`.
-    pub fn windowed(&self) -> bool {
-        !matches!(self.zeros, Zeros::Queued)
     }
 
     /// The tick rate of node `v`.
