@@ -134,6 +134,18 @@ fn leader_full_record() {
 }
 
 #[test]
+fn leader_full_record_erlang() {
+    // The winner series samples per loop step, so a full-record leader
+    // run queues its 0-signals even off the jump-chain path.
+    let cfg = LeaderConfig::new(InitialAssignment::with_bias(800, 4, 1.5).unwrap())
+        .with_seed(1)
+        .with_steps_per_unit(9.3)
+        .with_latency(Latency::erlang(3, 3.0).unwrap())
+        .with_record(RecordLevel::Full);
+    check_leader(cfg, "ticks=121289 popped=142218 thinned=0 resizes=7 crossings=0 duration=0x4062f47d0c3733fd counts=[800, 0, 0, 0] hash=0x608ca6cc61dcbb7e");
+}
+
+#[test]
 fn leader_traced() {
     check_leader(leader(800, 9).with_trace(true), "ticks=76601 popped=15912 thinned=62935 resizes=5 crossings=1 duration=0x4057fa3afb8f6e20 counts=[800, 0] hash=0x02f936a85f4d6ad8");
 }
