@@ -672,14 +672,11 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
                 None => {
                     self.queue.advance_to(forced.time);
                     // A counted crossing follows its own arrival; a tick
-                    // or jump-chain crossing follows everything queued.
-                    let seq = match self.zeros {
-                        Zeros::Counted(_) if crossing => forced.seq + 1,
-                        _ => self.queue.next_seq(),
-                    };
+                    // or jump-chain crossing (`seq = u64::MAX`) follows
+                    // everything queued so far.
                     self.at = Arrival {
                         time: forced.time,
-                        seq,
+                        seq: forced.seq.saturating_add(1).min(self.queue.next_seq()),
                     };
                     forced.time
                 }
