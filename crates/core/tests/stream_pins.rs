@@ -435,6 +435,88 @@ fn run_long_actions_outcomes() {
     );
 }
 
+/// The timeline scenarios of the outcome pins: between them they script
+/// every timeline action, some at non-integer times. The first runs on
+/// the complete graph, the second (which rewires it) on the ring.
+const TIMELINE: [&str; 2] = [
+    "burst-loss:0.4@5.5..20.25;latency:3@10..40.5;crash:0.2@15.75;\
+     corrupt:0.1:adaptive@25.5;join:0.2@40.25",
+    "crash:0.1@8.5;corrupt:0.05@12.25;rewire:er:0.02@20.75;recover:1@30;latency:0.5@35",
+];
+
+/// Each engine's timeline cases: exponential and Erlang travel, each
+/// on the complete graph (n = 800) and on a ring (n = 200, capped at
+/// 400 steps).
+fn timeline_cases() -> [(&'static str, u64, Topology, u64); 4] {
+    [
+        ("exp", 800, Topology::Complete, 31),
+        ("erlang", 800, Topology::Complete, 32),
+        ("exp", 200, Topology::Ring, 33),
+        ("erlang", 200, Topology::Ring, 34),
+    ]
+}
+
+fn timeline_latency(name: &str) -> Latency {
+    match name {
+        "exp" => Latency::exponential(1.0).unwrap(),
+        _ => law(name),
+    }
+}
+
+fn timeline_scenario(topology: Topology) -> Scenario {
+    let script = match topology {
+        Topology::Ring => TIMELINE[1],
+        _ => TIMELINE[0],
+    };
+    Scenario::parse(script).unwrap()
+}
+
+#[test]
+fn leader_timeline_outcomes() {
+    let got = timeline_cases().map(|(name, n, topology, seed)| {
+        let cfg = leader(n, seed)
+            .with_latency(timeline_latency(name))
+            .with_topology(topology)
+            .with_scenario(timeline_scenario(topology));
+        leader_outcome(match topology {
+            Topology::Ring => cfg.with_max_time(400.0),
+            _ => cfg,
+        })
+    });
+    assert_eq!(
+        got,
+        [
+            "ticks=103218 duration=0x40601949977aede2 counts=[800, 0] hash=0x24633f543f333839",
+            "ticks=119799 duration=0x4062c2b5b5ce7e9f counts=[800, 0] hash=0xde50c30a49df7ed7",
+            "ticks=79989 duration=0x4079000000000000 counts=[194, 6] hash=0x2524d900e3b1156e",
+            "ticks=80246 duration=0x4079000000000000 counts=[190, 10] hash=0x6359947dd4ef657b",
+        ]
+    );
+}
+
+#[test]
+fn cluster_timeline_outcomes() {
+    let got = timeline_cases().map(|(name, n, topology, seed)| {
+        let cfg = cluster(n, seed)
+            .with_latency(timeline_latency(name))
+            .with_topology(topology)
+            .with_scenario(timeline_scenario(topology));
+        cluster_outcome(match topology {
+            Topology::Ring => cfg.with_max_time(400.0),
+            _ => cfg,
+        })
+    });
+    assert_eq!(
+        got,
+        [
+            "ticks=258850 duration=0x407435e91f01fd4c counts=[800, 0] hash=0xee3d78533c981795",
+            "ticks=241789 duration=0x4072e672b4217916 counts=[800, 0] hash=0xade254e846f753d2",
+            "ticks=80012 duration=0x4079000000000000 counts=[199, 1] hash=0xcc07f7d082528c78",
+            "ticks=56971 duration=0x4071efd84d5da78e counts=[200, 0] hash=0x462ae2105ea5f258",
+        ]
+    );
+}
+
 fn sync(n: u64, seed: u64) -> SyncConfig {
     SyncConfig::new(InitialAssignment::with_bias(n, 3, 2.0).unwrap())
         .with_seed(seed)
