@@ -14,8 +14,8 @@ use crate::config::RunConfig;
 use crate::report::Report;
 use plurality_agg::{LeaderMfConfig, Majority3MfConfig, PopulationMfConfig, UndecidedMfConfig};
 use plurality_baselines::{Dynamics, DynamicsConfig, PopulationConfig, PopulationProtocol};
-use plurality_core::cluster::ClusterConfig;
-use plurality_core::leader::LeaderConfig;
+use plurality_core::cluster::{self, ClusterConfig};
+use plurality_core::leader::{self, LeaderConfig};
 use plurality_core::sync::{ScheduleMode, SyncConfig, UrnConfig};
 use plurality_core::{InitialAssignment, OpinionCounts};
 use plurality_dist::rng::Xoshiro256PlusPlus;
@@ -209,9 +209,10 @@ impl Protocol for LeaderEngine {
         "leader"
     }
 
-    /// Accepts every valid config, run-long scenario actions included.
+    /// Accepts every valid config of at least [`leader::MIN_NODES`]
+    /// nodes, run-long scenario actions included.
     fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
-        cfg.validate()
+        check_min_nodes(self.name(), leader::MIN_NODES, cfg)
     }
 
     fn run(&self, cfg: &RunConfig) -> Report {
@@ -255,9 +256,10 @@ impl Protocol for ClusterEngine {
         "cluster"
     }
 
-    /// Accepts every valid config, run-long scenario actions included.
+    /// Accepts every valid config of at least [`cluster::MIN_NODES`]
+    /// nodes, run-long scenario actions included.
     fn check(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
-        cfg.validate()
+        check_min_nodes(self.name(), cluster::MIN_NODES, cfg)
     }
 
     fn run(&self, cfg: &RunConfig) -> Report {
@@ -285,6 +287,22 @@ impl Protocol for ClusterEngine {
         }
         c.run().into()
     }
+}
+
+/// Validates `cfg` for a per-node asynchronous engine, which needs at
+/// least `min` nodes.
+fn check_min_nodes(
+    protocol: &str,
+    min: usize,
+    cfg: &RunConfig,
+) -> Result<(), InvalidParameterError> {
+    if cfg.n() < min as u64 {
+        return Err(InvalidParameterError::new(format!(
+            "parameter `n` must be at least {min} for `{protocol}`, got {}",
+            cfg.n()
+        )));
+    }
+    cfg.validate()
 }
 
 /// A synchronous gossip baseline dynamic (pull voting, two-choices,

@@ -885,6 +885,7 @@ mod tests {
             ("sync?epsilon=2", "`epsilon`"),
             ("sync?max=-1", "`max`"),
             ("cluster?leader-prob=0", "`leader-prob`"),
+            ("cluster?n=5", "`n`"),
             ("leader-mf?dt=2", "`dt`"),
             ("leader-mf?dt=0.01", "at least 1/64"),
             ("leader-mf?dt=1e-6", "at least 1/64"),

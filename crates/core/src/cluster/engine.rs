@@ -39,6 +39,9 @@ use plurality_sim::EventLog;
 use plurality_topology::Topology;
 use rand::Rng;
 
+/// The fewest nodes a multi-leader run accepts.
+pub const MIN_NODES: usize = 8;
+
 /// Sentinel for "not in any cluster".
 const UNCLUSTERED: u32 = u32::MAX;
 
@@ -150,7 +153,8 @@ impl ClusterConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the assignment materializes fewer than 8 nodes, or if
+    /// Panics if the assignment materializes fewer than [`MIN_NODES`]
+    /// nodes, or if
     /// the configured topology cannot be built for that population size
     /// (see [`Topology::build`]).
     pub fn run(&self) -> ClusterResult {
@@ -257,8 +261,7 @@ struct Cluster {
     /// The members' summed tick rate.
     mass: f64,
     mode: ClusterMode,
-    /// 0-signal counter for the Pausing/Accepting windows.
-    window_count: u64,
+    /// The 0-signal count that closes the Pausing/Accepting window.
     window_threshold: u64,
     state: Option<ClusterLeaderState>,
 }
@@ -270,21 +273,21 @@ impl Cluster {
             size: 1,
             mass: rate,
             mode: ClusterMode::Filling,
-            window_count: 0,
             window_threshold: 0,
             state: None,
         }
     }
 }
 
-/// Member signals in flight to a cluster leader.
+/// A member's promotion signal in flight to its cluster leader (member
+/// 0-signals are counted, never queued).
 #[derive(Debug, Clone, Copy)]
-enum Signal {
-    MemberZero { cluster: u32 },
-    MemberPromoted { cluster: u32, gen: u32 },
+struct Promoted {
+    cluster: u32,
+    gen: u32,
 }
 
-type K = Kernel<Signal, 3>;
+type K = Kernel<Promoted, 3>;
 
 /// The multi-leader protocol state the kernel calls back into.
 struct Engine<'cfg> {
@@ -310,7 +313,12 @@ fn phase_name(phase: ClusterPhase) -> &'static str {
 }
 
 fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
-    let mut k: K = Kernel::new(&cfg.run, ChannelPattern::MultiLeader, "multi-leader", 8);
+    let mut k: K = Kernel::new(
+        &cfg.run,
+        ChannelPattern::MultiLeader,
+        "multi-leader",
+        MIN_NODES,
+    );
     let (n, c1, cap) = (k.n, k.c1, k.cap);
     let participation_size = cfg
         .participation_size
@@ -352,7 +360,7 @@ fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
     // `Filling`, whose arrivals are unobservable — charging intensity
     // from each cluster's initial (leader-only) membership.
     let rates: Vec<f64> = clusters.iter().map(|c| k.send_rate(c.mass)).collect();
-    k.start(&rates, false);
+    k.start(&rates);
 
     let mut engine = Engine {
         cfg,
@@ -399,7 +407,7 @@ fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
 }
 
 impl Handlers<3> for Engine<'_> {
-    type Signal = Signal;
+    type Signal = Promoted;
     const OBSERVE_EACH_MOVE: bool = true;
 
     fn send_zero(&mut self, k: &mut K, now: f64, v: u32) {
@@ -407,7 +415,7 @@ impl Handlers<3> for Engine<'_> {
         // to one travel latency. Also drives the clustering counters.
         let c = self.cluster_of[v as usize];
         if c != UNCLUSTERED && !self.cluster_absorbed(c) {
-            k.send_zero(now, c, Signal::MemberZero { cluster: c });
+            k.send_zero(now, c);
         }
     }
 
@@ -522,7 +530,7 @@ impl Handlers<3> for Engine<'_> {
                 // Lines 12/16: notify the own leader (travel latency);
                 // skipped when the leader is provably past reacting.
                 if increased && !self.cluster_absorbed(own) {
-                    k.send(now, Signal::MemberPromoted { cluster: own, gen });
+                    k.send(now, Promoted { cluster: own, gen });
                 }
                 // Line 20: reaching the final generation finishes the node.
                 if finished {
@@ -540,23 +548,34 @@ impl Handlers<3> for Engine<'_> {
         false
     }
 
-    fn on_signal(&mut self, k: &mut K, now: f64, signal: Signal) {
-        match signal {
-            Signal::MemberZero { cluster } => self.member_zeros(k, now, cluster, 1),
-            Signal::MemberPromoted { cluster, gen } => {
-                self.on_member_promoted(k, now, cluster, gen)
-            }
-        }
+    fn on_signal(&mut self, k: &mut K, now: f64, Promoted { cluster, gen }: Promoted) {
+        self.on_member_promoted(k, now, cluster, gen);
     }
 
-    /// A solved 0-signal threshold crossing of cluster `c`: batches in the
-    /// whole window's worth of arrivals at the crossing time, then re-arms
-    /// for whatever window the cluster's counters are in afterwards.
+    /// Cluster `c`'s armed 0-signal window crossed its threshold: closes
+    /// the window at the crossing time (every counter here is a pure
+    /// count-to-threshold, so the whole window's arrivals batch in at
+    /// once), then re-arms for whatever window the cluster is in
+    /// afterwards.
     fn on_crossing(&mut self, k: &mut K, now: f64, c: u32) {
         let gap = self
             .window_gap(c)
             .expect("armed window in a counting phase");
-        self.member_zeros(k, now, c, gap);
+        let ci = c as usize;
+        match self.clusters[ci].mode {
+            ClusterMode::Pausing => self.open_window(k, ci, ClusterMode::Accepting, ACCEPT_UNITS),
+            ClusterMode::Accepting => self.switch_to_consensus(k, now, c),
+            _ => {
+                let transition = self.clusters[ci]
+                    .state
+                    .as_mut()
+                    .expect("consensus cluster has a state")
+                    .on_zero_batch(gap);
+                if let Some(t) = transition {
+                    self.log_transition(k, now, c, t, true);
+                }
+            }
+        }
         self.rearm_flow(k, now, c);
     }
 
@@ -652,46 +671,11 @@ impl Engine<'_> {
         }
     }
 
-    /// Counts `count` member 0-signals arriving at cluster `c`'s leader
-    /// at one instant. A queued 0-signal passes 1; a window crossing (a
-    /// jump chain's or a counted arrival's) passes the whole window's
-    /// remaining gap, landing exactly on the threshold (every counter here is a pure count-to-threshold, so
-    /// batching is equivalent to iterating).
-    fn member_zeros(&mut self, k: &mut K, now: f64, c: u32, count: u64) {
-        let ci = c as usize;
-        match self.clusters[ci].mode {
-            ClusterMode::Filling | ClusterMode::NonParticipating => {}
-            mode @ (ClusterMode::Pausing | ClusterMode::Accepting) => {
-                let cluster = &mut self.clusters[ci];
-                cluster.window_count += count;
-                if cluster.window_count < cluster.window_threshold {
-                    return;
-                }
-                if mode == ClusterMode::Pausing {
-                    self.open_window(k, ci, ClusterMode::Accepting, ACCEPT_UNITS);
-                } else {
-                    self.switch_to_consensus(k, now, c);
-                }
-            }
-            ClusterMode::Consensus => {
-                let transition = self.clusters[ci]
-                    .state
-                    .as_mut()
-                    .expect("consensus cluster has a state")
-                    .on_zero_batch(count);
-                if let Some(t) = transition {
-                    self.log_transition(k, now, c, t, true);
-                }
-            }
-        }
-    }
-
     /// Puts cluster `ci` into the counting `mode`, whose window closes
     /// after `units` time units' worth of its members' 0-signals.
     fn open_window(&mut self, k: &K, ci: usize, mode: ClusterMode, units: f64) {
         let cluster = &mut self.clusters[ci];
         cluster.mode = mode;
-        cluster.window_count = 0;
         cluster.window_threshold = (cluster.size as f64 * k.c1 * units).ceil() as u64;
     }
 
@@ -721,9 +705,7 @@ impl Engine<'_> {
         let cluster = &self.clusters[c as usize];
         match cluster.mode {
             ClusterMode::Filling | ClusterMode::NonParticipating => None,
-            ClusterMode::Pausing | ClusterMode::Accepting => {
-                Some(cluster.window_threshold - cluster.window_count)
-            }
+            ClusterMode::Pausing | ClusterMode::Accepting => Some(cluster.window_threshold),
             ClusterMode::Consensus => {
                 let s = cluster
                     .state

@@ -15,7 +15,7 @@ mod engine;
 mod leader;
 mod node;
 
-pub use engine::{phase_spread, ClusterConfig, ClusterResult, PhaseLogEntry};
+pub use engine::{phase_spread, ClusterConfig, ClusterResult, PhaseLogEntry, MIN_NODES};
 pub use leader::{ClusterLeaderParams, ClusterLeaderState, ClusterPhase, ClusterTransition};
 pub use node::{
     decide_member, finished_exchange, FinishedExchange, MemberDecision, MemberSample, MemberView,

@@ -24,25 +24,26 @@
 //!   transition again (a terminal single leader, a non-participating or
 //!   terminal cluster) makes signals towards it unobservable; the
 //!   protocols stop scheduling them.
-//! * **Displaced-Poisson 0-signals** — on the failure-free path with
-//!   exponential travel latency, each leader's 0-signal *arrival* stream
-//!   is an inhomogeneous Poisson process (coloring + displacement
+//! * **Displaced-Poisson 0-signals** — with exponential travel latency
+//!   and no scenario environment, each leader's 0-signal *arrival*
+//!   stream is an inhomogeneous Poisson process (coloring + displacement
 //!   theorems), and every counting window is a pure count against a
 //!   threshold. The kernel jumps straight to each crossing with one
 //!   `Gamma(κ, 1)` draw per window ([`crate::signalflow`]) instead of
-//!   scheduling ~`n` signal events per time step. Scenario runs and
-//!   non-exponential latencies send each 0-signal individually (scenario
-//!   loss and crashes act per signal).
-//! * **Exact 0-signal counting** — with any other travel law and no
-//!   scenario environment, each 0-signal still draws its loss coin and
-//!   its latency at send time, but its arrival key `(time, send order)`
-//!   goes into its scope's counter ([`crate::arrivals`]) instead of the
-//!   event queue. The counter reports the exact key of the arrival that
-//!   reaches the armed window's threshold, which the loop races like a
-//!   jump chain's crossing, so a 0-signal arrival is never a loop step.
-//!   Scenario runs (their effects are polled per loop step) and leader
-//!   runs at [`RecordLevel::Full`] (the winner series samples per loop
-//!   step) keep every 0-signal in the queue.
+//!   sending ~`n` signals per time step.
+//! * **Exact 0-signal counting** — every other run (any other travel
+//!   law, or a scenario environment, whose loss and crashes act per
+//!   signal) sends each 0-signal individually: it draws its loss coin
+//!   and its latency at send time, and its arrival key `(time, send
+//!   order)` goes into its scope's counter ([`crate::arrivals`]). The
+//!   counter reports the exact key of the arrival that reaches the armed
+//!   window's threshold, which the loop races like a jump chain's
+//!   crossing. No 0-signal is ever queued, and a 0-signal arrival is
+//!   never a loop step.
+//! * **Scenario effects at their times** — the environment's next
+//!   timeline time is one more key in the loop's race, and wins exact
+//!   time ties against everything else, so each effect applies at
+//!   exactly its scripted time and no step polls for it.
 //! * **Tick thinning** — on that path with unit-rate clocks, a tick on a
 //!   *locked* node does nothing at all: its 0-signal is carried by the
 //!   jump chains and the interaction gate fails. The kernel simulates
@@ -85,7 +86,7 @@ use crate::Opinion;
 use plurality_dist::rng::{derive_seed, Xoshiro256PlusPlus};
 use plurality_dist::{sample_poisson, ChannelPattern, Latency, UnitExp, WaitingTime};
 use plurality_obs::{EngineProfile, TraceEvent, TraceKind, Tracer};
-use plurality_scenario::{Effect, Environment, Scenario};
+use plurality_scenario::{Environment, Scenario};
 use plurality_sim::{CalendarQueue, PoissonClock};
 use plurality_topology::{PeerSampler, Topology, TOPOLOGY_STREAM};
 use rand::Rng;
@@ -97,7 +98,7 @@ use std::borrow::Cow;
 const STRAGGLER_STREAM: u64 = 0x5752_A661;
 
 /// A queued event: the channel completion of an interaction that node
-/// `v` opened to `peers`, or a protocol signal in flight to a leader.
+/// `v` opened to `peers`, or a promotion signal in flight to a leader.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event<S, const M: usize> {
     Op {
@@ -130,8 +131,8 @@ pub(crate) trait Handlers<const M: usize>: Sized {
     fn on_op(&mut self, k: &mut Kernel<Self::Signal, M>, now: f64, v: u32, peers: [u32; M])
         -> bool;
 
-    /// A queued signal arrived at its leader (a 0-signal only when it is
-    /// queued rather than counted).
+    /// A queued promotion signal arrived at its leader (0-signals are
+    /// counted, never queued).
     fn on_signal(&mut self, k: &mut Kernel<Self::Signal, M>, now: f64, signal: Self::Signal);
 
     /// The armed window of `scope` crossed its threshold: a jump chain's
@@ -142,10 +143,11 @@ pub(crate) trait Handlers<const M: usize>: Sized {
     /// Clears the protocol flags of slot `v`, just re-filled by a join.
     fn on_join(&mut self, v: usize);
 
-    /// Called once per loop step, after scenario effects and before the
-    /// step's event is handled. A step is a tick, a queued event or a
-    /// window crossing; a counted 0-signal arrival is not a step (see
-    /// [`Kernel::start`]).
+    /// Called once per loop step at its time `now`, before the step's
+    /// event is handled. A step is a tick, a queued event, a window
+    /// crossing or the scenario effects due at one time; a counted
+    /// 0-signal arrival is not a step. No state changes between steps, so
+    /// the state seen here is the one after every change before `now`.
     fn on_step(&mut self, _k: &Kernel<Self::Signal, M>, _now: f64) {}
 }
 
@@ -309,8 +311,6 @@ struct Pool {
 
 /// How 0-signal arrivals reach the leaders' counting windows.
 enum Zeros {
-    /// Every 0-signal is a queued event handed to `on_signal`.
-    Queued,
     /// Per-scope displaced-Poisson jump chains: no 0-signal is sent.
     Chains(Vec<SignalFlow>),
     /// Per-scope exact arrival counters: 0-signals are sent but not
@@ -381,7 +381,7 @@ pub(crate) struct Kernel<S, const M: usize> {
     /// Ticks that opened an interaction (node neither locked nor crashed).
     pub interactions: u64,
     window_crossings: u64,
-    end_time: f64,
+    pub end_time: f64,
 }
 
 impl<S: Copy, const M: usize> Kernel<S, M> {
@@ -497,7 +497,7 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
             slot_ids,
             node_rates,
             signal_loss: s.scenario.signal_loss(),
-            zeros: Zeros::Queued,
+            zeros: Zeros::Counted(Vec::new()),
             cross: Arrival::NEVER,
             cross_scope: u32::MAX,
             at: Arrival { time: 0.0, seq: 0 },
@@ -514,32 +514,28 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
 
     /// Starts the run's clocks: draws each pool's first tick, in pool
     /// order, and picks where 0-signals go, one scope per entry of
-    /// `rates` (send rates at time 0, no window armed). Without a
-    /// scenario environment, exponential travel gets jump chains, plus
-    /// tick thinning when every node ticks at rate 1 (only unlocked
-    /// nodes' ticks are then simulated), and any other travel law gets
-    /// exact arrival counters — unless `steps_observed`: the protocol's
-    /// [`Handlers::on_step`] samples state per loop step, so 0-signal
-    /// arrivals must stay queued steps.
-    pub fn start(&mut self, rates: &[f64], steps_observed: bool) {
+    /// `rates` (send rates at time 0, no window armed). Exponential
+    /// travel with no scenario environment gets jump chains, plus tick
+    /// thinning when every node ticks at rate 1 (only unlocked nodes'
+    /// ticks are then simulated); every other run gets exact arrival
+    /// counters.
+    pub fn start(&mut self, rates: &[f64]) {
         for pool in &mut self.pools {
             pool.next = pool.clock.next_tick(0.0, &mut self.rng);
         }
-        if self.env.is_some() {
-            return;
-        }
-        if let Latency::Exponential { rate } = self.waiting.latency() {
-            let mut flows = vec![SignalFlow::new(rate); rates.len()];
-            for (flow, &r) in flows.iter_mut().zip(rates) {
-                flow.set_rate(0.0, r);
+        match self.waiting.latency() {
+            Latency::Exponential { rate } if self.env.is_none() => {
+                let mut flows = vec![SignalFlow::new(rate); rates.len()];
+                for (flow, &r) in flows.iter_mut().zip(rates) {
+                    flow.set_rate(0.0, r);
+                }
+                self.zeros = Zeros::Chains(flows);
+                if self.node_rates.is_empty() {
+                    self.thinned = true;
+                    self.unlocked = (0..self.n as u32).collect();
+                }
             }
-            self.zeros = Zeros::Chains(flows);
-            if self.node_rates.is_empty() {
-                self.thinned = true;
-                self.unlocked = (0..self.n as u32).collect();
-            }
-        } else if !steps_observed {
-            self.zeros = Zeros::Counted(vec![ArrivalCounter::default(); rates.len()]);
+            _ => self.zeros = Zeros::Counted(vec![ArrivalCounter::default(); rates.len()]),
         }
     }
 
@@ -566,7 +562,6 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
     pub fn set_flow(&mut self, now: f64, scope: u32, rate: f64, window: Option<u64>) {
         let s = scope as usize;
         match (&mut self.zeros, window) {
-            (Zeros::Queued, _) => return,
             (Zeros::Chains(flows), Some(kappa)) => {
                 debug_assert!(kappa > 0, "crossings are handled before re-arming");
                 flows[s].set_rate(now, rate);
@@ -601,7 +596,6 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
             }
         };
         match &self.zeros {
-            Zeros::Queued => return,
             Zeros::Chains(flows) => {
                 for (i, f) in flows.iter().enumerate() {
                     consider(
@@ -642,9 +636,20 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
             // wins exact time ties against them. Queued events win exact
             // time ties against ticks and jump-chain crossings (a
             // probability-zero event: tick times stay continuous) and
-            // meet a counted crossing in send order.
-            let crossing = self.cross.time <= tick;
-            let forced = if crossing {
+            // meet a counted crossing in send order. The next scenario
+            // effect wins exact time ties against all of them.
+            let effect_at = self
+                .env
+                .as_ref()
+                .map_or(f64::INFINITY, Environment::next_time);
+            let effect = effect_at <= self.cross.time.min(tick);
+            let crossing = !effect && self.cross.time <= tick;
+            let forced = if effect {
+                Arrival {
+                    time: effect_at,
+                    seq: 0,
+                }
+            } else if crossing {
                 self.cross
             } else {
                 Arrival {
@@ -671,25 +676,22 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
                 }
                 None => {
                     self.queue.advance_to(forced.time);
-                    // A counted crossing follows its own arrival; a tick
-                    // or jump-chain crossing (`seq = u64::MAX`) follows
-                    // everything queued so far.
+                    // Effects (`seq = 0`) precede everything queued at
+                    // their time; a counted crossing follows its own
+                    // arrival; a tick or jump-chain crossing (`seq =
+                    // u64::MAX`) follows everything queued so far.
+                    let after = u64::from(!effect);
                     self.at = Arrival {
                         time: forced.time,
-                        seq: forced.seq.saturating_add(1).min(self.queue.next_seq()),
+                        seq: forced.seq.saturating_add(after).min(self.queue.next_seq()),
                     };
                     forced.time
                 }
             };
             self.end_time = now;
-            if let Some(env) = self.env.as_mut() {
-                let effects = env.poll(now);
-                if !effects.is_empty() && self.apply_effects(p, now, effects) {
-                    return;
-                }
-            }
             p.on_step(self, now);
             let done = match popped {
+                None if effect => self.apply_effects(p, now),
                 None if crossing => {
                     let scope = self.cross_scope;
                     self.window_crossings += 1;
@@ -790,17 +792,13 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
         p.on_op(self, now, v, peers)
     }
 
-    /// Applies the scenario effects due at `now` through the shared
-    /// [`apply_effects`]. Returns true if the population became
-    /// monochromatic.
-    fn apply_effects<P: Handlers<M, Signal = S>>(
-        &mut self,
-        p: &mut P,
-        now: f64,
-        effects: Vec<Effect>,
-    ) -> bool {
+    /// Applies the scenario effects due at `now`, the environment's next
+    /// timeline time, through the shared [`apply_effects`]. Returns true
+    /// if the population became monochromatic.
+    fn apply_effects<P: Handlers<M, Signal = S>>(&mut self, p: &mut P, now: f64) -> bool {
         // Taken out and restored so effects can borrow the kernel mutably.
         let mut env = self.env.take().expect("effects come from an environment");
+        let effects = env.poll(now);
         let mut target = KernelEffects(&mut *self, p, false);
         apply_effects(&mut env, now, effects, &mut target);
         let mut mono = target.2;
@@ -914,18 +912,16 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
         }
     }
 
-    /// Sends the 0-signal `signal` towards the leader of `scope`, with
-    /// the draws of [`Kernel::send`]; an arrival counter takes it in
-    /// place of the queue, under the sequence number it would have had
-    /// there.
+    /// Sends a 0-signal towards the leader of `scope`, with the draws of
+    /// [`Kernel::send`]; the scope's arrival counter takes it in place of
+    /// the queue, under the sequence number it would have had there.
     #[inline]
-    pub fn send_zero(&mut self, now: f64, scope: u32, signal: S) {
+    pub fn send_zero(&mut self, now: f64, scope: u32) {
         let Some(time) = self.travel(now) else {
             return;
         };
         let Zeros::Counted(counters) = &mut self.zeros else {
-            self.queue.schedule(time, Event::Signal(signal));
-            return;
+            unreachable!("jump chains send no 0-signal");
         };
         let arrival = Arrival {
             time,
@@ -1039,6 +1035,57 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
                 queue_resizes: q.resizes,
                 window_crossings: self.window_crossings,
             },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::cluster::ClusterConfig;
+    use crate::leader::LeaderConfig;
+    use crate::InitialAssignment;
+    use plurality_dist::Latency;
+    use plurality_obs::{TraceEvent, TraceKind};
+    use plurality_scenario::Scenario;
+
+    /// The time and name of every traced scenario effect.
+    fn effects(trace: Option<Vec<TraceEvent>>) -> Vec<(f64, &'static str)> {
+        let trace = trace.expect("traced run");
+        trace
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::ScenarioEffect { name, .. } => Some((e.time, name)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scenario_effects_apply_at_their_scripted_times() {
+        let scenario = Scenario::parse(
+            "corrupt:0.1:adaptive@3.25;crash:0.2@4.5;rewire:er:0.05@5.125;join:1@6.75",
+        )
+        .unwrap();
+        let expected = [(3.25, "corrupt"), (5.125, "rewired"), (6.75, "joined")];
+        for latency in [Latency::exponential(1.0), Latency::erlang(3, 3.0)] {
+            let latency = latency.unwrap();
+            let assignment = InitialAssignment::with_bias(600, 2, 3.0).unwrap();
+            let leader = LeaderConfig::new(assignment.clone())
+                .with_seed(1)
+                .with_steps_per_unit(9.3)
+                .with_latency(latency)
+                .with_scenario(scenario.clone())
+                .with_trace(true)
+                .run();
+            assert_eq!(effects(leader.trace), expected, "leader, {latency:?}");
+            let cluster = ClusterConfig::new(assignment)
+                .with_seed(1)
+                .with_steps_per_unit(12.0)
+                .with_latency(latency)
+                .with_scenario(scenario.clone())
+                .with_trace(true)
+                .run();
+            assert_eq!(effects(cluster.trace), expected, "cluster, {latency:?}");
         }
     }
 }

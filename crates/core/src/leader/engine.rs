@@ -22,6 +22,9 @@ use plurality_scenario::Scenario;
 use plurality_sim::Series;
 use plurality_topology::Topology;
 
+/// The fewest nodes a single-leader run accepts.
+pub const MIN_NODES: usize = 2;
+
 /// The gen-size threshold as a fraction of `n`: the leader allows the
 /// next generation once `n/2` nodes reported the current one.
 const GEN_SIZE_FRACTION: f64 = 0.5;
@@ -97,7 +100,8 @@ impl LeaderConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the assignment materializes fewer than 2 nodes, or if
+    /// Panics if the assignment materializes fewer than [`MIN_NODES`]
+    /// nodes, or if
     /// the configured topology cannot be built for that population size
     /// (see [`Topology::build`]).
     pub fn run(&self) -> LeaderResult {
@@ -137,7 +141,8 @@ pub struct LeaderResult {
     pub two_choices_promotions: u64,
     /// Number of adoptions via propagation.
     pub propagation_promotions: u64,
-    /// Winner-fraction time series (only at [`RecordLevel::Full`]).
+    /// Winner-fraction time series (only at [`RecordLevel::Full`]): at
+    /// each integer step `g` up to the run's end, the state after `g`.
     pub winner_fraction: Option<Series>,
     /// Per-node `(generation, color)` at run end (only at
     /// [`RecordLevel::Full`]); lets the plurality-check model checker
@@ -164,12 +169,17 @@ struct Leader {
     two_choices_promotions: u64,
     propagation_promotions: u64,
     winner_series: Option<Series>,
+    /// The next grid point the winner series has not stamped.
     next_sample: f64,
 }
 
 fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
-    let mut k: Kernel<Signal, 2> =
-        Kernel::new(&cfg.run, ChannelPattern::SingleLeader, "single-leader", 2);
+    let mut k: Kernel<Signal, 2> = Kernel::new(
+        &cfg.run,
+        ChannelPattern::SingleLeader,
+        "single-leader",
+        MIN_NODES,
+    );
     let (n, c1, cap) = (k.n, k.c1, k.cap);
     let nf = n as f64;
     let zero_signal_threshold = (nf * c1 * (TWO_CHOICES_UNITS + nf.ln() / nf.sqrt())).ceil() as u64;
@@ -190,7 +200,7 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
     });
 
     let send_rate = k.send_rate(k.tick_mass());
-    k.start(&[send_rate], winner_series.is_some());
+    k.start(&[send_rate]);
     if send_rate > 0.0 {
         k.set_flow(0.0, 0, send_rate, Some(zero_signal_threshold));
     }
@@ -216,6 +226,8 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
         next_sample: 1.0,
     };
     k.run(&mut leader);
+    // The grid points after the last step, up to the run's end.
+    leader.on_step(&k, k.end_time.floor() + 1.0);
 
     let final_node_states = matches!(cfg.run.record, RecordLevel::Full)
         .then(|| k.gens.iter().copied().zip(k.cols.iter().copied()).collect());
@@ -280,7 +292,7 @@ impl Handlers<2> for Leader {
         // skipped once the leader is terminal (the arrival would be
         // unobservable).
         if !self.leader.is_terminal() {
-            k.send_zero(now, 0, Signal::Zero);
+            k.send_zero(now, 0);
         }
     }
 
@@ -366,12 +378,14 @@ impl Handlers<2> for Leader {
         self.seen_prop[v] = false;
     }
 
+    /// Stamps the winner series at every grid point below `now` not yet
+    /// stamped: the state before a step is the state at each of them.
     fn on_step(&mut self, k: &Kernel<Signal, 2>, now: f64) {
         if let Some(series) = self.winner_series.as_mut() {
-            if now >= self.next_sample {
-                let support = k.table.color_support(k.initial_winner);
-                series.push(now, support as f64 / k.n as f64);
-                self.next_sample = now.floor() + 1.0;
+            let fraction = k.table.color_support(k.initial_winner) as f64 / k.n as f64;
+            while self.next_sample < now {
+                series.push(self.next_sample, fraction);
+                self.next_sample += 1.0;
             }
         }
     }
@@ -381,6 +395,7 @@ impl Handlers<2> for Leader {
 mod tests {
     use super::*;
     use crate::opinion::Opinion;
+    use plurality_dist::Latency;
     use plurality_obs::TraceKind;
 
     fn quick_config(n: u64, k: u32, alpha: f64, seed: u64) -> LeaderConfig {
@@ -477,11 +492,51 @@ mod tests {
 
     #[test]
     fn full_record_produces_series() {
-        let result = quick_config(800, 2, 3.0, 7);
-        let result = result.with_record(RecordLevel::Full).run();
-        let series = result.winner_fraction.expect("series recorded");
-        assert!(series.len() > 1);
-        assert!(series.last_value().unwrap() > 0.9);
+        for latency in [Latency::exponential(1.0), Latency::erlang(3, 3.0)] {
+            let result = quick_config(800, 2, 3.0, 7)
+                .with_latency(latency.unwrap())
+                .with_record(RecordLevel::Full)
+                .run();
+            let series = result.winner_fraction.expect("series recorded");
+            assert!(series.len() > 1);
+            assert!(series.last_value().unwrap() > 0.9);
+            // One stamp per integer grid point, from 0 to the run's end.
+            let last = result.outcome.duration.floor() as u32;
+            let grid: Vec<f64> = (0..=last).map(f64::from).collect();
+            assert_eq!(series.times(), grid.as_slice());
+        }
+    }
+
+    #[test]
+    fn grid_samples_show_effects_at_or_before_their_point_only() {
+        // Scenario randomness has its own stream, so until the corruption
+        // the runs agree; the sample at grid point g includes an effect
+        // at time g and excludes one after it.
+        let run = |script: &str| {
+            quick_config(800, 2, 3.0, 7)
+                .with_latency(Latency::erlang(3, 3.0).unwrap())
+                .with_record(RecordLevel::Full)
+                .with_scenario(Scenario::parse(script).unwrap())
+                .run()
+                .winner_fraction
+                .expect("series recorded")
+        };
+        let plain = run("");
+        for (script, first_hit) in [
+            ("corrupt:0.1:adaptive@10", 10),
+            ("corrupt:0.1:adaptive@10.5", 11),
+        ] {
+            let hit = run(script);
+            assert_eq!(
+                hit.values()[..first_hit],
+                plain.values()[..first_hit],
+                "{script}"
+            );
+            assert!(
+                hit.values()[first_hit] < plain.values()[first_hit],
+                "{script}"
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,6 @@ mod engine;
 mod node;
 mod state;
 
-pub use engine::{GenerationPhase, LeaderConfig, LeaderResult};
+pub use engine::{GenerationPhase, LeaderConfig, LeaderResult, MIN_NODES};
 pub use node::{apply, decide, NodeDecision, NodeState, NodeView, SampleView};
 pub use state::{LeaderParams, LeaderState, LeaderTransition, Signal};

@@ -159,9 +159,10 @@ impl LeaderState {
 
     /// Equivalent to `count` successive `on_signal(Signal::Zero)` calls,
     /// in O(1): at most one transition (the propagation opening) can fire
-    /// per generation window, so batching loses nothing. The engines'
-    /// displaced-Poisson fast path counts whole windows of 0-signals at
-    /// once (see `signalflow`), landing exactly on the threshold.
+    /// per generation window, so batching loses nothing. The engine
+    /// counts each whole window of 0-signals at once at its crossing (a
+    /// jump chain's or an arrival counter's), landing exactly on the
+    /// threshold.
     pub fn on_zero_batch(&mut self, count: u64) -> Option<LeaderTransition> {
         self.zero_count += count;
         if !self.propagation && self.zero_count >= self.params.zero_signal_threshold {

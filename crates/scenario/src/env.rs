@@ -68,10 +68,10 @@ enum Change {
 /// the crash roster, the active loss/latency regimes, and a private RNG
 /// that owns **all** scenario randomness.
 ///
-/// Created via [`Scenario::instantiate`] / [`Scenario::for_run`]. The
-/// hot-path cost when no event is due is a single bounds-checked
-/// comparison in [`Environment::poll`] plus the `loss == 0` branch in
-/// [`Environment::message_lost`].
+/// Created via [`Scenario::instantiate`] / [`Scenario::for_run`]. An
+/// engine reads [`Environment::next_time`] to know when to poll; the
+/// hot-path cost of a message outside bursts is the `loss == 0` branch
+/// in [`Environment::message_lost`].
 #[derive(Debug, Clone)]
 pub struct Environment {
     n: usize,
@@ -207,14 +207,19 @@ impl Environment {
         self.loss > 0.0 && self.rng.gen::<f64>() < self.loss
     }
 
+    /// The time of the next timeline entry not yet fired, or infinity
+    /// once every entry has fired.
+    #[inline]
+    pub fn next_time(&self) -> f64 {
+        self.timeline.get(self.next).map_or(f64::INFINITY, |e| e.0)
+    }
+
     /// Advances the environment clock to `now`, firing every timeline
     /// entry with time ≤ `now` in order, and returns the effects the
-    /// engine must apply. Returns an empty vector — without allocating —
-    /// when no event is due, which is the hot-path case.
+    /// engine must apply (none if no entry is due): the asynchronous
+    /// engines poll at each [`Environment::next_time`], round engines
+    /// every step.
     pub fn poll(&mut self, now: f64) -> Vec<Effect> {
-        if self.next >= self.timeline.len() || self.timeline[self.next].0 > now {
-            return Vec::new();
-        }
         let mut effects = Vec::new();
         while self.next < self.timeline.len() && self.timeline[self.next].0 <= now {
             let (_, change) = self.timeline[self.next];

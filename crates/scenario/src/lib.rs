@@ -47,6 +47,7 @@
 //! let mut env = scenario.for_run(100, 2, 7).expect("non-empty");
 //!
 //! assert_eq!(env.alive_count(), 100);
+//! assert_eq!(env.next_time(), 2.0);
 //! let fired = env.poll(2.0);
 //! assert!(matches!(fired[0], Effect::Crashed(_)));
 //! assert_eq!(env.alive_count(), 50);

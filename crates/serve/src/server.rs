@@ -421,7 +421,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             // Can't normally happen — the spec was validated before it
             // was queued — but a worker must never die on one job.
             Ok(Err(e)) => Err(format!("spec failed to resolve after validation: {e}")),
-            Err(panic) => Err(format!("engine panicked: {}", panic_message(&panic))),
+            Err(panic) => Err(format!("engine panicked: {}", panic_message(panic))),
         };
         let _ = job.reply.send(JobReply {
             result,
@@ -430,12 +430,30 @@ fn worker_loop(inner: &Arc<Inner>) {
     }
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s
+/// The message of a panic payload as `catch_unwind` returns it: a
+/// `&str` for a literal `panic!` message, a `String` for a formatted one.
+/// Taking the `Box` itself keeps callers from handing over a reference
+/// to it, which would downcast the box rather than its payload.
+fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+    let payload = &*panic;
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
     } else {
-        "non-string panic payload"
+        "non-string panic payload".to_owned()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panic_message_reads_literal_and_formatted_payloads() {
+        let formatted = catch_unwind(|| panic!("boom {}", 1)).unwrap_err();
+        assert_eq!(panic_message(formatted), "boom 1");
+        let literal = catch_unwind(|| panic!("boom")).unwrap_err();
+        assert_eq!(panic_message(literal), "boom");
     }
 }

@@ -141,6 +141,22 @@ fn a_leader_mf_dt_below_one_sixty_fourth_is_a_400_not_a_wedged_worker() {
 }
 
 #[test]
+fn a_per_node_spec_below_the_engine_minimum_is_a_400_not_a_500() {
+    // The multi-leader engine needs a few nodes to elect its leaders; a
+    // smaller population is refused with a teaching error naming `n`.
+    let (server, mut client) = start(ServeConfig::default());
+    let small = get(&mut client, &run_target("cluster?n=5&k=2", None));
+    assert_eq!(small.status, 400, "{}", small.body);
+    assert!(
+        small.body.contains("`n`") && small.body.contains("at least 8"),
+        "the 400 must name the parameter: {}",
+        small.body
+    );
+    server.drain();
+    server.join();
+}
+
+#[test]
 fn method_and_framing_violations_are_rejected() {
     let (server, mut client) = start(ServeConfig::default());
 
