@@ -49,9 +49,10 @@ use plurality_core::sync::{generations_needed, GENERATION_CAP};
 use plurality_core::{ConvergenceTracker, OpinionCounts, RunOutcome};
 use plurality_dist::rng::Xoshiro256PlusPlus;
 use plurality_dist::{
-    multinomial_split, sample_binomial, ChannelPattern, InvalidParameterError, Latency, WaitingTime,
+    multinomial_split, sample_binomial, ChannelPattern, InvalidParameterError, Latency,
+    PreparedSplit, WaitingTime,
 };
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::biased_counts;
 
@@ -73,7 +74,7 @@ fn core_waiting_time() -> WaitingTime {
 }
 
 /// The fixed-seed channel-phase sample behind the ECDF, drawn once per
-/// process (512 KB); each run buckets it by its own `Δ`.
+/// process (512 KB).
 fn phase_samples() -> &'static [f64] {
     static SAMPLES: OnceLock<Vec<f64>> = OnceLock::new();
     SAMPLES.get_or_init(|| {
@@ -83,6 +84,47 @@ fn phase_samples() -> &'static [f64] {
             .map(|_| waiting.sample_channel_phase(&mut ecdf_rng))
             .collect()
     })
+}
+
+/// The channel-phase law bucketed by one sub-step `Δ`.
+struct PhaseSplit {
+    /// The split over completion offsets: every occupied offset but the
+    /// last, whose draw is the split's residual.
+    split: PreparedSplit,
+    /// The number of completion offsets.
+    offsets: usize,
+}
+
+/// The [`PhaseSplit`] at sub-step `dt`. The one for the last `dt` asked
+/// for is kept, so back-to-back runs at one `dt` bucket the sample once.
+fn phase_split(dt: f64) -> Arc<PhaseSplit> {
+    static LAST: Mutex<Option<(u64, Arc<PhaseSplit>)>> = Mutex::new(None);
+    if let Some((bits, split)) = &*LAST.lock().expect("phase split memo poisoned") {
+        if *bits == dt.to_bits() {
+            return Arc::clone(split);
+        }
+    }
+    let mut buckets: Vec<u64> = Vec::new();
+    for &phase in phase_samples() {
+        let j = (phase / dt) as usize;
+        if j >= buckets.len() {
+            buckets.resize(j + 1, 0);
+        }
+        buckets[j] += 1;
+    }
+    let last_offset = buckets.len() - 1;
+    let targets: Vec<(usize, f64)> = buckets[..last_offset]
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b > 0)
+        .map(|(j, &b)| (j, b as f64 / PHASE_ECDF_SAMPLES as f64))
+        .collect();
+    let split = Arc::new(PhaseSplit {
+        split: PreparedSplit::new(&targets),
+        offsets: buckets.len(),
+    });
+    *LAST.lock().expect("phase split memo poisoned") = Some((dt.to_bits(), Arc::clone(&split)));
+    split
 }
 
 /// Configuration for a mean-field single-leader run (facade spec name
@@ -109,9 +151,9 @@ pub struct LeaderMfConfig {
 impl LeaderMfConfig {
     /// The smallest accepted tau-leap sub-step `Δ`. A run's sub-steps and
     /// its completion ring both grow as `1/Δ`, and its cost faster: at
-    /// `n = 10⁶`, `k = 4` a run takes 0.5 s at `Δ = 1/16`, 2.8 s at
-    /// `Δ = 1/64` and 6.5 s at `Δ = 0.01` (2-vCPU container), so a tiny
-    /// `Δ` would hold a daemon worker far past its deadline.
+    /// `n = 10⁶`, `k = 4`, `α = 2` a run takes 0.33 s at `Δ = 1/16`,
+    /// 1.8 s at `Δ = 1/64` and 3.4 s at `Δ = 0.01` (2-vCPU container),
+    /// so a tiny `Δ` would hold a daemon worker far past its deadline.
     pub const MIN_DT: f64 = 1.0 / 64.0;
 
     /// Creates a configuration with the canonical biased start: opinion 0
@@ -175,6 +217,13 @@ impl LeaderMfConfig {
         self
     }
 
+    /// The split that scatters a batch of nodes locking in one sub-step
+    /// over their completion offsets: the channel-phase law bucketed by
+    /// this configuration's `Δ`.
+    pub fn phase_split(&self) -> PreparedSplit {
+        phase_split(self.dt).split.clone()
+    }
+
     /// Runs the mean-field tau-leap process.
     ///
     /// # Panics
@@ -198,6 +247,15 @@ pub struct LeaderMfResult {
     pub leader_generation: u32,
     /// Whether the leader ended terminal (cap reached, propagation open).
     pub leader_terminal: bool,
+}
+
+/// An occupied `(gen, color)` cell of a sub-step's completion step, with
+/// its dense index and its current count.
+struct Occupied {
+    gen: u32,
+    col: usize,
+    cell: usize,
+    count: f64,
 }
 
 /// Dense cell index for `(gen, color)` pools.
@@ -250,24 +308,10 @@ fn run_leader_mf(cfg: &LeaderMfConfig) -> LeaderMfResult {
     // Completion slot offsets: a node locking in sub-step s completes in
     // sub-step s + 1 + ⌊phase/Δ⌋ (the +1 centers the tick-time jitter
     // within the locking sub-step).
-    let mut buckets: Vec<u64> = Vec::new();
-    for &phase in phase_samples() {
-        let j = (phase / dt) as usize;
-        if j >= buckets.len() {
-            buckets.resize(j + 1, 0);
-        }
-        buckets[j] += 1;
-    }
-    // The multinomial over offsets as split targets: every occupied
-    // offset but the last, whose draw is the split's residual.
-    let last_offset = buckets.len() - 1;
-    let phase_targets: Vec<(usize, f64)> = buckets[..last_offset]
-        .iter()
-        .enumerate()
-        .filter(|&(_, &b)| b > 0)
-        .map(|(j, &b)| (j, b as f64 / PHASE_ECDF_SAMPLES as f64))
-        .collect();
-    let ring_len = buckets.len() + 1;
+    let phase = phase_split(dt);
+    let offsets = phase.offsets;
+    let last_offset = offsets - 1;
+    let ring_len = offsets + 1;
 
     // --- Pools ------------------------------------------------------------
     let cells = (cap as usize + 1) * k;
@@ -324,11 +368,11 @@ fn run_leader_mf(cfg: &LeaderMfConfig) -> LeaderMfResult {
     let mut slot = 0usize;
     // Scratch buffers reused across sub-steps. `scattered` and `by_slot`
     // are all-zero between uses: each reader takes what it reads.
-    let mut occupied: Vec<usize> = Vec::new();
+    let mut occupied: Vec<Occupied> = Vec::new();
     let mut targets: Vec<(usize, f64)> = Vec::new();
     let mut target_mass = vec![0.0f64; cells];
     let mut scattered = vec![0u64; cells];
-    let mut by_slot = vec![0u64; buckets.len()];
+    let mut by_slot = vec![0u64; offsets];
 
     while !tracker.is_consensus() && t < max_time {
         sub_steps += 1;
@@ -388,7 +432,12 @@ fn run_leader_mf(cfg: &LeaderMfConfig) -> LeaderMfResult {
         // Fresh batches decide against the current fractions.
         if ring_fresh[slot].iter().any(|&m| m > 0) {
             occupied.clear();
-            occupied.extend((0..cells).filter(|&c| total[c] > 0));
+            occupied.extend((0..cells).filter(|&c| total[c] > 0).map(|c| Occupied {
+                gen: (c / k) as u32,
+                col: c % k,
+                cell: c,
+                count: 0.0,
+            }));
             for g in 0..=cap {
                 let row = &mut ring_fresh[slot][cell(g, 0, k)..cell(g, 0, k) + k];
                 if row.iter().all(|&m| m == 0) {
@@ -399,13 +448,17 @@ fn run_leader_mf(cfg: &LeaderMfConfig) -> LeaderMfResult {
                 // cells (decide() reads only the samples' (gen, col)).
                 targets.clear();
                 target_mass.fill(0.0);
+                // Earlier rows' moves change `total`: refresh the counts.
+                for o in &mut occupied {
+                    o.count = total[o.cell] as f64;
+                }
                 let mut move_mass = 0.0f64;
-                for &c1_idx in &occupied {
-                    let (g1, col1) = ((c1_idx / k) as u32, c1_idx % k);
-                    let f1 = total[c1_idx] as f64 / nf;
-                    for &c2_idx in &occupied {
-                        let (g2, col2) = ((c2_idx / k) as u32, c2_idx % k);
-                        let pr = f1 * total[c2_idx] as f64 / nf;
+                for o1 in &occupied {
+                    let (g1, col1) = (o1.gen, o1.col);
+                    let f1 = o1.count / nf;
+                    for o2 in &occupied {
+                        let (g2, col2) = (o2.gen, o2.col);
+                        let pr = f1 * o2.count / nf;
                         // Two-choices (line 6): no own-generation guard.
                         if !prop && lg >= 1 && g1 == g2 && g1 + 1 == lg && col1 == col2 {
                             target_mass[cell(lg, col1, k)] += pr;
@@ -489,7 +542,7 @@ fn run_leader_mf(cfg: &LeaderMfConfig) -> LeaderMfResult {
                     continue;
                 }
                 pools[c] = m - locked;
-                let stayed = multinomial_split(locked, &phase_targets, &mut by_slot, &mut rng);
+                let stayed = phase.split.split(locked, &mut by_slot, &mut rng);
                 by_slot[last_offset] += stayed;
                 for (j, batch) in by_slot.iter_mut().enumerate() {
                     if *batch > 0 {
@@ -564,6 +617,22 @@ mod tests {
             .with_seed(7)
             .run();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn runs_at_alternating_dt_match_runs_at_one_dt() {
+        // The phase split is kept for the last dt only: switching away
+        // and back must rebuild the same split.
+        let run = |dt| {
+            LeaderMfConfig::new(100_000, 2, 3.0)
+                .unwrap()
+                .with_seed(8)
+                .with_dt(dt)
+                .run()
+        };
+        let first = run(0.5);
+        assert_ne!(run(0.25), first);
+        assert_eq!(run(0.5), first);
     }
 
     #[test]

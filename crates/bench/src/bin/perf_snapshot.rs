@@ -16,7 +16,10 @@
 //! ```
 //!
 //! With `--check`, the freshly measured snapshot is *not* written;
-//! instead it is compared against the committed baseline, and the process
+//! instead it is compared against the committed baseline
+//! `benchmarks/BENCH_perf_snapshot.json` (read first, relative to the
+//! working directory, whatever `PLURALITY_BENCH_JSON` says; exit 1 at
+//! once if it is missing), and the process
 //! exits non-zero if the baseline contains a metric the fresh snapshot no
 //! longer produces (a silently dropped benchmark), or if any `profile/*`
 //! counter differs from its baseline value. Those counters are pure
@@ -36,8 +39,12 @@ use plurality_dist::{
 };
 use plurality_sim::CalendarQueue;
 use plurality_topology::Topology;
-use rand::RngCore;
+use rand::{Rng, RngCore};
+use std::path::Path;
 use std::time::Instant;
+
+/// The snapshot's file name, in `benchmarks/` or the snapshot directory.
+const SNAPSHOT_FILE: &str = "BENCH_perf_snapshot.json";
 
 /// Measurement effort. [`Effort::full`] produces the committed
 /// snapshot; [`Effort::quick`] backs `--check`, which needs only the
@@ -138,6 +145,23 @@ fn sampler_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
         "sampler/binomial_n1e6_ns".into(),
         median_ns(eff.batch(20_000), eff.timing_samples, || {
             std::hint::black_box(sample_binomial(1_000_000, 0.3, &mut rng));
+        }),
+    ));
+    // The split leader-mf's lock step draws most (37 offsets at dt 0.5),
+    // at counts log-uniform over 10²–10⁸: ns per split.
+    let phase_split = LeaderMfConfig::from_counts(vec![1, 1])
+        .with_dt(0.5)
+        .phase_split();
+    let counts: Vec<u64> = (0..1024)
+        .map(|_| 10f64.powf(2.0 + 6.0 * rng.gen::<f64>()) as u64)
+        .collect();
+    let mut out = vec![0u64; 64];
+    let mut next = 0usize;
+    metrics.push((
+        "sampler/binomial_mf_split_ns".into(),
+        median_ns(eff.batch(5_000), eff.timing_samples, || {
+            next = (next + 1) & 1023;
+            std::hint::black_box(phase_split.split(counts[next], &mut out, &mut rng));
         }),
     ));
     metrics.push((
@@ -482,7 +506,16 @@ fn check_failures(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> Vec<St
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
-    let path = plurality_bench::snapshot_dir().join("BENCH_perf_snapshot.json");
+    // --check reads the committed baseline before it measures anything,
+    // whatever the snapshot directory.
+    let baseline = check.then(|| {
+        let path = Path::new(plurality_bench::COMMITTED_DIR).join(SNAPSHOT_FILE);
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("cannot read committed baseline {}: {e}", path.display());
+            std::process::exit(1);
+        });
+        plurality_bench::baseline_entries(&text)
+    });
     // --check only needs the timing keys' names: measure at token effort.
     let eff = if check {
         Effort::quick()
@@ -508,12 +541,7 @@ fn main() {
         println!("{name}: {value:.2}");
     }
 
-    if check {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read committed baseline {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let baseline = plurality_bench::baseline_entries(&baseline);
+    if let Some(baseline) = baseline {
         let failures = check_failures(&baseline, &metrics);
         if failures.is_empty() {
             println!(
@@ -527,6 +555,7 @@ fn main() {
             std::process::exit(1);
         }
     } else {
+        let path = plurality_bench::snapshot_dir().join(SNAPSHOT_FILE);
         plurality_bench::write_suite_json(
             &path,
             "perf_snapshot",

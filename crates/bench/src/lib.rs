@@ -157,11 +157,15 @@ pub fn theorem_bias(n: u64, k: u32) -> f64 {
 /// snapshots are written to and read from (default `benchmarks/`).
 pub const BENCH_JSON_ENV: &str = "PLURALITY_BENCH_JSON";
 
+/// The directory of the committed snapshots, relative to the repository
+/// root.
+pub const COMMITTED_DIR: &str = "benchmarks";
+
 /// The snapshot directory: `PLURALITY_BENCH_JSON`, else `benchmarks/`.
 pub fn snapshot_dir() -> PathBuf {
     std::env::var(BENCH_JSON_ENV)
         .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("benchmarks"))
+        .unwrap_or_else(|_| PathBuf::from(COMMITTED_DIR))
 }
 
 /// Writes a `BENCH_<suite>.json` snapshot: a `suite`/`unit` header plus

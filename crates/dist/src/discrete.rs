@@ -5,11 +5,11 @@
 //! *exact* (the process law must be reproduced, not approximated) and
 //! *O(1)* in `n` (populations reach 10⁹). Small means use plain CDF
 //! inversion; large means use acceptance-rejection from the BTPE envelope
-//! (Kachitvichyanukul & Schmeiser 1988) with an exact log-pmf acceptance
-//! test, and the transformed-rejection method of Hörmann (1993) for the
-//! Poisson law.
+//! (Kachitvichyanukul & Schmeiser 1988) with the decisions of an exact
+//! log-pmf acceptance test, and the transformed-rejection method of
+//! Hörmann (1993) for the Poisson law.
 
-use crate::special::ln_gamma;
+use crate::special::{binomial_ln_ratio_stirling, ln_gamma};
 use rand::Rng;
 
 /// Draws an exact `Binomial(n, p)` sample in O(1) expected time.
@@ -30,6 +30,36 @@ use rand::Rng;
 /// assert_eq!(sample_binomial(10, 1.0, &mut rng), 10);
 /// ```
 pub fn sample_binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
+    binomial(n, p, None, rng)
+}
+
+/// [`sample_binomial`] at one fixed `p`, with the CDF-inversion
+/// constants computed once for every draw. Each draw returns the value
+/// and consumes the uniforms that `sample_binomial(n, p, ·)` would.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PreparedBinomial {
+    p: f64,
+    inversion: Inversion,
+}
+
+impl PreparedBinomial {
+    pub(crate) fn new(p: f64) -> Self {
+        Self {
+            p,
+            inversion: Inversion::new(p.min(1.0 - p)),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, n: u64, rng: &mut R) -> u64 {
+        binomial(n, self.p, Some(&self.inversion), rng)
+    }
+}
+
+/// The body of [`sample_binomial`]; `inversion`, when given, holds the
+/// inversion constants of `min(p, 1 − p)`.
+#[inline]
+fn binomial<R: Rng + ?Sized>(n: u64, p: f64, inversion: Option<&Inversion>, rng: &mut R) -> u64 {
     if n == 0 || p.is_nan() || p <= 0.0 {
         return 0;
     }
@@ -39,7 +69,8 @@ pub fn sample_binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     // Work with q ≤ 1/2 and flip back at the end.
     let (q, flipped) = if p > 0.5 { (1.0 - p, true) } else { (p, false) };
     let successes = if (n as f64) * q < 10.0 {
-        binomial_inversion(n, q, rng)
+        let inversion = inversion.copied().unwrap_or_else(|| Inversion::new(q));
+        binomial_inversion(n, &inversion, rng)
     } else {
         binomial_btpe(n, q, rng)
     };
@@ -50,14 +81,32 @@ pub fn sample_binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     }
 }
 
+/// The per-`p` constants of [`binomial_inversion`].
+#[derive(Debug, Clone, Copy)]
+struct Inversion {
+    /// The success odds `p / (1 − p)`.
+    odds: f64,
+    /// `ln(1 − p)`.
+    ln_fail: f64,
+}
+
+impl Inversion {
+    fn new(p: f64) -> Self {
+        let q = 1.0 - p;
+        Self {
+            odds: p / q,
+            ln_fail: q.ln(),
+        }
+    }
+}
+
 /// BINV: sequential CDF inversion, exact, O(n·p) expected time.
 /// Requires `n·p < 10` and `p ≤ 1/2`.
-fn binomial_inversion<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
-    let q = 1.0 - p;
-    let s = p / q;
+fn binomial_inversion<R: Rng + ?Sized>(n: u64, c: &Inversion, rng: &mut R) -> u64 {
+    let s = c.odds;
     let a = (n + 1) as f64 * s;
     // q^n via the log to survive huge n with tiny p.
-    let qn = ((n as f64) * q.ln()).exp();
+    let qn = ((n as f64) * c.ln_fail).exp();
     loop {
         let mut f = qn;
         let mut u: f64 = rng.gen();
@@ -82,15 +131,22 @@ fn binomial_inversion<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
 ///
 /// The proposal is the classic four-region envelope (triangle,
 /// parallelogram, two exponential tails). Region 1 lies entirely under the
-/// scaled pmf and is accepted outright. The other regions first meet the
-/// Kachitvichyanukul–Schmeiser squeeze (step 5.2), which bounds
-/// `ln f(y)/f(m)` by `t ± ρ` for `|y − m| < npq/2 − 1`; a proposal clear
-/// of those bounds by a margin is decided there, and the rest are
-/// decided by the exact pmf ratio through [`ln_gamma`], whose constants
-/// are computed on the first proposal that needs them. The margin
-/// exceeds the float error of the `ln_gamma` path, so every decision —
-/// and so every draw and every uniform consumed — is the one the
-/// `ln_gamma` test alone would make.
+/// scaled pmf and is accepted outright. The other regions meet three
+/// estimates of `ln f(y)/f(m)` in turn, each of which decides a proposal
+/// only when `ln v` clears it by a margin:
+///
+/// 1. the Kachitvichyanukul–Schmeiser squeeze (step 5.2), which bounds
+///    the ratio by `t ± ρ` for `|y − m| < npq/2 − 1`;
+/// 2. Stirling's estimate (step 5.3, [`binomial_ln_ratio_stirling`]),
+///    within 3e-6 of the ratio once `y`, `m`, `n − y` and `n − m` are all
+///    at least 16;
+/// 3. the exact pmf ratio through [`ln_gamma`], whose constants are
+///    computed on the first proposal that needs them.
+///
+/// The margin exceeds the float error of the `ln_gamma` path plus the
+/// error of either estimate, so every decision — and so every draw and
+/// every uniform consumed — is the one the `ln_gamma` test alone would
+/// make.
 /// Requires `n·p ≥ 10` and `p ≤ 1/2`.
 fn binomial_btpe<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     let nf = n as f64;
@@ -114,6 +170,13 @@ fn binomial_btpe<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     let p2 = p1 * (1.0 + 2.0 * c);
     let p3 = p2 + c / lambda_l;
     let p4 = p3 + c / lambda_r;
+    // The exact test differences `ln_gamma` values of size
+    // ln Γ(n + 1) ≈ n ln n, so its absolute float error is about
+    // 3e-16·ln Γ(n + 1): 8e-6 at n = 1e9, 5e-3 at n = 1e12. This margin
+    // (1e-3 up to n = 2e9) stays ≥ 40× that at every n.
+    let margin = 1e-3_f64.max(5e-13 * nf);
+    // Stirling's tier needs m and n − m at least 16.
+    let m_clear = m >= 16.0 && nf - m >= 16.0;
     // (ln Γ(n + 1), ln(p/q), ln C(n, m)), on the first exact test.
     let mut exact: Option<(f64, f64, f64)> = None;
 
@@ -149,21 +212,29 @@ fn binomial_btpe<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
             v *= (u - p3) * lambda_r;
         }
 
+        let ln_v = v.ln();
         // Squeeze: ln f(y)/f(m) lies in [t − ρ, t + ρ].
         let k = (y - m).abs();
         if k < npq / 2.0 - 1.0 {
             let rho = (k / npq) * ((k * (k / 3.0 + 0.625) + 1.0 / 6.0) / npq + 0.5);
             let t = -k * k / (2.0 * npq);
-            // The exact test differences `ln_gamma` values of size
-            // ln Γ(n + 1) ≈ n ln n, so its absolute float error is about
-            // 3e-16·ln Γ(n + 1): 8e-6 at n = 1e9, 5e-3 at n = 1e12. This
-            // margin (1e-3 up to n = 2e9) stays ≥ 40× that at every n.
-            let margin = 1e-3_f64.max(5e-13 * nf);
-            let ln_v = v.ln();
             if ln_v < t - rho - margin {
                 return y.clamp(0.0, nf) as u64;
             }
             if ln_v > t + rho + margin {
+                continue;
+            }
+        }
+
+        // Stirling (step 5.3): within 3e-6 of the exact ratio once y, m,
+        // n − y and n − m are all at least 16, so the margin holds here
+        // as it does for the squeeze.
+        if m_clear && y >= 16.0 && nf - y >= 16.0 {
+            let ln_ratio = binomial_ln_ratio_stirling(nf, p, m, y);
+            if ln_v < ln_ratio - margin {
+                return y.clamp(0.0, nf) as u64;
+            }
+            if ln_v > ln_ratio + margin {
                 continue;
             }
         }

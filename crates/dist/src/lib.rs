@@ -54,7 +54,7 @@ pub use alias::AliasTable;
 pub use continuous::{unit_exp, Exponential, Gamma, UnitExp, Weibull};
 pub use discrete::{sample_binomial, sample_poisson};
 pub use latency::{ChannelPattern, Latency, WaitingTime};
-pub use multinomial::{multinomial_split, sample_multinomial};
+pub use multinomial::{multinomial_split, sample_multinomial, PreparedSplit};
 
 use std::error::Error;
 use std::fmt;

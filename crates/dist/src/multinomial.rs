@@ -21,6 +21,7 @@
 //! thinning — at `O(m)` cost independent of `n`. This is what lets a
 //! billion-node population advance in microseconds per round.
 
+use crate::discrete::PreparedBinomial;
 use crate::sample_binomial;
 use rand::Rng;
 
@@ -59,21 +60,81 @@ pub fn multinomial_split<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> u64 {
     let mut remaining = count;
-    let mut rest_prob = 1.0f64;
-    for &(t, p) in targets {
+    for (t, q) in conditionals(targets) {
         if remaining == 0 {
             break;
         }
-        let q = (p / rest_prob).clamp(0.0, 1.0);
         let moved = sample_binomial(remaining, q, rng);
         out[t] += moved;
         remaining -= moved;
-        rest_prob -= p;
-        if rest_prob <= 0.0 {
-            break;
-        }
     }
     remaining
+}
+
+/// Each target's conditional success probability `p / rest` in turn, up
+/// to and including the target that exhausts the probability mass.
+fn conditionals(targets: &[(usize, f64)]) -> impl Iterator<Item = (usize, f64)> + '_ {
+    let mut rest_prob = 1.0f64;
+    targets.iter().map_while(move |&(t, p)| {
+        if rest_prob <= 0.0 {
+            return None;
+        }
+        let q = (p / rest_prob).clamp(0.0, 1.0);
+        rest_prob -= p;
+        Some((t, q))
+    })
+}
+
+/// [`multinomial_split`] over one fixed target list, prepared once for
+/// many splits: each target's conditional probability `p / rest` and
+/// its binomial inversion constants are computed up front.
+///
+/// Every split is bitwise equal to `multinomial_split` over the same
+/// targets: the same counts, and the same uniforms consumed.
+///
+/// # Examples
+///
+/// ```
+/// use plurality_dist::rng::Xoshiro256PlusPlus;
+/// use plurality_dist::{multinomial_split, PreparedSplit};
+///
+/// let targets = [(0, 0.25), (2, 0.25)];
+/// let split = PreparedSplit::new(&targets);
+/// let (mut a, mut b) = (Xoshiro256PlusPlus::from_u64(1), Xoshiro256PlusPlus::from_u64(1));
+/// let (mut out_a, mut out_b) = (vec![0u64; 3], vec![0u64; 3]);
+/// let stayed = split.split(1_000, &mut out_a, &mut a);
+/// assert_eq!(stayed, multinomial_split(1_000, &targets, &mut out_b, &mut b));
+/// assert_eq!(out_a, out_b);
+/// ```
+#[derive(Debug, Clone)]
+pub struct PreparedSplit {
+    /// `(index, conditional law)` for each of the split's targets.
+    steps: Vec<(usize, PreparedBinomial)>,
+}
+
+impl PreparedSplit {
+    /// Prepares the split over `targets`, as for [`multinomial_split`].
+    pub fn new(targets: &[(usize, f64)]) -> Self {
+        let steps = conditionals(targets)
+            .map(|(t, q)| (t, PreparedBinomial::new(q)))
+            .collect();
+        Self { steps }
+    }
+
+    /// Splits `count` items, accumulating into `out`, and returns the
+    /// residual, exactly as [`multinomial_split`] does.
+    pub fn split<R: Rng + ?Sized>(&self, count: u64, out: &mut [u64], rng: &mut R) -> u64 {
+        let mut remaining = count;
+        for &(t, law) in &self.steps {
+            if remaining == 0 {
+                break;
+            }
+            let moved = law.sample(remaining, rng);
+            out[t] += moved;
+            remaining -= moved;
+        }
+        remaining
+    }
 }
 
 /// Draws one exact `Multinomial(count; probs)` vector.

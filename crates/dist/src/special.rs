@@ -1,5 +1,5 @@
-//! Scalar special functions: normal quantile, log-gamma, and the
-//! regularized incomplete gamma function.
+//! Scalar special functions: normal quantile, log-gamma, Stirling's
+//! binomial pmf ratio, and the regularized incomplete gamma function.
 //!
 //! Confidence intervals (`plurality-stats`) need the standard normal
 //! quantile; the Weibull mean and the Γ(7, β) waiting-time majorant
@@ -165,6 +165,41 @@ pub fn ln_gamma(x: f64) -> f64 {
 #[must_use]
 pub fn gamma_fn(x: f64) -> f64 {
     ln_gamma(x).exp()
+}
+
+/// Stirling's estimate of the binomial log pmf ratio `ln f(y)/f(m)` for
+/// `Binomial(n, p)`: the step 5.3 formula of Kachitvichyanukul &
+/// Schmeiser's BTPE, three `ln` calls plus the `1/(12x)` terms of
+/// Stirling's series for the four factorials `y!`, `m!`, `(n − y)!` and
+/// `(n − m)!`. Each term the cut leaves out is below `1/(360x³)` with
+/// `x` the factorial's argument plus one, so when `y`, `m`, `n − y` and
+/// `n − m` are all at least 16 the estimate lies within 3e-6 of the
+/// exact ratio, before float rounding.
+///
+/// # Examples
+///
+/// ```
+/// use plurality_dist::special::{binomial_ln_ratio_stirling, ln_gamma};
+/// let (n, p, m, y) = (1_000.0, 0.3_f64, 300.0, 320.0);
+/// let ln_pmf = |x: f64| {
+///     ln_gamma(n + 1.0) - ln_gamma(x + 1.0) - ln_gamma(n - x + 1.0)
+///         + x * p.ln()
+///         + (n - x) * (1.0 - p).ln()
+/// };
+/// let exact = ln_pmf(y) - ln_pmf(m);
+/// assert!((binomial_ln_ratio_stirling(n, p, m, y) - exact).abs() < 3e-6);
+/// ```
+#[must_use]
+#[inline]
+pub fn binomial_ln_ratio_stirling(n: f64, p: f64, m: f64, y: f64) -> f64 {
+    let q = 1.0 - p;
+    let (x1, f1, z, w) = (y + 1.0, m + 1.0, n - m + 1.0, n - y + 1.0);
+    // 1/(12 f1) − 1/(12 x1) + 1/(12 z) − 1/(12 w), over one division.
+    let tails = (y - m) * (z * w - f1 * x1) / (12.0 * f1 * x1 * z * w);
+    (m + 0.5) * (f1 / x1).ln()
+        + (n - m + 0.5) * (z / w).ln()
+        + (y - m) * (w * p / (x1 * q)).ln()
+        + tails
 }
 
 /// The regularized lower incomplete gamma function `P(k, x)` for integer

@@ -10,13 +10,18 @@
 //!
 //! The sweep draws `(n, p)` afresh for every call, over `n` from 10 to
 //! 3·10⁹ and `p` on both sides of ½, and counts which envelope region
-//! each first proposal falls in, so that the test also proves it reached
-//! inversion, the triangle, the parallelogram, both tails and the squeeze
-//! band that falls through to the exact test.
+//! each first proposal falls in and which test decides it, so that the
+//! test also proves it reached inversion, the triangle, the
+//! parallelogram, both tails, the squeeze, Stirling's tier and the
+//! `ln_gamma` test inside Stirling's margin.
+//!
+//! The prepared multinomial split is checked here too: it must equal
+//! `multinomial_split` draw for draw and leave the stream in the same
+//! state.
 
 use plurality_dist::rng::Xoshiro256PlusPlus;
-use plurality_dist::sample_binomial;
-use plurality_dist::special::ln_gamma;
+use plurality_dist::special::{binomial_ln_ratio_stirling, ln_gamma};
+use plurality_dist::{multinomial_split, sample_binomial, PreparedSplit};
 use rand::{Rng, RngCore};
 
 mod reference {
@@ -149,15 +154,28 @@ enum Region {
     RightTail,
 }
 
+/// Which test decides a proposal that leaves the triangle and lies
+/// inside the envelope's support.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    /// `ln v` clears the squeeze bounds `t ± ρ` by the margin.
+    Squeeze,
+    /// `ln v` clears Stirling's estimate by the margin.
+    Stirling,
+    /// Stirling's guard holds but `ln v` lies within the margin of its
+    /// estimate: the `ln_gamma` test decides.
+    StirlingBand,
+    /// Stirling's guard fails: the `ln_gamma` test decides.
+    Unguarded,
+}
+
 /// The first proposal of a draw from `rng` (a clone, so the sweep's
-/// streams are untouched), and whether it lands in the squeeze band:
-/// `|y − m| < npq/2 − 1` and `ln v` within 10⁻³ of the squeeze's bounds
-/// `t ± ρ` or between them, so only the exact `ln_gamma` test decides it.
-fn first_proposal(n: u64, p: f64, mut rng: Xoshiro256PlusPlus) -> (Region, bool) {
+/// streams are untouched): its region, and which test decides it.
+fn first_proposal(n: u64, p: f64, mut rng: Xoshiro256PlusPlus) -> (Region, Option<Tier>) {
     let q = p.min(1.0 - p);
     let nf = n as f64;
     if nf * q < 10.0 {
-        return (Region::Inversion, false);
+        return (Region::Inversion, None);
     }
     let (p, q) = (q, 1.0 - q);
     let npq = nf * p * q;
@@ -178,7 +196,7 @@ fn first_proposal(n: u64, p: f64, mut rng: Xoshiro256PlusPlus) -> (Region, bool)
     let u: f64 = rng.gen::<f64>() * p4;
     let v: f64 = rng.gen();
     let (region, y, v) = if u <= p1 {
-        return (Region::Triangle, false);
+        return (Region::Triangle, None);
     } else if u <= p2 {
         let x = x_l + (u - p1) / c;
         (
@@ -199,29 +217,83 @@ fn first_proposal(n: u64, p: f64, mut rng: Xoshiro256PlusPlus) -> (Region, bool)
             v * ((u - p3) * lambda_r),
         )
     };
+    if !(v > 0.0 && v <= 1.0 && y >= 0.0 && y <= nf) {
+        return (region, None);
+    }
+    let margin = 1e-3_f64.max(5e-13 * nf);
+    let ln_v = v.ln();
     let k = (y - m).abs();
-    let in_band = if v > 0.0 && v <= 1.0 && y >= 0.0 && y <= nf && k < npq / 2.0 - 1.0 {
+    if k < npq / 2.0 - 1.0 {
         let rho = (k / npq) * ((k * (k / 3.0 + 0.625) + 1.0 / 6.0) / npq + 0.5);
         let t = -k * k / (2.0 * npq);
-        let ln_v = v.ln();
-        ln_v >= t - rho - 1e-3 && ln_v <= t + rho + 1e-3
+        if ln_v < t - rho - margin || ln_v > t + rho + margin {
+            return (region, Some(Tier::Squeeze));
+        }
+    }
+    let tier = if [y, m, nf - y, nf - m].iter().all(|&x| x >= 16.0) {
+        let ln_ratio = binomial_ln_ratio_stirling(nf, p, m, y);
+        if (ln_v - ln_ratio).abs() > margin {
+            Tier::Stirling
+        } else {
+            Tier::StirlingBand
+        }
     } else {
-        false
+        Tier::Unguarded
     };
-    (region, in_band)
+    (region, Some(tier))
+}
+
+/// Draws `Binomial(n, p)` for each `(n, p)` from `params` from both
+/// samplers, asserting equal values and equal next `u64`s, and returns
+/// how many first proposals landed in each region and were decided by
+/// each tier.
+fn sweep(
+    draws: usize,
+    seed: u64,
+    mut params: impl FnMut(usize) -> (u64, f64),
+) -> ([u64; 5], [u64; 4]) {
+    let mut rng_new = Xoshiro256PlusPlus::from_u64(seed);
+    let mut rng_ref = rng_new.clone();
+    let mut seen = [0u64; 5];
+    let mut tiers = [0u64; 4];
+    for i in 0..draws {
+        let (n, p) = params(i);
+        let (region, tier) = first_proposal(n, p, rng_new.clone());
+        seen[region as usize] += 1;
+        if let Some(tier) = tier {
+            tiers[tier as usize] += 1;
+        }
+
+        let got = sample_binomial(n, p, &mut rng_new);
+        let want = reference::sample_binomial(n, p, &mut rng_ref);
+        assert_eq!(got, want, "draw {i}: Binomial({n}, {p})");
+        assert_eq!(
+            rng_new.next_u64(),
+            rng_ref.next_u64(),
+            "draw {i}: Binomial({n}, {p}) consumed a different number of uniforms"
+        );
+    }
+    (seen, tiers)
+}
+
+/// Asserts that the squeeze, Stirling's tier and the `ln_gamma` test
+/// inside Stirling's margin each decided at least the given number of
+/// first proposals.
+fn assert_tiers_reached(tiers: [u64; 4], min: [u64; 3]) {
+    for (tier, (&count, min)) in [Tier::Squeeze, Tier::Stirling, Tier::StirlingBand]
+        .iter()
+        .zip(tiers.iter().zip(min))
+    {
+        assert!(count >= min, "{tier:?} decided only {count} proposals");
+    }
 }
 
 #[test]
 fn sampler_matches_the_frozen_reference_draw_for_draw() {
-    const DRAWS: usize = 1_200_000;
     let mut params = Xoshiro256PlusPlus::from_u64(0xB1_0E1A1);
-    let mut rng_new = Xoshiro256PlusPlus::from_u64(0x5EED_0001);
-    let mut rng_ref = rng_new.clone();
-    let mut seen = [0u64; 5];
-    let mut band = 0u64;
     let mut above_half = 0u64;
     let mut huge = 0u64;
-    for i in 0..DRAWS {
+    let (seen, tiers) = sweep(1_200_000, 0x5EED_0001, |i| {
         // n log-uniform over [10, 3·10⁹]; p uniform on (0, 1) for half
         // the draws and near the inversion/BTPE switch for the rest.
         let n = (10.0 * 3e8f64.powf(params.gen::<f64>())) as u64;
@@ -233,21 +305,10 @@ fn sampler_matches_the_frozen_reference_draw_for_draw() {
         if i % 4 == 1 {
             p = 1.0 - p;
         }
-        let (region, in_band) = first_proposal(n, p, rng_new.clone());
-        seen[region as usize] += 1;
-        band += u64::from(in_band);
         above_half += u64::from(p > 0.5);
         huge += u64::from(n >= 1_000_000_000);
-
-        let got = sample_binomial(n, p, &mut rng_new);
-        let want = reference::sample_binomial(n, p, &mut rng_ref);
-        assert_eq!(got, want, "draw {i}: Binomial({n}, {p})");
-        assert_eq!(
-            rng_new.next_u64(),
-            rng_ref.next_u64(),
-            "draw {i}: Binomial({n}, {p}) consumed a different number of uniforms"
-        );
-    }
+        (n, p)
+    });
     for (region, &count) in [
         Region::Inversion,
         Region::Triangle,
@@ -260,9 +321,26 @@ fn sampler_matches_the_frozen_reference_draw_for_draw() {
     {
         assert!(count >= 1_000, "{region:?} reached by only {count} draws");
     }
-    assert!(band >= 1_000, "squeeze band reached by only {band} draws");
+    assert_tiers_reached(tiers, [1_000, 10_000, 100]);
     assert!(above_half >= 100_000, "p > 1/2 in only {above_half} draws");
     assert!(huge >= 10_000, "n ≥ 10⁹ in only {huge} draws");
+}
+
+#[test]
+#[ignore = "tier-2: 10^7 draws; run with `cargo test -- --ignored`"]
+fn sampler_matches_the_frozen_reference_where_exact_tests_are_densest() {
+    // npq log-uniform over [5, 200], where the squeeze band is widest and
+    // proposals most often pass it to Stirling's tier and ln_gamma, with
+    // n log-uniform over [4·npq + 1, 3·10⁹] and p on both sides of ½.
+    let mut params = Xoshiro256PlusPlus::from_u64(0xDE_5E5);
+    let (_, tiers) = sweep(10_000_000, 0x5EED_0003, |i| {
+        let npq = 5.0 * 40f64.powf(params.gen::<f64>());
+        let lo = 4.0 * npq + 1.0;
+        let n = (lo * (3e9 / lo).powf(params.gen::<f64>())) as u64;
+        let p = (1.0 - (1.0 - 4.0 * npq / n as f64).max(0.0).sqrt()) / 2.0;
+        (n, if i % 2 == 1 { 1.0 - p } else { p })
+    });
+    assert_tiers_reached(tiers, [1_000_000, 1_000_000, 5_000]);
 }
 
 #[test]
@@ -333,6 +411,110 @@ fn squeeze_bounds_hold_against_the_exact_log_ratio() {
                 );
             }
             k += 1.0;
+        }
+    }
+}
+
+#[test]
+fn stirling_estimate_stays_within_a_tenth_of_the_margin() {
+    // Stirling's estimate of ln f(y)/f(m) against the ln_gamma ratio as
+    // the exact test computes it, over n = 10²…3·10⁹ and npq = 5…10⁶,
+    // at y on the guard edges (16 and n − 16) and at 0…1000 standard
+    // deviations from the mode. A tenth of the margin leaves the rest
+    // for the float error of `ln v` and of the exact test.
+    let mut checked = 0u32;
+    for i in 0..=40 {
+        let nf = (1e2 * 3e7f64.powf(f64::from(i) / 40.0)).floor();
+        for j in 0..=24 {
+            let npq = 5.0 * 2e5f64.powf(f64::from(j) / 24.0);
+            if 4.0 * npq >= nf {
+                continue;
+            }
+            let p = (1.0 - (1.0 - 4.0 * npq / nf).sqrt()) / 2.0;
+            let q = 1.0 - p;
+            let m = (nf * p + p).floor();
+            if m < 16.0 || nf - m < 16.0 {
+                continue;
+            }
+            let margin = 1e-3_f64.max(5e-13 * nf);
+            let ln_f_n = ln_gamma(nf + 1.0);
+            let ln_f_m = ln_f_n - ln_gamma(m + 1.0) - ln_gamma(nf - m + 1.0);
+            let ln_odds = (p / q).ln();
+            let sd = npq.sqrt();
+            let mut ys = vec![16.0, nf - 16.0];
+            for d in [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 1_000.0] {
+                ys.extend([(m - d * sd).floor(), (m + d * sd).floor()]);
+            }
+            for y in ys.into_iter().filter(|&y| y >= 16.0 && nf - y >= 16.0) {
+                let exact = ln_f_n - ln_gamma(y + 1.0) - ln_gamma(nf - y + 1.0) + (y - m) * ln_odds
+                    - ln_f_m;
+                let stirling = binomial_ln_ratio_stirling(nf, p, m, y);
+                assert!(
+                    (stirling - exact).abs() <= margin / 10.0,
+                    "Binomial({nf}, {p}) at y = {y}, m = {m}: Stirling {stirling} vs ln_gamma {exact}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 5_000, "only {checked} points checked");
+}
+
+/// A random split target list: `len` targets over `0..width`, with
+/// probabilities that sum to at most 1 or, for `exhaust`, past it.
+fn random_targets(rng: &mut Xoshiro256PlusPlus, width: usize, exhaust: bool) -> Vec<(usize, f64)> {
+    let len = 1 + rng.gen_range(0..width);
+    let weights: Vec<f64> = (0..len)
+        .map(|_| match rng.gen_range(0..8u32) {
+            0 => 0.0,
+            1 => 1e-9 * rng.gen::<f64>(),
+            _ => rng.gen::<f64>(),
+        })
+        .collect();
+    let total: f64 = weights.iter().sum::<f64>() + if exhaust { 0.0 } else { rng.gen::<f64>() };
+    let mut targets: Vec<(usize, f64)> = weights
+        .iter()
+        .enumerate()
+        .map(|(t, &w)| (t, if total > 0.0 { w / total } else { 0.0 }))
+        .collect();
+    if exhaust {
+        // Rounding past 1, as an ECDF's buckets can.
+        if let Some(last) = targets.last_mut() {
+            last.1 += 1e-12;
+        }
+    }
+    targets
+}
+
+#[test]
+fn prepared_split_matches_multinomial_split_draw_for_draw() {
+    let mut params = Xoshiro256PlusPlus::from_u64(0x5_9117);
+    let mut rng_new = Xoshiro256PlusPlus::from_u64(0x5EED_0002);
+    let mut rng_ref = rng_new.clone();
+    for list in 0..600 {
+        let targets = random_targets(&mut params, 48, list % 3 == 0);
+        let split = PreparedSplit::new(&targets);
+        let width = targets.len();
+        for draw in 0..200 {
+            // Counts log-uniform over [1, 3·10⁹], and 0.
+            let count = if draw == 0 {
+                0
+            } else {
+                3e9f64.powf(params.gen::<f64>()) as u64
+            };
+            let (mut got, mut want) = (vec![7u64; width], vec![7u64; width]);
+            let stayed = split.split(count, &mut got, &mut rng_new);
+            let expected = multinomial_split(count, &targets, &mut want, &mut rng_ref);
+            assert_eq!(
+                (stayed, &got),
+                (expected, &want),
+                "list {list}, draw {draw}: {count} over {targets:?}"
+            );
+            assert_eq!(
+                rng_new.next_u64(),
+                rng_ref.next_u64(),
+                "list {list}, draw {draw}: a different number of uniforms"
+            );
         }
     }
 }
