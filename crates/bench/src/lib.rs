@@ -6,10 +6,11 @@
 //! entry and checks its claims with `assert` lines. The other binaries
 //! in `src/bin/` cover what a manifest cannot express (Figure 1's
 //! time-unit estimate, per-generation dumps of single runs, the schedule
-//! ablation's `α` hint, the perf snapshot and the load generator). The
-//! last two record their numbers as `benchmarks/BENCH_<suite>.json`
-//! snapshots, whose format [`write_suite_json`] and [`baseline_entries`]
-//! own.
+//! ablation's `α` hint, the perf snapshot, the load generator and
+//! `ab_pairs`, the A/B command over two perfbench builds). The snapshot
+//! and the load generator record their numbers as
+//! `benchmarks/BENCH_<suite>.json` snapshots, whose format
+//! [`write_suite_json`] and [`baseline_entries`] own.
 //!
 //! Every experiment accepts an optional `full` argument (or the
 //! environment variable `PLURALITY_EFFORT=full`) to run at publication

@@ -124,6 +124,7 @@ impl GenerationTable {
     /// # Panics
     ///
     /// Panics if there is no node at the source cell or a color is `≥ k`.
+    #[inline]
     pub fn transfer(&mut self, from_gen: u32, from_col: u32, to_gen: u32, to_col: u32) {
         assert!(
             (from_col as usize) < self.k,

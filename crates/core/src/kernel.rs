@@ -53,6 +53,11 @@
 //!   suppressed ticks only feed the `ticks` counter, whose total is
 //!   `Poisson(∫ (n − u(t)) dt)` — accrued piecewise and drawn once at run
 //!   end, exact in distribution.
+//! * **An inlined queue** — the event queue's per-event path (the memo
+//!   lookup, the year scan, the unlink of a pop, and `schedule`) and
+//!   `GenerationTable::transfer` compile into [`Kernel::run`], which pops
+//!   from one call site. Only the queue's direct-scan fallback and its
+//!   resize stay out of line, as cold functions.
 //!
 //! ## Run-long failure model
 //!
@@ -657,11 +662,13 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
                     seq: u64::MAX,
                 }
             };
-            let popped = if forced.time > self.max_time {
-                self.queue.pop_below(self.max_time, u64::MAX)
+            // One call site, so the queue's pop inlines here once.
+            let (limit, limit_seq) = if forced.time > self.max_time {
+                (self.max_time, u64::MAX)
             } else {
-                self.queue.pop_below(forced.time, forced.seq)
+                (forced.time, forced.seq)
             };
+            let popped = self.queue.pop_below(limit, limit_seq);
             let now = match popped {
                 Some((t, seq, _)) => {
                     self.at = Arrival {

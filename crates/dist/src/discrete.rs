@@ -9,7 +9,7 @@
 //! log-pmf acceptance test, and the transformed-rejection method of
 //! Hörmann (1993) for the Poisson law.
 
-use crate::special::{binomial_ln_ratio_stirling, ln_gamma};
+use crate::special::{binomial_ln_ratio_stirling, ln_gamma, SmallCountRatio};
 use rand::Rng;
 
 /// Draws an exact `Binomial(n, p)` sample in O(1) expected time.
@@ -131,16 +131,20 @@ fn binomial_inversion<R: Rng + ?Sized>(n: u64, c: &Inversion, rng: &mut R) -> u6
 ///
 /// The proposal is the classic four-region envelope (triangle,
 /// parallelogram, two exponential tails). Region 1 lies entirely under the
-/// scaled pmf and is accepted outright. The other regions meet three
-/// estimates of `ln f(y)/f(m)` in turn, each of which decides a proposal
-/// only when `ln v` clears it by a margin:
+/// scaled pmf and is accepted outright. The other regions meet four
+/// tests of `ln f(y)/f(m)` in turn; each of the first three decides a
+/// proposal only when `ln v` clears its estimate by a margin:
 ///
 /// 1. the Kachitvichyanukul–Schmeiser squeeze (step 5.2), which bounds
 ///    the ratio by `t ± ρ` for `|y − m| < npq/2 − 1`;
-/// 2. Stirling's estimate (step 5.3, [`binomial_ln_ratio_stirling`]),
+/// 2. the small-count estimate ([`SmallCountRatio`]) when `y` and `m`
+///    are both below 1024: tabled `ln k!` below 1024, one-term Stirling
+///    above, its constants computed on the first proposal that needs
+///    them;
+/// 3. Stirling's estimate (step 5.3, [`binomial_ln_ratio_stirling`]),
 ///    within 3e-6 of the ratio once `y`, `m`, `n − y` and `n − m` are all
 ///    at least 16;
-/// 3. the exact pmf ratio through [`ln_gamma`], whose constants are
+/// 4. the exact pmf ratio through [`ln_gamma`], whose constants are
 ///    computed on the first proposal that needs them.
 ///
 /// The margin exceeds the float error of the `ln_gamma` path plus the
@@ -177,6 +181,10 @@ fn binomial_btpe<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     let margin = 1e-3_f64.max(5e-13 * nf);
     // Stirling's tier needs m and n − m at least 16.
     let m_clear = m >= 16.0 && nf - m >= 16.0;
+    // The small-count tier needs m below its limit; its constants, on
+    // the first proposal it sees.
+    let m_small = m < SmallCountRatio::LIMIT;
+    let mut small: Option<SmallCountRatio> = None;
     // (ln Γ(n + 1), ln(p/q), ln C(n, m)), on the first exact test.
     let mut exact: Option<(f64, f64, f64)> = None;
 
@@ -222,6 +230,19 @@ fn binomial_btpe<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
                 return y.clamp(0.0, nf) as u64;
             }
             if ln_v > t + rho + margin {
+                continue;
+            }
+        }
+
+        // Small counts: within 2 % of the margin of the ratio the exact
+        // test computes, over n up to 3·10⁹ (frozen-reference suite).
+        if m_small && y < SmallCountRatio::LIMIT {
+            let ratio = small.get_or_insert_with(|| SmallCountRatio::new(nf, p, m));
+            let ln_ratio = ratio.ln_ratio(y);
+            if ln_v < ln_ratio - margin {
+                return y.clamp(0.0, nf) as u64;
+            }
+            if ln_v > ln_ratio + margin {
                 continue;
             }
         }

@@ -376,17 +376,15 @@ impl WaitingTime {
     /// This is the delay the engines schedule between a tick and its
     /// `OpComplete` event.
     ///
-    /// For exponential latencies each `T2 = −ln u₁/β − ln u₂/β` is drawn
-    /// as `−ln(u₁·u₂)/β` — the same real number up to floating-point
-    /// rounding (and thus the same law), consuming the same two uniforms,
-    /// with half the `ln` evaluations on the engines' hottest sampling
-    /// path.
+    /// For exponential latencies each `T2`, an `Erlang(2, β)` variable, is
+    /// the sum of a pair of unit-rate ziggurat draws ([`UnitExp`]), and
+    /// the phase is divided by `β` once at the end: the same law as two
+    /// `Latency::sample` calls per channel, with no transcendental on the
+    /// ziggurat's fast path (one `u64` per draw there, more on its rare
+    /// wedge and tail steps) on the engines' hottest sampling path.
     #[inline]
     pub fn sample_channel_phase<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if let Latency::Exponential { rate } = self.latency {
-            // Each channel is Erlang(2): two ziggurat draws replace the
-            // `-ln(u1·u2)` composition — same law, no transcendental on
-            // the ~99% fast path.
             let z = UnitExp::fetch();
             let mut slowest = z.sample(rng) + z.sample(rng);
             for _ in 1..self.pattern.parallel_channels() {

@@ -1,5 +1,6 @@
-//! Scalar special functions: normal quantile, log-gamma, Stirling's
-//! binomial pmf ratio, and the regularized incomplete gamma function.
+//! Scalar special functions: normal quantile, log-gamma, two estimates
+//! of the binomial pmf ratio (Stirling's and the small-count one), and
+//! the regularized incomplete gamma function.
 //!
 //! Confidence intervals (`plurality-stats`) need the standard normal
 //! quantile; the Weibull mean and the Γ(7, β) waiting-time majorant
@@ -200,6 +201,116 @@ pub fn binomial_ln_ratio_stirling(n: f64, p: f64, m: f64, y: f64) -> f64 {
         + (n - m + 0.5) * (z / w).ln()
         + (y - m) * (w * p / (x1 * q)).ln()
         + tails
+}
+
+/// Number of entries in the `ln k!` table of [`SmallCountRatio`].
+const LN_FACTORIALS_LEN: usize = 1024;
+
+/// `ln k! = ln Γ(k + 1)` for `k < 1024`, from [`ln_gamma`], built on
+/// first use.
+fn ln_factorials() -> &'static [f64; LN_FACTORIALS_LEN] {
+    static TABLE: std::sync::OnceLock<[f64; LN_FACTORIALS_LEN]> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(|k| ln_gamma(k as f64 + 1.0)))
+}
+
+/// The binomial log pmf ratio `ln f(y)/f(m)` for `Binomial(n, p)` when
+/// the mode `m` and the proposal `y` are both below
+/// [`SmallCountRatio::LIMIT`]:
+/// `ln m! − ln y! + ln (n − m)! − ln (n − y)! + (y − m)·ln(p/q)`.
+///
+/// Factorials below the limit come from a table of [`ln_gamma`] values,
+/// the ones the exact acceptance test uses. Larger ones come from
+/// Stirling's series cut after its `1/(12x)` term, whose remainder is
+/// below `1/(360·1025³) < 3e-12`; when `n − m` and `n − y` both reach the
+/// limit their difference is formed directly, as
+/// `(z − ½)·ln(z/w) + (y − m)·(ln w − 1) + 1/(12z) − 1/(12w)` with
+/// `z = n − m + 1`, `w = n − y + 1`, so its rounding error stays near
+/// `n·2⁻⁵³` instead of that of `n ln n`. The constants of one `(n, p,
+/// m)` are computed once, by [`SmallCountRatio::new`].
+///
+/// # Examples
+///
+/// ```
+/// use plurality_dist::special::{ln_gamma, SmallCountRatio};
+/// let (n, p, m) = (1.0e9, 3.0e-7_f64, 300.0);
+/// let ln_pmf = |x: f64| {
+///     ln_gamma(n + 1.0) - ln_gamma(x + 1.0) - ln_gamma(n - x + 1.0)
+///         + x * p.ln()
+///         + (n - x) * (1.0 - p).ln()
+/// };
+/// let ratio = SmallCountRatio::new(n, p, m);
+/// for y in [0.0, 250.0, 320.0, 1_000.0] {
+///     assert!((ratio.ln_ratio(y) - (ln_pmf(y) - ln_pmf(m))).abs() < 1e-4);
+/// }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct SmallCountRatio {
+    table: &'static [f64; LN_FACTORIALS_LEN],
+    n: f64,
+    m: f64,
+    /// `ln m!`.
+    ln_f_m: f64,
+    /// `ln(p/q)`.
+    ln_odds: f64,
+    /// `z = n − m + 1`, `ln z` and `1/(12z)`, for the direct difference.
+    z: f64,
+    ln_z: f64,
+    tail_z: f64,
+}
+
+impl SmallCountRatio {
+    /// Both `m` and `y` must lie below this.
+    pub const LIMIT: f64 = LN_FACTORIALS_LEN as f64;
+
+    /// The constants of `Binomial(n, p)` with mode `m`, an integer in
+    /// `[0, min(n, LIMIT))`.
+    #[must_use]
+    pub fn new(n: f64, p: f64, m: f64) -> Self {
+        debug_assert!((0.0..Self::LIMIT).contains(&m) && m <= n);
+        let table = ln_factorials();
+        let z = n - m + 1.0;
+        Self {
+            table,
+            n,
+            m,
+            ln_f_m: table[m as usize],
+            ln_odds: (p / (1.0 - p)).ln(),
+            z,
+            ln_z: z.ln(),
+            tail_z: 1.0 / (12.0 * z),
+        }
+    }
+
+    /// `ln y!` for an integer `y ≥ 0`: the table below the limit, the
+    /// one-term Stirling series from it on.
+    #[inline]
+    fn ln_factorial(table: &[f64; LN_FACTORIALS_LEN], y: f64) -> f64 {
+        if y < Self::LIMIT {
+            return table[y as usize];
+        }
+        let x = y + 1.0;
+        (x - 0.5) * x.ln() - x + 0.5 * (2.0 * std::f64::consts::PI).ln() + 1.0 / (12.0 * x)
+    }
+
+    /// The estimate of `ln f(y)/f(m)` for an integer `y` in
+    /// `[0, min(n, LIMIT))`.
+    #[must_use]
+    #[inline]
+    pub fn ln_ratio(&self, y: f64) -> f64 {
+        debug_assert!((0.0..Self::LIMIT).contains(&y) && y <= self.n);
+        let n_minus = if self.n - self.m >= Self::LIMIT && self.n - y >= Self::LIMIT {
+            // ln (n − m)! − ln (n − y)!, as one difference.
+            let w = self.n - y + 1.0;
+            let r = (self.z / w).ln();
+            (self.z - 0.5) * r + (y - self.m) * (self.ln_z - r - 1.0) + self.tail_z
+                - 1.0 / (12.0 * w)
+        } else {
+            // n < 2·LIMIT here: at least one side is tabled.
+            Self::ln_factorial(self.table, self.n - self.m)
+                - Self::ln_factorial(self.table, self.n - y)
+        };
+        self.ln_f_m - self.table[y as usize] + n_minus + (y - self.m) * self.ln_odds
+    }
 }
 
 /// The regularized lower incomplete gamma function `P(k, x)` for integer

@@ -12,15 +12,15 @@
 //! 3·10⁹ and `p` on both sides of ½, and counts which envelope region
 //! each first proposal falls in and which test decides it, so that the
 //! test also proves it reached inversion, the triangle, the
-//! parallelogram, both tails, the squeeze, Stirling's tier and the
-//! `ln_gamma` test inside Stirling's margin.
+//! parallelogram, both tails, the squeeze, the small-count tier,
+//! Stirling's tier and the `ln_gamma` test inside an estimate's margin.
 //!
 //! The prepared multinomial split is checked here too: it must equal
 //! `multinomial_split` draw for draw and leave the stream in the same
 //! state.
 
 use plurality_dist::rng::Xoshiro256PlusPlus;
-use plurality_dist::special::{binomial_ln_ratio_stirling, ln_gamma};
+use plurality_dist::special::{binomial_ln_ratio_stirling, ln_gamma, SmallCountRatio};
 use plurality_dist::{multinomial_split, sample_binomial, PreparedSplit};
 use rand::{Rng, RngCore};
 
@@ -160,12 +160,15 @@ enum Region {
 enum Tier {
     /// `ln v` clears the squeeze bounds `t ± ρ` by the margin.
     Squeeze,
+    /// `ln v` clears the small-count estimate by the margin.
+    SmallCount,
     /// `ln v` clears Stirling's estimate by the margin.
     Stirling,
-    /// Stirling's guard holds but `ln v` lies within the margin of its
-    /// estimate: the `ln_gamma` test decides.
-    StirlingBand,
-    /// Stirling's guard fails: the `ln_gamma` test decides.
+    /// The small-count or Stirling guard holds but `ln v` lies within the
+    /// margin of every estimate that applies: the `ln_gamma` test
+    /// decides.
+    Band,
+    /// Neither guard holds: the `ln_gamma` test decides.
     Unguarded,
 }
 
@@ -230,13 +233,16 @@ fn first_proposal(n: u64, p: f64, mut rng: Xoshiro256PlusPlus) -> (Region, Optio
             return (region, Some(Tier::Squeeze));
         }
     }
-    let tier = if [y, m, nf - y, nf - m].iter().all(|&x| x >= 16.0) {
-        let ln_ratio = binomial_ln_ratio_stirling(nf, p, m, y);
-        if (ln_v - ln_ratio).abs() > margin {
-            Tier::Stirling
-        } else {
-            Tier::StirlingBand
-        }
+    let small = m < SmallCountRatio::LIMIT && y < SmallCountRatio::LIMIT;
+    if small && (ln_v - SmallCountRatio::new(nf, p, m).ln_ratio(y)).abs() > margin {
+        return (region, Some(Tier::SmallCount));
+    }
+    let stirling = [y, m, nf - y, nf - m].iter().all(|&x| x >= 16.0);
+    if stirling && (ln_v - binomial_ln_ratio_stirling(nf, p, m, y)).abs() > margin {
+        return (region, Some(Tier::Stirling));
+    }
+    let tier = if small || stirling {
+        Tier::Band
     } else {
         Tier::Unguarded
     };
@@ -251,11 +257,11 @@ fn sweep(
     draws: usize,
     seed: u64,
     mut params: impl FnMut(usize) -> (u64, f64),
-) -> ([u64; 5], [u64; 4]) {
+) -> ([u64; 5], [u64; 5]) {
     let mut rng_new = Xoshiro256PlusPlus::from_u64(seed);
     let mut rng_ref = rng_new.clone();
     let mut seen = [0u64; 5];
-    let mut tiers = [0u64; 4];
+    let mut tiers = [0u64; 5];
     for i in 0..draws {
         let (n, p) = params(i);
         let (region, tier) = first_proposal(n, p, rng_new.clone());
@@ -276,11 +282,11 @@ fn sweep(
     (seen, tiers)
 }
 
-/// Asserts that the squeeze, Stirling's tier and the `ln_gamma` test
-/// inside Stirling's margin each decided at least the given number of
-/// first proposals.
-fn assert_tiers_reached(tiers: [u64; 4], min: [u64; 3]) {
-    for (tier, (&count, min)) in [Tier::Squeeze, Tier::Stirling, Tier::StirlingBand]
+/// Asserts that the squeeze, the small-count tier, Stirling's tier and
+/// the `ln_gamma` test inside an estimate's margin each decided at least
+/// the given number of first proposals.
+fn assert_tiers_reached(tiers: [u64; 5], min: [u64; 4]) {
+    for (tier, (&count, min)) in [Tier::Squeeze, Tier::SmallCount, Tier::Stirling, Tier::Band]
         .iter()
         .zip(tiers.iter().zip(min))
     {
@@ -321,7 +327,7 @@ fn sampler_matches_the_frozen_reference_draw_for_draw() {
     {
         assert!(count >= 1_000, "{region:?} reached by only {count} draws");
     }
-    assert_tiers_reached(tiers, [1_000, 10_000, 100]);
+    assert_tiers_reached(tiers, [1_000, 10_000, 1_000, 100]);
     assert!(above_half >= 100_000, "p > 1/2 in only {above_half} draws");
     assert!(huge >= 10_000, "n ≥ 10⁹ in only {huge} draws");
 }
@@ -330,8 +336,8 @@ fn sampler_matches_the_frozen_reference_draw_for_draw() {
 #[ignore = "tier-2: 10^7 draws; run with `cargo test -- --ignored`"]
 fn sampler_matches_the_frozen_reference_where_exact_tests_are_densest() {
     // npq log-uniform over [5, 200], where the squeeze band is widest and
-    // proposals most often pass it to Stirling's tier and ln_gamma, with
-    // n log-uniform over [4·npq + 1, 3·10⁹] and p on both sides of ½.
+    // proposals most often pass it to the small-count tier and ln_gamma,
+    // with n log-uniform over [4·npq + 1, 3·10⁹] and p on both sides of ½.
     let mut params = Xoshiro256PlusPlus::from_u64(0xDE_5E5);
     let (_, tiers) = sweep(10_000_000, 0x5EED_0003, |i| {
         let npq = 5.0 * 40f64.powf(params.gen::<f64>());
@@ -340,7 +346,10 @@ fn sampler_matches_the_frozen_reference_where_exact_tests_are_densest() {
         let p = (1.0 - (1.0 - 4.0 * npq / n as f64).max(0.0).sqrt()) / 2.0;
         (n, if i % 2 == 1 { 1.0 - p } else { p })
     });
-    assert_tiers_reached(tiers, [1_000_000, 1_000_000, 5_000]);
+    // npq ≤ 200 keeps the mode below 1024, so the small-count tier
+    // takes every proposal Stirling's would: Stirling is shown reached
+    // by the draw-for-draw sweep above.
+    assert_tiers_reached(tiers, [1_000_000, 1_000_000, 0, 5_000]);
 }
 
 #[test]
@@ -415,6 +424,14 @@ fn squeeze_bounds_hold_against_the_exact_log_ratio() {
     }
 }
 
+/// The log pmf ratio `ln f(y)/f(m)` of `Binomial(n, p)` as the exact
+/// test computes it.
+fn exact_ln_ratio(nf: f64, p: f64, m: f64, y: f64) -> f64 {
+    let ln_f_n = ln_gamma(nf + 1.0);
+    let ln_f_m = ln_f_n - ln_gamma(m + 1.0) - ln_gamma(nf - m + 1.0);
+    ln_f_n - ln_gamma(y + 1.0) - ln_gamma(nf - y + 1.0) + (y - m) * (p / (1.0 - p)).ln() - ln_f_m
+}
+
 #[test]
 fn stirling_estimate_stays_within_a_tenth_of_the_margin() {
     // Stirling's estimate of ln f(y)/f(m) against the ln_gamma ratio as
@@ -431,23 +448,18 @@ fn stirling_estimate_stays_within_a_tenth_of_the_margin() {
                 continue;
             }
             let p = (1.0 - (1.0 - 4.0 * npq / nf).sqrt()) / 2.0;
-            let q = 1.0 - p;
             let m = (nf * p + p).floor();
             if m < 16.0 || nf - m < 16.0 {
                 continue;
             }
             let margin = 1e-3_f64.max(5e-13 * nf);
-            let ln_f_n = ln_gamma(nf + 1.0);
-            let ln_f_m = ln_f_n - ln_gamma(m + 1.0) - ln_gamma(nf - m + 1.0);
-            let ln_odds = (p / q).ln();
             let sd = npq.sqrt();
             let mut ys = vec![16.0, nf - 16.0];
             for d in [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 1_000.0] {
                 ys.extend([(m - d * sd).floor(), (m + d * sd).floor()]);
             }
             for y in ys.into_iter().filter(|&y| y >= 16.0 && nf - y >= 16.0) {
-                let exact = ln_f_n - ln_gamma(y + 1.0) - ln_gamma(nf - y + 1.0) + (y - m) * ln_odds
-                    - ln_f_m;
+                let exact = exact_ln_ratio(nf, p, m, y);
                 let stirling = binomial_ln_ratio_stirling(nf, p, m, y);
                 assert!(
                     (stirling - exact).abs() <= margin / 10.0,
@@ -458,6 +470,41 @@ fn stirling_estimate_stays_within_a_tenth_of_the_margin() {
         }
     }
     assert!(checked >= 5_000, "only {checked} points checked");
+
+    // The small-count estimate, the same way, over n = 10…3·10⁹, modes
+    // m in 0..1024 with p ≤ ½ and every seventh y in 0..min(n + 1, 1024)
+    // plus both ends and m ± 1.
+    let mut checked = 0u32;
+    for i in 0..=48 {
+        let nf = (10.0 * 3e8f64.powf(f64::from(i) / 48.0)).floor();
+        for m in [
+            0.0, 1.0, 2.0, 5.0, 10.0, 15.0, 16.0, 40.0, 100.0, 333.0, 700.0, 1_000.0, 1_023.0,
+        ] {
+            // floor((n + 1)·p) = m.
+            let p = (m + 0.5) / (nf + 1.0);
+            if p > 0.5 {
+                continue;
+            }
+            let margin = 1e-3_f64.max(5e-13 * nf);
+            let ratio = SmallCountRatio::new(nf, p, m);
+            let top = nf.min(SmallCountRatio::LIMIT - 1.0);
+            let mut ys: Vec<f64> = (0..=top as u32).step_by(7).map(f64::from).collect();
+            ys.extend([top, m - 1.0, m + 1.0]);
+            for y in ys.into_iter().filter(|&y| (0.0..=top).contains(&y)) {
+                let exact = exact_ln_ratio(nf, p, m, y);
+                let small = ratio.ln_ratio(y);
+                assert!(
+                    (small - exact).abs() <= margin / 10.0,
+                    "Binomial({nf}, {p}) at y = {y}, m = {m}: small-count {small} vs ln_gamma {exact}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(
+        checked >= 50_000,
+        "only {checked} small-count points checked"
+    );
 }
 
 /// A random split target list: `len` targets over `0..width`, with

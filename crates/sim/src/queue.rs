@@ -278,6 +278,7 @@ impl<E> CalendarQueue<E> {
     /// Locates the `(time, seq)`-minimal entry as `(slot, physical bucket,
     /// buckets + entries examined)`, serving from the front memo when it
     /// is valid and scanning (then filling the memo) otherwise.
+    #[inline]
     fn locate(&mut self) -> Option<(u32, usize, usize)> {
         if self.front.is_none() {
             self.front = self.locate_scan();
@@ -289,6 +290,7 @@ impl<E> CalendarQueue<E> {
     /// the cursor without consulting or mutating the memo. The examined
     /// count lets the popping paths detect a mistuned width and trigger a
     /// retune.
+    #[inline]
     fn locate_scan(&self) -> Option<(u32, usize, usize)> {
         if self.len == 0 {
             return None;
@@ -317,9 +319,19 @@ impl<E> CalendarQueue<E> {
                 return Some((slot, bi, examined));
             }
         }
-        // A whole year was empty: the pending entries are sparse relative
-        // to the bucket range (far-future outliers). Fall back to a direct
-        // scan for the global minimum — O(len), rare by construction.
+        self.locate_direct()
+    }
+
+    /// The fallback of [`CalendarQueue::locate_scan`] when a whole year
+    /// was empty: the pending entries are sparse relative to the bucket
+    /// range (far-future outliers), so scan them all for the global
+    /// minimum — O(len), rare by construction, and kept out of line so
+    /// the year scan inlines into the engines' loops. Its examined count
+    /// is `usize::MAX`, which [`CalendarQueue::take`] bills as a full
+    /// scan.
+    #[cold]
+    #[inline(never)]
+    fn locate_direct(&self) -> Option<(u32, usize, usize)> {
         let mut best: Option<(u32, usize, f64, u64)> = None;
         for (bi, &head) in self.heads.iter().enumerate() {
             let mut slot = head;
@@ -340,6 +352,9 @@ impl<E> CalendarQueue<E> {
     ///
     /// Panics if `time` is NaN/infinite or lies strictly in the past
     /// (before [`CalendarQueue::now`]).
+    // `always`: the cluster engine's promotion handler is too large for
+    // a plain hint to inline it there.
+    #[inline(always)]
     pub fn schedule(&mut self, time: f64, event: E) {
         assert!(time.is_finite(), "schedule: event time must be finite");
         assert!(
@@ -387,6 +402,7 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Removes the located entry, committing clock and cursor.
+    #[inline]
     fn take(&mut self, slot: u32, bi: usize, examined: usize) -> (f64, E) {
         self.front = None;
         // Unlink: lists are a few entries long, so finding the
@@ -522,6 +538,10 @@ impl<E> CalendarQueue<E> {
     /// observed (ramp-up growth from pure scheduling) it falls back to
     /// spreading the live span at ~1 entry per bucket over half a year.
     /// Live slots are relinked in place; only the head array is new.
+    /// It runs only on growth, shrinkage or a drifted width, so it stays
+    /// out of line.
+    #[cold]
+    #[inline(never)]
     fn resize(&mut self) {
         self.front = None;
         let nbuckets = self.len.max(MIN_BUCKETS).next_power_of_two();
