@@ -409,14 +409,6 @@ fn experiment_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
     metrics.push(("thm13_smoke/parallel_ms".into(), parallel_ms));
     metrics.push(("thm13_smoke/parallel_threads".into(), threads as f64));
     metrics.push((
-        "thm13_smoke/speedup".into(),
-        if parallel_ms > 0.0 {
-            serial_ms / parallel_ms
-        } else {
-            0.0
-        },
-    ));
-    metrics.push((
         "thm13_smoke/results_identical".into(),
         f64::from(u8::from(identical)),
     ));

@@ -93,7 +93,7 @@ impl ClusterCheckConfig {
     /// The leader thresholds for a cluster of the given cardinality —
     /// every block of equal cardinality shares them, which is what makes
     /// sorted-block canonicalization sound.
-    pub fn params_for(&self, card: usize) -> ClusterLeaderParams {
+    fn params_for(&self, card: usize) -> ClusterLeaderParams {
         let sleep = (card as u64 * self.sleep_units).max(1);
         ClusterLeaderParams {
             sleep_threshold: sleep,

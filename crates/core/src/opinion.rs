@@ -207,22 +207,6 @@ impl OpinionCounts {
         let n = self.n();
         n > 0 && self.counts.contains(&n)
     }
-
-    /// The paper's collision probability
-    /// `p = Σ_j (c_j / n)²` — the chance two uniformly sampled members agree.
-    pub fn collision_probability(&self) -> f64 {
-        let n = self.n() as f64;
-        if n == 0.0 {
-            return 0.0;
-        }
-        self.counts
-            .iter()
-            .map(|&c| {
-                let f = c as f64 / n;
-                f * f
-            })
-            .sum()
-    }
 }
 
 /// Recipe for an initial opinion distribution.
@@ -295,40 +279,6 @@ impl InitialAssignment {
         }
         let mut counts = vec![cb; k as usize];
         counts[0] = n - cb * (k as u64 - 1);
-        Ok(Self::Exact(counts))
-    }
-
-    /// The related-work convention: an *additive* gap between the plurality
-    /// opinion and all others, which share the remainder equally. With
-    /// `gap = 0` this is the uniform assignment; the papers compared against
-    /// in experiment E12 state their bias requirements in this form (e.g.
-    /// `ω(√(n log n))` for the 3-state protocol).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidParameterError`] if `k < 2` or the gap exceeds
-    /// what `n` admits (every opinion must keep non-negative support and
-    /// the runner-up must be non-empty).
-    pub fn with_additive_gap(n: u64, k: u32, gap: u64) -> Result<Self, InvalidParameterError> {
-        if k < 2 {
-            return Err(InvalidParameterError::new(format!(
-                "with_additive_gap requires k ≥ 2, got {k}"
-            )));
-        }
-        if gap >= n {
-            return Err(InvalidParameterError::new(format!(
-                "gap {gap} must be smaller than n = {n}"
-            )));
-        }
-        let others = (n - gap) / k as u64;
-        if others == 0 {
-            return Err(InvalidParameterError::new(format!(
-                "gap {gap} leaves no support for the runner-up at n = {n}, k = {k}"
-            )));
-        }
-        let mut counts = vec![others; k as usize];
-        // counts[0] − others = n − others·k ≥ gap by construction.
-        counts[0] = n - others * (k as u64 - 1);
         Ok(Self::Exact(counts))
     }
 
@@ -461,14 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn collision_probability_bounds() {
-        let uniform = OpinionCounts::from_counts(vec![25, 25, 25, 25]);
-        assert!((uniform.collision_probability() - 0.25).abs() < 1e-12);
-        let mono = OpinionCounts::from_counts(vec![100, 0]);
-        assert!((mono.collision_probability() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn with_bias_realizes_requested_bias() {
         let a = InitialAssignment::with_bias(10_000, 10, 2.0).unwrap();
         let mut rng = Xoshiro256PlusPlus::from_u64(1);
@@ -485,37 +427,6 @@ mod tests {
         assert!(InitialAssignment::with_bias(100, 1, 2.0).is_err());
         assert!(InitialAssignment::with_bias(100, 5, 0.5).is_err());
         assert!(InitialAssignment::with_bias(3, 5, 100.0).is_err());
-    }
-
-    #[test]
-    fn with_additive_gap_realizes_requested_gap() {
-        let a = InitialAssignment::with_additive_gap(10_000, 5, 500).unwrap();
-        let mut rng = Xoshiro256PlusPlus::from_u64(4);
-        let counts = OpinionCounts::tally(&a.materialize(&mut rng), 5);
-        let ((w, ca), (_, cb)) = counts.top_two().unwrap();
-        assert_eq!(w, Opinion::new(0));
-        assert!(ca - cb >= 500, "gap {} too small", ca - cb);
-        assert_eq!(counts.n(), 10_000);
-        // Non-plurality opinions share equally.
-        for op in 1..5 {
-            assert_eq!(counts.support(Opinion::new(op)), cb);
-        }
-    }
-
-    #[test]
-    fn with_additive_gap_zero_is_near_uniform() {
-        let a = InitialAssignment::with_additive_gap(1_000, 4, 0).unwrap();
-        let mut rng = Xoshiro256PlusPlus::from_u64(5);
-        let counts = OpinionCounts::tally(&a.materialize(&mut rng), 4);
-        let bias = counts.bias().unwrap();
-        assert!(bias < 1.05, "bias {bias}");
-    }
-
-    #[test]
-    fn with_additive_gap_rejects_bad_parameters() {
-        assert!(InitialAssignment::with_additive_gap(100, 1, 10).is_err());
-        assert!(InitialAssignment::with_additive_gap(100, 2, 100).is_err());
-        assert!(InitialAssignment::with_additive_gap(5, 8, 3).is_err());
     }
 
     #[test]

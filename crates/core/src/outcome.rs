@@ -85,11 +85,6 @@ impl RunOutcome {
     pub fn plurality_preserved(&self) -> bool {
         self.consensus_time.is_some() && self.winner() == Some(self.initial_winner)
     }
-
-    /// Whether ε-convergence (to the initial plurality) happened.
-    pub fn epsilon_converged(&self) -> bool {
-        self.epsilon_time.is_some()
-    }
 }
 
 /// Incremental tracker for ε-convergence and full consensus.
@@ -231,7 +226,6 @@ mod tests {
             generations: vec![],
         };
         assert!(outcome.plurality_preserved());
-        assert!(outcome.epsilon_converged());
         assert_eq!(outcome.winner(), Some(Opinion::new(0)));
 
         let lost = RunOutcome {

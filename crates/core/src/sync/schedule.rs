@@ -118,21 +118,6 @@ impl Schedule {
         Self { rounds, g_star }
     }
 
-    /// Builds a schedule from explicit two-choices rounds (ascending).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds` is empty or not strictly increasing.
-    pub fn from_rounds(rounds: Vec<u64>) -> Self {
-        assert!(!rounds.is_empty(), "Schedule::from_rounds: empty schedule");
-        assert!(
-            rounds.windows(2).all(|w| w[0] < w[1]),
-            "Schedule::from_rounds: rounds must be strictly increasing"
-        );
-        let g_star = rounds.len() as u32;
-        Self { rounds, g_star }
-    }
-
     /// Whether `round` is a two-choices round.
     pub fn is_two_choices_round(&self, round: u64) -> bool {
         self.rounds.binary_search(&round).is_ok()
@@ -157,6 +142,18 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A schedule from explicit two-choices rounds, which must be
+    /// non-empty and strictly increasing.
+    fn from_rounds(rounds: Vec<u64>) -> Schedule {
+        assert!(!rounds.is_empty(), "from_rounds: empty schedule");
+        assert!(
+            rounds.windows(2).all(|w| w[0] < w[1]),
+            "from_rounds: rounds must be strictly increasing"
+        );
+        let g_star = rounds.len() as u32;
+        Schedule { rounds, g_star }
+    }
 
     #[test]
     fn log_add_exp_matches_naive_in_safe_range() {
@@ -224,7 +221,7 @@ mod tests {
 
     #[test]
     fn membership_queries() {
-        let s = Schedule::from_rounds(vec![1, 5, 9]);
+        let s = from_rounds(vec![1, 5, 9]);
         assert!(s.is_two_choices_round(1));
         assert!(s.is_two_choices_round(5));
         assert!(!s.is_two_choices_round(4));
@@ -234,7 +231,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn from_rounds_rejects_unsorted() {
-        let _ = Schedule::from_rounds(vec![3, 2]);
+        let _ = from_rounds(vec![3, 2]);
     }
 
     #[test]

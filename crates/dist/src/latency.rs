@@ -425,9 +425,8 @@ impl WaitingTime {
 
     /// Memoized [`WaitingTime::time_unit`]: the estimate for this
     /// `(latency, pattern, samples)` triple, computed once per process
-    /// under a deterministic seed derived from the triple itself (see
-    /// [`WaitingTime::time_unit_cache_seed`]) and served from a global
-    /// cache afterwards.
+    /// under a deterministic seed derived from the latency law and the
+    /// channel pattern, and served from a global cache afterwards.
     ///
     /// Engines use this so sweeping thousands of repetitions re-runs the
     /// Monte-Carlo quantile estimate once per latency law instead of once
@@ -459,9 +458,8 @@ impl WaitingTime {
 
     /// The deterministic seed [`WaitingTime::time_unit_cached`] feeds to
     /// [`WaitingTime::time_unit`]: a `derive_seed` fold over the latency
-    /// family, its parameter bits, and the channel pattern. Exposed so
-    /// tests can verify the memoized value equals a fresh estimate.
-    pub fn time_unit_cache_seed(&self) -> u64 {
+    /// family, its parameter bits, and the channel pattern.
+    fn time_unit_cache_seed(&self) -> u64 {
         let (tag, p0, p1, pattern, _) = self.cache_key(0);
         let mut seed = derive_seed(0x0C1C_AC4E, u64::from(tag));
         seed = derive_seed(seed, p0);

@@ -66,23 +66,18 @@ impl Gauge {
 
 /// A log-linear-bucket histogram of `u64` samples (HdrHistogram-style).
 ///
-/// Layout: with sub-bucket count `S = 2^s`, values below `S` get their
-/// own slot (exact); above that, each power-of-two major bucket is split
-/// into `S/2` linear minors, so every recorded value lands in a bucket
-/// whose width is at most `2/S` of its magnitude — the **relative error
-/// bound** of every quantile read. Recording is one index computation
-/// (a leading-zeros count) plus two relaxed `fetch_add`s: O(1), no
-/// allocation, no locks. Histograms with the same `s` merge by
+/// One layout, `S = 32` sub-buckets: values below 32 get their own slot
+/// (exact); above that, each power-of-two major bucket is split into 16
+/// linear minors, so every recorded value lands in a bucket whose width
+/// is at most `1/16` of its magnitude — the **relative error bound** of
+/// every quantile read. The 976 slots (~8 KiB) cover all of `u64`: the
+/// top slot ends at `u64::MAX`, so no value is clamped. Recording is one
+/// index computation (a leading-zeros count) plus three relaxed
+/// `fetch_add`s: O(1), no allocation, no locks. Histograms merge by
 /// bucket-wise addition, which makes per-thread recording + end-of-run
 /// [`Histogram::merge_from`] exact, not approximate.
-///
-/// Values above [`Histogram::max_trackable`] saturate into the top
-/// bucket (relevant only for non-default ranges; the default covers all
-/// of `u64`).
 #[derive(Debug)]
 pub struct Histogram {
-    /// `s`: sub-bucket count is `1 << s`.
-    sub_bucket_bits: u32,
     counts: Vec<AtomicU64>,
     total: AtomicU64,
     sum: AtomicU64,
@@ -95,63 +90,40 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Default histogram: `S = 32` sub-buckets (≤ 1/16 relative error),
-    /// covering the full `u64` range in 976 slots (~8 KiB).
-    pub fn new() -> Self {
-        Self::with_sub_bucket_bits(5)
-    }
+    /// The layout's `S`: sub-buckets per major bucket, and the number of
+    /// exact low slots. A power of two; the relative error bound is `2/S`.
+    pub const SUB_BUCKETS: u64 = 32;
 
-    /// Histogram with `S = 2^s` sub-buckets. Larger `s` trades memory
-    /// (`(65 − s)·2^(s−1)` slots) for resolution (relative error
-    /// `≤ 2^(1−s)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ s ≤ 16`.
-    pub fn with_sub_bucket_bits(s: u32) -> Self {
-        assert!((1..=16).contains(&s), "sub_bucket_bits must lie in 1..=16");
-        let slots = Self::index_for_bits(u64::MAX, s) + 1;
+    /// Number of slots: the index of `u64::MAX` plus one.
+    const SLOTS: usize = Self::index_for(u64::MAX) + 1;
+
+    /// An empty histogram.
+    pub fn new() -> Self {
         Self {
-            sub_bucket_bits: s,
-            counts: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            counts: (0..Self::SLOTS).map(|_| AtomicU64::new(0)).collect(),
             total: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
 
-    /// Number of sub-buckets per major bucket (`S`).
-    pub fn sub_bucket_count(&self) -> u64 {
-        1u64 << self.sub_bucket_bits
-    }
-
-    /// The largest value the top slot represents (the default range
-    /// covers all of `u64`).
-    pub fn max_trackable(&self) -> u64 {
-        self.value_at(self.counts.len() - 1)
-    }
-
-    fn index_for_bits(v: u64, s: u32) -> usize {
-        let sub_count = 1u64 << s;
-        if v < sub_count {
+    #[inline]
+    const fn index_for(v: u64) -> usize {
+        const S: u64 = Histogram::SUB_BUCKETS;
+        if v < S {
             return v as usize;
         }
         let msb = 63 - v.leading_zeros();
-        let b = (msb - s + 1) as u64;
+        let b = (msb - S.trailing_zeros() + 1) as u64;
         let sub = v >> b; // in [S/2, S)
-        (b * (sub_count / 2) + sub) as usize
-    }
-
-    #[inline]
-    fn index_for(&self, v: u64) -> usize {
-        Self::index_for_bits(v, self.sub_bucket_bits)
+        (b * (S / 2) + sub) as usize
     }
 
     /// The highest value mapping to slot `i` — the representative
     /// returned by quantile reads and the inclusive `le` upper bound of
     /// the Prometheus bucket.
-    fn value_at(&self, i: usize) -> u64 {
-        let half = (self.sub_bucket_count() / 2) as usize;
-        if i < self.sub_bucket_count() as usize {
+    fn value_at(i: usize) -> u64 {
+        let half = (Self::SUB_BUCKETS / 2) as usize;
+        if i < Self::SUB_BUCKETS as usize {
             return i as u64;
         }
         let b = i / half - 1;
@@ -160,24 +132,12 @@ impl Histogram {
         u64::try_from(upper).unwrap_or(u64::MAX)
     }
 
-    /// Records one sample (values above the trackable range saturate
-    /// into the top bucket).
+    /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Records `count` samples of value `v`.
-    #[inline]
-    pub fn record_n(&self, v: u64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let v = v.min(self.max_trackable());
-        self.counts[self.index_for(v)].fetch_add(count, Ordering::Relaxed);
-        self.total.fetch_add(count, Ordering::Relaxed);
-        self.sum
-            .fetch_add(v.saturating_mul(count), Ordering::Relaxed);
+        self.counts[Self::index_for(v)].fetch_add(1, Ordering::Relaxed);
+        self.total.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Total number of recorded samples.
@@ -185,7 +145,7 @@ impl Histogram {
         self.total.load(Ordering::Relaxed)
     }
 
-    /// Sum of all recorded values (saturating).
+    /// Sum of all recorded values (wrapping).
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
@@ -204,22 +164,14 @@ impl Histogram {
         for (i, c) in self.counts.iter().enumerate() {
             cum += c.load(Ordering::Relaxed);
             if cum >= target {
-                return self.value_at(i);
+                return Self::value_at(i);
             }
         }
-        self.max_trackable()
+        u64::MAX
     }
 
     /// Adds every bucket of `other` into `self` (exact, associative).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms have different bucket layouts.
     pub fn merge_from(&self, other: &Histogram) {
-        assert_eq!(
-            self.sub_bucket_bits, other.sub_bucket_bits,
-            "cannot merge histograms with different bucket layouts"
-        );
         for (dst, src) in self.counts.iter().zip(&other.counts) {
             let c = src.load(Ordering::Relaxed);
             if c > 0 {
@@ -234,13 +186,13 @@ impl Histogram {
 
     /// Non-empty buckets as `(inclusive upper bound, count)` pairs, in
     /// increasing bound order (non-cumulative).
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.counts
             .iter()
             .enumerate()
             .filter_map(|(i, c)| {
                 let c = c.load(Ordering::Relaxed);
-                (c > 0).then(|| (self.value_at(i), c))
+                (c > 0).then(|| (Self::value_at(i), c))
             })
             .collect()
     }
@@ -355,23 +307,13 @@ impl MetricsRegistry {
         g
     }
 
-    /// Registers a default-layout histogram family and returns its
-    /// handle.
+    /// Registers a histogram family and returns its handle.
     ///
     /// # Panics
     ///
     /// Panics on an invalid or duplicate name.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        self.histogram_with(name, help, Histogram::new())
-    }
-
-    /// Registers a pre-configured histogram under `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid or duplicate name.
-    pub fn histogram_with(&self, name: &str, help: &str, h: Histogram) -> Arc<Histogram> {
-        let h = Arc::new(h);
+        let h = Arc::new(Histogram::new());
         self.register(name, help, Metric::Histogram(Arc::clone(&h)));
         h
     }
@@ -589,6 +531,7 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counter_and_gauge_basics() {
@@ -621,8 +564,7 @@ mod tests {
         let h = Histogram::new();
         for v in [100u64, 1_000, 65_536, 1 << 40, u64::MAX / 3] {
             h.record(v);
-            let i = h.index_for(v);
-            let rep = h.value_at(i);
+            let rep = Histogram::value_at(Histogram::index_for(v));
             assert!(rep >= v, "representative below the sample");
             let err = (rep - v) as f64 / v as f64;
             assert!(err <= 2.0 / 32.0, "error {err} for {v}");
@@ -631,10 +573,11 @@ mod tests {
 
     #[test]
     fn histogram_saturates_at_top_bucket() {
-        let h = Histogram::with_sub_bucket_bits(2);
-        assert_eq!(h.max_trackable(), u64::MAX);
-        h.record(u64::MAX);
-        h.record_n(u64::MAX - 1, 2);
+        let h = Histogram::new();
+        assert_eq!(h.counts.len(), 976);
+        for _ in 0..3 {
+            h.record(u64::MAX);
+        }
         assert_eq!(h.count(), 3);
         assert_eq!(h.quantile(1.0), u64::MAX);
     }
@@ -657,10 +600,64 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "different bucket layouts")]
-    fn merge_rejects_mismatched_layouts() {
-        Histogram::with_sub_bucket_bits(4).merge_from(&Histogram::with_sub_bucket_bits(5));
+    fn hist_of(values: &[u64]) -> Histogram {
+        let h = Histogram::new();
+        for &v in values {
+            h.record(v);
+        }
+        h
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn merge_is_associative_and_order_independent(
+            a in prop::collection::vec(0u64..1_000_000, 0..200),
+            b in prop::collection::vec(0u64..1_000_000, 0..200),
+            c in prop::collection::vec(0u64..1_000_000, 0..200),
+        ) {
+            // (a ⊕ b) ⊕ c
+            let left = hist_of(&a);
+            left.merge_from(&hist_of(&b));
+            left.merge_from(&hist_of(&c));
+            // a ⊕ (b ⊕ c)
+            let bc = hist_of(&b);
+            bc.merge_from(&hist_of(&c));
+            let right = hist_of(&a);
+            right.merge_from(&bc);
+            // One histogram fed everything directly.
+            let mut all = a.clone();
+            all.extend_from_slice(&b);
+            all.extend_from_slice(&c);
+            let direct = hist_of(&all);
+
+            prop_assert_eq!(left.count(), right.count());
+            prop_assert_eq!(left.count(), direct.count());
+            prop_assert_eq!(left.sum(), right.sum());
+            prop_assert_eq!(left.sum(), direct.sum());
+            prop_assert_eq!(left.nonzero_buckets(), right.nonzero_buckets());
+            prop_assert_eq!(left.nonzero_buckets(), direct.nonzero_buckets());
+            for q in [0.0f64, 0.5, 0.9, 0.99, 1.0] {
+                prop_assert_eq!(left.quantile(q), right.quantile(q));
+                prop_assert_eq!(left.quantile(q), direct.quantile(q));
+            }
+        }
+
+        #[test]
+        fn huge_values_saturate_into_the_top_bucket(
+            values in prop::collection::vec(u64::MAX - 1_000..u64::MAX, 1..50),
+        ) {
+            let h = hist_of(&values);
+            prop_assert_eq!(h.count(), values.len() as u64);
+            // Everything near u64::MAX lands in the single top bucket, so
+            // every quantile reads the top representative.
+            prop_assert_eq!(h.quantile(0.0), h.quantile(1.0));
+            prop_assert_eq!(h.quantile(1.0), u64::MAX);
+            let buckets = h.nonzero_buckets();
+            prop_assert_eq!(buckets.len(), 1);
+            prop_assert_eq!(buckets[0], (u64::MAX, values.len() as u64));
+        }
     }
 
     #[test]

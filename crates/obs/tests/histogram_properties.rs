@@ -1,6 +1,8 @@
-//! Property tests for the log-linear-bucket histogram: merge
-//! associativity, quantile agreement with exact sorted-vector quantiles
-//! within the documented bucket resolution, and top-bucket saturation.
+//! Property tests for the log-linear-bucket histogram through its public
+//! surface: quantile agreement with exact sorted-vector quantiles within
+//! the documented bucket resolution, and exact count and sum. Merge
+//! associativity and top-bucket saturation read the private bucket list,
+//! so they live in the crate's own test module.
 
 use plurality_obs::Histogram;
 use proptest::prelude::*;
@@ -25,39 +27,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn merge_is_associative_and_order_independent(
-        a in prop::collection::vec(0u64..1_000_000, 0..200),
-        b in prop::collection::vec(0u64..1_000_000, 0..200),
-        c in prop::collection::vec(0u64..1_000_000, 0..200),
-    ) {
-        // (a ⊕ b) ⊕ c
-        let left = hist_of(&a);
-        left.merge_from(&hist_of(&b));
-        left.merge_from(&hist_of(&c));
-        // a ⊕ (b ⊕ c)
-        let bc = hist_of(&b);
-        bc.merge_from(&hist_of(&c));
-        let right = hist_of(&a);
-        right.merge_from(&bc);
-        // One histogram fed everything directly.
-        let mut all = a.clone();
-        all.extend_from_slice(&b);
-        all.extend_from_slice(&c);
-        let direct = hist_of(&all);
-
-        prop_assert_eq!(left.count(), right.count());
-        prop_assert_eq!(left.count(), direct.count());
-        prop_assert_eq!(left.sum(), right.sum());
-        prop_assert_eq!(left.sum(), direct.sum());
-        prop_assert_eq!(left.nonzero_buckets(), right.nonzero_buckets());
-        prop_assert_eq!(left.nonzero_buckets(), direct.nonzero_buckets());
-        for q in [0.0f64, 0.5, 0.9, 0.99, 1.0] {
-            prop_assert_eq!(left.quantile(q), right.quantile(q));
-            prop_assert_eq!(left.quantile(q), direct.quantile(q));
-        }
-    }
-
-    #[test]
     fn quantiles_agree_with_sorted_vector_within_bucket_resolution(
         mut values in prop::collection::vec(0u64..10_000_000, 1..400),
         qs in prop::collection::vec(0.0f64..1.0, 1..8),
@@ -72,7 +41,7 @@ proptest! {
             // within the 2/S relative-error bound above it.
             prop_assert!(bucketed >= exact,
                 "q={q}: bucketed {bucketed} < exact {exact}");
-            let slack = 2.0 / h.sub_bucket_count() as f64;
+            let slack = 2.0 / Histogram::SUB_BUCKETS as f64;
             let bound = (exact as f64) * (1.0 + slack) + 1.0;
             prop_assert!((bucketed as f64) <= bound,
                 "q={q}: bucketed {bucketed} above error bound {bound} (exact {exact})");
@@ -84,20 +53,5 @@ proptest! {
         let h = hist_of(&values);
         prop_assert_eq!(h.count(), values.len() as u64);
         prop_assert_eq!(h.sum(), values.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn huge_values_saturate_into_the_top_bucket(
-        values in prop::collection::vec(u64::MAX - 1_000..u64::MAX, 1..50),
-    ) {
-        let h = hist_of(&values);
-        prop_assert_eq!(h.count(), values.len() as u64);
-        // Everything near u64::MAX lands in the single top bucket, so
-        // every quantile reads the top representative.
-        prop_assert_eq!(h.quantile(0.0), h.quantile(1.0));
-        prop_assert_eq!(h.quantile(1.0), u64::MAX);
-        let buckets = h.nonzero_buckets();
-        prop_assert_eq!(buckets.len(), 1);
-        prop_assert_eq!(buckets[0], (u64::MAX, values.len() as u64));
     }
 }

@@ -36,8 +36,8 @@
 //! The thread count comes from the `PLURALITY_THREADS` environment
 //! variable (see [`configured_threads`]); `PLURALITY_THREADS=1` is the
 //! escape hatch that forces fully serial execution, which — by the
-//! contract above — must not change any result. The `*_with` variants
-//! take an explicit thread count for callers (tests, benchmarks) that
+//! contract above — must not change any result. [`par_map_seeded_with`]
+//! takes an explicit thread count for callers (tests, benchmarks) that
 //! need to compare thread counts inside one process.
 //!
 //! # Examples
@@ -94,7 +94,7 @@ fn default_threads() -> usize {
 /// Panics if `threads == 0`, or re-raises the first worker panic
 /// observed (jobs already claimed by other workers still run to
 /// completion before the panic propagates).
-pub fn par_map_indexed_with<R, F>(threads: usize, jobs: usize, f: F) -> Vec<R>
+fn par_map_indexed_with<R, F>(threads: usize, jobs: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -151,15 +151,6 @@ where
         .collect()
 }
 
-/// [`par_map_indexed_with`] using [`configured_threads`].
-pub fn par_map_indexed<R, F>(jobs: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_indexed_with(configured_threads(), jobs, f)
-}
-
 /// Maps `f(index, derive_seed(master, index))` over `0..jobs` in
 /// parallel, with results in index order — the repetition fan-out every
 /// experiment binary runs on.
@@ -199,17 +190,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_with(configured_threads(), items, f)
-}
-
-/// [`par_map`] with an explicit thread count.
-pub fn par_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed_with(threads, items.len(), |i| f(&items[i]))
+    par_map_indexed_with(configured_threads(), items.len(), |i| f(&items[i]))
 }
 
 #[cfg(test)]
@@ -252,7 +233,7 @@ mod tests {
     #[test]
     fn slice_map_preserves_order() {
         let items: Vec<i32> = (0..50).rev().collect();
-        let doubled = par_map_with(4, &items, |x| x * 2);
+        let doubled = par_map(&items, |x| x * 2);
         assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 

@@ -181,11 +181,6 @@ impl Environment {
         self.alive.len()
     }
 
-    /// Number of currently crashed nodes.
-    pub fn crashed_count(&self) -> usize {
-        self.crashed.len()
-    }
-
     /// The effective message-loss probability right now (`1 − Π(1 − pᵢ)`
     /// over active bursts; 0 outside bursts).
     #[inline(always)]
@@ -453,7 +448,6 @@ mod tests {
         };
         assert_eq!(nodes.len(), 30);
         assert_eq!(e.alive_count(), 70);
-        assert_eq!(e.crashed_count(), 30);
         for &v in nodes {
             assert!(e.is_crashed(v));
         }

@@ -172,7 +172,7 @@ fn read_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
 ///
 /// Returns a description when an escape is truncated, non-hex, or the
 /// decoded bytes are not UTF-8.
-pub fn percent_decode(s: &str) -> Result<String, String> {
+fn percent_decode(s: &str) -> Result<String, String> {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -306,7 +306,7 @@ impl Response {
 }
 
 /// The reason phrase for the handful of status codes this server emits.
-pub fn status_reason(status: u16) -> &'static str {
+fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

@@ -81,16 +81,6 @@ impl Series {
         self.values.last().copied()
     }
 
-    /// The first time at which the value reaches at least `threshold`, if
-    /// ever.
-    pub fn first_time_at_least(&self, threshold: f64) -> Option<f64> {
-        self.times
-            .iter()
-            .zip(&self.values)
-            .find(|(_, &v)| v >= threshold)
-            .map(|(&t, _)| t)
-    }
-
     /// Iterates over `(time, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.times.iter().copied().zip(self.values.iter().copied())
@@ -178,16 +168,6 @@ mod tests {
         let mut s = Series::new("x");
         s.push(1.0, 0.0);
         s.push(0.5, 0.0);
-    }
-
-    #[test]
-    fn first_time_at_least_finds_threshold_crossing() {
-        let mut s = Series::new("frac");
-        s.push(0.0, 0.1);
-        s.push(1.0, 0.6);
-        s.push(2.0, 0.9);
-        assert_eq!(s.first_time_at_least(0.5), Some(1.0));
-        assert_eq!(s.first_time_at_least(0.95), None);
     }
 
     #[test]

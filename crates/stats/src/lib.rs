@@ -2,8 +2,8 @@
 //!
 //! Statistics and reporting utilities for the experiment harness:
 //!
-//! * [`OnlineStats`] — streaming mean/variance/extrema with mergeable
-//!   state and normal confidence intervals;
+//! * [`OnlineStats`] — streaming mean/standard-deviation/extrema with
+//!   mergeable state;
 //! * [`success_rate`] — Wilson score intervals for whp.-style success
 //!   fractions;
 //! * [`fit`] — least-squares fits on log-transformed axes, for checking

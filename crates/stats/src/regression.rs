@@ -15,13 +15,6 @@ pub struct LinearFit {
     pub r_squared: f64,
 }
 
-impl LinearFit {
-    /// Predicts `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-}
-
 /// Axis transformation applied before fitting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
@@ -111,7 +104,6 @@ mod tests {
         assert!((f.slope - 2.0).abs() < 1e-12);
         assert!((f.intercept - 3.0).abs() < 1e-12);
         assert!((f.r_squared - 1.0).abs() < 1e-12);
-        assert!((f.predict(10.0) - 23.0).abs() < 1e-12);
     }
 
     #[test]

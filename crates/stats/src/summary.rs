@@ -1,4 +1,4 @@
-//! Streaming summary statistics and confidence intervals.
+//! Streaming summary statistics and success-rate intervals.
 
 use plurality_dist::special::normal_quantile;
 
@@ -14,7 +14,7 @@ use plurality_dist::special::normal_quantile;
 /// }
 /// assert_eq!(s.count(), 4);
 /// assert_eq!(s.mean(), 2.5);
-/// assert!((s.sample_variance() - 5.0 / 3.0).abs() < 1e-12);
+/// assert!((s.sample_sd() - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
@@ -72,7 +72,7 @@ impl OnlineStats {
     }
 
     /// Unbiased sample variance (0 for fewer than 2 observations).
-    pub fn sample_variance(&self) -> f64 {
+    fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -85,15 +85,6 @@ impl OnlineStats {
         self.sample_variance().sqrt()
     }
 
-    /// Standard error of the mean.
-    pub fn standard_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sample_sd() / (self.count as f64).sqrt()
-        }
-    }
-
     /// Minimum observation (`+∞` when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -102,25 +93,6 @@ impl OnlineStats {
     /// Maximum observation (`−∞` when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Normal-approximation confidence interval for the mean at the given
-    /// `confidence` level (e.g. 0.95), as `(lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `confidence ∉ (0, 1)`.
-    pub fn confidence_interval(&self, confidence: f64) -> (f64, f64) {
-        assert!(
-            confidence > 0.0 && confidence < 1.0,
-            "confidence must lie in (0, 1)"
-        );
-        if self.count == 0 {
-            return (f64::NAN, f64::NAN);
-        }
-        let z = normal_quantile(0.5 + confidence / 2.0);
-        let half = z * self.standard_error();
-        (self.mean - half, self.mean + half)
     }
 
     /// Merges another accumulator into this one (parallel Welford).
@@ -217,15 +189,6 @@ mod tests {
         assert!((a.sample_variance() - c.sample_variance()).abs() < 1e-12);
         assert_eq!(a.min(), c.min());
         assert_eq!(a.max(), c.max());
-    }
-
-    #[test]
-    fn confidence_interval_brackets_mean() {
-        let s = OnlineStats::from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        let (lo, hi) = s.confidence_interval(0.95);
-        assert!(lo < 3.0 && 3.0 < hi);
-        let (lo99, hi99) = s.confidence_interval(0.99);
-        assert!(lo99 < lo && hi < hi99, "wider level must widen interval");
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl Table {
     }
 
     /// Renders the table as a CSV string.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         fn escape(cell: &str) -> String {
             if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
                 format!("\"{}\"", cell.replace('"', "\"\""))

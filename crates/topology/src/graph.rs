@@ -223,23 +223,13 @@ impl Graph {
         self.neighbors[lo + rng.gen_range(0..hi - lo)]
     }
 
-    /// Draws a node with probability proportional to its degree, in O(1)
-    /// via the precomputed Vose alias table. Returns `None` iff the graph
-    /// has no edges.
-    #[inline]
-    pub fn sample_by_degree<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<u32> {
-        self.degree_alias
-            .as_ref()
-            .map(|table| table.sample(rng) as u32)
-    }
-
     /// Draws a uniformly random *directed* edge `(initiator, responder)`:
     /// the initiator degree-proportionally (alias table), the responder
     /// uniformly among the initiator's neighbors. Returns `None` iff the
     /// graph has no edges.
     #[inline]
     pub fn sample_directed_edge<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<(u32, u32)> {
-        let v = self.sample_by_degree(rng)?;
+        let v = self.degree_alias.as_ref()?.sample(rng) as u32;
         Some((v, self.sample_neighbor(v, rng)))
     }
 }
@@ -324,7 +314,7 @@ mod tests {
         let mut counts = [0u64; 5];
         const N: u64 = 100_000;
         for _ in 0..N {
-            counts[g.sample_by_degree(&mut rng).unwrap() as usize] += 1;
+            counts[g.sample_directed_edge(&mut rng).unwrap().0 as usize] += 1;
         }
         let total_deg = 10.0;
         for (v, &c) in counts.iter().enumerate() {
