@@ -212,7 +212,15 @@ impl LeaderMfConfig {
 
     /// Caps the simulated time (default: the per-node engine's
     /// failure-free budget).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_time` is not positive and finite.
     pub fn with_max_time(mut self, max_time: f64) -> Self {
+        assert!(
+            max_time > 0.0 && max_time.is_finite(),
+            "max_time must be positive and finite"
+        );
         self.max_time = Some(max_time);
         self
     }
@@ -639,6 +647,12 @@ mod tests {
     #[should_panic(expected = "at least 1/64")]
     fn dt_below_one_sixty_fourth_is_refused() {
         let _ = LeaderMfConfig::from_counts(vec![600, 400]).with_dt(0.01);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_time must be positive and finite")]
+    fn infinite_max_time_is_refused() {
+        let _ = LeaderMfConfig::from_counts(vec![600, 400]).with_max_time(f64::INFINITY);
     }
 
     #[test]

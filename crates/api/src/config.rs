@@ -1,14 +1,15 @@
 //! The shared run configuration: the axes every protocol has.
 
-use plurality_core::{InitialAssignment, RecordLevel};
+use plurality_core::{InitialAssignment, RecordLevel, RunAxes};
 use plurality_dist::InvalidParameterError;
 use plurality_scenario::Scenario;
 use plurality_topology::Topology;
 
-/// The axes common to every protocol run: who starts with which opinion,
-/// the ε used for convergence reporting, the RNG seed, the telemetry
-/// level, the communication [`Topology`], the scripted [`Scenario`], and
-/// an optional duration cap.
+/// The axes common to every protocol run: the per-node engines'
+/// [`RunAxes`] (who starts with which opinion, the ε used for convergence
+/// reporting, the RNG seed, the communication [`Topology`], the scripted
+/// [`Scenario`] and tracing), the telemetry level, and an optional
+/// duration cap.
 ///
 /// Everything genuinely protocol-specific (latency laws, γ, thresholds)
 /// lives on the [`crate::Protocol`] implementation instead, so a
@@ -16,6 +17,20 @@ use plurality_topology::Topology;
 /// in the scenario; the run-long actions, which only the asynchronous
 /// engines read, are rejected by every other protocol's
 /// [`crate::Protocol::check`].
+///
+/// What the axes mean on the facade:
+///
+/// * `epsilon` panics outside `[0, 1]`, the same contract as the engines.
+/// * The topology defaults to [`Topology::Complete`], the paper's model.
+///   Urn mode and the other mean-field engines are definitionally
+///   mean-field and reject anything else — see [`crate::UrnEngine`].
+/// * Scenario event times are in the engine's native clock — rounds for
+///   the synchronous engines, time steps for the event-driven ones,
+///   parallel time for population protocols.
+/// * Tracing consumes no process RNG, so the run outcome is
+///   byte-identical with the knob on or off; only [`crate::Report::trace`]
+///   changes. The urn engine (mean-field, no discrete events) ignores
+///   the knob and always reports `None`.
 ///
 /// Defaults match every engine builder exactly: `ε = 0.05`, seed 0,
 /// [`RecordLevel::Generations`], complete graph, empty scenario, derived
@@ -34,14 +49,9 @@ use plurality_topology::Topology;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
-    assignment: InitialAssignment,
-    epsilon: f64,
-    seed: u64,
+    axes: RunAxes,
     record: RecordLevel,
-    topology: Topology,
-    scenario: Scenario,
     max_duration: Option<f64>,
-    trace: bool,
 }
 
 impl RunConfig {
@@ -49,14 +59,9 @@ impl RunConfig {
     /// engines' shared defaults.
     pub fn new(assignment: InitialAssignment) -> Self {
         Self {
-            assignment,
-            epsilon: 0.05,
-            seed: 0,
+            axes: RunAxes::from(assignment),
             record: RecordLevel::default(),
-            topology: Topology::Complete,
-            scenario: Scenario::new(),
             max_duration: None,
-            trace: false,
         }
     }
 
@@ -71,47 +76,13 @@ impl RunConfig {
         Ok(Self::new(InitialAssignment::with_bias(n, k, alpha)?))
     }
 
-    /// Sets ε for ε-convergence reporting (default 0.05).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon ∉ [0, 1]` (same contract as the engines).
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!((0.0..=1.0).contains(&epsilon), "epsilon must lie in [0, 1]");
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the RNG seed (default 0). Runs are pure functions of the
-    /// seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
+    plurality_core::run_axes_setters!(axes, epsilon);
 
     /// Sets the telemetry level (default [`RecordLevel::Generations`]).
     /// Engines without the knob (urn, gossip dynamics, population
     /// protocols) record their fixed telemetry regardless.
     pub fn with_record(mut self, record: RecordLevel) -> Self {
         self.record = record;
-        self
-    }
-
-    /// Sets the communication topology (default [`Topology::Complete`],
-    /// the paper's model). Urn mode is definitionally mean-field and
-    /// rejects anything else — see [`crate::UrnEngine`].
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
-    /// Attaches a time-scripted environment (default: the empty
-    /// scenario, the paper's failure-free static model). Event times are
-    /// in the engine's native clock — rounds for the synchronous
-    /// engines, time steps for the event-driven ones, parallel time for
-    /// population protocols.
-    pub fn with_scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = scenario;
         self
     }
 
@@ -132,39 +103,34 @@ impl RunConfig {
         self
     }
 
-    /// Enables structured run tracing (default: off). Tracing consumes
-    /// no process RNG, so the run outcome is byte-identical with the
-    /// knob on or off; only [`crate::Report::trace`] changes. The urn
-    /// engine (mean-field, no discrete events) ignores the knob and
-    /// always reports `None`.
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
+    /// The per-node axes, which each per-node engine builder takes whole.
+    pub fn axes(&self) -> &RunAxes {
+        &self.axes
     }
 
     /// The initial assignment.
     pub fn assignment(&self) -> &InitialAssignment {
-        &self.assignment
+        &self.axes.assignment
     }
 
     /// Population size.
     pub fn n(&self) -> u64 {
-        self.assignment.n()
+        self.axes.assignment.n()
     }
 
     /// Number of opinions.
     pub fn k(&self) -> u32 {
-        self.assignment.k()
+        self.axes.assignment.k()
     }
 
     /// The ε used for ε-convergence reporting.
     pub fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.axes.epsilon
     }
 
     /// The RNG seed.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.axes.seed
     }
 
     /// The telemetry level.
@@ -174,12 +140,12 @@ impl RunConfig {
 
     /// The communication topology.
     pub fn topology(&self) -> Topology {
-        self.topology
+        self.axes.topology
     }
 
     /// The scripted scenario.
     pub fn scenario(&self) -> &Scenario {
-        &self.scenario
+        &self.axes.scenario
     }
 
     /// The duration cap, if set.
@@ -189,7 +155,7 @@ impl RunConfig {
 
     /// Whether structured run tracing is enabled.
     pub fn trace(&self) -> bool {
-        self.trace
+        self.axes.trace
     }
 
     /// Checks the common axes against the configured population size:
@@ -203,8 +169,8 @@ impl RunConfig {
     /// constraint.
     pub fn validate(&self) -> Result<(), InvalidParameterError> {
         let n = self.n() as usize;
-        self.topology.validate(n)?;
-        self.scenario.validate(n)?;
+        self.axes.topology.validate(n)?;
+        self.axes.scenario.validate(n)?;
         Ok(())
     }
 }

@@ -112,13 +112,8 @@ impl Protocol for SyncEngine {
     }
 
     fn run(&self, cfg: &RunConfig) -> Report {
-        let mut c = SyncConfig::new(cfg.assignment().clone())
-            .with_seed(cfg.seed())
-            .with_epsilon(cfg.epsilon())
+        let mut c = SyncConfig::from(cfg.axes().clone())
             .with_record(cfg.record())
-            .with_topology(cfg.topology())
-            .with_scenario(cfg.scenario().clone())
-            .with_trace(cfg.trace())
             .with_mode(self.mode);
         if let Some(gamma) = self.gamma {
             c = c.with_gamma(gamma);
@@ -216,13 +211,7 @@ impl Protocol for LeaderEngine {
     }
 
     fn run(&self, cfg: &RunConfig) -> Report {
-        let mut c = LeaderConfig::new(cfg.assignment().clone())
-            .with_seed(cfg.seed())
-            .with_epsilon(cfg.epsilon())
-            .with_record(cfg.record())
-            .with_topology(cfg.topology())
-            .with_scenario(cfg.scenario().clone())
-            .with_trace(cfg.trace());
+        let mut c = LeaderConfig::from(cfg.axes().clone()).with_record(cfg.record());
         if let Some(latency) = self.latency {
             c = c.with_latency(latency);
         }
@@ -263,13 +252,7 @@ impl Protocol for ClusterEngine {
     }
 
     fn run(&self, cfg: &RunConfig) -> Report {
-        let mut c = ClusterConfig::new(cfg.assignment().clone())
-            .with_seed(cfg.seed())
-            .with_epsilon(cfg.epsilon())
-            .with_record(cfg.record())
-            .with_topology(cfg.topology())
-            .with_scenario(cfg.scenario().clone())
-            .with_trace(cfg.trace());
+        let mut c = ClusterConfig::from(cfg.axes().clone()).with_record(cfg.record());
         if let Some(latency) = self.latency {
             c = c.with_latency(latency);
         }
@@ -326,12 +309,7 @@ impl Protocol for GossipEngine {
     }
 
     fn run(&self, cfg: &RunConfig) -> Report {
-        let mut c = DynamicsConfig::new(self.dynamics, cfg.assignment().clone())
-            .with_seed(cfg.seed())
-            .with_epsilon(cfg.epsilon())
-            .with_topology(cfg.topology())
-            .with_scenario(cfg.scenario().clone())
-            .with_trace(cfg.trace());
+        let mut c = DynamicsConfig::from((self.dynamics, cfg.axes().clone()));
         if let Some(max) = cfg.max_duration() {
             c = c.with_max_rounds(max.ceil() as u64);
         }
@@ -391,13 +369,12 @@ impl Protocol for PopulationEngine {
     }
 
     fn run(&self, cfg: &RunConfig) -> Report {
-        let mut c = match self.initial_a {
-            Some(a) => PopulationConfig::new(self.protocol, cfg.n(), a).with_seed(cfg.seed()),
-            None => PopulationConfig::from_assignment(self.protocol, cfg.assignment(), cfg.seed()),
+        let mut axes = cfg.axes().clone();
+        if let Some(a) = self.initial_a {
+            let b = cfg.n().checked_sub(a).expect("initial_a cannot exceed n");
+            axes.assignment = InitialAssignment::Exact(vec![a, b]);
         }
-        .with_topology(cfg.topology())
-        .with_scenario(cfg.scenario().clone())
-        .with_trace(cfg.trace());
+        let mut c = PopulationConfig::from((self.protocol, axes));
         if let Some(max) = cfg.max_duration() {
             c = c.with_max_interactions((max * cfg.n() as f64).ceil() as u64);
         }

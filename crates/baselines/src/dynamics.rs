@@ -16,8 +16,8 @@
 //! exactly like the paper's synchronous protocol, so round counts are
 //! directly comparable.
 
-use plurality_core::round::{Round, RoundParams, RoundProtocol};
-use plurality_core::{InitialAssignment, Opinion, OpinionCounts, RunOutcome};
+use plurality_core::round::{Round, RoundProtocol};
+use plurality_core::{InitialAssignment, Opinion, OpinionCounts, RunAxes, RunOutcome};
 use plurality_obs::TraceEvent;
 use rand::Rng;
 use std::borrow::Cow;
@@ -69,8 +69,10 @@ impl Dynamics {
 /// byte-identical RNG stream.
 ///
 /// Runs on the round kernel (`plurality_core::round`) like the
-/// synchronous protocol: scenario event times are in rounds, and
-/// `corrupt` re-colors decided and undecided nodes alike.
+/// synchronous protocol: scenario event times are in rounds, effects act
+/// as that module's docs say, and `corrupt` re-colors decided and
+/// undecided nodes alike. Every sample is a uniform neighbor on the
+/// configured topology (isolated nodes sample themselves).
 ///
 /// # Examples
 ///
@@ -86,7 +88,20 @@ impl Dynamics {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicsConfig {
     dynamics: Dynamics,
-    run: RoundParams,
+    run: RunAxes,
+    max_rounds: Option<u64>,
+}
+
+impl From<(Dynamics, RunAxes)> for DynamicsConfig {
+    /// `dynamics` on `axes`, with the default round cap of
+    /// [`DynamicsConfig::new`].
+    fn from((dynamics, run): (Dynamics, RunAxes)) -> Self {
+        Self {
+            dynamics,
+            run,
+            max_rounds: None,
+        }
+    }
 }
 
 impl DynamicsConfig {
@@ -96,17 +111,14 @@ impl DynamicsConfig {
     /// scenario attached, the default cap additionally stretches past
     /// the scenario horizon so scripted events actually fire.
     pub fn new(dynamics: Dynamics, assignment: InitialAssignment) -> Self {
-        Self {
-            dynamics,
-            run: RoundParams::new(assignment),
-        }
+        Self::from((dynamics, RunAxes::from(assignment)))
     }
 
-    plurality_core::round_param_setters!(epsilon);
+    plurality_core::run_axes_setters!(run, epsilon);
 
     /// Sets the round cap, overriding the default formula.
     pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        self.run.max_steps = Some(max_rounds);
+        self.max_rounds = Some(max_rounds);
         self
     }
 
@@ -117,8 +129,7 @@ impl DynamicsConfig {
     /// Panics if the assignment materializes fewer than 2 nodes, or if
     /// the configured topology cannot be built for that population size.
     pub fn run(&self) -> DynamicsResult {
-        let (kernel, opinions) = Round::new(&self.run, "baseline");
-        let col: Vec<u32> = opinions.iter().map(|o| o.index()).collect();
+        let (kernel, col) = Round::new(&self.run, self.max_rounds, "baseline");
         let mut rule = Rule {
             dynamics: self.dynamics,
             initial_winner: kernel.initial_winner,

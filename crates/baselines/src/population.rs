@@ -13,8 +13,8 @@
 //!   (differences are conserved), at the price of `O(n² log n)`
 //!   interactions in the worst case.
 
-use plurality_core::round::{Round, RoundParams, RoundProtocol};
-use plurality_core::{InitialAssignment, Opinion, OpinionCounts, RunOutcome};
+use plurality_core::round::{Round, RoundProtocol};
+use plurality_core::{InitialAssignment, Opinion, OpinionCounts, RunAxes, RunOutcome};
 use plurality_dist::rng::Xoshiro256PlusPlus;
 use plurality_obs::TraceEvent;
 use plurality_scenario::Environment;
@@ -91,7 +91,22 @@ impl State {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationConfig {
     protocol: PopulationProtocol,
-    run: RoundParams,
+    run: RunAxes,
+    max_interactions: Option<u64>,
+}
+
+impl From<(PopulationProtocol, RunAxes)> for PopulationConfig {
+    /// `protocol` on `axes`, their assignment reshaped into its A/B split
+    /// by [`PopulationConfig::from_assignment`]. ε goes unused: the
+    /// consensus time is the ε-time.
+    fn from((protocol, axes): (PopulationProtocol, RunAxes)) -> Self {
+        let split = Self::from_assignment(protocol, &axes.assignment, axes.seed);
+        let assignment = split.run.assignment;
+        Self {
+            run: RunAxes { assignment, ..axes },
+            ..split
+        }
+    }
 }
 
 impl PopulationConfig {
@@ -107,7 +122,8 @@ impl PopulationConfig {
         let assignment = InitialAssignment::Exact(vec![initial_a, n - initial_a]);
         Self {
             protocol,
-            run: RoundParams::new(assignment),
+            run: RunAxes::from(assignment),
+            max_interactions: None,
         }
     }
 
@@ -136,19 +152,19 @@ impl PopulationConfig {
         Self::new(protocol, n, a).with_seed(seed)
     }
 
-    plurality_core::round_param_setters!();
+    plurality_core::run_axes_setters!(run);
 
     /// Caps the number of interactions (default: `500·n·ln n` for the
     /// 3-state protocol, `50·n² ln n / max(1, bias gap)` for the 4-state).
     pub fn with_max_interactions(mut self, max: u64) -> Self {
-        self.run.max_steps = Some(max);
+        self.max_interactions = Some(max);
         self
     }
 
     /// Runs the protocol.
     pub fn run(&self) -> PopulationResult {
-        let (kernel, opinions) = Round::new(&self.run, "population");
-        let states: Vec<State> = opinions.iter().map(|o| State::strong(o.index())).collect();
+        let (kernel, cols) = Round::new(&self.run, self.max_interactions, "population");
+        let states: Vec<State> = cols.into_iter().map(State::strong).collect();
         let initial = kernel.initial_counts.as_slice();
         let mut agents = Agents {
             protocol: self.protocol,

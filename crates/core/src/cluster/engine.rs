@@ -32,12 +32,13 @@ use crate::cluster::node::{
 use crate::kernel::{run_param_setters, Handlers, Kernel, RunParams, TWO_CHOICES_UNITS};
 use crate::opinion::InitialAssignment;
 use crate::outcome::{RecordLevel, RunOutcome};
+use crate::round::RunAxes;
 use plurality_dist::ChannelPattern;
 use plurality_obs::{EngineProfile, TraceEvent};
-use plurality_scenario::Scenario;
 use plurality_sim::EventLog;
-use plurality_topology::Topology;
 use rand::Rng;
+#[cfg(test)] // named by the tests through `use super::*`
+use {plurality_scenario::Scenario, plurality_topology::Topology};
 
 /// The fewest nodes a multi-leader run accepts.
 pub const MIN_NODES: usize = 8;
@@ -57,6 +58,23 @@ const SLEEP_UNITS: f64 = 2.0;
 /// [`ClusterConfig::new`] and chain the `with_*` setters — or run
 /// through the unified facade (`plurality-api`'s `ClusterEngine`, spec
 /// name `"cluster"`), which consumes the byte-identical RNG stream.
+///
+/// **Topology** constrains the *peer-sampling* step: the three channels
+/// a ticking node opens go to uniform neighbors on the graph, which also
+/// constrains which clusters a node can discover and join. Member
+/// signals towards the own cluster leader model the intra-cluster
+/// control channel and stay direct.
+///
+/// **Scenario** event times are in time *steps*. Crashed nodes tick
+/// inertly and abort interactions that sample them; joined slots come
+/// back fresh (generation 0, random opinion, `finished` cleared) but keep
+/// their cluster membership, so cluster size counters stay consistent;
+/// `burst-loss` drops member signals and peer channels; `latency:`
+/// shifts scale every drawn latency; `rewire:` swaps the peer sampler.
+/// Cluster-leader counter state is engine-side bookkeeping, not a node,
+/// and is unaffected by crashes. The run-long `signal-loss` and
+/// `stragglers` actions hold from the start (see
+/// [`Action`](plurality_scenario::Action)).
 ///
 /// # Examples
 ///
@@ -78,52 +96,27 @@ pub struct ClusterConfig {
     leader_probability: Option<f64>,
 }
 
+impl From<RunAxes> for ClusterConfig {
+    /// A configuration on `axes`, with the defaults of [`ClusterConfig::new`].
+    fn from(axes: RunAxes) -> Self {
+        Self {
+            run: RunParams::new(axes),
+            participation_size: None,
+            leader_probability: None,
+        }
+    }
+}
+
 impl ClusterConfig {
     /// Creates a configuration with defaults: exponential latency rate 1,
     /// `ε = 0.05`, seed 0. The pause (1 unit), accept (8 units),
     /// two-choices (2 units) and sleep (2 units) windows are fixed.
     pub fn new(assignment: InitialAssignment) -> Self {
-        Self {
-            run: RunParams::new(assignment),
-            participation_size: None,
-            leader_probability: None,
-        }
+        Self::from(RunAxes::from(assignment))
     }
 
+    crate::run_axes_setters!(run.axes, epsilon);
     run_param_setters!();
-
-    /// Attaches a time-scripted environment (default: the empty
-    /// scenario, the paper's failure-free static model). Event times are
-    /// in time *steps*. Crashed nodes tick inertly and abort
-    /// interactions that sample them; joined slots come back fresh
-    /// (generation 0, random opinion, `finished` cleared) but keep their
-    /// cluster membership, so cluster size counters stay consistent;
-    /// `burst-loss` drops member signals and peer channels; `latency:`
-    /// shifts scale every drawn latency; `rewire:` swaps the peer
-    /// sampler. Cluster-leader counter state is engine-side bookkeeping,
-    /// not a node, and is unaffected by crashes. The run-long
-    /// `signal-loss` and `stragglers` actions hold from the start (see
-    /// [`Action`](plurality_scenario::Action)). Scenario randomness
-    /// lives on a private stream, so the empty scenario consumes the
-    /// byte-identical process RNG stream as before the subsystem
-    /// existed.
-    pub fn with_scenario(mut self, scenario: Scenario) -> Self {
-        self.run.scenario = scenario;
-        self
-    }
-
-    /// Sets the communication topology for the *peer-sampling* step
-    /// (default [`Topology::Complete`], the paper's model): the three
-    /// channels a ticking node opens go to uniform neighbors on the
-    /// given graph, which also constrains which clusters a node can
-    /// discover and join. Member signals towards the own cluster leader
-    /// model the intra-cluster control channel and stay direct. Random
-    /// graph families are rebuilt per run from `derive_seed(seed,
-    /// TOPOLOGY_STREAM)`.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.run.topology = topology;
-        self
-    }
 
     /// Sets the participation size — the paper's `log^{c−1} n` (default
     /// `max(8, ⌈log₂(n)^1.5⌉)`).
@@ -156,7 +149,7 @@ impl ClusterConfig {
     /// Panics if the assignment materializes fewer than [`MIN_NODES`]
     /// nodes, or if
     /// the configured topology cannot be built for that population size
-    /// (see [`Topology::build`]).
+    /// (see [`Topology::build`](plurality_topology::Topology::build)).
     pub fn run(&self) -> ClusterResult {
         run_cluster(self)
     }
@@ -347,13 +340,13 @@ fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
 
     k.max_time = cfg.run.max_time.unwrap_or_else(|| {
         let nf = n as f64;
-        let colors = f64::from(cfg.run.assignment.k());
+        let colors = f64::from(cfg.run.axes.assignment.k());
         let clustering = c1 * (PAUSE_UNITS + ACCEPT_UNITS + 8.0);
         let per_gen = 2.0 * (colors + 2.0).log2() + TWO_CHOICES_UNITS + SLEEP_UNITS + 12.0;
         let derived = clustering + c1 * (cap as f64 + 2.0) * per_gen + 12.0 * nf.ln() + 200.0;
         // Scripted events must actually fire: stretch the default cap
         // past the scenario horizon plus a recovery tail.
-        derived.max(cfg.run.scenario.horizon() + 12.0 * nf.ln() + 200.0)
+        derived.max(cfg.run.axes.scenario.horizon() + 12.0 * nf.ln() + 200.0)
     });
 
     // The per-cluster jump chains start disarmed — every cluster starts

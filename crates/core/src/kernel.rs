@@ -82,18 +82,17 @@
 
 use crate::arrivals::{Arrival, ArrivalCounter};
 use crate::genstate::GenerationTable;
-use crate::opinion::InitialAssignment;
 use crate::outcome::{ConvergenceTracker, GenerationBirth, RecordLevel, RunOutcome};
-use crate::round::{apply_effects, EffectTarget};
+use crate::round::{apply_effects, EffectTarget, RunAxes, Start};
 use crate::signalflow::SignalFlow;
 use crate::sync::{generations_needed, GENERATION_CAP};
 use crate::Opinion;
 use plurality_dist::rng::{derive_seed, Xoshiro256PlusPlus};
 use plurality_dist::{sample_poisson, ChannelPattern, Latency, UnitExp, WaitingTime};
 use plurality_obs::{EngineProfile, TraceEvent, TraceKind, Tracer};
-use plurality_scenario::{Environment, Scenario};
+use plurality_scenario::Environment;
 use plurality_sim::{CalendarQueue, PoissonClock};
-use plurality_topology::{PeerSampler, Topology, TOPOLOGY_STREAM};
+use plurality_topology::PeerSampler;
 use rand::Rng;
 use std::borrow::Cow;
 
@@ -160,76 +159,41 @@ pub(crate) trait Handlers<const M: usize>: Sized {
 /// paper's constant 2 in `C3 = C1(2 + log n/√n)` (Proposition 16).
 pub(crate) const TWO_CHOICES_UNITS: f64 = 2.0;
 
-/// The run parameters both engines' configs embed as their `run` field.
+/// The run parameters both engines' configs embed as their `run` field:
+/// the [`RunAxes`] and the knobs only the asynchronous engines have.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RunParams {
-    pub assignment: InitialAssignment,
+    pub axes: RunAxes,
     pub latency: Latency,
-    pub epsilon: f64,
-    pub seed: u64,
     pub record: RecordLevel,
     pub max_time: Option<f64>,
     pub steps_per_unit: Option<f64>,
     pub generation_cap: Option<u32>,
-    pub topology: Topology,
-    pub scenario: Scenario,
-    pub trace: bool,
 }
 
 impl RunParams {
-    /// Defaults: `Exp(1)` latency, `ε = 0.05`, seed 0, generation-level
-    /// telemetry, the complete graph, no scenario, no trace; the time
-    /// cap, `C1` and the generation cap are derived per run.
-    pub fn new(assignment: InitialAssignment) -> Self {
+    /// Defaults: `Exp(1)` latency and generation-level telemetry; the
+    /// time cap, `C1` and the generation cap are derived per run.
+    pub fn new(axes: RunAxes) -> Self {
         Self {
-            assignment,
+            axes,
             latency: Latency::exponential(1.0).expect("rate 1 valid"),
-            epsilon: 0.05,
-            seed: 0,
             record: RecordLevel::Generations,
             max_time: None,
             steps_per_unit: None,
             generation_cap: None,
-            topology: Topology::Complete,
-            scenario: Scenario::new(),
-            trace: false,
         }
     }
 }
 
-/// The `with_*` setters of the [`RunParams`] fields whose meaning does
-/// not depend on the protocol, expanded inside each config's `impl`.
+/// The `with_*` setters of the asynchronous-only [`RunParams`] fields,
+/// expanded inside each config's `impl` next to
+/// [`run_axes_setters!`](crate::run_axes_setters)`(run.axes, epsilon)`.
 macro_rules! run_param_setters {
     () => {
-        /// Enables structured run tracing (default off). The tracer
-        /// consumes no process RNG and reads no clock: a traced run
-        /// produces the byte-identical outcome of an untraced one, plus
-        /// the event log in the result's `trace` field.
-        pub fn with_trace(mut self, trace: bool) -> Self {
-            self.run.trace = trace;
-            self
-        }
-
         /// Sets the channel-establishment latency law (default `Exp(1)`).
         pub fn with_latency(mut self, latency: ::plurality_dist::Latency) -> Self {
             self.run.latency = latency;
-            self
-        }
-
-        /// Sets ε for ε-convergence reporting (default 0.05).
-        ///
-        /// # Panics
-        ///
-        /// Panics if `epsilon ∉ [0, 1]`.
-        pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-            assert!((0.0..=1.0).contains(&epsilon), "epsilon must lie in [0, 1]");
-            self.run.epsilon = epsilon;
-            self
-        }
-
-        /// Sets the RNG seed (default 0).
-        pub fn with_seed(mut self, seed: u64) -> Self {
-            self.run.seed = seed;
             self
         }
 
@@ -244,9 +208,12 @@ macro_rules! run_param_setters {
         ///
         /// # Panics
         ///
-        /// Panics if `max_time` is not positive.
+        /// Panics if `max_time` is not positive and finite.
         pub fn with_max_time(mut self, max_time: f64) -> Self {
-            assert!(max_time > 0.0, "max_time must be positive");
+            assert!(
+                max_time > 0.0 && max_time.is_finite(),
+                "max_time must be positive and finite"
+            );
             self.run.max_time = Some(max_time);
             self
         }
@@ -257,9 +224,12 @@ macro_rules! run_param_setters {
         ///
         /// # Panics
         ///
-        /// Panics if `c1` is not positive.
+        /// Panics if `c1` is not positive and finite.
         pub fn with_steps_per_unit(mut self, c1: f64) -> Self {
-            assert!(c1 > 0.0, "steps_per_unit must be positive");
+            assert!(
+                c1 > 0.0 && c1.is_finite(),
+                "steps_per_unit must be positive and finite"
+            );
             self.run.steps_per_unit = Some(c1);
             self
         }
@@ -390,10 +360,10 @@ pub(crate) struct Kernel<S, const M: usize> {
 }
 
 impl<S: Copy, const M: usize> Kernel<S, M> {
-    /// Materializes the population and builds topology, scenario
-    /// environment, rate pools, generation table, `C1`, generation cap,
-    /// tracker, tracer and queue. Draws nothing from the process stream
-    /// beyond `materialize`; `max_time` is left for the engine to set.
+    /// Runs the shared set-up ([`RunAxes::start`]) and builds the rate
+    /// pools, generation table, `C1`, generation cap and queue. Draws
+    /// nothing from the process stream beyond `materialize`; `max_time`
+    /// is left for the engine to set.
     ///
     /// # Panics
     ///
@@ -401,27 +371,21 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
     /// names the run in the message) or the topology cannot be built for
     /// that population size.
     pub fn new(s: &RunParams, pattern: ChannelPattern, protocol: &str, min_nodes: usize) -> Self {
-        let mut rng = Xoshiro256PlusPlus::from_u64(s.seed);
-        let opinions = s.assignment.materialize(&mut rng);
-        let n = opinions.len();
-        assert!(
-            n >= min_nodes,
-            "{protocol} run needs at least {min_nodes} nodes"
-        );
-        // Built from private RNG streams; complete-graph and empty-scenario
-        // runs keep the historical process stream intact.
-        let sampler = s
-            .topology
-            .build(n, derive_seed(s.seed, TOPOLOGY_STREAM))
-            .expect("topology must be buildable for this population size");
-        let env = s.scenario.for_run(n, s.assignment.k(), s.seed);
-
-        let cols: Vec<u32> = opinions.iter().map(|o| o.index()).collect();
+        let axes = &s.axes;
+        let Start {
+            rng,
+            cols,
+            winner: initial_winner,
+            bias: initial_bias,
+            sampler,
+            env,
+            tracker,
+            tracer,
+            ..
+        } = axes.start(protocol, min_nodes);
+        let n = cols.len();
         let gens = vec![0; n];
-        let table = GenerationTable::from_states(&gens, &cols, s.assignment.k() as usize);
-        let initial_counts = table.global_counts();
-        let initial_winner = initial_counts.winner().expect("non-empty population");
-        let initial_bias = initial_counts.bias().unwrap_or(f64::INFINITY);
+        let table = GenerationTable::from_states(&gens, &cols, axes.assignment.k() as usize);
 
         let waiting = WaitingTime::new(s.latency, pattern);
         // Memoized per (latency, pattern): repetitions share one Monte-Carlo
@@ -438,18 +402,12 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
             .generation_cap
             .unwrap_or_else(|| generations_needed(n as u64, alpha, GENERATION_CAP));
 
-        let mut tracker = ConvergenceTracker::new(n as u64, initial_winner, s.epsilon);
-        tracker.observe(
-            0.0,
-            table.color_support(initial_winner),
-            table.max_color_support(),
-        );
         let mut queue = CalendarQueue::new();
-        queue.set_trace(s.trace);
+        queue.set_trace(axes.trace);
 
         // Slots `0..slow` tick at the straggler rate, the rest at rate 1
         // (earlier pools win exact tick-time ties).
-        let (fraction, slow_rate) = s.scenario.stragglers().unwrap_or((0.0, 1.0));
+        let (fraction, slow_rate) = axes.scenario.stragglers().unwrap_or((0.0, 1.0));
         let slow = (fraction * n as f64).round() as usize;
         let pools = [(1.0, slow..n), (slow_rate, 0..slow)]
             .into_iter()
@@ -465,7 +423,7 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
         // ids, geometric ring/torus ids): permute so stragglers stay a
         // uniform subset.
         let slot_ids = (slow > 0 && !sampler.is_complete()).then(|| {
-            let mut srng = Xoshiro256PlusPlus::from_u64(derive_seed(s.seed, STRAGGLER_STREAM));
+            let mut srng = Xoshiro256PlusPlus::from_u64(derive_seed(axes.seed, STRAGGLER_STREAM));
             let mut ids: Vec<u32> = (0..n as u32).collect();
             for i in (1..n).rev() {
                 ids.swap(i, srng.gen_range(0..=i));
@@ -495,13 +453,13 @@ impl<S: Copy, const M: usize> Kernel<S, M> {
             max_time: f64::INFINITY,
             record: s.record,
             tracker,
-            tracer: Tracer::new(s.trace),
+            tracer,
             births: Vec::new(),
             queue,
             pools,
             slot_ids,
             node_rates,
-            signal_loss: s.scenario.signal_loss(),
+            signal_loss: axes.scenario.signal_loss(),
             zeros: Zeros::Counted(Vec::new()),
             cross: Arrival::NEVER,
             cross_scope: u32::MAX,
@@ -1094,5 +1052,19 @@ mod tests {
                 .run();
             assert_eq!(effects(cluster.trace), expected, "cluster, {latency:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_time must be positive and finite")]
+    fn infinite_max_time_is_refused() {
+        let assignment = InitialAssignment::with_bias(600, 2, 3.0).unwrap();
+        let _ = LeaderConfig::new(assignment).with_max_time(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "steps_per_unit must be positive and finite")]
+    fn infinite_steps_per_unit_is_refused() {
+        let assignment = InitialAssignment::with_bias(600, 2, 3.0).unwrap();
+        let _ = ClusterConfig::new(assignment).with_steps_per_unit(f64::INFINITY);
     }
 }

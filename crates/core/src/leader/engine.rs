@@ -16,11 +16,12 @@ use crate::leader::node::{apply, decide, NodeDecision, NodeState, SampleView};
 use crate::leader::state::{LeaderParams, LeaderState, LeaderTransition, Signal};
 use crate::opinion::InitialAssignment;
 use crate::outcome::{RecordLevel, RunOutcome};
+use crate::round::RunAxes;
 use plurality_dist::ChannelPattern;
 use plurality_obs::{EngineProfile, TraceEvent};
-use plurality_scenario::Scenario;
 use plurality_sim::Series;
-use plurality_topology::Topology;
+#[cfg(test)] // named by the tests through `use super::*`
+use {plurality_scenario::Scenario, plurality_topology::Topology};
 
 /// The fewest nodes a single-leader run accepts.
 pub const MIN_NODES: usize = 2;
@@ -33,6 +34,20 @@ const GEN_SIZE_FRACTION: f64 = 0.5;
 /// [`LeaderConfig::new`] and chain the `with_*` setters — or run
 /// through the unified facade (`plurality-api`'s `LeaderEngine`, spec
 /// name `"leader"`), which consumes the byte-identical RNG stream.
+///
+/// **Topology** constrains the *peer-sampling* step only: the two
+/// parallel channels a ticking node opens go to uniform neighbors on the
+/// graph (isolated nodes sample themselves). The 0-/gen-signals towards the leader model a dedicated
+/// control channel and stay direct, exactly as in Algorithms 2 + 3.
+///
+/// **Scenario** event times are in time *steps* (the event clock).
+/// Crashed nodes tick inertly — no 0-signal, no interaction — and
+/// interactions whose initiator or sampled peers are crashed at channel
+/// completion abort. `burst-loss` drops each 0-/gen-signal and each peer
+/// channel independently; `latency:` shifts multiply every drawn travel
+/// and channel latency; `rewire:` swaps the peer sampler mid-run. The
+/// run-long `signal-loss` and `stragglers` actions hold from the start
+/// (see [`Action`](plurality_scenario::Action)).
 ///
 /// # Examples
 ///
@@ -53,57 +68,34 @@ pub struct LeaderConfig {
     run: RunParams,
 }
 
+impl From<RunAxes> for LeaderConfig {
+    /// A configuration on `axes`, with the defaults of [`LeaderConfig::new`].
+    fn from(axes: RunAxes) -> Self {
+        Self {
+            run: RunParams::new(axes),
+        }
+    }
+}
+
 impl LeaderConfig {
     /// Creates a configuration with defaults: exponential latency with rate
     /// 1, `ε = 0.05`, two-choices window of 2 time units, generation-size
     /// threshold `n/2`, seed 0.
     pub fn new(assignment: InitialAssignment) -> Self {
-        Self {
-            run: RunParams::new(assignment),
-        }
+        Self::from(RunAxes::from(assignment))
     }
 
+    crate::run_axes_setters!(run.axes, epsilon);
     run_param_setters!();
-
-    /// Attaches a time-scripted environment (default: the empty
-    /// scenario, the paper's failure-free static model). Event times are
-    /// in time *steps* (the event clock). Crashed nodes tick inertly —
-    /// no 0-signal, no interaction — and interactions whose initiator or
-    /// sampled peers are crashed at channel completion abort.
-    /// `burst-loss` drops each 0-/gen-signal and each peer channel
-    /// independently; `latency:` shifts multiply every drawn travel and
-    /// channel latency; `rewire:` swaps the peer sampler mid-run. The
-    /// run-long `signal-loss` and `stragglers` actions hold from the
-    /// start (see [`Action`](plurality_scenario::Action)). Scenario
-    /// randomness lives on a private stream, so the empty scenario
-    /// consumes the byte-identical process RNG stream as before the
-    /// subsystem existed.
-    pub fn with_scenario(mut self, scenario: Scenario) -> Self {
-        self.run.scenario = scenario;
-        self
-    }
-
-    /// Sets the communication topology for the *peer-sampling* step
-    /// (default [`Topology::Complete`], the paper's model): the two
-    /// parallel channels a ticking node opens go to uniform neighbors on
-    /// the given graph (isolated nodes sample themselves). The 0-/gen-
-    /// signals towards the leader model a dedicated control channel and
-    /// stay direct, exactly as in Algorithms 2 + 3. Random graph
-    /// families are rebuilt per run from `derive_seed(seed,
-    /// TOPOLOGY_STREAM)`.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.run.topology = topology;
-        self
-    }
 
     /// Runs the protocol.
     ///
     /// # Panics
     ///
     /// Panics if the assignment materializes fewer than [`MIN_NODES`]
-    /// nodes, or if
-    /// the configured topology cannot be built for that population size
-    /// (see [`Topology::build`]).
+    /// nodes, or if the configured topology cannot be built for that
+    /// population size (see
+    /// [`Topology::build`](plurality_topology::Topology::build)).
     pub fn run(&self) -> LeaderResult {
         run_leader(self)
     }
@@ -185,12 +177,12 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
     let zero_signal_threshold = (nf * c1 * (TWO_CHOICES_UNITS + nf.ln() / nf.sqrt())).ceil() as u64;
     let gen_size_threshold = (nf * GEN_SIZE_FRACTION).ceil() as u64;
     k.max_time = cfg.run.max_time.unwrap_or_else(|| {
-        let colors = f64::from(cfg.run.assignment.k());
+        let colors = f64::from(cfg.run.axes.assignment.k());
         let units = (cap as f64 + 2.0) * (2.0 * (colors + 2.0).log2() + 12.0);
         let derived = c1 * units + 10.0 * nf.ln() + 100.0;
         // Scripted events must actually fire: stretch the default cap
         // past the scenario horizon plus a recovery tail.
-        derived.max(cfg.run.scenario.horizon() + 10.0 * nf.ln() + 100.0)
+        derived.max(cfg.run.axes.scenario.horizon() + 10.0 * nf.ln() + 100.0)
     });
     k.trace_phase(0.0, "generation-allowed", 1, 0);
     let winner_series = matches!(cfg.run.record, RecordLevel::Full).then(|| {

@@ -15,8 +15,8 @@
 //!   the gossip and population-protocol baselines.
 //!
 //! Shared vocabulary lives at the crate root: [`Opinion`],
-//! [`OpinionCounts`], [`InitialAssignment`], [`GenerationTable`],
-//! [`RunOutcome`], [`ConvergenceTracker`].
+//! [`OpinionCounts`], [`InitialAssignment`], [`RunAxes`],
+//! [`GenerationTable`], [`RunOutcome`], [`ConvergenceTracker`].
 //!
 //! ## Quick start
 //!
@@ -48,3 +48,4 @@ pub mod sync;
 pub use genstate::GenerationTable;
 pub use opinion::{InitialAssignment, Opinion, OpinionCounts};
 pub use outcome::{ConvergenceTracker, GenerationBirth, RecordLevel, RunOutcome};
+pub use round::RunAxes;

@@ -5,14 +5,16 @@
 //!
 //! A *step* is one synchronous round or one ordered-pair interaction of
 //! the sequential scheduler, `n` of which make one unit of parallel time.
-//! The kernel owns the run set-up (process RNG and `materialize`, the
-//! topology on its private `TOPOLOGY_STREAM`, [`Scenario::for_run`], the
-//! initial winner and bias, the step cap stretched past
-//! [`Scenario::horizon`]), the environment poll, the sampler, tracer and
-//! convergence tracker, and the closing milestones and [`RunOutcome`].
-//! Scenario effects go through the one function the asynchronous kernel
-//! also calls. A protocol supplies a [`RoundProtocol`], monomorphized
-//! into [`Round::run`], so the per-node hot loop pays no dynamic dispatch.
+//! The kernel owns the step cap stretched past [`Scenario::horizon`], the
+//! environment poll, the sampler, tracer and convergence tracker, and the
+//! closing milestones and [`RunOutcome`]. Its run set-up and its
+//! scenario effects are the ones the asynchronous kernel also calls. A protocol supplies a
+//! [`RoundProtocol`], monomorphized into [`Round::run`], so the per-node
+//! hot loop pays no dynamic dispatch.
+//!
+//! On this kernel crashed nodes freeze; an interaction that samples a
+//! crashed node or loses a channel to a `burst-loss` window aborts;
+//! `join` and `corrupt` overwrite node states; `latency:` is a no-op.
 //!
 //! # Examples
 //!
@@ -38,9 +40,13 @@ use plurality_scenario::{Effect, Environment, Scenario};
 use plurality_topology::{PeerSampler, Topology, TOPOLOGY_STREAM};
 use std::borrow::Cow;
 
-/// The run parameters every round-kernel config embeds as its `run`
-/// field, set through [`round_param_setters!`](crate::round_param_setters)
-/// and the config's own setters.
+/// The axes every per-node run is stated on: the initial opinions, ε,
+/// the seed, the topology, the scenario and tracing. Every per-node
+/// config embeds them — the round-kernel configs as their `run` field,
+/// the asynchronous configs in their run parameters, and the facade's
+/// `RunConfig` — and gets their `with_*` setters from
+/// [`run_axes_setters!`](crate::run_axes_setters). Each config's own
+/// docs say what a topology and a scenario mean to its engine.
 ///
 /// # Examples
 ///
@@ -57,7 +63,7 @@ use std::borrow::Cow;
 /// assert!(result.outcome.plurality_preserved());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct RoundParams {
+pub struct RunAxes {
     /// The initial opinions.
     pub assignment: InitialAssignment,
     /// ε for ε-convergence reporting (default 0.05).
@@ -70,13 +76,11 @@ pub struct RoundParams {
     pub scenario: Scenario,
     /// Whether to record a structured trace (default off).
     pub trace: bool,
-    /// An explicit step cap (default derived per run).
-    pub max_steps: Option<u64>,
 }
 
-impl RoundParams {
-    /// The defaults above for `assignment`.
-    pub fn new(assignment: InitialAssignment) -> Self {
+impl From<InitialAssignment> for RunAxes {
+    /// `assignment` with the defaults above.
+    fn from(assignment: InitialAssignment) -> Self {
         Self {
             assignment,
             epsilon: 0.05,
@@ -84,52 +88,53 @@ impl RoundParams {
             topology: Topology::Complete,
             scenario: Scenario::new(),
             trace: false,
-            max_steps: None,
         }
     }
 }
 
-/// The `with_*` setters of the [`RoundParams`] fields, expanded inside
-/// each round-kernel config's `impl`; `(epsilon)` adds `with_epsilon`.
+/// The `with_*` setters of the [`RunAxes`] a config embeds at the field
+/// path given (`run`, `run.axes`, …), expanded inside the config's
+/// `impl`; `, epsilon` adds `with_epsilon`.
 #[doc(hidden)]
 #[macro_export]
-macro_rules! round_param_setters {
-    () => {
-        /// Enables structured run tracing (default off). Tracing draws no
-        /// RNG: only the result's `trace` field changes.
+macro_rules! run_axes_setters {
+    ($($axes:ident).+) => {
+        /// Enables structured run tracing (default off). The tracer
+        /// draws no process RNG and reads no clock: a traced run has the
+        /// byte-identical outcome of an untraced one, plus the event log
+        /// in the result's `trace` field.
         pub fn with_trace(mut self, trace: bool) -> Self {
-            self.run.trace = trace;
+            self.$($axes).+.trace = trace;
             self
         }
 
-        /// Attaches a time-scripted environment (default empty). Crashed
-        /// nodes freeze; an interaction that samples a crashed node or
-        /// loses a channel to a `burst-loss` window aborts; `join` and
-        /// `corrupt` overwrite node states; `latency:` is a no-op.
-        /// Scenario randomness has a private stream, so the empty
-        /// scenario leaves the process RNG stream untouched.
+        /// Attaches a time-scripted environment (default: the empty
+        /// scenario, the paper's failure-free static model). Scenario
+        /// randomness lives on a private stream, so the empty scenario
+        /// leaves the process RNG stream untouched. This type's docs give
+        /// the clock of event times and what each effect does.
         pub fn with_scenario(mut self, scenario: ::plurality_scenario::Scenario) -> Self {
-            self.run.scenario = scenario;
+            self.$($axes).+.scenario = scenario;
             self
         }
 
-        /// Sets the communication topology (default the complete graph).
-        /// Samples are uniform neighbors (isolated nodes sample
-        /// themselves); random graphs are rebuilt per run from
-        /// `derive_seed(seed, TOPOLOGY_STREAM)`.
+        /// Sets the communication topology (default the complete graph,
+        /// the paper's model). Random graph families are rebuilt per run
+        /// from `derive_seed(seed, TOPOLOGY_STREAM)`. This type's docs
+        /// say which samples the graph constrains.
         pub fn with_topology(mut self, topology: ::plurality_topology::Topology) -> Self {
-            self.run.topology = topology;
+            self.$($axes).+.topology = topology;
             self
         }
 
         /// Sets the RNG seed (default 0). Runs are pure functions of it.
         pub fn with_seed(mut self, seed: u64) -> Self {
-            self.run.seed = seed;
+            self.$($axes).+.seed = seed;
             self
         }
     };
-    (epsilon) => {
-        $crate::round_param_setters!();
+    ($($axes:ident).+, epsilon) => {
+        $crate::run_axes_setters!($($axes).+);
 
         /// Sets ε for ε-convergence reporting (default 0.05).
         ///
@@ -138,10 +143,75 @@ macro_rules! round_param_setters {
         /// Panics if `epsilon ∉ [0, 1]`.
         pub fn with_epsilon(mut self, epsilon: f64) -> Self {
             assert!((0.0..=1.0).contains(&epsilon), "epsilon must lie in [0, 1]");
-            self.run.epsilon = epsilon;
+            self.$($axes).+.epsilon = epsilon;
             self
         }
     };
+}
+
+/// What [`RunAxes::start`] hands a kernel, each part moved into the
+/// kernel's own field.
+pub(crate) struct Start {
+    pub rng: Xoshiro256PlusPlus,
+    /// The initial colour of every node.
+    pub cols: Vec<u32>,
+    pub counts: OpinionCounts,
+    pub winner: Opinion,
+    /// The initial bias `α₀` (∞ when the runner-up is empty).
+    pub bias: f64,
+    pub sampler: PeerSampler,
+    /// `None` for the empty scenario: the zero-cost fast path.
+    pub env: Option<Environment>,
+    pub tracker: ConvergenceTracker,
+    pub tracer: Tracer,
+}
+
+impl RunAxes {
+    /// The run set-up both kernels share: seeds the process RNG and
+    /// materializes the population, checks its size, builds the topology
+    /// and the scenario environment, takes the initial colours, counts,
+    /// winner and bias, observes the tracker at time 0 and creates the
+    /// tracer. Draws nothing from the process stream beyond
+    /// `materialize`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `min_nodes` nodes materialize (`protocol`
+    /// names the run in the message) or the topology cannot be built for
+    /// that population size.
+    pub(crate) fn start(&self, protocol: &str, min_nodes: usize) -> Start {
+        let mut rng = Xoshiro256PlusPlus::from_u64(self.seed);
+        let opinions = self.assignment.materialize(&mut rng);
+        let n = opinions.len();
+        assert!(
+            n >= min_nodes,
+            "{protocol} run needs at least {min_nodes} nodes"
+        );
+        let k = self.assignment.k();
+        // Private RNG streams: complete-graph and empty-scenario runs
+        // leave the process stream untouched.
+        let sampler = self
+            .topology
+            .build(n, derive_seed(self.seed, TOPOLOGY_STREAM))
+            .expect("topology must be buildable for this population size");
+        let env = self.scenario.for_run(n, k, self.seed);
+        let counts = OpinionCounts::tally(&opinions, k as usize);
+        let winner = counts.winner().expect("non-empty population");
+        let mut tracker = ConvergenceTracker::new(n as u64, winner, self.epsilon);
+        let max_support = counts.as_slice().iter().copied().max();
+        tracker.observe(0.0, counts.support(winner), max_support.unwrap_or(0));
+        Start {
+            rng,
+            cols: opinions.iter().map(|o| o.index()).collect(),
+            bias: counts.bias().unwrap_or(f64::INFINITY),
+            counts,
+            winner,
+            sampler,
+            env,
+            tracker,
+            tracer: Tracer::new(self.trace),
+        }
+    }
 }
 
 /// A protocol's node state and step rule, run by [`Round::run`]. Where
@@ -289,47 +359,33 @@ pub struct Round {
 }
 
 impl Round {
-    /// Materializes the population on the process stream and builds the
-    /// topology, scenario environment, tracer and tracker (observed at
-    /// time 0). Returns the kernel and the initial opinions.
+    /// Runs the set-up both kernels share, for at most `max_steps` steps
+    /// (`None`: derived per run): materializes the population on the
+    /// process stream and builds the topology, scenario environment,
+    /// tracer and tracker (observed at time 0). Returns the kernel and
+    /// the initial colour of every node.
     ///
     /// # Panics
     ///
     /// Panics if fewer than 2 nodes materialize (`protocol` names the run
     /// in the message) or the topology cannot be built for that size.
-    pub fn new(params: &RoundParams, protocol: &str) -> (Self, Vec<Opinion>) {
-        let mut rng = Xoshiro256PlusPlus::from_u64(params.seed);
-        let opinions = params.assignment.materialize(&mut rng);
-        let n = opinions.len();
-        assert!(n >= 2, "{protocol} run needs at least 2 nodes");
-        let k = params.assignment.k();
-        // Private RNG streams: complete-graph and empty-scenario runs
-        // leave the process stream untouched.
-        let sampler = params
-            .topology
-            .build(n, derive_seed(params.seed, TOPOLOGY_STREAM))
-            .expect("topology must be buildable for this population size");
-        let initial_counts = OpinionCounts::tally(&opinions, k as usize);
-        let initial_winner = initial_counts.winner().expect("non-empty population");
-        let mut tracker = ConvergenceTracker::new(n as u64, initial_winner, params.epsilon);
-        let max_support = initial_counts.as_slice().iter().copied().max();
-        let support = initial_counts.support(initial_winner);
-        tracker.observe(0.0, support, max_support.unwrap_or(0));
+    pub fn new(axes: &RunAxes, max_steps: Option<u64>, protocol: &str) -> (Self, Vec<u32>) {
+        let s = axes.start(protocol, 2);
         let kernel = Self {
-            rng,
-            n,
-            initial_bias: initial_counts.bias().unwrap_or(f64::INFINITY),
-            initial_counts,
-            initial_winner,
-            k,
-            sampler,
-            env: params.scenario.for_run(n, k, params.seed),
-            tracer: Tracer::new(params.trace),
-            tracker,
-            horizon: params.scenario.horizon(),
-            max_steps: params.max_steps,
+            rng: s.rng,
+            initial_counts: s.counts,
+            initial_winner: s.winner,
+            initial_bias: s.bias,
+            n: s.cols.len(),
+            k: axes.assignment.k(),
+            sampler: s.sampler,
+            env: s.env,
+            tracer: s.tracer,
+            tracker: s.tracker,
+            horizon: axes.scenario.horizon(),
+            max_steps,
         };
-        (kernel, opinions)
+        (kernel, s.cols)
     }
 
     /// One uniform neighbor of `v` on the current topology.

@@ -10,7 +10,7 @@
 use crate::genstate::GenerationTable;
 use crate::opinion::{InitialAssignment, Opinion, OpinionCounts};
 use crate::outcome::{GenerationBirth, RecordLevel, RunOutcome};
-use crate::round::{Round, RoundParams, RoundProtocol};
+use crate::round::{Round, RoundProtocol, RunAxes};
 use crate::sync::schedule::{generations_needed, lifecycle_length, Schedule, GENERATION_CAP};
 use plurality_obs::{TraceEvent, TraceKind};
 use plurality_scenario::Environment;
@@ -37,8 +37,10 @@ pub enum ScheduleMode {
 ///
 /// Runs on the [round kernel](crate::round): scenario event times are
 /// in rounds, and an event at time `t` takes effect just before the
-/// updates of the first round ≥ `t`. Both per-round samples of every
-/// node come from the configured topology.
+/// updates of the first round ≥ `t`; the module docs say what each
+/// effect does. Both per-round samples of every node are uniform
+/// neighbors on the configured topology (isolated nodes sample
+/// themselves).
 ///
 /// # Examples
 ///
@@ -54,27 +56,36 @@ pub enum ScheduleMode {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyncConfig {
-    run: RoundParams,
+    run: RunAxes,
+    max_rounds: Option<u64>,
     gamma: f64,
     mode: ScheduleMode,
     record: RecordLevel,
     alpha_hint: Option<f64>,
 }
 
-impl SyncConfig {
-    /// Creates a configuration with the paper's defaults: `γ = 1/2`,
-    /// predefined schedule, `ε = 0.05`, seed 0.
-    pub fn new(assignment: InitialAssignment) -> Self {
+impl From<RunAxes> for SyncConfig {
+    /// A configuration on `axes`, with the defaults of [`SyncConfig::new`].
+    fn from(axes: RunAxes) -> Self {
         Self {
-            run: RoundParams::new(assignment),
+            run: axes,
+            max_rounds: None,
             gamma: 0.5,
             mode: ScheduleMode::Predefined,
             record: RecordLevel::Generations,
             alpha_hint: None,
         }
     }
+}
 
-    crate::round_param_setters!(epsilon);
+impl SyncConfig {
+    /// Creates a configuration with the paper's defaults: `γ = 1/2`,
+    /// predefined schedule, `ε = 0.05`, seed 0.
+    pub fn new(assignment: InitialAssignment) -> Self {
+        Self::from(RunAxes::from(assignment))
+    }
+
+    crate::run_axes_setters!(run, epsilon);
 
     /// Sets the generation-density threshold `γ ∈ (0, 1)` (default 1/2).
     ///
@@ -101,7 +112,7 @@ impl SyncConfig {
 
     /// Caps the number of rounds (default: derived from the schedule).
     pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        self.run.max_steps = Some(max_rounds);
+        self.max_rounds = Some(max_rounds);
         self
     }
 
@@ -120,9 +131,8 @@ impl SyncConfig {
     /// the configured topology cannot be built for that population size
     /// (see [`Topology::build`](plurality_topology::Topology::build)).
     pub fn run(&self) -> SyncResult {
-        let (kernel, opinions) = Round::new(&self.run, "synchronous");
-        let (n, k) = (opinions.len(), self.run.assignment.k());
-        let col: Vec<u32> = opinions.iter().map(|o| o.index()).collect();
+        let (kernel, col) = Round::new(&self.run, self.max_rounds, "synchronous");
+        let (n, k) = (col.len(), self.run.assignment.k());
         let table = GenerationTable::from_states(&vec![0; n], &col, k as usize);
         let bias = kernel.initial_bias;
         let alpha = self
