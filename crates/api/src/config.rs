@@ -153,11 +153,6 @@ impl RunConfig {
         self.max_duration
     }
 
-    /// Whether structured run tracing is enabled.
-    pub fn trace(&self) -> bool {
-        self.axes.trace
-    }
-
     /// Checks the common axes against the configured population size:
     /// topology buildability and scenario validity. Protocols layer
     /// their own compatibility checks on top in
@@ -188,7 +183,7 @@ mod tests {
         assert_eq!(cfg.topology(), Topology::Complete);
         assert!(cfg.scenario().is_empty());
         assert_eq!(cfg.max_duration(), None);
-        assert!(!cfg.trace());
+        assert!(!cfg.axes.trace);
         assert_eq!(cfg.n(), 100);
         assert_eq!(cfg.k(), 2);
     }

@@ -104,6 +104,9 @@ pub struct SyncEngine {
     /// How two-choices rounds are chosen (default
     /// [`ScheduleMode::Predefined`]).
     pub mode: ScheduleMode,
+    /// The bias `α₀` the predefined schedule is built from (default:
+    /// the realized initial bias) — see [`SyncConfig::with_alpha_hint`].
+    pub alpha_hint: Option<f64>,
 }
 
 impl Protocol for SyncEngine {
@@ -117,6 +120,9 @@ impl Protocol for SyncEngine {
             .with_mode(self.mode);
         if let Some(gamma) = self.gamma {
             c = c.with_gamma(gamma);
+        }
+        if let Some(alpha) = self.alpha_hint {
+            c = c.with_alpha_hint(alpha);
         }
         if let Some(max) = cfg.max_duration() {
             c = c.with_max_rounds(max.ceil() as u64);

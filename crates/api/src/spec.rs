@@ -365,9 +365,18 @@ fn build_sync(kv: &KeyValues) -> Result<Box<dyn Protocol>, SpecError> {
             )))
         }
     };
+    let alpha_hint = match kv.get_f64("alpha_hint")? {
+        Some(a) if !(a >= 1.0 && a.is_finite()) => {
+            return Err(SpecError::new(format!(
+                "parameter `alpha_hint` must be finite and at least 1, got {a}"
+            )))
+        }
+        other => other,
+    };
     Ok(Box::new(SyncEngine {
         gamma: kv.get_gamma()?,
         mode,
+        alpha_hint,
     }))
 }
 
@@ -496,6 +505,10 @@ impl Registry {
                     keys: &[
                         ("gamma", GAMMA_HELP),
                         ("mode", "schedule mode: predefined | adaptive"),
+                        (
+                            "alpha_hint",
+                            "bias α₀ the predefined schedule assumes (default: the realized bias)",
+                        ),
                     ],
                     default_k: 4,
                     build: build_sync,
@@ -890,12 +903,32 @@ mod tests {
             ("leader-mf?dt=0.01", "at least 1/64"),
             ("leader-mf?dt=1e-6", "at least 1/64"),
             ("sync-mf?gamma=0", "`gamma`"),
+            ("sync?alpha_hint=0.5", "`alpha_hint`"),
+            ("sync?alpha_hint=inf", "`alpha_hint`"),
+            ("sync?alpha_hint=NaN", "`alpha_hint`"),
+            ("sync?alpha_hint=big", "`alpha_hint`"),
         ];
         for (spec, needle) in cases {
             let err = Registry::standard()
                 .resolve(&RunSpec::parse(spec).unwrap())
                 .unwrap_err();
             assert!(err.message().contains(needle), "{spec}: {err}");
+        }
+    }
+
+    #[test]
+    fn alpha_hint_is_a_key_of_sync_alone() {
+        let registry = Registry::standard();
+        assert!(registry
+            .resolve(&RunSpec::parse("sync?n=600&alpha_hint=8").unwrap())
+            .is_ok());
+        for entry in registry.entries().iter().filter(|e| e.name() != "sync") {
+            let spec = RunSpec::parse(&format!("{}?alpha_hint=8", entry.name())).unwrap();
+            let err = registry.resolve(&spec).unwrap_err();
+            assert!(
+                err.message().contains("`alpha_hint` is not a parameter of"),
+                "{spec}: {err}"
+            );
         }
     }
 

@@ -240,6 +240,16 @@ fn spec_driven_runs_match_direct_builders_end_to_end() {
     .unwrap();
     assert_eq!(Report::from(direct), facade);
 
+    // The predefined schedule's α hint rides the spec as `alpha_hint`.
+    let direct = SyncConfig::new(assignment(2_000, 4, 1.2))
+        .with_seed(5)
+        .with_alpha_hint(8.0)
+        .run();
+    let facade = plurality_api::run_spec("sync?n=2000&k=4&alpha=1.2&seed=5&alpha_hint=8").unwrap();
+    assert_eq!(Report::from(direct), facade);
+    let unhinted = plurality_api::run_spec("sync?n=2000&k=4&alpha=1.2&seed=5").unwrap();
+    assert_ne!(unhinted, facade, "the hint must reach the schedule");
+
     let direct = LeaderConfig::new(assignment(700, 2, 3.0))
         .with_seed(4)
         .with_steps_per_unit(9.3)

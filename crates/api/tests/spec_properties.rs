@@ -170,7 +170,8 @@ fn rejection_error_messages_are_stable() {
         (
             "sync?loss=0.2",
             "invalid run spec: `loss` is not a parameter of `sync` (common: n, k, alpha, \
-             epsilon, seed, record, topology, scenario, max; sync-specific: gamma, mode)",
+             epsilon, seed, record, topology, scenario, max; sync-specific: gamma, mode, \
+             alpha_hint)",
         ),
         (
             "sync?scenario=signal-loss:0.2",

@@ -4,15 +4,13 @@
 //! binary runs the line-based manifests under `experiments/` (see
 //! [`manifest`]): each one reproduces the tables of one EXPERIMENTS.md
 //! entry and checks its claims with `assert` lines. The other binaries
-//! in `src/bin/` cover what a manifest cannot express (Figure 1's
-//! time-unit estimate, per-generation dumps of single runs, the schedule
-//! ablation's `α` hint, the perf snapshot, the load generator and
-//! `ab_pairs`, the A/B command over two perfbench builds). The snapshot
+//! in `src/bin/` are the perf snapshot, the load generator and
+//! `ab_pairs`, the A/B command over two perfbench builds. The snapshot
 //! and the load generator record their numbers as
 //! `benchmarks/BENCH_<suite>.json` snapshots, whose format
 //! [`write_suite_json`] and [`baseline_entries`] own.
 //!
-//! Every experiment accepts an optional `full` argument (or the
+//! Every manifest accepts an optional `full` argument (or the
 //! environment variable `PLURALITY_EFFORT=full`) to run at publication
 //! scale; the default "quick" scale finishes in seconds to a few minutes.
 
@@ -66,7 +64,7 @@ pub struct Repetition {
 /// [`plurality_par::configured_threads`]), returning results in
 /// repetition order.
 ///
-/// This is the one rep loop all experiment binaries share. The results
+/// This is the rep loop every manifest cell runs on. The results
 /// are **identical to serial execution** for any thread count: each
 /// repetition owns the seed `derive_seed(master, index)` (the same
 /// stream [`seeds`] produces), no RNG state is shared, and the output
@@ -90,19 +88,6 @@ where
     plurality_par::par_map_seeded(master, reps, |index, seed| f(Repetition { index, seed }))
 }
 
-/// Maps `f` over the cells of a parameter sweep in parallel, preserving
-/// cell order. For sweeps whose cells are deterministic given their own
-/// parameters (fixed or derived seeds) — e.g. the Figure 1 Monte-Carlo
-/// quantile curve.
-pub fn run_sweep<T, R, F>(cells: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    plurality_par::par_map(cells, f)
-}
-
 /// Resolves a [`plurality_api::RunSpec`] string once and runs `reps`
 /// seeded repetitions in parallel — [`run_many`] for the unified
 /// facade. Repetition `i` runs with seed `derive_seed(master, i)`, the
@@ -111,8 +96,8 @@ where
 ///
 /// # Panics
 ///
-/// Panics if the spec does not parse or resolve — experiment binaries
-/// hard-code their specs, so a bad spec is a bug, not an input error.
+/// Panics if the spec does not parse or resolve — callers hard-code
+/// their specs, so a bad spec is a bug, not an input error.
 ///
 /// # Examples
 ///
@@ -129,20 +114,6 @@ pub fn run_spec_many(spec: &str, master: u64, reps: usize) -> Vec<plurality_api:
         .resolve(&parsed)
         .unwrap_or_else(|e| panic!("unresolvable run spec `{spec}`: {e}"));
     run_many(master, reps, |rep| resolved.run_seeded(rep.seed))
-}
-
-/// Logarithmically spaced values from `lo` to `hi` (inclusive).
-///
-/// # Panics
-///
-/// Panics if `lo ≤ 0`, `hi ≤ lo`, or `points < 2`.
-pub fn log_spaced(lo: f64, hi: f64, points: usize) -> Vec<f64> {
-    assert!(
-        lo > 0.0 && hi > lo && points >= 2,
-        "bad log_spaced arguments"
-    );
-    let step = (hi / lo).ln() / (points - 1) as f64;
-    (0..points).map(|i| lo * (step * i as f64).exp()).collect()
 }
 
 /// The paper's bias lower bound `1 + (k·log n/√n)·log k` (Theorems 1, 13,
@@ -244,15 +215,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn log_spaced_endpoints_and_monotone() {
-        let v = log_spaced(1.0, 1000.0, 4);
-        assert_eq!(v.len(), 4);
-        assert!((v[0] - 1.0).abs() < 1e-12);
-        assert!((v[3] - 1000.0).abs() < 1e-9);
-        assert!(v.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
     fn seeds_are_stable_and_distinct() {
         let a = seeds(1, 5);
         let b = seeds(1, 5);
@@ -270,13 +232,6 @@ mod tests {
         assert_eq!(parallel, serial);
         let indices: Vec<usize> = run_many(0xAB, 9, |rep| rep.index);
         assert_eq!(indices, (0..9).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_sweep_preserves_cell_order() {
-        let cells = [3.0f64, 1.0, 2.0];
-        let out = run_sweep(&cells, |x| x * 10.0);
-        assert_eq!(out, vec![30.0, 10.0, 20.0]);
     }
 
     #[test]

@@ -47,6 +47,7 @@
 
 use crate::{run_many, theorem_bias};
 use plurality_api::{ClusterTelemetry, Registry, Report, Resolved, RunSpec, Telemetry};
+use plurality_core::analysis::{collision_lower_bound, endgame_generations};
 use plurality_core::cluster::{phase_spread, ClusterPhase};
 use plurality_stats::{fit, fmt_f64, success_rate, Axis, OnlineStats, Table};
 
@@ -74,11 +75,71 @@ fn bump_spreads(r: &Report) -> Option<OnlineStats> {
     (spreads.count() > 0).then_some(spreads)
 }
 
+/// The generations of one cluster run whose first cluster enters
+/// propagation before the last one falls asleep (Proposition 31(c)).
+fn early_propagations(r: &Report) -> Option<f64> {
+    let t = cluster(r)?;
+    let units = |x: f64| x / t.steps_per_unit;
+    let propagation = phase_spread(&t.phase_log, ClusterPhase::Propagation);
+    let sleeping = phase_spread(&t.phase_log, ClusterPhase::Sleeping);
+    let early = sleeping.iter().filter(|&&(g, _, last_sleep)| {
+        (propagation.iter()).any(|&(p, first, _)| p == g && units(first) < units(last_sleep) - 1e-9)
+    });
+    Some(early.count() as f64)
+}
+
+/// The ratios `α_i / α²_{i−1}` of consecutive generation births whose
+/// squared parent bias is finite and at most 10⁴ (Lemma 4; beyond that
+/// the runner-up colour is nearly extinct and the ratio is noise).
+fn square_ratios(r: &Report) -> Option<OnlineStats> {
+    let mut ratios = OnlineStats::new();
+    for w in r.outcome.generations.windows(2) {
+        let squared = w[0].bias * w[0].bias;
+        if squared.is_finite() && squared <= 1e4 {
+            ratios.push(w[1].bias / squared);
+        }
+    }
+    (ratios.count() > 0).then_some(ratios)
+}
+
+/// The generations from the first birth with bias above `k` to the first
+/// monochromatic one (Lemma 11).
+fn endgame_gap(r: &Report) -> Option<f64> {
+    let births = &r.outcome.generations;
+    let above = births.iter().find(|b| b.bias > f64::from(r.outcome.k))?;
+    let mono = births.iter().find(|b| !b.bias.is_finite())?;
+    Some(f64::from(mono.generation) - f64::from(above.generation))
+}
+
+/// The leader's two-choices windows `(propagation − allowed)/C1`, in time
+/// units, over the generations whose propagation opened (Proposition 16).
+fn windows(r: &Report) -> Option<OnlineStats> {
+    let c1 = r.steps_per_unit()?;
+    let mut windows = OnlineStats::new();
+    for p in r.phases()? {
+        if let Some(propagation) = p.propagation_at {
+            windows.push((propagation - p.allowed_at) / c1);
+        }
+    }
+    (windows.count() > 0).then_some(windows)
+}
+
 /// Every metric a manifest can name. Times are in the engine's clock
 /// (rounds or steps); `c1` is the time-unit length `C1` in steps the run
 /// used; `eps_units`, `switch_*` and `bump_spread*` are in units of `C1`;
 /// `bump_spread` and `bump_spread_max` are the mean and the maximum of a
-/// run's generation-bump broadcast spreads (Theorem 28); `tail_ln_n` is
+/// run's generation-bump broadcast spreads (Theorem 28);
+/// `phase_spread_max` is the widest first-to-last spread of a cluster
+/// run over every generation and phase (Figure 2's `t̂₀…t̂₅` marks), and `prop31c_violations` counts
+/// its generations whose propagation starts before the last cluster
+/// sleeps (Proposition 31); `square_ratio_*` range over a run's bias
+/// ratios `α_i/α²_{i−1}` (Lemma 4); `collision_margin_min` is the least
+/// parent collision probability minus Remark 2's bound for the parent's
+/// bias; `endgame_gap` counts the generations from the first bias above
+/// `k` to the first monochromatic one, and `endgame_excess` is that gap
+/// minus Lemma 11's `log₂ log_k n`; `window_*` range over the leader's
+/// two-choices windows in units (Proposition 16); `two_choices_rounds` is
+/// a sync run's number of two-choices rounds; `tail_ln_n` is
 /// `(full − ε) / ln n`; `preserved`, `eps_reached` and `full_reached` are
 /// 0/1 indicators.
 pub const METRICS: &[Metric] = &[
@@ -123,6 +184,38 @@ pub const METRICS: &[Metric] = &[
     }),
     ("bump_spread", |r| Some(bump_spreads(r)?.mean())),
     ("bump_spread_max", |r| Some(bump_spreads(r)?.max())),
+    ("phase_spread_max", |r| {
+        let t = cluster(r)?;
+        let phases = [
+            ClusterPhase::TwoChoices,
+            ClusterPhase::Sleeping,
+            ClusterPhase::Propagation,
+        ];
+        let marks = phases.map(|phase| phase_spread(&t.phase_log, phase));
+        let spreads = marks.iter().flatten().map(|(_, first, last)| last - first);
+        Some(spreads.reduce(f64::max)? / t.steps_per_unit)
+    }),
+    ("prop31c_violations", early_propagations),
+    ("square_ratio_min", |r| Some(square_ratios(r)?.min())),
+    ("square_ratio_max", |r| Some(square_ratios(r)?.max())),
+    ("collision_margin_min", |r| {
+        let births = r.outcome.generations.iter();
+        let finite = births.filter(|b| b.parent_bias.is_finite());
+        let margins =
+            finite.map(|b| b.parent_collision - collision_lower_bound(b.parent_bias, r.outcome.k));
+        margins.reduce(f64::min)
+    }),
+    ("endgame_gap", endgame_gap),
+    ("endgame_excess", |r| {
+        Some(endgame_gap(r)? - endgame_generations(r.outcome.k, r.outcome.n))
+    }),
+    ("window_min", |r| Some(windows(r)?.min())),
+    ("window_mean", |r| Some(windows(r)?.mean())),
+    ("window_max", |r| Some(windows(r)?.max())),
+    ("two_choices_rounds", |r| match &r.telemetry {
+        Telemetry::Sync(t) => Some(t.two_choices_rounds.len() as f64),
+        _ => None,
+    }),
 ];
 
 const AGGS: [&str; 7] = ["mean", "sd", "min", "max", "count", "wins", "ci95"];

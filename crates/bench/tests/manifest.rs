@@ -154,5 +154,5 @@ fn committed_manifests_parse_at_both_efforts() {
             count += 1;
         }
     }
-    assert_eq!(count, 12);
+    assert_eq!(count, 16);
 }

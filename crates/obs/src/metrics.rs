@@ -341,14 +341,19 @@ impl MetricsRegistry {
                     let _ = writeln!(out, "{} {}", fam.name, fmt_value(g.get()));
                 }
                 Metric::Histogram(h) => {
+                    // `+Inf` and `_count` come from the same bucket pass
+                    // as the finite buckets: a `record` racing the scrape
+                    // may land between separate loads of the buckets and
+                    // the total, which would tear the exposition. `_sum`
+                    // may lag the buckets by the racing samples.
                     let mut cum = 0u64;
                     for (le, count) in h.nonzero_buckets() {
                         cum += count;
                         let _ = writeln!(out, "{}_bucket{{le=\"{le}\"}} {cum}", fam.name);
                     }
-                    let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", fam.name, h.count());
+                    let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {cum}", fam.name);
                     let _ = writeln!(out, "{}_sum {}", fam.name, h.sum());
-                    let _ = writeln!(out, "{}_count {}", fam.name, h.count());
+                    let _ = writeln!(out, "{}_count {cum}", fam.name);
                 }
             }
         }
@@ -679,6 +684,35 @@ mod tests {
         assert!(text.contains("demo_latency_us_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("demo_latency_us_count 2"));
         validate_exposition(&text).unwrap();
+    }
+
+    #[test]
+    fn render_stays_well_formed_while_threads_record() {
+        use std::sync::atomic::AtomicBool;
+        let r = MetricsRegistry::new();
+        let h = r.histogram("race_us", "recorded while rendered");
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let (h, stop) = (&h, &stop);
+                scope.spawn(move || {
+                    let mut v = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        h.record(v % 5_000);
+                        v = v.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    }
+                });
+            }
+            for _ in 0..2_000 {
+                let text = r.render();
+                if let Err(e) = validate_exposition(&text) {
+                    stop.store(true, Ordering::Relaxed);
+                    panic!("torn exposition: {e}\n{text}");
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert!(h.count() > 0, "the recorders never ran");
     }
 
     #[test]

@@ -181,18 +181,6 @@ where
     par_map_indexed_with(threads, jobs, |i| f(i, derive_seed(master, i as u64)))
 }
 
-/// Maps `f` over a slice in parallel, preserving item order — for
-/// parameter sweeps whose cells draw no shared randomness (each cell
-/// either owns a fixed seed or derives its own).
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed_with(configured_threads(), items.len(), |i| f(&items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,13 +216,6 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::Relaxed), 1000);
         assert_eq!(out, (0..1000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn slice_map_preserves_order() {
-        let items: Vec<i32> = (0..50).rev().collect();
-        let doubled = par_map(&items, |x| x * 2);
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -6,8 +6,9 @@ use plurality::core::cluster::{phase_spread, ClusterConfig, ClusterPhase};
 use plurality::core::leader::LeaderConfig;
 use plurality::core::sync::{generations_needed, SyncConfig, GENERATION_CAP};
 use plurality::core::{InitialAssignment, RecordLevel, RunOutcome};
+use plurality::dist::rng::derive_seed;
 use plurality::dist::{ChannelPattern, Latency, WaitingTime};
-use plurality::par::par_map;
+use plurality::par::par_map_seeded;
 use plurality::scenario::Scenario;
 use plurality::stats::ks_test;
 
@@ -40,30 +41,35 @@ fn bias_roughly_squares_between_sync_generations() {
 
 #[test]
 fn sync_growth_factor_respects_two_minus_gamma() {
-    // Proposition 9: within the growth window the newest generation grows
-    // by ≈ (2 − γ) per round; sampling noise allows small dips.
+    // Proposition 9: within the growth window (γ²/k, γ) the newest
+    // generation grows by at least (2 − γ) per round, up to o(1). The
+    // second case is experiment E6's run (k = 64, the first repetition
+    // seed of master 0xE6). Their smallest factors read 1.831 and 1.812
+    // against 2 − γ = 1.5; the o(1) term is granted a slack of 0.1.
     let gamma = 0.5;
-    let assignment = InitialAssignment::with_bias(100_000, 16, 1.5).unwrap();
-    let r = SyncConfig::new(assignment)
-        .with_seed(42)
-        .with_gamma(gamma)
-        .with_record(RecordLevel::Full)
-        .run();
-    let series = r.newest_generation_fraction.expect("full record");
-    let mut factors = Vec::new();
-    let lo = gamma * gamma / 16.0;
-    for w in series.values().windows(2) {
-        if w[0] > lo && w[0] < gamma && w[1] > w[0] {
-            factors.push(w[1] / w[0]);
+    for (k, seed) in [(16, 42), (64, derive_seed(0xE6, 0))] {
+        let assignment = InitialAssignment::with_bias(100_000, k, 1.5).unwrap();
+        let r = SyncConfig::new(assignment)
+            .with_seed(seed)
+            .with_gamma(gamma)
+            .with_record(RecordLevel::Full)
+            .run();
+        let series = r.newest_generation_fraction.expect("full record");
+        let mut factors = Vec::new();
+        let lo = gamma * gamma / f64::from(k);
+        for w in series.values().windows(2) {
+            if w[0] > lo && w[0] < gamma && w[1] > w[0] {
+                factors.push(w[1] / w[0]);
+            }
         }
+        assert!(!factors.is_empty(), "k = {k}: no growth rounds observed");
+        let min = factors.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(
+            min > 2.0 - gamma - 0.1,
+            "k = {k}: growth factor {min} below (2 − γ) = {} minus the slack",
+            2.0 - gamma
+        );
     }
-    assert!(!factors.is_empty(), "no growth rounds observed");
-    let mean = factors.iter().sum::<f64>() / factors.len() as f64;
-    assert!(
-        mean > 1.3,
-        "mean growth factor {mean} far below (2 − γ) = {}",
-        2.0 - gamma
-    );
 }
 
 #[test]
@@ -261,8 +267,8 @@ where
     const RUN_LONG: &str = "signal-loss:0.3;stragglers:0.2:0.1";
     let sample = |spec: &str| {
         let scenario = Scenario::parse(spec).unwrap();
-        let seeds: Vec<u64> = (0..REPS as u64).collect();
-        let outcomes = par_map(&seeds, |&seed| run(seed, scenario.clone()));
+        // Repetition i runs with seed i.
+        let outcomes = par_map_seeded(0, REPS, |i, _| run(i as u64, scenario.clone()));
         let eps: Vec<f64> = outcomes.iter().filter_map(|o| o.epsilon_time).collect();
         let preserved = outcomes.iter().filter(|o| o.plurality_preserved()).count();
         (eps, preserved)
