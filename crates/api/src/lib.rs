@@ -53,12 +53,14 @@
 #![warn(missing_docs)]
 
 mod config;
+mod cost;
 mod protocol;
 mod report;
 mod spec;
 mod wire;
 
 pub use config::RunConfig;
+pub use cost::Cost;
 pub use protocol::{
     ClusterEngine, GossipEngine, LeaderEngine, PopulationEngine, Protocol, SyncEngine, UrnEngine,
 };

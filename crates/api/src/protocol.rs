@@ -11,6 +11,7 @@
 //! direct builder call it stands for.
 
 use crate::config::RunConfig;
+use crate::cost::{self, Cost};
 use crate::report::Report;
 use plurality_agg::{LeaderMfConfig, Majority3MfConfig, PopulationMfConfig, UndecidedMfConfig};
 use plurality_baselines::{Dynamics, DynamicsConfig, PopulationConfig, PopulationProtocol};
@@ -93,6 +94,12 @@ pub trait Protocol: Send + Sync {
     /// (see each engine's documentation); call [`Protocol::check`] first
     /// to surface those as errors instead.
     fn run(&self, cfg: &RunConfig) -> Report;
+
+    /// The price of running `cfg`, before it starts: expected engine
+    /// work in events, by closed-form arithmetic on the configuration —
+    /// no engine run, no RNG draw (see [`Cost`]). Meaningful for configs
+    /// [`Protocol::check`] accepts.
+    fn cost(&self, cfg: &RunConfig) -> Cost;
 }
 
 /// The synchronous generation protocol (Algorithm 1) — see
@@ -112,6 +119,10 @@ pub struct SyncEngine {
 impl Protocol for SyncEngine {
     fn name(&self) -> &'static str {
         "sync"
+    }
+
+    fn cost(&self, cfg: &RunConfig) -> Cost {
+        Cost::of(cfg.n() as f64 * cost::sync_rounds(cfg, self.gamma, self.alpha_hint))
     }
 
     fn run(&self, cfg: &RunConfig) -> Report {
@@ -173,6 +184,10 @@ impl Protocol for UrnEngine {
         "urn"
     }
 
+    fn cost(&self, cfg: &RunConfig) -> Cost {
+        Cost::of(f64::from(cfg.k()) * cost::sync_rounds(cfg, self.gamma, None))
+    }
+
     fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
         check_mean_field("urn", "sync", cfg)
     }
@@ -208,6 +223,15 @@ pub struct LeaderEngine {
 impl Protocol for LeaderEngine {
     fn name(&self) -> &'static str {
         "leader"
+    }
+
+    fn cost(&self, cfg: &RunConfig) -> Cost {
+        Cost::of(cost::async_events(
+            cfg,
+            self.latency,
+            self.steps_per_unit,
+            false,
+        ))
     }
 
     /// Accepts every valid config of at least [`leader::MIN_NODES`]
@@ -249,6 +273,15 @@ pub struct ClusterEngine {
 impl Protocol for ClusterEngine {
     fn name(&self) -> &'static str {
         "cluster"
+    }
+
+    fn cost(&self, cfg: &RunConfig) -> Cost {
+        Cost::of(cost::async_events(
+            cfg,
+            self.latency,
+            self.steps_per_unit,
+            true,
+        ))
     }
 
     /// Accepts every valid config of at least [`cluster::MIN_NODES`]
@@ -314,6 +347,15 @@ impl Protocol for GossipEngine {
         crate::report::dynamics_protocol_name(self.dynamics)
     }
 
+    fn cost(&self, cfg: &RunConfig) -> Cost {
+        let rounds = cost::gossip_rounds(
+            cfg,
+            self.dynamics == Dynamics::PullVoting,
+            self.dynamics == Dynamics::Undecided,
+        );
+        Cost::of(cfg.n() as f64 * rounds)
+    }
+
     fn run(&self, cfg: &RunConfig) -> Report {
         let mut c = DynamicsConfig::from((self.dynamics, cfg.axes().clone()));
         if let Some(max) = cfg.max_duration() {
@@ -353,6 +395,17 @@ impl PopulationEngine {
 impl Protocol for PopulationEngine {
     fn name(&self) -> &'static str {
         crate::report::population_protocol_name(self.protocol)
+    }
+
+    fn cost(&self, cfg: &RunConfig) -> Cost {
+        let a = self
+            .initial_a
+            .unwrap_or_else(|| cost::initial_a(cfg.assignment()));
+        Cost::of(cost::population_interactions(
+            cfg,
+            a,
+            self.protocol == PopulationProtocol::ExactMajority,
+        ))
     }
 
     fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
@@ -431,6 +484,10 @@ impl Protocol for LeaderMfEngine {
         "leader-mf"
     }
 
+    fn cost(&self, cfg: &RunConfig) -> Cost {
+        Cost::of(cost::leader_mf_events(cfg, self.dt))
+    }
+
     fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
         check_mean_field("leader-mf", "leader", cfg)?;
         if let Some(dt) = self.dt {
@@ -470,6 +527,10 @@ impl Protocol for Majority3MfEngine {
         "majority3-mf"
     }
 
+    fn cost(&self, cfg: &RunConfig) -> Cost {
+        Cost::of(cost::gossip_mf_events(cfg, false))
+    }
+
     fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
         check_mean_field("majority3-mf", "3-majority", cfg)
     }
@@ -496,6 +557,10 @@ pub struct UndecidedMfEngine;
 impl Protocol for UndecidedMfEngine {
     fn name(&self) -> &'static str {
         "undecided-mf"
+    }
+
+    fn cost(&self, cfg: &RunConfig) -> Cost {
+        Cost::of(cost::gossip_mf_events(cfg, true))
     }
 
     fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {
@@ -534,6 +599,10 @@ pub struct PopulationMfEngine {
 impl Protocol for PopulationMfEngine {
     fn name(&self) -> &'static str {
         "population-mf"
+    }
+
+    fn cost(&self, cfg: &RunConfig) -> Cost {
+        Cost::of(cost::population_mf_events(cfg))
     }
 
     fn check_extra(&self, cfg: &RunConfig) -> Result<(), InvalidParameterError> {

@@ -20,6 +20,7 @@
 //! protocols, unknown keys, and out-of-range values.
 
 use crate::config::RunConfig;
+use crate::cost::Cost;
 use crate::protocol::{
     ClusterEngine, GossipEngine, LeaderEngine, LeaderMfEngine, Majority3MfEngine, PopulationEngine,
     PopulationMfEngine, Protocol, SyncEngine, UndecidedMfEngine, UrnEngine,
@@ -740,22 +741,24 @@ impl Registry {
         Ok(Resolved { protocol, config })
     }
 
-    /// Validates a spec without running anything: full [`Registry::resolve`]
-    /// coverage (protocol name, every key, every value, protocol/config
-    /// compatibility), result discarded.
+    /// Validates a spec without running anything — full
+    /// [`Registry::resolve`] coverage (protocol name, every key, every
+    /// value, protocol/config compatibility) — and prices the run
+    /// ([`Protocol::cost`]).
     ///
     /// This is the server's 400 fast path: `plurality-serve` rejects a
     /// malformed `/run` request with the same teaching error a CLI user
     /// would see, before the request ever occupies a queue slot or a
     /// worker — resolution costs microseconds while a run costs
-    /// milliseconds.
+    /// milliseconds. The price orders its queue.
     ///
     /// # Errors
     ///
     /// Returns [`SpecError`] with a teaching message for the first
     /// violated constraint.
-    pub fn validate_only(&self, spec: &RunSpec) -> Result<(), SpecError> {
-        self.resolve(spec).map(|_| ())
+    pub fn validate_only(&self, spec: &RunSpec) -> Result<Cost, SpecError> {
+        let resolved = self.resolve(spec)?;
+        Ok(resolved.protocol.cost(&resolved.config))
     }
 }
 

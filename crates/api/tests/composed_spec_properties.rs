@@ -124,5 +124,7 @@ proptest! {
             "spec `{}` did not resolve",
             spec
         );
+        let events = Registry::standard().validate_only(&spec).unwrap().events;
+        prop_assert!((1..u64::MAX).contains(&events), "spec `{}`: {} events", spec, events);
     }
 }

@@ -106,6 +106,41 @@ proptest! {
     }
 
     #[test]
+    fn every_accepted_spec_gets_a_positive_finite_price(
+        proto in 0usize..1_000,
+        decades in 1.0f64..9.0,
+        k in 2u32..16,
+        alpha in 0.0f64..1.0,
+        max in 0.5f64..1e5,
+        variant in 0usize..4,
+    ) {
+        // Every registry entry, n from 10 to 10⁹, with or without a cap
+        // and a ring: whatever `validate_only` accepts is priced at least
+        // one event, short of the saturated u64::MAX that an infinite or
+        // NaN model would give.
+        let names = Registry::standard().names();
+        let name = names[proto % names.len()];
+        let mut spec = RunSpec::new(name)
+            .with("n", 10f64.powf(decades).round() as u64)
+            .with("k", k)
+            .with("alpha", 1.0 + 3.0 * alpha);
+        if variant & 1 == 1 {
+            spec = spec.with("max", max);
+        }
+        if variant & 2 == 2 {
+            spec = spec.with("topology", "ring");
+        }
+        if let Ok(cost) = Registry::standard().validate_only(&spec) {
+            prop_assert!(
+                (1..u64::MAX).contains(&cost.events),
+                "spec `{}` priced at {} events",
+                spec,
+                cost.events
+            );
+        }
+    }
+
+    #[test]
     fn out_of_range_fractions_are_rejected(
         frac in 1.0f64..100.0,
     ) {

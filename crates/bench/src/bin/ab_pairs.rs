@@ -65,10 +65,14 @@ struct Args {
     seconds: f64,
 }
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+/// The parsed flags, or `None` when `--help` (`-h`) asks for the usage.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
     let (mut parent, mut change, mut workload, mut seeds, mut seconds) =
         (None, None, None, None, None);
     while let Some(flag) = args.next() {
+        if matches!(flag.as_str(), "--help" | "-h") {
+            return Ok(None);
+        }
         let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
         match flag.as_str() {
             "--parent" => parent = Some(value),
@@ -98,13 +102,13 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
-    Ok(Args {
+    Ok(Some(Args {
         parent: parent.ok_or("--parent is required")?,
         change: change.ok_or("--change is required")?,
         workload: workload.ok_or("--workload is required")?,
         seeds: seeds.ok_or("--seeds is required")?,
         seconds: seconds.ok_or("--seconds is required")?,
-    })
+    }))
 }
 
 /// The raw text after `"key": ` in `line`, up to the next `,` or `}`.
@@ -276,7 +280,12 @@ fn run(args: &Args) -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
-    match parse_args(std::env::args().skip(1)).and_then(|args| run(&args)) {
+    let parsed = parse_args(std::env::args().skip(1));
+    if let Ok(None) = parsed {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    match parsed.and_then(|args| run(&args.expect("help handled above"))) {
         Ok(table) => {
             print!("{table}");
             ExitCode::SUCCESS
@@ -395,9 +404,18 @@ mod tests {
                 .map(String::from),
             )
         };
-        assert_eq!(args("901-910").unwrap().seeds, 901..=910);
-        assert_eq!(args("5").unwrap().seeds, 5..=5);
+        assert_eq!(args("901-910").unwrap().unwrap().seeds, 901..=910);
+        assert_eq!(args("5").unwrap().unwrap().seeds, 5..=5);
         assert!(args("9-1").is_err());
         assert!(args("x").is_err());
+    }
+
+    #[test]
+    fn help_asks_for_the_usage_not_a_value() {
+        let parse = |args: &[&str]| parse_args(args.iter().map(|a| a.to_string()));
+        assert!(matches!(parse(&["--help"]), Ok(None)));
+        assert!(matches!(parse(&["-h"]), Ok(None)));
+        assert!(matches!(parse(&["--parent", "a", "--help"]), Ok(None)));
+        assert_eq!(parse(&["--parent"]).unwrap_err(), "--parent needs a value");
     }
 }

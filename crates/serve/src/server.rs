@@ -11,10 +11,11 @@
 //! 2. **Validation** — [`Registry::validate_only`] runs the full
 //!    resolution pipeline and rejects bad specs with `400` and the same
 //!    teaching message the CLI prints, before the request can occupy a
-//!    queue slot.
+//!    queue slot. It also prices the run, and the queue serves the
+//!    cheapest predicted job first (see [`crate::pool`]).
 //! 3. **Backpressure** — `try_submit` never blocks: a full queue means
 //!    `429 Too Many Requests` with a `Retry-After` estimated from the
-//!    observed mean service time, queue depth, and worker count.
+//!    queued jobs' summed predicted service time and the worker count.
 //! 4. **Deadline** — the handler waits on the job's reply channel with
 //!    `recv_timeout`; an expired deadline is `503`, and workers skip
 //!    jobs whose requester already gave up.
@@ -56,8 +57,9 @@ pub struct ServeConfig {
     /// Per-request deadline: how long a `/run` handler waits for its
     /// reply before answering `503`.
     pub deadline: Duration,
-    /// Assumed mean service time (ms) for the `Retry-After` estimate
-    /// until the first fresh run has been measured.
+    /// Assumed service time (ms) of every queued job until the first
+    /// fresh run has been measured: the queue's prediction, and so the
+    /// `Retry-After` estimate, before calibration.
     pub fallback_service_ms: u64,
 }
 
@@ -81,7 +83,6 @@ struct Inner {
     stats: ServerStats,
     workers: usize,
     deadline: Duration,
-    fallback_service_ms: u64,
     addr: SocketAddr,
 }
 
@@ -110,12 +111,14 @@ impl Server {
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             registry: Registry::standard(),
-            queue: JobQueue::new(config.queue_capacity),
+            queue: JobQueue::new(
+                config.queue_capacity,
+                Duration::from_millis(config.fallback_service_ms),
+            ),
             cache: ReportCache::new(config.cache_bytes),
             stats: ServerStats::default(),
             workers: config.workers,
             deadline: config.deadline,
-            fallback_service_ms: config.fallback_service_ms,
             addr,
         });
 
@@ -318,15 +321,26 @@ fn handle_run(request: &Request, inner: &Arc<Inner>) -> Response {
         return Response::ok(body.to_string()).with_header("X-Cache", "hit");
     }
 
-    if let Err(e) = inner.registry.validate_only(&spec) {
-        inner.stats.rejected_bad_spec.inc();
-        return Response::error(400, e.to_string());
-    }
+    let cost = match inner.registry.validate_only(&spec) {
+        Ok(cost) => cost,
+        Err(e) => {
+            inner.stats.rejected_bad_spec.inc();
+            return Response::error(400, e.to_string());
+        }
+    };
+    // Validation found the entry, so the canonical name exists; aliases
+    // (`sync-mf` for `urn`) share their protocol's calibration.
+    let protocol = inner
+        .registry
+        .find(spec.protocol())
+        .map_or("unknown", |entry| entry.name());
 
     let deadline = Instant::now() + inner.deadline;
     let (reply_tx, reply_rx) = sync_channel(1);
     let job = Job {
         key,
+        protocol,
+        events: cost.events,
         reply: reply_tx,
         deadline,
         submitted: Instant::now(),
@@ -335,7 +349,7 @@ fn handle_run(request: &Request, inner: &Arc<Inner>) -> Response {
         Ok(()) => {}
         Err(SubmitError::Full { depth }) => {
             inner.stats.rejected_busy.inc();
-            let retry_after = retry_after_secs(inner, depth);
+            let retry_after = retry_after_secs(inner.queue.backlog_us(), inner.workers);
             return Response::error(429, format!("queue full ({depth} jobs pending)"))
                 .with_header("Retry-After", retry_after.to_string());
         }
@@ -361,7 +375,7 @@ fn handle_run(request: &Request, inner: &Arc<Inner>) -> Response {
             inner.stats.deadline_exceeded.inc();
             Response::error(503, "deadline exceeded before a worker finished the run").with_header(
                 "Retry-After",
-                retry_after_secs(inner, inner.queue.depth()).to_string(),
+                retry_after_secs(inner.queue.backlog_us(), inner.workers).to_string(),
             )
         }
         Err(RecvTimeoutError::Disconnected) => {
@@ -371,12 +385,13 @@ fn handle_run(request: &Request, inner: &Arc<Inner>) -> Response {
     }
 }
 
-/// `Retry-After` estimate in whole seconds: queue depth times mean
-/// service time, divided across the worker pool, clamped to [1, 30].
-fn retry_after_secs(inner: &Inner, depth: usize) -> u64 {
-    let mean_ms = inner.stats.mean_service_ms(inner.fallback_service_ms);
-    let backlog_ms = (depth as u64).saturating_mul(mean_ms) / inner.workers.max(1) as u64;
-    backlog_ms.div_ceil(1_000).clamp(1, 30)
+/// `Retry-After` estimate in whole seconds: the queued jobs' summed
+/// predicted service time (µs), divided across the worker pool, clamped
+/// to [1, 30].
+fn retry_after_secs(backlog_us: f64, workers: usize) -> u64 {
+    let secs = (backlog_us / workers.max(1) as f64 / 1e6).ceil();
+    // `as` saturates, so a huge backlog clamps to 30, not to 0.
+    (secs as u64).clamp(1, 30)
 }
 
 fn worker_loop(inner: &Arc<Inner>) {
@@ -409,10 +424,11 @@ fn worker_loop(inner: &Arc<Inner>) {
         }));
         let result = match outcome {
             Ok(Ok(text)) => {
+                let service_us = duration_us(started.elapsed());
+                inner.stats.service_time_us.record(service_us);
                 inner
-                    .stats
-                    .service_time_us
-                    .record(duration_us(started.elapsed()));
+                    .queue
+                    .record_service(job.protocol, job.events, service_us);
                 inner.stats.cache_misses.inc();
                 let body: Arc<str> = Arc::from(text.as_str());
                 inner.cache.insert(key, Arc::clone(&body));
@@ -448,6 +464,33 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn retry_after_spreads_the_predicted_backlog_over_the_workers() {
+        let q = JobQueue::new(8, Duration::from_millis(50));
+        // 2 µs per event.
+        q.record_service("sync", 1_000_000, 2_000_000);
+        let mut replies = Vec::new();
+        for events in [1_000_000, 2_500_000, 500_000] {
+            let (reply, rx) = sync_channel(1);
+            replies.push(rx);
+            let job = Job {
+                key: format!("sync?seed={events}"),
+                protocol: "sync",
+                events,
+                reply,
+                deadline: Instant::now() + Duration::from_secs(60),
+                submitted: Instant::now(),
+            };
+            q.try_submit(job).unwrap();
+        }
+        // 2 + 5 + 1 = 8 s of predicted work.
+        assert!((q.backlog_us() - 8e6).abs() < 1e-3);
+        assert_eq!(retry_after_secs(q.backlog_us(), 1), 8);
+        assert_eq!(retry_after_secs(q.backlog_us(), 3), 3, "8/3 s rounds up");
+        assert_eq!(retry_after_secs(0.0, 2), 1, "never below 1 s");
+        assert_eq!(retry_after_secs(1e12, 2), 30, "never above 30 s");
+    }
 
     #[test]
     fn panic_message_reads_literal_and_formatted_payloads() {

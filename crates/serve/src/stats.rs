@@ -158,16 +158,6 @@ impl Default for ServerStats {
 }
 
 impl ServerStats {
-    /// Mean engine service time in milliseconds over completed fresh
-    /// runs, or `fallback_ms` before the first one completes.
-    pub fn mean_service_ms(&self, fallback_ms: u64) -> u64 {
-        let runs = self.service_time_us.count();
-        if runs == 0 {
-            return fallback_ms;
-        }
-        (self.service_time_us.sum() / runs / 1_000).max(1)
-    }
-
     /// Cache hit rate over `/run` responses served so far (0 when none).
     pub fn hit_rate(&self) -> f64 {
         let hits = self.cache_hits.get() as f64;
@@ -247,15 +237,12 @@ mod tests {
     use plurality_obs::validate_exposition;
 
     #[test]
-    fn hit_rate_and_mean_service_time() {
+    fn hit_rate_counts_hits_over_responses() {
         let stats = ServerStats::default();
         assert_eq!(stats.hit_rate(), 0.0);
-        assert_eq!(stats.mean_service_ms(25), 25, "fallback before any run");
         stats.cache_hits.add(3);
         stats.cache_misses.inc();
-        stats.service_time_us.record(8_000);
         assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(stats.mean_service_ms(25), 8);
     }
 
     #[test]

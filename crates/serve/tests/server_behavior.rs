@@ -1,6 +1,7 @@
 //! End-to-end behavior of the daemon over real loopback sockets:
 //! routing, teaching 400s, backpressure (429 + `Retry-After`),
-//! deadlines (503), the drain protocol, and the monitoring endpoints.
+//! deadlines (503), the drain protocol, the queue order, and the
+//! monitoring endpoints.
 
 use plurality_serve::{run_target, ClientResponse, HttpClient, ServeConfig, Server};
 use std::io::{Read, Write};
@@ -249,6 +250,69 @@ fn full_queue_answers_429_with_retry_after_instead_of_buffering() {
 
     let stats = get(&mut client, "/stats");
     assert!(stats.body.contains("\"rejected_busy\""), "{}", stats.body);
+    server.drain();
+    server.join();
+}
+
+/// The value of the first `/metrics` sample line starting with `name`.
+fn metric(client: &mut HttpClient, name: &str) -> f64 {
+    let metrics = get(client, "/metrics").body;
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no sample {name} in:\n{metrics}"))
+}
+
+/// Polls `/metrics` until `name` reads `value`.
+fn await_metric(client: &mut HttpClient, name: &str, value: f64) {
+    while metric(client, name) != value {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_later_cheap_miss_is_answered_before_an_earlier_expensive_one() {
+    // One worker, so the queue's order is the service order.
+    let (server, mut client) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let expensive = |n: u64, seed: u64| format!("cluster?n={n}&k=2&alpha=2.0&c1=9.3&seed={seed}");
+    let cheap = |seed: u64| format!("sync-mf?n=1000000&k=2&alpha=2.0&seed={seed}");
+    // Calibrate: one completed run of each protocol.
+    for spec in [expensive(5_000, 1), cheap(1)] {
+        assert_eq!(get(&mut client, &run_target(&spec, None)).status, 200);
+    }
+    let addr = server.addr();
+    let request = |spec: String| {
+        std::thread::spawn(move || {
+            let mut client = HttpClient::connect(addr).expect("connect");
+            client
+                .set_read_timeout(Some(Duration::from_secs(120)))
+                .expect("socket option");
+            let response = client.get(&run_target(&spec, None)).expect("request");
+            assert_eq!(response.status, 200, "{spec}: {}", response.body);
+            Instant::now()
+        })
+    };
+    // Busy the worker with a long run: the third job it has dequeued.
+    let busy = request(expensive(30_000, 2));
+    await_metric(&mut client, "plurality_queue_wait_us_count", 3.0);
+    // Queue an expensive miss, then a cheap one, behind it.
+    let earlier_expensive = request(expensive(10_000, 3));
+    await_metric(&mut client, "plurality_queue_depth", 1.0);
+    let later_cheap = request(cheap(3));
+    await_metric(&mut client, "plurality_queue_depth", 2.0);
+
+    // Depth 2 means both waited behind the busy run: the order they are
+    // answered in is the order the queue chose.
+    busy.join().unwrap();
+    let cheap_done = later_cheap.join().unwrap();
+    let expensive_done = earlier_expensive.join().unwrap();
+    assert!(
+        cheap_done < expensive_done,
+        "the cheap miss must be served before the earlier expensive one"
+    );
     server.drain();
     server.join();
 }
